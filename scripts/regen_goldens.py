@@ -29,6 +29,11 @@ GOLDEN_SCENARIOS = {
     "freq_track": {"mode": "freq_track", "f_cmd": 2.0, "seed": 0},
     "rhythm_sync": {"mode": "rhythm_sync", "synth_bpm": 120.0,
                     "duration": 12.0, "seed": 0},
+    "rhythm_sync_feedforward": {"mode": "rhythm_sync", "synth_bpm": 120.0,
+                                "duration": 12.0, "seed": 0, "error_mode": "raw",
+                                "feedforward": True},
+    "estimator_curriculum": {"mode": "estimator_curriculum", "estimator_mode": "learned",
+                             "iterations": 10, "duration": 2.0, "seed": 0},
 }
 
 RUNNERS = {

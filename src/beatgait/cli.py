@@ -16,9 +16,11 @@ artifacts (per-stream runlog CSVs, report.json, config.echo.json) to
 --out, defaulting to out/<mode> so every invocation is reproducible
 from its own output directory.
 
-Exit codes: 0 on success, 2 for configuration or input errors, 3 when
-the input data is insufficient for the requested analysis, 4 when a
-curriculum run fails its closing checks.
+Exit codes: 0 on success, otherwise the exit_code of the BeatGaitError
+raised: 2 for configuration or input errors, 3 when the input data is
+insufficient for the requested analysis (a clip too short to analyse
+or shorter than the run), 4 when a curriculum run fails its closing
+checks or the oscillator phases diverge.
 """
 
 from __future__ import annotations
@@ -27,19 +29,9 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
-from .errors import (
-    BeatGaitError,
-    CommandRangeError,
-    CurriculumError,
-    FormatError,
-    InputError,
-    InsufficientDataError,
-    IntegrationDivergedError,
-    NoTempoError,
-    NotFittedError,
-    TempoRangeError,
-)
+from .errors import BeatGaitError
 from .harness import (
     ESTIMATOR_MODES,
     REWARD_VARIANTS,
@@ -71,10 +63,6 @@ _SCENARIO_FIELDS = {
     "estimator_mode": "estimator_mode",
     "warmup": "warmup_s",
 }
-
-_EXIT_CONFIG = 2
-_EXIT_DATA = 3
-_EXIT_CURRICULUM = 4
 
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
@@ -151,25 +139,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _scenario_config(args: argparse.Namespace, mode: str) -> ScenarioConfig:
-    base: dict = {}
-    if args.config is not None:
-        try:
-            with open(args.config) as fh:
-                base = json.load(fh)
-        except OSError as exc:
-            raise InputError(f"cannot read config {args.config}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise InputError(f"invalid JSON in {args.config}: {exc}") from exc
-        if not isinstance(base, dict):
-            raise InputError(f"config root must be an object, got {type(base).__name__}")
-    base["mode"] = mode
-    for attr, field in _SCENARIO_FIELDS.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            base[field] = value
-    if base.get("outdir") is None:
-        base["outdir"] = os.path.join("out", mode)
-    return ScenarioConfig.from_dict(base)
+    flags = {field: getattr(args, attr) for attr, field in _SCENARIO_FIELDS.items()
+             if getattr(args, attr, None) is not None}
+    if args.config is None:
+        cfg = ScenarioConfig(mode=mode, **flags)
+    else:
+        cfg = ScenarioConfig.from_json(args.config, mode=mode, **flags)
+    if cfg.outdir is None:
+        cfg = replace(cfg, outdir=os.path.join("out", mode))
+    return cfg
 
 
 def _cmd_freq_track(args: argparse.Namespace) -> int:
@@ -259,19 +237,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (InputError, CommandRangeError, FormatError, TempoRangeError,
-            NotFittedError) as exc:
+    except BeatGaitError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_CONFIG
-    except (InsufficientDataError, NoTempoError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_DATA
-    except (CurriculumError, IntegrationDivergedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_CURRICULUM
-    except BeatGaitError as exc:  # any future subclass: treat as config error
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_CONFIG
+        return exc.exit_code
 
 
 if __name__ == "__main__":

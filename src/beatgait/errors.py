@@ -1,13 +1,16 @@
 """Exception hierarchy shared across the package.
 
-Each error class maps to one failure family so the CLI can translate
-them into stable exit codes (config errors: 2, insufficient data: 3,
-curriculum failures: 4).
+Each error class maps to one failure family, and its exit_code is the
+command line's exit status for it: 2 for configuration or input
+errors, 3 when the input data is insufficient, 4 when a curriculum run
+fails or the oscillator state diverges.
 """
 
 
 class BeatGaitError(Exception):
     """Base class for all package errors."""
+
+    exit_code = 2
 
 
 class InputError(BeatGaitError):
@@ -21,6 +24,8 @@ class CommandRangeError(BeatGaitError):
 class IntegrationDivergedError(BeatGaitError):
     """Oscillator state became non-finite during integration."""
 
+    exit_code = 4
+
 
 class NotFittedError(BeatGaitError):
     """Prediction requested from an estimator that was never fitted."""
@@ -29,9 +34,13 @@ class NotFittedError(BeatGaitError):
 class InsufficientDataError(BeatGaitError):
     """Too few samples or events to compute the requested statistic."""
 
+    exit_code = 3
+
 
 class NoTempoError(BeatGaitError):
     """Onset envelope carries no periodicity to estimate a tempo from."""
+
+    exit_code = 3
 
 
 class FormatError(BeatGaitError):
@@ -43,4 +52,6 @@ class TempoRangeError(BeatGaitError):
 
 
 class CurriculumError(BeatGaitError):
-    """A curriculum episode diverged or the final evaluation failed."""
+    """The curriculum's rho = 1 evaluation missed the tracking bounds."""
+
+    exit_code = 4

@@ -10,8 +10,8 @@ exactly linear in these features, so the fit is exact up to rounding.
 The curriculum blends simulated and predicted loads into the feedback
 path with a weight rho that grows from 0 to 1 across training
 iterations, so the oscillators gradually switch from ground truth to
-the estimator. A fallback mode returns the constant 0.25 (a quarter of
-body weight per leg) for runs without any fitted model.
+the estimator. Runs without any fitted model can hold the constant
+FALLBACK_G = 0.25 (a quarter of body weight per leg) instead.
 """
 
 from __future__ import annotations
@@ -131,17 +131,14 @@ def fit(inputs, g_sim) -> FittedModel:
     return FittedModel(coeffs=coeffs, mse=mse, rank_deficient=rank_deficient)
 
 
-def predict(obs: EstimatorInput, model: FittedModel | None, fallback: bool = False) -> np.ndarray:
+def predict(obs: EstimatorInput, model: FittedModel | None) -> np.ndarray:
     """Predicted normalized load per leg, clipped to [0, 1].
 
-    Learned mode applies the fitted coefficients to [I, I*s]; a leg with
-    indicator 0 has all-zero features and therefore predicts 0. Fallback
-    mode returns the constant 0.25 for every leg regardless of input.
+    Applies the fitted coefficients to [I, I*s]; a leg with indicator 0
+    has all-zero features and therefore predicts 0.
     """
-    if fallback:
-        return np.full(4, FALLBACK_G)
     if model is None:
-        raise NotFittedError("no fitted model and fallback mode not selected")
+        raise NotFittedError("no fitted model to predict with")
     ind = obs.contact_indicators
     x = np.column_stack([ind, ind * obs.stance_weights])
     return np.clip(x @ model.coeffs, 0.0, 1.0)

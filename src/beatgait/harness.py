@@ -12,9 +12,11 @@ three experiment families:
   estimator predictions by rho = iteration/N, refitting each episode,
   then proves the rho = 1 loop still tracks frequency commands.
 
-The scheduler runs the oscillator at 1 kHz and updates the plant and
-modulator at integer subdivisions (100 Hz and 20 Hz by default) with
-zero-order holds between updates. The frequency-tracking scenario
+All three run through one loop, _simulate; they differ only in the
+load map and the modulator they hand it. The scheduler runs the
+oscillator at 1 kHz and updates the plant and modulator at integer
+subdivisions (100 Hz and 20 Hz by default) with zero-order holds
+between updates. The frequency-tracking scenario
 defaults to a 500 Hz plant so a 5 s run spans 2500 plant samples;
 at 100 Hz the 10 ms contact quantization alone can push the measured
 stepping frequency past the 0.05 Hz acceptance bound at some commands.
@@ -34,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import estimator as est
-from .errors import CurriculumError, InputError
+from .errors import CurriculumError, InputError, InsufficientDataError, IntegrationDivergedError
 from .metrics import SyncReport, beat_alignment, frequency_deviation, frequency_variance, \
     relative_phase_differences
 from .modulator import ModulatorConfig, modulate, reward_phase, reward_r1, reward_r2, \
@@ -163,12 +165,17 @@ class ScenarioConfig:
         return cls(**data)
 
     @classmethod
-    def from_json(cls, path) -> "ScenarioConfig":
+    def from_json(cls, path, **overrides) -> "ScenarioConfig":
+        """Load a JSON config file; overrides replace or add fields."""
         try:
             data = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
-            raise InputError(f"config file {path} is not valid JSON: {exc}") from exc
-        return cls.from_dict(data)
+        except OSError as exc:
+            raise InputError(f"cannot read config {path}: {exc}") from exc
+        except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
+            raise InputError(f"invalid JSON in config {path}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise InputError(f"config must be a JSON object, got {type(data).__name__}")
+        return cls.from_dict({**data, **overrides})
 
 
 class RunLog:
@@ -259,8 +266,7 @@ def scheduler_tick(state: SimState) -> SimState:
     return state
 
 
-def _initial_state(cfg: ScenarioConfig, f_gait: float, plant_cfg: PlantConfig,
-                   rng: np.random.Generator):
+def _initial_state(cfg: ScenarioConfig, f_gait: float, plant_cfg: PlantConfig):
     """Moving-gait bank at the stationary-to-moving transition.
 
     All four legs carry equal weight while standing, so the low-load
@@ -270,18 +276,77 @@ def _initial_state(cfg: ScenarioConfig, f_gait: float, plant_cfg: PlantConfig,
     """
     standing = np.full(4, plant_cfg.mass * plant_cfg.g / 4.0)
     params = select_params(cfg.v_cmd, f_gait, standing)
-    bank = make_bank(params)
-    phases = bank.phases.copy()
+    phases = make_bank(params).phases.copy()
     if cfg.perturb_rad > 0:
+        rng = np.random.default_rng(cfg.seed)
         phases = wrap_phase(phases + rng.uniform(-cfg.perturb_rad, cfg.perturb_rad, 4))
     om, sg, xi = param_arrays(params)
     return phases, om, sg, xi
 
 
-def _timeline(t, forces, plant_cfg: PlantConfig) -> GrfTimeline:
-    forces = np.asarray(forces, dtype=float)
-    return GrfTimeline(t=np.asarray(t, dtype=float), forces=forces,
-                       normalized=np.minimum(forces / (plant_cfg.mass * plant_cfg.g), 1.0))
+def _tick_counts(cfg: ScenarioConfig) -> tuple[int, int, int]:
+    """(oscillator ticks, ticks per plant update, ticks per modulator update)."""
+    osc_hz = cfg.rate_oscillator_hz
+    return (int(round(cfg.duration * osc_hz)), osc_hz // cfg.rate_plant_hz,
+            osc_hz // cfg.rate_modulator_hz)
+
+
+def _check_finite(state: SimState, label: str) -> None:
+    # the phases lie in [0, 2*pi) while finite, so their sum is finite
+    # exactly when all of them are; summing a list is ~10x cheaper than
+    # np.isfinite on four values, and this runs at every plant update
+    if not math.isfinite(sum(state.phases.tolist())):
+        raise IntegrationDivergedError(
+            f"{label} diverged: oscillator phases non-finite by t={state.t:.3f} s")
+
+
+def _simulate(cfg: ScenarioConfig, plant_cfg: PlantConfig, f_gait: float,
+              load=None, mod_fn=None, label: str | None = None):
+    """The closed loop every scenario runs: oscillators, plant, modulator.
+
+    At each plant update the phases must be finite, else
+    IntegrationDivergedError names the run (label, default the mode)
+    and the time. The plant turns the phases into forces and
+    normalized loads g, logged as one plant row. The oscillators then
+    hold load(state, g) when a load map is given, else g itself.
+    mod_fn(state) returns the next intrinsic frequency (see SimState).
+
+    Returns (final state, osc rows, plant rows). Osc row k is (t, four
+    phases, omega_tilde) at the start of tick k, before its updates and
+    its step; plant row k is (t, four forces, four normalized loads) of
+    the k-th plant update, so state.n_plant_updates indexes it.
+    """
+    label = label or cfg.mode
+    phases, om, sg, xi = _initial_state(cfg, f_gait, plant_cfg)
+    n_ticks, plant_every, mod_every = _tick_counts(cfg)
+    osc_rows = np.empty((n_ticks, 6))
+    plant_rows = np.empty((-(-n_ticks // plant_every), 9))
+
+    def plant_fn(state: SimState):
+        _check_finite(state, label)
+        forces = grf_from_phases(state.phases, plant_cfg)
+        g = normalize_grf(forces, plant_cfg.mass, plant_cfg.g)
+        row = plant_rows[state.n_plant_updates]
+        row[0] = state.t
+        row[1:5] = forces
+        row[5:9] = g
+        return g if load is None else load(state, g)
+
+    state = SimState(phases=phases, om=om, sg=sg, xi=xi, dt=1.0 / cfg.rate_oscillator_hz,
+                     plant_every=plant_every, mod_every=mod_every,
+                     plant_fn=plant_fn, mod_fn=mod_fn)
+    for k in range(n_ticks):
+        osc_rows[k, 0] = state.t
+        osc_rows[k, 1:5] = state.phases
+        osc_rows[k, 5] = state.om[0]
+        scheduler_tick(state)
+    _check_finite(state, label)
+    return state, osc_rows, plant_rows
+
+
+def _timeline(plant_rows) -> GrfTimeline:
+    return GrfTimeline(t=plant_rows[:, 0], forces=plant_rows[:, 1:5],
+                       normalized=plant_rows[:, 5:9])
 
 
 def _leg_stats(timeline: GrfTimeline, leg: int, f_cmd: float) -> dict:
@@ -290,6 +355,10 @@ def _leg_stats(timeline: GrfTimeline, leg: int, f_cmd: float) -> dict:
     mean_dev, var = frequency_deviation(freqs, f_cmd)
     return {"mean_abs_dev_hz": float(mean_dev), "variance_hz2": float(var),
             "cycles": int(freqs.size), "contacts": int(onsets.size)}
+
+
+_OSC_COLUMNS = ["t", "phi_rf", "phi_lf", "phi_rh", "phi_lh", "omega_tilde"]
+_PLANT_COLUMNS = ["t", "n_rf", "n_lf", "n_rh", "n_lh", "g_rf", "g_lf", "g_rh", "g_lh"]
 
 
 def run_frequency_tracking(config: ScenarioConfig):
@@ -302,39 +371,10 @@ def run_frequency_tracking(config: ScenarioConfig):
     """
     cfg = config.resolve()
     plant_cfg = PlantConfig(rate_hz=float(cfg.rate_plant_hz))
-    rng = np.random.default_rng(cfg.seed)
     f_cmd = float(cfg.f_cmd)
-    phases, om, sg, xi = _initial_state(cfg, f_cmd, plant_cfg, rng)
+    state, osc_rows, plant_rows = _simulate(cfg, plant_cfg, f_cmd)
 
-    n_ticks = int(round(cfg.duration * cfg.rate_oscillator_hz))
-    plant_every = cfg.rate_oscillator_hz // cfg.rate_plant_hz
-    n_plant = n_ticks // plant_every
-    dt = 1.0 / cfg.rate_oscillator_hz
-
-    osc_rows = np.empty((n_ticks, 6))
-    plant_rows = np.empty((n_plant, 9))
-    row = {"i": 0}
-
-    def plant_fn(state: SimState):
-        forces = grf_from_phases(state.phases, plant_cfg)
-        g = normalize_grf(forces, plant_cfg.mass, plant_cfg.g)
-        i = row["i"]
-        plant_rows[i, 0] = state.t
-        plant_rows[i, 1:5] = forces
-        plant_rows[i, 5:9] = g
-        row["i"] = i + 1
-        return g
-
-    state = SimState(phases=phases, om=om, sg=sg, xi=xi, dt=dt,
-                     plant_every=plant_every, mod_every=cfg.rate_oscillator_hz //
-                     cfg.rate_modulator_hz, plant_fn=plant_fn)
-    for k in range(n_ticks):
-        osc_rows[k, 0] = state.t
-        osc_rows[k, 1:5] = state.phases
-        osc_rows[k, 5] = state.om[0]
-        scheduler_tick(state)
-
-    timeline = _timeline(plant_rows[:, 0], plant_rows[:, 1:5], plant_cfg)
+    timeline = _timeline(plant_rows)
     per_leg = {LEG_ORDER[leg]: _leg_stats(timeline, leg, f_cmd) for leg in range(4)}
     rf = per_leg[LEG_ORDER[0]]
     report_metrics = SyncReport(
@@ -345,10 +385,8 @@ def run_frequency_tracking(config: ScenarioConfig):
               "rate_oscillator_hz": cfg.rate_oscillator_hz,
               "rate_plant_hz": cfg.rate_plant_hz}
     runlog = RunLog(header)
-    runlog.add_stream("osc", ["t", "phi_rf", "phi_lf", "phi_rh", "phi_lh", "omega_tilde"],
-                      osc_rows)
-    runlog.add_stream("plant", ["t", "n_rf", "n_lf", "n_rh", "n_lh",
-                                "g_rf", "g_lf", "g_rh", "g_lh"], plant_rows)
+    runlog.add_stream("osc", _OSC_COLUMNS, osc_rows)
+    runlog.add_stream("plant", _PLANT_COLUMNS, plant_rows)
     report = {
         "mode": cfg.mode,
         "seed": cfg.seed,
@@ -374,6 +412,10 @@ def _resolve_clip(cfg: ScenarioConfig):
     return synth_click_track(float(cfg.synth_bpm), cfg.duration + 2.0)
 
 
+def _ring(angle) -> tuple[float, float]:
+    return math.cos(angle), math.sin(angle)
+
+
 def run_rhythm_sync(config: ScenarioConfig):
     """Full hierarchical loop: music analysis drives the modulator.
 
@@ -382,17 +424,21 @@ def run_rhythm_sync(config: ScenarioConfig):
     configured modulator variant. Scores beat alignment (interior
     footfalls vs the beat grid after warm-up), the 20 Hz command
     spread, and all four reward traces regardless of which variant the
-    config emphasizes.
+    config emphasizes. A clip whose envelope is shorter than the run
+    raises InsufficientDataError before anything is simulated.
     """
     cfg = config.resolve()
     plant_cfg = PlantConfig(rate_hz=float(cfg.rate_plant_hz))
-    rng = np.random.default_rng(cfg.seed)
 
-    clip = _resolve_clip(cfg)
-    analysis = analyze_clip(clip)
+    analysis = analyze_clip(_resolve_clip(cfg))
+    frame_rate = analysis.envelope.frame_rate
+    n_frames = int(round(cfg.duration * frame_rate))
+    if analysis.envelope.values.size < n_frames:
+        raise InsufficientDataError(
+            f"clip covers {analysis.envelope.values.size} envelope frames, the "
+            f"{cfg.duration:g} s run needs {n_frames}")
     f_gait = fold_tempo(analysis.tempo_bpm)
     omega_m = TWO_PI * f_gait
-    phases, om, sg, xi = _initial_state(cfg, f_gait, plant_cfg, rng)
 
     mod_cfg = ModulatorConfig(gain_k=cfg.gain_k, delta_max=cfg.delta_max,
                               target_leg=cfg.target_leg, rate_hz=float(cfg.rate_modulator_hz),
@@ -400,79 +446,50 @@ def run_rhythm_sync(config: ScenarioConfig):
     leg = cfg.target_leg - 1
     pair_leg = 1 if leg in (0, 3) else 0  # one leg of the opposite diagonal
 
-    n_ticks = int(round(cfg.duration * cfg.rate_oscillator_hz))
-    plant_every = cfg.rate_oscillator_hz // cfg.rate_plant_hz
-    mod_every = cfg.rate_oscillator_hz // cfg.rate_modulator_hz
-    n_plant = n_ticks // plant_every
-    n_mod = n_ticks // mod_every
-    dt = 1.0 / cfg.rate_oscillator_hz
-
+    n_ticks, plant_every, mod_every = _tick_counts(cfg)
+    n_mod = -(-n_ticks // mod_every)
     t_mod = np.arange(n_mod) / cfg.rate_modulator_hz
     theta_mod = interpolate_phase(analysis.grid, t_mod)
-    beats = analysis.grid.beat_times
-    tick_s = 1.0 / cfg.rate_modulator_hz
-    music_beat_in_tick = (np.searchsorted(beats, t_mod, side="right")
-                          - np.searchsorted(beats, t_mod - tick_s, side="right")) > 0
-
-    osc_rows = np.empty((n_ticks, 6))
-    plant_rows = np.empty((n_plant, 9))
     mod_rows = np.empty((n_mod, 5))
-    reward_rows = np.empty((n_mod, 5))
-    counters = {"plant": 0, "mod": 0}
-    last_onset = {"t": None, "prev": 0.0}
-
-    def plant_fn(state: SimState):
-        forces = grf_from_phases(state.phases, plant_cfg)
-        g = normalize_grf(forces, plant_cfg.mass, plant_cfg.g)
-        i = counters["plant"]
-        plant_rows[i, 0] = state.t
-        plant_rows[i, 1:5] = forces
-        plant_rows[i, 5:9] = g
-        counters["plant"] = i + 1
-        if forces[leg] > 0.0 and last_onset["prev"] == 0.0 and i > 0:
-            last_onset["t"] = state.t
-        last_onset["prev"] = forces[leg]
-        return g
 
     def mod_fn(state: SimState):
-        i = counters["mod"]
-        t = state.t
-        theta = theta_mod[i]
-        phi = float(state.phases[leg])
-        cmd = modulate((math.cos(phi), math.sin(phi)),
-                       (math.cos(theta), math.sin(theta)),
-                       omega_m, mod_cfg, t=t,
-                       pair_obs=(math.cos(float(state.phases[pair_leg])),
-                                 math.sin(float(state.phases[pair_leg]))))
-        mod_rows[i] = (t, omega_m, cmd.delta_omega, cmd.omega_tilde, cmd.phase_error)
-        kin_in_tick = (last_onset["t"] is not None
-                       and t - tick_s < last_onset["t"] <= t)
-        b_t = float(analysis.smoothed[min(int(round(t * analysis.envelope.frame_rate)),
-                                          analysis.smoothed.size - 1)])
-        reward_rows[i] = (
-            t,
-            reward_rhythm((math.cos(phi), math.sin(phi)),
-                          (math.cos(theta), math.sin(theta)), mod_cfg.sigma_r),
-            reward_r1(b_t, phi),
-            reward_r2(bool(music_beat_in_tick[i]), kin_in_tick),
-            reward_phase(state.g_held, state.phases),
-        )
-        counters["mod"] = i + 1
+        i = state.n_mod_updates
+        cmd = modulate(_ring(state.phases[leg]), _ring(theta_mod[i]), omega_m, mod_cfg,
+                       t=state.t, pair_obs=_ring(state.phases[pair_leg]))
+        mod_rows[i] = (state.t, omega_m, cmd.delta_omega, cmd.omega_tilde, cmd.phase_error)
         return cmd.omega_tilde
 
-    state = SimState(phases=phases, om=om, sg=sg, xi=xi, dt=dt,
-                     plant_every=plant_every, mod_every=mod_every,
-                     plant_fn=plant_fn, mod_fn=mod_fn)
-    for k in range(n_ticks):
-        osc_rows[k, 0] = state.t
-        osc_rows[k, 1:5] = state.phases
-        osc_rows[k, 5] = state.om[0]
-        scheduler_tick(state)
+    state, osc_rows, plant_rows = _simulate(cfg, plant_cfg, f_gait, mod_fn=mod_fn)
 
-    timeline = _timeline(plant_rows[:, 0], plant_rows[:, 1:5], plant_cfg)
+    timeline = _timeline(plant_rows)
+    beats = analysis.grid.beat_times
+
+    # rewards from what each modulator update saw: its tick time t, the
+    # music phase, the phases and the held loads. r2 counts a music beat
+    # (on the modulator's time grid) or a contact onset (on the tick
+    # times) when it falls in the tick that ends at the update.
+    tick_s = 1.0 / cfg.rate_modulator_hz
+
+    def in_tick(events, ends):
+        return (np.searchsorted(events, ends, side="right")
+                > np.searchsorted(events, ends - tick_s, side="right"))
+
+    t = mod_rows[:, 0]
+    phases = osc_rows[::mod_every, 1:5]
+    loads = plant_rows[::mod_every // plant_every, 5:9]
+    music_beat = in_tick(beats, t_mod)
+    kin_beat = in_tick(contact_onsets(timeline, leg), t)
+    frames = np.minimum(np.round(t * frame_rate).astype(int), analysis.smoothed.size - 1)
+    reward_rows = np.array([
+        (t[i], reward_rhythm(_ring(phases[i, leg]), _ring(theta_mod[i]), mod_cfg.sigma_r),
+         reward_r1(analysis.smoothed[frames[i]], phases[i, leg]),
+         reward_r2(bool(music_beat[i]), bool(kin_beat[i])),
+         reward_phase(loads[i], phases[i]))
+        for i in range(n_mod)])
+
     kin = kinematic_beats(timeline, leg, interior_only=True)
     deltas, delta_max = beat_alignment(kin, beats, warmup_s=cfg.warmup_s)
-    post = mod_rows[:, 0] >= cfg.warmup_s
+    post = t >= cfg.warmup_s
     omega_std = frequency_variance(mod_rows[post, 3])
     reward_means = {
         name: float(reward_rows[post, 1 + j].mean())
@@ -485,8 +502,7 @@ def run_rhythm_sync(config: ScenarioConfig):
         omega_std=float(omega_std),
         rpd_matrix=relative_phase_differences(state.phases).tolist())
 
-    n_frames = int(round(cfg.duration * analysis.envelope.frame_rate))
-    t_frames = np.arange(n_frames) / analysis.envelope.frame_rate
+    t_frames = np.arange(n_frames) / frame_rate
     music_rows = np.column_stack([
         t_frames,
         analysis.envelope.values[:n_frames],
@@ -502,10 +518,8 @@ def run_rhythm_sync(config: ScenarioConfig):
               "rate_plant_hz": cfg.rate_plant_hz,
               "rate_modulator_hz": cfg.rate_modulator_hz}
     runlog = RunLog(header)
-    runlog.add_stream("osc", ["t", "phi_rf", "phi_lf", "phi_rh", "phi_lh", "omega_tilde"],
-                      osc_rows)
-    runlog.add_stream("plant", ["t", "n_rf", "n_lf", "n_rh", "n_lh",
-                                "g_rf", "g_lf", "g_rh", "g_lh"], plant_rows)
+    runlog.add_stream("osc", _OSC_COLUMNS, osc_rows)
+    runlog.add_stream("plant", _PLANT_COLUMNS, plant_rows)
     runlog.add_stream("mod", ["t", "omega_m", "delta_omega", "omega_tilde", "phase_error"],
                       mod_rows)
     runlog.add_stream("music", ["t", "envelope", "beat_curve", "theta", "tempo_bpm"],
@@ -531,54 +545,26 @@ def run_rhythm_sync(config: ScenarioConfig):
     return runlog, report_metrics, report
 
 
-def _estimator_episode(cfg: ScenarioConfig, plant_cfg: PlantConfig, f_cmd: float,
-                       rho_state, model, collect_inputs, collect_loads,
-                       g_constant: float | None = None):
-    """One closed-loop episode; returns (final phases, timeline).
+def _curriculum_load(plant_cfg: PlantConfig, rho_state, model, inputs=None, loads=None):
+    """Load map of one curriculum episode: simulated and predicted loads mixed by rho.
 
-    The oscillator consumes the curriculum blend of simulated and
-    predicted loads (or a constant in fallback mode); the plant keeps
-    producing ground-truth loads for collection and scoring.
+    The estimator sees each leg's contact flag and its share of the
+    supported load, the quantity the plant's load law is exactly linear
+    in (the raw sine weight is not, once double-support windows appear
+    around stance handoffs). When inputs and loads are lists, every
+    observation and its simulated loads are appended for the next fit.
     """
-    rng = np.random.default_rng(cfg.seed)
-    phases, om, sg, xi = _initial_state(cfg, f_cmd, plant_cfg, rng)
-    n_ticks = int(round(cfg.duration * cfg.rate_oscillator_hz))
-    plant_every = cfg.rate_oscillator_hz // cfg.rate_plant_hz
-    n_plant = n_ticks // plant_every
-    rows_t = np.empty(n_plant)
-    rows_f = np.empty((n_plant, 4))
-    counters = {"plant": 0}
-
-    def plant_fn(state: SimState):
-        forces = grf_from_phases(state.phases, plant_cfg)
-        g_sim = normalize_grf(forces, plant_cfg.mass, plant_cfg.g)
-        i = counters["plant"]
-        rows_t[i] = state.t
-        rows_f[i] = forces
-        counters["plant"] = i + 1
-        if g_constant is not None:
-            return np.full(4, g_constant)
-        # proxy for joint information: each leg's share of the supported
-        # load, the quantity the plant's load law is exactly linear in
-        # (the raw sine weight is not, once double-support windows appear
-        # around stance handoffs)
+    def load(state: SimState, g_sim):
         shares = support_shares(stance_weight(state.phases, plant_cfg.weight_exponent))
         obs = est.EstimatorInput(
             contact_indicators=(state.phases >= math.pi).astype(float),
             stance_weights=shares)
-        if collect_inputs is not None:
-            collect_inputs.append(obs)
-            collect_loads.append(g_sim)
+        if inputs is not None:
+            inputs.append(obs)
+            loads.append(g_sim)
         g_pred = g_sim if model is None else est.predict(obs, model)
         return est.mix(g_sim, g_pred, rho_state)
-
-    state = SimState(phases=phases, om=om, sg=sg, xi=xi,
-                     dt=1.0 / cfg.rate_oscillator_hz, plant_every=plant_every,
-                     mod_every=cfg.rate_oscillator_hz // cfg.rate_modulator_hz,
-                     plant_fn=plant_fn)
-    for _ in range(n_ticks):
-        scheduler_tick(state)
-    return state.phases, _timeline(rows_t, rows_f, plant_cfg)
+    return load
 
 
 def run_estimator_curriculum(config: ScenarioConfig):
@@ -587,8 +573,9 @@ def run_estimator_curriculum(config: ScenarioConfig):
     Learned mode: episodes i = 0..N run at rho = i/N, each refitting on
     all data collected so far; the final model must then carry the
     rho = 1 loop through the full frequency-command sweep inside the
-    tracking bounds. Any non-finite phase or a failed sweep raises a
-    curriculum error naming the offending episode or command.
+    tracking bounds. A non-finite phase raises IntegrationDivergedError
+    naming the episode; a failed sweep raises a curriculum error naming
+    the command.
     """
     cfg = config.resolve()
     plant_cfg = PlantConfig(rate_hz=float(cfg.rate_plant_hz))
@@ -599,19 +586,15 @@ def run_estimator_curriculum(config: ScenarioConfig):
     runlog = RunLog(header)
 
     if cfg.estimator_mode == "fallback":
-        phases, timeline = _estimator_episode(
-            cfg, plant_cfg, f_cmd, rho_state=None, model=None,
-            collect_inputs=None, collect_loads=None, g_constant=est.FALLBACK_G)
-        if not np.all(np.isfinite(phases)):
-            raise CurriculumError("fallback run diverged: non-finite phase")
-        stats = _leg_stats(timeline, 0, f_cmd)
+        _, _, plant_rows = _simulate(cfg, plant_cfg, f_cmd, label="fallback run",
+                                     load=lambda state, g_sim: np.full(4, est.FALLBACK_G))
+        stats = _leg_stats(_timeline(plant_rows), 0, f_cmd)
         report = {
             "mode": cfg.mode, "seed": cfg.seed, "estimator_mode": cfg.estimator_mode,
             "duration_s": cfg.duration, "finite": True,
             "rf_stats": stats,
         }
-        runlog.add_stream("plant", ["t", "n_rf", "n_lf", "n_rh", "n_lh"],
-                          np.column_stack([timeline.t, timeline.forces]))
+        runlog.add_stream("plant", _PLANT_COLUMNS[:5], plant_rows[:, :5])
         _write_artifacts(cfg, runlog, report)
         return runlog, report
 
@@ -624,18 +607,17 @@ def run_estimator_curriculum(config: ScenarioConfig):
     mse_rows = []
     for i in range(n + 1):
         rho_state = est.CurriculumState.at(i, n)
-        phases, _ = _estimator_episode(cfg, plant_cfg, f_cmd, rho_state, model,
-                                       inputs, loads)
-        if not np.all(np.isfinite(phases)):
-            raise CurriculumError(f"closed loop diverged at iteration {i} (rho={rho_state.rho})")
+        _simulate(cfg, plant_cfg, f_cmd, label=f"curriculum iteration {i} (rho={rho_state.rho})",
+                  load=_curriculum_load(plant_cfg, rho_state, model, inputs, loads))
         model = est.fit(inputs, np.asarray(loads))
         mse_rows.append((float(i), rho_state.rho, model.mse))
 
     eval_stats = {}
+    rho_one = est.CurriculumState.at(n, n)
     for f in FREQ_TRACK_COMMANDS:
-        rho_one = est.CurriculumState.at(n, n)
-        _, timeline = _estimator_episode(cfg, plant_cfg, f, rho_one, model, None, None)
-        stats = _leg_stats(timeline, 0, f)
+        _, _, plant_rows = _simulate(cfg, plant_cfg, f, label=f"rho=1 evaluation at f_cmd={f}",
+                                     load=_curriculum_load(plant_cfg, rho_one, model))
+        stats = _leg_stats(_timeline(plant_rows), 0, f)
         eval_stats[f"{f:.1f}"] = stats
         if (stats["mean_abs_dev_hz"] >= FREQ_DEV_MEAN_BOUND_HZ
                 or stats["variance_hz2"] >= FREQ_DEV_VAR_BOUND_HZ2):

@@ -7,18 +7,14 @@ a smoothed beat curve B(t), and a music phase theta that advances by
 Beats anchor at 3*pi/2 because that is the phase at which a stance
 force peaks, so "step on the beat" becomes plain phase equality.
 
-Offline use: load or synthesize a clip, call analyze_clip, then sample
-theta/B at control-loop times. Streaming use: StreamingTracker keeps a
-sliding window, a median-filtered tempo, and answers phase queries by
-extrapolating from the latest beat so pipeline latency does not bias
-the phase.
+Use: load or synthesize a clip, call analyze_clip, then sample theta/B
+at control-loop times.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.io import wavfile
@@ -147,14 +143,6 @@ class OnsetEnvelope:
             raise InputError("envelope values must be finite and non-negative")
         object.__setattr__(self, "values", v)
 
-    @property
-    def times(self) -> np.ndarray:
-        return self.t0 + np.arange(self.values.size) / self.frame_rate
-
-    @property
-    def duration(self) -> float:
-        return (self.values.size - 1) / self.frame_rate if self.values.size else 0.0
-
 
 def onset_envelope(clip: AudioClip) -> OnsetEnvelope:
     """Half-wave-rectified spectral flux, resampled to 100 Hz.
@@ -202,11 +190,6 @@ class BeatGrid:
                 raise InputError("beat intervals deviate more than 20% from tempo")
         object.__setattr__(self, "beat_times", bt)
 
-    @property
-    def omega_m(self) -> float:
-        """Music angular frequency in rad/s."""
-        return TWO_PI * self.tempo_bpm / 60.0
-
 
 def _autocorr_norm(x: np.ndarray) -> np.ndarray:
     """Autocorrelation divided by overlap length, so periodic peaks tie."""
@@ -215,20 +198,17 @@ def _autocorr_norm(x: np.ndarray) -> np.ndarray:
     return r / (n - np.arange(n))
 
 
-def estimate_tempo(env: OnsetEnvelope, window_s: float | None = 5.0) -> tuple[float, float]:
+def estimate_tempo(env: OnsetEnvelope) -> tuple[float, float]:
     """Tempo in BPM from envelope autocorrelation, with a confidence score.
 
-    Searches lags for 60-200 BPM over the trailing window_s seconds of
-    the envelope (the whole envelope when window_s is None), picks the
+    Searches lags for 60-200 BPM over the whole envelope, picks the
     shortest lag among near-maximal peaks so subharmonics do not halve
     the tempo, and parabolic-interpolates the peak to sub-frame
     resolution. Raises NoTempoError on a flat envelope and
-    InsufficientDataError when the window spans fewer than four beats
+    InsufficientDataError when the envelope spans fewer than four beats
     at the estimated tempo.
     """
     v = env.values
-    if window_s is not None:
-        v = v[-int(round(window_s * env.frame_rate)) :]
     if v.size < 2 or np.ptp(v) < 1e-12:
         raise NoTempoError("envelope is flat; no periodicity to estimate")
     x = v - v.mean()
@@ -259,7 +239,7 @@ def estimate_tempo(env: OnsetEnvelope, window_s: float | None = 5.0) -> tuple[fl
     bpm = 60.0 * env.frame_rate / lag
     if v.size / env.frame_rate < 4.0 * 60.0 / bpm:
         raise InsufficientDataError(
-            f"window {v.size / env.frame_rate:.2f}s spans fewer than 4 beats at {bpm:.1f} BPM"
+            f"envelope {v.size / env.frame_rate:.2f}s spans fewer than 4 beats at {bpm:.1f} BPM"
         )
     confidence = float(seg.max() / (r[0] + 1e-12))
     return float(bpm), confidence
@@ -397,42 +377,6 @@ def interpolate_phase(grid: BeatGrid, t):
     return theta if t_arr.ndim else float(theta)
 
 
-class TempoQueue:
-    """Rolling store of the last five raw tempo estimates."""
-
-    CAPACITY = 5
-
-    def __init__(self):
-        self.estimates = deque(maxlen=self.CAPACITY)
-
-
-def smooth_tempo(queue: TempoQueue, new_estimate: float) -> float:
-    """Push a raw estimate and return the median of the queue.
-
-    During warm-up the median runs over however many estimates exist, so
-    the very first estimate passes through unchanged.
-    """
-    queue.estimates.append(float(new_estimate))
-    return float(np.median(list(queue.estimates)))
-
-
-def phase_at(grid: BeatGrid, tempo_bpm: float, now: float) -> tuple[float, bool]:
-    """Extrapolated theta at wall-clock `now`, plus a staleness flag.
-
-    Anchors at the latest beat not after `now` (or the first beat) and
-    advances at the current tempo, so latency between audio capture and
-    the query shifts nothing. The flag turns True when the newest beat
-    is over four periods old.
-    """
-    bt = grid.beat_times
-    period = 60.0 / tempo_bpm
-    i = np.searchsorted(bt, now, side="right") - 1
-    anchor = bt[max(i, 0)]
-    theta = wrap_phase(FOOTFALL_PHASE + TWO_PI * (now - anchor) / period)
-    stale = (now - bt[-1]) > 4.0 * period
-    return float(theta), bool(stale)
-
-
 def fold_tempo(bpm: float) -> float:
     """Fold a tempo into the trackable gait band by octave jumps.
 
@@ -452,18 +396,6 @@ def fold_tempo(bpm: float) -> float:
 
 
 @dataclass(frozen=True)
-class MusicFrame:
-    """One 100 Hz feature frame consumed by the control loop."""
-
-    t: float
-    envelope: float
-    smoothed_beat: float
-    theta: float
-    theta_obs: tuple[float, float]
-    omega_m: float
-
-
-@dataclass(frozen=True)
 class MusicAnalysis:
     """Offline analysis product: envelope, tempo, grid, and B(t) series."""
 
@@ -473,79 +405,13 @@ class MusicAnalysis:
     grid: BeatGrid
     smoothed: np.ndarray
 
-    def frame_at(self, t: float) -> MusicFrame:
-        i = int(np.clip(round((t - self.envelope.t0) * self.envelope.frame_rate),
-                        0, self.envelope.values.size - 1))
-        theta = interpolate_phase(self.grid, t)
-        return MusicFrame(
-            t=t,
-            envelope=float(self.envelope.values[i]),
-            smoothed_beat=float(self.smoothed[i]),
-            theta=theta,
-            theta_obs=(math.cos(theta), math.sin(theta)),
-            omega_m=self.grid.omega_m,
-        )
 
-
-def analyze_clip(clip: AudioClip, window_s: float | None = None) -> MusicAnalysis:
+def analyze_clip(clip: AudioClip) -> MusicAnalysis:
     """Full offline pipeline: envelope, tempo, beat grid, smoothed beats."""
     env = onset_envelope(clip)
-    tempo, conf = estimate_tempo(env, window_s=window_s)
+    tempo, conf = estimate_tempo(env)
     grid = detect_beats(env, tempo)
     smoothed = smooth_beats(grid, env.frame_rate, env.values.size, t0=env.t0)
     return MusicAnalysis(envelope=env, tempo_bpm=grid.tempo_bpm, confidence=conf,
                          grid=grid, smoothed=smoothed)
 
-
-class StreamingTracker:
-    """Sliding-window tracker for timestamped audio chunks.
-
-    Keeps the trailing window_s seconds of samples, re-analyzes every
-    hop_s seconds, median-filters raw tempo estimates through a
-    TempoQueue, and serves phase queries by extrapolation from the
-    newest beat. Feed and query from the consumer thread; producers
-    should hand chunks over via their own queue.
-    """
-
-    def __init__(self, sample_rate: int, window_s: float = 5.0, hop_s: float = 0.5):
-        if int(sample_rate) not in SUPPORTED_RATES:
-            raise FormatError(f"sample rate {sample_rate} not in {SUPPORTED_RATES}")
-        self.sample_rate = int(sample_rate)
-        self.window_s = float(window_s)
-        self.hop_s = float(hop_s)
-        self._buf = np.zeros(0)
-        self._buf_end_t = 0.0
-        self._since_analysis = 0.0
-        self.tempo_queue = TempoQueue()
-        self.tempo_bpm: float | None = None
-        self.grid: BeatGrid | None = None
-
-    def feed(self, samples, t_end: float) -> None:
-        """Append a chunk whose last sample was captured at t_end seconds."""
-        x = np.asarray(samples, dtype=float)
-        self._buf = np.concatenate([self._buf, x])
-        keep = int(self.window_s * self.sample_rate)
-        if self._buf.size > keep:
-            self._buf = self._buf[-keep:]
-        self._since_analysis += x.size / self.sample_rate
-        self._buf_end_t = float(t_end)
-        if self._since_analysis >= self.hop_s:
-            self._since_analysis = 0.0
-            self._reanalyze()
-
-    def _reanalyze(self) -> None:
-        t0 = self._buf_end_t - self._buf.size / self.sample_rate
-        clip = AudioClip(samples=self._buf, sample_rate=self.sample_rate, t0=t0)
-        try:
-            env = onset_envelope(clip)
-            raw, _ = estimate_tempo(env, window_s=None)
-        except (NoTempoError, InsufficientDataError):
-            return
-        self.tempo_bpm = smooth_tempo(self.tempo_queue, raw)
-        self.grid = detect_beats(env, self.tempo_bpm)
-
-    def theta(self, now: float) -> tuple[float, bool]:
-        """Extrapolated music phase at `now`; raises until a grid exists."""
-        if self.grid is None or self.tempo_bpm is None:
-            raise InsufficientDataError("no beat grid tracked yet")
-        return phase_at(self.grid, self.tempo_bpm, now)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CommandRangeError, InputError, IntegrationDivergedError
+from .errors import CommandRangeError, InputError
 
 TWO_PI = 2.0 * math.pi
 
@@ -40,9 +40,6 @@ FREQ_BAND_HZ = (1.0, 4.0)
 
 #: Velocity commands with magnitude at or below this keep the bank stationary.
 STATIONARY_SPEED_LIMIT = 0.5
-
-#: Largest accepted Euler step in seconds.
-MAX_DT = 0.01
 
 
 def wrap_phase(phi):
@@ -145,12 +142,10 @@ class OscillatorBank:
 
     phases: shape (4,), each in [0, 2*pi)
     params: one OscillatorParams per leg
-    t: simulation time in seconds
     """
 
     phases: np.ndarray
     params: tuple[OscillatorParams, ...]
-    t: float = 0.0
 
     def __post_init__(self):
         phases = np.asarray(self.phases, dtype=float)
@@ -165,19 +160,10 @@ class OscillatorBank:
             raise InputError("params must hold one entry per leg")
 
 
-def make_bank(params: tuple[OscillatorParams, ...], t: float = 0.0) -> OscillatorBank:
+def make_bank(params: tuple[OscillatorParams, ...]) -> OscillatorBank:
     """Build a bank at the parameters' initial phases (mode transitions only)."""
     phases = wrap_phase(np.array([p.phi0 for p in params], dtype=float))
-    return OscillatorBank(phases=phases, params=tuple(params), t=t)
-
-
-def retune_bank(bank: OscillatorBank, omega_tilde: float) -> OscillatorBank:
-    """Replace the shared intrinsic frequency, keeping phases untouched."""
-    params = tuple(
-        OscillatorParams(omega_tilde=omega_tilde, sigma=p.sigma, xi=p.xi, phi0=p.phi0)
-        for p in bank.params
-    )
-    return OscillatorBank(phases=bank.phases, params=params, t=bank.t)
+    return OscillatorBank(phases=phases, params=tuple(params))
 
 
 def param_arrays(params: tuple[OscillatorParams, ...]):
@@ -196,34 +182,11 @@ def phase_rate(phases, g_norm, om, sg, xi):
 def step_phases(phases, g_norm, dt: float, om, sg, xi):
     """One forward Euler step on raw phase arrays; returns wrapped phases.
 
-    This is the allocation-light core used by the simulation loop; `step`
-    wraps it with full validation.
+    Unvalidated: a non-finite phase passes through, and the simulation
+    loop checks for one at every plant update.
     """
     out = phases + dt * phase_rate(phases, g_norm, om, sg, xi)
     out = np.mod(out, TWO_PI)
     out[out >= TWO_PI] = 0.0
     return out
 
-
-def step(bank: OscillatorBank, g_norm, dt: float) -> OscillatorBank:
-    """Advance the bank one Euler step under held normalized loads.
-
-    dt must lie in (0, 0.01] and g_norm in [0, 1] per leg. Raises
-    IntegrationDivergedError if any phase becomes non-finite.
-    """
-    if not (0.0 < dt <= MAX_DT):
-        raise InputError(f"dt must lie in (0, {MAX_DT}], got {dt!r}")
-    g = np.asarray(g_norm, dtype=float)
-    if g.shape != (4,) or not np.all(np.isfinite(g)) or np.any(g < 0) or np.any(g > 1):
-        raise InputError(f"g_norm must be four values in [0, 1], got {g_norm!r}")
-    om, sg, xi = param_arrays(bank.params)
-    phases = step_phases(bank.phases, g, dt, om, sg, xi)
-    if not np.all(np.isfinite(phases)):
-        raise IntegrationDivergedError(f"non-finite phase after step at t={bank.t}")
-    return OscillatorBank(phases=phases, params=bank.params, t=bank.t + dt)
-
-
-def phase_observation(phases):
-    """Phases as unit vectors: shape (4, 2) array of (cos, sin) pairs."""
-    p = np.asarray(phases, dtype=float)
-    return np.stack([np.cos(p), np.sin(p)], axis=-1)

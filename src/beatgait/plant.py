@@ -56,15 +56,6 @@ class PlantConfig:
 
 
 @dataclass(frozen=True)
-class GrfSample:
-    """Forces for all four legs at one instant."""
-
-    t: float
-    forces: np.ndarray      # newtons, shape (4,)
-    normalized: np.ndarray  # dimensionless, shape (4,)
-
-
-@dataclass(frozen=True)
 class GrfTimeline:
     """Uniformly sampled force history.
 
@@ -92,12 +83,6 @@ class GrfTimeline:
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "forces", f)
         object.__setattr__(self, "normalized", g)
-
-    def __len__(self):
-        return self.t.size
-
-    def sample(self, i: int) -> GrfSample:
-        return GrfSample(t=float(self.t[i]), forces=self.forces[i], normalized=self.normalized[i])
 
 
 def stance_weight(phi, exponent: float = 1.0):

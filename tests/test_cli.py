@@ -78,6 +78,21 @@ class TestExitCodes:
         assert code == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_data_error_clip_shorter_than_run(self, tmp_path, capsys):
+        wav = tmp_path / "clicks.wav"
+        assert run_cli("synth-click", "--bpm", "120", "--duration", "10",
+                       "--out", str(wav)) == 0
+        code = run_cli("rhythm-sync", "--audio", str(wav), "--duration", "30",
+                       "--out", str(tmp_path / "rs"))
+        assert code == 3
+        assert "error:" in capsys.readouterr().err
+
+    def test_divergence_code(self, tmp_path, capsys):
+        code = run_cli("rhythm-sync", "--gain-k", "inf", "--delta-max", "inf",
+                       "--error-mode", "raw", "--duration", "8", "--out", str(tmp_path))
+        assert code == 4
+        assert "diverged" in capsys.readouterr().err
+
     def test_curriculum_failure_code(self, tmp_path, capsys, monkeypatch):
         def boom(cfg):
             raise CurriculumError("rho=1 loop failed frequency tracking")
@@ -113,6 +128,14 @@ class TestConfigPrecedence:
         assert code == 0
         echo = json.loads((out / "config.echo.json").read_text())
         assert echo["mode"] == "freq_track"
+
+    def test_config_without_mode(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"duration": 2.0, "f_cmd": 2.5}))
+        out = tmp_path / "run"
+        assert run_cli("freq-track", "--config", str(cfg), "--out", str(out)) == 0
+        echo = json.loads((out / "config.echo.json").read_text())
+        assert echo["mode"] == "freq_track" and echo["f_cmd"] == 2.5
 
     def test_default_outdir(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

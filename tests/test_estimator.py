@@ -8,7 +8,6 @@ from hypothesis.extra import numpy as hnp
 
 from beatgait.errors import InputError, InsufficientDataError, NotFittedError
 from beatgait.estimator import (
-    FALLBACK_G,
     CurriculumState,
     EstimatorInput,
     FittedModel,
@@ -134,12 +133,6 @@ class TestPredict:
                              stance_weights=np.array([0.9, 0.5, 0.5, 0.9]))
         pred = predict(obs, model)
         assert pred[0] == 0.0 and pred[3] == 0.0
-
-    def test_fallback(self):
-        obs = EstimatorInput(contact_indicators=np.ones(4),
-                             stance_weights=np.full(4, 0.3))
-        assert np.array_equal(predict(obs, None, fallback=True),
-                              np.full(4, FALLBACK_G))
 
     def test_not_fitted(self):
         obs = EstimatorInput(contact_indicators=np.ones(4),

@@ -4,7 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from beatgait.errors import CommandRangeError, InputError
+from beatgait import estimator
+from beatgait.errors import (
+    CommandRangeError,
+    InputError,
+    InsufficientDataError,
+    IntegrationDivergedError,
+)
 from beatgait.harness import (
     ESTIMATOR_MODES,
     FREQ_TRACK_COMMANDS,
@@ -18,6 +24,7 @@ from beatgait.harness import (
     run_rhythm_sync,
     scheduler_tick,
 )
+from beatgait.music import save_wav, synth_click_track
 
 
 class TestScenarioConfig:
@@ -107,8 +114,19 @@ class TestScenarioConfig:
     def test_from_json_invalid(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{not json")
-        with pytest.raises(InputError, match="not valid JSON"):
+        with pytest.raises(InputError, match="invalid JSON"):
             ScenarioConfig.from_json(p)
+
+    def test_from_json_missing_file(self, tmp_path):
+        with pytest.raises(InputError, match="cannot read config"):
+            ScenarioConfig.from_json(tmp_path / "absent.json")
+
+    def test_from_json_overrides(self, tmp_path):
+        # a file without a mode is completed by the caller's overrides
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"f_cmd": 2.5, "seed": 4}))
+        cfg = ScenarioConfig.from_json(p, mode="freq_track", seed=9)
+        assert (cfg.mode, cfg.f_cmd, cfg.seed) == ("freq_track", 2.5, 9)
 
 
 class TestRunLog:
@@ -240,6 +258,14 @@ class TestFrequencyTracking:
         _, plant = runlog.streams["plant"]
         assert plant.shape == (1000, 9)
 
+    def test_partial_last_update(self):
+        # 2003 ticks at a plant update every 2 ticks: the last update is
+        # at tick 2002, so the plant stream has 1002 rows
+        cfg = ScenarioConfig(mode="freq_track", f_cmd=2.0, duration=2.003)
+        runlog, _, _ = run_frequency_tracking(cfg)
+        assert runlog.streams["osc"][1].shape == (2003, 6)
+        assert runlog.streams["plant"][1].shape == (1002, 9)
+
     def test_out_of_band_command(self):
         cfg = ScenarioConfig(mode="freq_track", f_cmd=0.5, duration=1.0)
         with pytest.raises(CommandRangeError):
@@ -279,6 +305,20 @@ class TestRhythmSync:
         assert metrics.delta_t_max < 0.1
         assert metrics.omega_std < 0.5
 
+    def test_divergence_raises(self):
+        # an infinite gain drives the phases non-finite within one update
+        cfg = ScenarioConfig(mode="rhythm_sync", synth_bpm=120.0, duration=2.0,
+                             error_mode="raw", gain_k=math.inf, delta_max=math.inf)
+        with pytest.raises(IntegrationDivergedError, match="rhythm_sync diverged"):
+            run_rhythm_sync(cfg)
+
+    def test_clip_shorter_than_run(self, tmp_path):
+        wav = tmp_path / "clicks.wav"
+        save_wav(wav, synth_click_track(120.0, 6.0))
+        cfg = ScenarioConfig(mode="rhythm_sync", audio_path=str(wav), duration=8.0)
+        with pytest.raises(InsufficientDataError, match="envelope frames"):
+            run_rhythm_sync(cfg)
+
     def test_rewards_bounded(self, short_run):
         runlog, _, _ = short_run
         _, rows = runlog.streams["rewards"]
@@ -291,6 +331,13 @@ class TestCurriculum:
         cfg = ScenarioConfig(mode="estimator_curriculum", iterations=5,
                              duration=1.0)
         with pytest.raises(InputError, match="at least 10"):
+            run_estimator_curriculum(cfg)
+
+    def test_divergence_names_episode(self, monkeypatch):
+        # a model that predicts NaN loads first acts in iteration 1
+        monkeypatch.setattr(estimator, "predict", lambda obs, model: np.full(4, np.nan))
+        cfg = ScenarioConfig(mode="estimator_curriculum", duration=1.0, iterations=10)
+        with pytest.raises(IntegrationDivergedError, match=r"iteration 1 \(rho=0\.1\)"):
             run_estimator_curriculum(cfg)
 
     def test_fallback_run(self, tmp_path):

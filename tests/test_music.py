@@ -14,8 +14,6 @@ from beatgait.music import (
     AudioClip,
     BeatGrid,
     OnsetEnvelope,
-    StreamingTracker,
-    TempoQueue,
     analyze_clip,
     detect_beats,
     estimate_tempo,
@@ -23,13 +21,11 @@ from beatgait.music import (
     interpolate_phase,
     load_wav,
     onset_envelope,
-    phase_at,
     save_wav,
     smooth_beats,
-    smooth_tempo,
     synth_click_track,
 )
-from beatgait.oscillator import FOOTFALL_PHASE, TWO_PI
+from beatgait.oscillator import FOOTFALL_PHASE
 
 
 class TestSynthAndIo:
@@ -95,7 +91,7 @@ class TestEnvelope:
 class TestTempo:
     def test_click_tempo(self):
         env = onset_envelope(synth_click_track(120.0, 10.0))
-        bpm, conf = estimate_tempo(env, window_s=None)
+        bpm, conf = estimate_tempo(env)
         assert abs(bpm - 120.0) <= 1.0
         assert 0 < conf
 
@@ -107,17 +103,17 @@ class TestTempo:
     def test_silence(self):
         env = onset_envelope(AudioClip(samples=np.zeros(22050), sample_rate=22050))
         with pytest.raises(NoTempoError):
-            estimate_tempo(env, window_s=None)
+            estimate_tempo(env)
 
     def test_short_window(self):
         env = onset_envelope(synth_click_track(60.0, 2.5))
         with pytest.raises(InsufficientDataError):
-            estimate_tempo(env, window_s=None)
+            estimate_tempo(env)
 
     def test_subharmonic_rejection(self):
         # the shortest near-maximal lag wins, so 80 BPM is not read as 40
         env = onset_envelope(synth_click_track(80.0, 10.0))
-        bpm, _ = estimate_tempo(env, window_s=None)
+        bpm, _ = estimate_tempo(env)
         assert abs(bpm - 80.0) <= 1.0
 
 
@@ -125,7 +121,7 @@ class TestBeatGrid:
     def test_detected_beats_near_truth(self):
         clip = synth_click_track(100.0, 10.0)
         env = onset_envelope(clip)
-        bpm, _ = estimate_tempo(env, window_s=None)
+        bpm, _ = estimate_tempo(env)
         grid = detect_beats(env, bpm)
         assert abs(grid.tempo_bpm - 100.0) <= 1.0
         truth = np.arange(0, 10.0, 0.6)
@@ -198,42 +194,6 @@ class TestSmoothedBeats:
         assert b[100 + 8] == 0.0  # outside the truncated kernel
 
 
-class TestTempoSmoothing:
-    def test_median_rejects_octave_glitch(self):
-        q = TempoQueue()
-        out = [smooth_tempo(q, v) for v in (120, 120, 240, 120, 120)]
-        assert out[-1] == 120.0
-        assert out[2] == 120.0  # median of [120, 120, 240]
-
-    def test_first_estimate_passthrough(self):
-        assert smooth_tempo(TempoQueue(), 118.0) == 118.0
-
-    def test_capacity_five(self):
-        q = TempoQueue()
-        for v in (100, 100, 100, 100, 100, 200, 200, 200):
-            out = smooth_tempo(q, v)
-        assert out == 200.0  # the old 100s have scrolled out
-
-
-class TestPhaseAt:
-    def test_on_beat(self):
-        g = BeatGrid(beat_times=np.array([1.0, 1.5]), tempo_bpm=120.0)
-        theta, stale = phase_at(g, 120.0, 1.5)
-        assert theta == FOOTFALL_PHASE
-        assert not stale
-
-    def test_extrapolates_from_latest(self):
-        g = BeatGrid(beat_times=np.array([1.0, 1.5]), tempo_bpm=120.0)
-        theta, stale = phase_at(g, 120.0, 1.75)
-        assert theta == pytest.approx(0.5 * math.pi)
-        assert not stale
-
-    def test_stale_after_four_periods(self):
-        g = BeatGrid(beat_times=np.array([1.0, 1.5]), tempo_bpm=120.0)
-        _, stale = phase_at(g, 120.0, 4.0)
-        assert stale
-
-
 class TestFolding:
     def test_in_band_unchanged(self):
         assert fold_tempo(89.6) == pytest.approx(89.6 / 60.0)
@@ -267,32 +227,5 @@ class TestAnalyzeClip:
         analysis = analyze_clip(synth_click_track(132.0, 10.0))
         assert abs(analysis.grid.tempo_bpm - 132.0) <= 1.0
         assert analysis.smoothed.size == analysis.envelope.values.size
-        frame = analysis.frame_at(analysis.grid.beat_times[3])
-        assert frame.theta == FOOTFALL_PHASE
-        assert frame.omega_m == pytest.approx(TWO_PI * analysis.grid.tempo_bpm / 60.0)
-        c, s = frame.theta_obs
-        assert c * c + s * s == pytest.approx(1.0)
+        assert interpolate_phase(analysis.grid, analysis.grid.beat_times[3]) == FOOTFALL_PHASE
 
-
-class TestStreamingTracker:
-    def test_bad_rate(self):
-        with pytest.raises(FormatError):
-            StreamingTracker(sample_rate=12345)
-
-    def test_tracks_click_stream(self):
-        rate = 22050
-        clip = synth_click_track(120.0, 12.0, sample_rate=rate)
-        tracker = StreamingTracker(sample_rate=rate, window_s=5.0, hop_s=0.5)
-        with pytest.raises(InsufficientDataError):
-            tracker.theta(0.0)
-        chunk = int(0.25 * rate)
-        for i in range(0, clip.samples.size, chunk):
-            seg = clip.samples[i:i + chunk]
-            t_end = (i + seg.size) / rate
-            tracker.feed(seg, t_end)
-        assert tracker.tempo_bpm is not None
-        assert abs(tracker.tempo_bpm - 120.0) <= 2.0
-        theta, stale = tracker.theta(12.0)
-        assert not stale
-        # 12.0 s is a true click instant: phase should sit near the anchor
-        assert abs(math.remainder(theta - FOOTFALL_PHASE, TWO_PI)) < 0.35

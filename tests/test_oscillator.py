@@ -15,12 +15,9 @@ from beatgait.oscillator import (
     make_bank,
     normalize_grf,
     param_arrays,
-    phase_observation,
     phase_rate,
-    retune_bank,
     select_params,
     stationary_params,
-    step,
     step_phases,
     wrap_phase,
     wrap_signed,
@@ -146,10 +143,8 @@ class TestNormalization:
 class TestStep:
     def test_pure_ramp_example(self):
         params = tuple(OscillatorParams(TWO_PI, TWO_PI, 0.0, 0.0) for _ in range(4))
-        bank = OscillatorBank(phases=np.zeros(4), params=params)
-        out = step(bank, np.zeros(4), 1e-3)
-        assert out.phases[0] == pytest.approx(0.0062831853, abs=1e-9)
-        assert out.t == pytest.approx(1e-3)
+        out = step_phases(np.zeros(4), np.zeros(4), 1e-3, *param_arrays(params))
+        assert out[0] == pytest.approx(0.0062831853, abs=1e-9)
 
     def test_feedback_null_point(self):
         # with the stationary bias, cos(pi) + 1 = 0 kills the feedback
@@ -167,25 +162,14 @@ class TestStep:
         assert np.allclose(rate_fp, 0.0, atol=1e-12)
 
     def test_stationary_convergence(self):
-        bank = make_bank(stationary_params())
-        phases = wrap_phase(bank.phases + np.array([0.3, -0.2, 0.1, -0.4]))
-        bank = OscillatorBank(phases=phases, params=bank.params)
+        params = stationary_params()
+        phases = wrap_phase(make_bank(params).phases + np.array([0.3, -0.2, 0.1, -0.4]))
+        om, sg, xi = param_arrays(params)
         g = np.full(4, 0.25)
         # linearized decay rate at the fixed point is 1/s: 10 s ~ e^-10
         for _ in range(10_000):
-            bank = step(bank, g, 1e-3)
-        assert np.allclose(wrap_signed(bank.phases - FOOTFALL_PHASE), 0.0, atol=1e-3)
-
-    def test_step_validation(self):
-        bank = make_bank(stationary_params())
-        with pytest.raises(InputError):
-            step(bank, np.zeros(4), 0.0)
-        with pytest.raises(InputError):
-            step(bank, np.zeros(4), 0.02)
-        with pytest.raises(InputError):
-            step(bank, np.full(4, 1.5), 1e-3)
-        with pytest.raises(InputError):
-            step(bank, np.full(4, -0.1), 1e-3)
+            phases = step_phases(phases, g, 1e-3, om, sg, xi)
+        assert np.allclose(wrap_signed(phases - FOOTFALL_PHASE), 0.0, atol=1e-3)
 
     def test_step_phases_wraps(self):
         rng = np.random.default_rng(3)
@@ -201,29 +185,30 @@ class TestStep:
     def test_zero_feedback_linearity(self):
         # 10 s of G = 0 stays on the exact ramp to 1e-6 rad
         omega = 4.0 * math.pi
-        params = tuple(OscillatorParams(omega, TWO_PI, 0.0, 0.0) for _ in range(4))
-        bank = OscillatorBank(phases=np.zeros(4), params=params)
+        om, sg, xi = param_arrays(
+            tuple(OscillatorParams(omega, TWO_PI, 0.0, 0.0) for _ in range(4)))
+        phases = np.zeros(4)
         g = np.zeros(4)
         n = 10_000
         for _ in range(n):
-            bank = step(bank, g, 1e-3)
+            phases = step_phases(phases, g, 1e-3, om, sg, xi)
         expected = wrap_phase(omega * n * 1e-3)
-        assert np.all(np.abs(wrap_signed(bank.phases - expected)) <= 1e-6)
+        assert np.all(np.abs(wrap_signed(phases - expected)) <= 1e-6)
 
     def test_dt_refinement_agreement(self):
         # identical held G(t): dt=1e-3 and dt=1e-4 agree within 5e-3 rad over 10 s
         omega = 4.0 * math.pi
-        params = tuple(OscillatorParams(omega, TWO_PI, 0.0, 0.0) for _ in range(4))
+        om, sg, xi = param_arrays(
+            tuple(OscillatorParams(omega, TWO_PI, 0.0, 0.0) for _ in range(4)))
 
         def run(dt, n):
             phases = np.array([FOOTFALL_PHASE, 0.5 * math.pi,
                                0.5 * math.pi, FOOTFALL_PHASE])
-            bank = OscillatorBank(phases=phases, params=params)
             # constant G so both trajectories see the same feedback signal
             g = np.array([0.5, 0.0, 0.0, 0.5])
             for _ in range(n):
-                bank = step(bank, g, dt)
-            return bank.phases
+                phases = step_phases(phases, g, dt, om, sg, xi)
+            return phases
 
         coarse = run(1e-3, 10_000)
         fine = run(1e-4, 100_000)
@@ -231,13 +216,14 @@ class TestStep:
 
     def test_determinism_bitwise(self):
         params = select_params(0.8, 2.0, (1, 1, 1, 1))
+        om, sg, xi = param_arrays(params)
 
         def run():
-            bank = make_bank(params)
+            phases = make_bank(params).phases
             rng = np.random.default_rng(11)
             for _ in range(500):
-                bank = step(bank, rng.uniform(0, 1, 4), 1e-3)
-            return bank.phases.copy()
+                phases = step_phases(phases, rng.uniform(0, 1, 4), 1e-3, om, sg, xi)
+            return phases
 
         a, b = run(), run()
         assert np.array_equal(a, b)
@@ -250,13 +236,6 @@ class TestBank:
         assert np.allclose(bank.phases, [0.5 * math.pi, FOOTFALL_PHASE,
                                          FOOTFALL_PHASE, 0.5 * math.pi])
 
-    def test_retune_keeps_phases(self):
-        bank = make_bank(select_params(0.8, 2.0, (1, 1, 1, 1)))
-        out = retune_bank(bank, 13.0)
-        assert np.array_equal(out.phases, bank.phases)
-        assert all(p.omega_tilde == 13.0 for p in out.params)
-        assert all(p.sigma == TWO_PI and p.xi == 0.0 for p in out.params)
-
     def test_bank_validation(self):
         params = stationary_params()
         with pytest.raises(InputError):
@@ -268,10 +247,3 @@ class TestBank:
         with pytest.raises(InputError):
             OscillatorBank(phases=np.zeros(4), params=params[:3])
 
-    def test_phase_observation(self):
-        obs = phase_observation([0.0, FOOTFALL_PHASE, 0.25 * math.pi, math.pi])
-        assert obs.shape == (4, 2)
-        assert np.allclose(obs[0], [1.0, 0.0])
-        assert np.allclose(obs[1], [0.0, -1.0])
-        assert np.allclose(obs[2], [math.sqrt(2) / 2, math.sqrt(2) / 2])
-        assert np.allclose(np.linalg.norm(obs, axis=1), 1.0)
