@@ -34,6 +34,9 @@ GOLDEN_SCENARIOS = {
                                 "feedforward": True},
     "estimator_curriculum": {"mode": "estimator_curriculum", "estimator_mode": "learned",
                              "iterations": 10, "duration": 2.0, "seed": 0},
+    # the benchmark's curriculum scenario, at the default 5 s episodes
+    "estimator_curriculum_5s": {"mode": "estimator_curriculum", "estimator_mode": "learned",
+                                "iterations": 10, "seed": 0},
 }
 
 RUNNERS = {

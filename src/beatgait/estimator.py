@@ -7,6 +7,12 @@ Features are [I, I*s] per leg, pooled across legs, fitted by closed
 form least squares. On a steady trot the true normalized load is
 exactly linear in these features, so the fit is exact up to rounding.
 
+Training data arrive as one batch: EstimatorInput holds (n, 4) arrays
+of indicators and stance weights, validated once when it is built, and
+fit builds the whole feature matrix in one step. predict and mix are
+the closed loop's per-sample calls. They compute on plain floats, and
+mix returns the one array the oscillators then hold.
+
 The curriculum blends simulated and predicted loads into the feedback
 path with a weight rho that grows from 0 to 1 across training
 iterations, so the oscillators gradually switch from ground truth to
@@ -33,10 +39,12 @@ MIN_FIT_SAMPLES = 100
 
 @dataclass(frozen=True)
 class EstimatorInput:
-    """Proprioceptive observation for one control instant.
+    """A batch of proprioceptive observations, one row per control instant.
 
-    contact_indicators: four binary flags, 1 while the foot is loaded
-    stance_weights: four stance weights in [0, 1]
+    contact_indicators: (n, 4) binary flags, 1 while the foot is loaded
+    stance_weights: (n, 4) stance weights in [0, 1]
+
+    Validated once for the whole batch; an error names the first bad row.
     """
 
     contact_indicators: np.ndarray
@@ -45,14 +53,22 @@ class EstimatorInput:
     def __post_init__(self):
         ind = np.asarray(self.contact_indicators, dtype=float)
         sw = np.asarray(self.stance_weights, dtype=float)
-        if ind.shape != (4,) or sw.shape != (4,):
-            raise InputError("indicators and stance weights must have shape (4,)")
-        if not np.all((ind == 0.0) | (ind == 1.0)):
-            raise InputError("contact indicators must be 0 or 1")
-        if not np.all(np.isfinite(sw)) or np.any(sw < 0) or np.any(sw > 1):
-            raise InputError("stance weights must lie in [0, 1]")
+        if ind.ndim != 2 or ind.shape[1] != 4 or sw.shape != ind.shape:
+            raise InputError(
+                f"indicators and stance weights must both have shape (n, 4), "
+                f"got {ind.shape} and {sw.shape}")
+        bad = ((ind != 0.0) & (ind != 1.0)).any(axis=1)
+        if bad.any():
+            raise InputError(f"contact indicators must be 0 or 1 (row {bad.argmax()})")
+        # NaN fails both comparisons, so it counts as out of range
+        bad = ~((sw >= 0.0) & (sw <= 1.0)).all(axis=1)
+        if bad.any():
+            raise InputError(f"stance weights must lie in [0, 1] (row {bad.argmax()})")
         object.__setattr__(self, "contact_indicators", ind)
         object.__setattr__(self, "stance_weights", sw)
+
+    def __len__(self) -> int:
+        return self.contact_indicators.shape[0]
 
 
 @dataclass(frozen=True)
@@ -86,28 +102,12 @@ class FittedModel:
     mse: float
     rank_deficient: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "coeffs": [float(c) for c in self.coeffs],
-            "mse": float(self.mse),
-            "rank_deficient": bool(self.rank_deficient),
-        }
 
-
-def _features(inputs) -> np.ndarray:
-    """Stack per-leg feature rows [I, I*s] for a sequence of observations."""
-    rows = []
-    for obs in inputs:
-        ind = obs.contact_indicators
-        rows.append(np.column_stack([ind, ind * obs.stance_weights]))
-    return np.vstack(rows)
-
-
-def fit(inputs, g_sim) -> FittedModel:
+def fit(inputs: EstimatorInput, g_sim) -> FittedModel:
     """Closed-form least squares of normalized load onto [I, I*s] features.
 
-    inputs: sequence of EstimatorInput; g_sim: matching (n, 4) array of
-    simulated normalized loads. Legs pool into one shared model. Falls
+    inputs: a batch of n observations; g_sim: the matching (n, 4) array
+    of simulated normalized loads. Legs pool into one shared model. Falls
     back to a ridge solve (eps 1e-8) when the design is rank deficient.
     """
     g = np.asarray(g_sim, dtype=float)
@@ -118,7 +118,9 @@ def fit(inputs, g_sim) -> FittedModel:
         raise InsufficientDataError(
             f"need at least {MIN_FIT_SAMPLES} leg-samples, got {n * 4}"
         )
-    x = _features(inputs)
+    ind = inputs.contact_indicators
+    # one row [I, I*s] per leg-sample, observation-major like the loads
+    x = np.stack([ind, ind * inputs.stance_weights], axis=-1).reshape(-1, 2)
     y = g.reshape(-1)
     rank = np.linalg.matrix_rank(x)
     rank_deficient = rank < x.shape[1]
@@ -131,25 +133,40 @@ def fit(inputs, g_sim) -> FittedModel:
     return FittedModel(coeffs=coeffs, mse=mse, rank_deficient=rank_deficient)
 
 
-def predict(obs: EstimatorInput, model: FittedModel | None) -> np.ndarray:
+def predict(obs, model: FittedModel | None) -> list[float]:
     """Predicted normalized load per leg, clipped to [0, 1].
 
-    Applies the fitted coefficients to [I, I*s]; a leg with indicator 0
-    has all-zero features and therefore predicts 0.
+    obs is one observation: a pair (indicators, stance weights) of four
+    values each, valid as one row of an EstimatorInput. Applies the
+    fitted coefficients to [I, I*s]; a leg with indicator 0 has
+    all-zero features and therefore predicts 0. A NaN prediction stays
+    NaN, as under np.clip.
     """
     if model is None:
         raise NotFittedError("no fitted model to predict with")
-    ind = obs.contact_indicators
-    x = np.column_stack([ind, ind * obs.stance_weights])
-    return np.clip(x @ model.coeffs, 0.0, 1.0)
+    c0, c1 = model.coeffs.tolist()
+    raw = [i * c0 + (i * s) * c1 for i, s in zip(*obs)]
+    # <= maps -0.0 to 0.0, as the matrix product [I, I*s] @ coeffs does
+    return [0.0 if p <= 0.0 else 1.0 if p > 1.0 else p for p in raw]
+
+
+def _four(name: str, values):
+    """values as a sequence of four plain numbers, each in [0, 1] or NaN."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist() if values.ndim == 1 else ()
+    if len(values) != 4:
+        raise InputError(f"{name} must be four values in [0, 1]")
+    for v in values:
+        # NaN passes, as it did under np.any(arr < 0) | np.any(arr > 1)
+        if v < 0.0 or v > 1.0:
+            raise InputError(f"{name} must be four values in [0, 1]")
+    return values
 
 
 def mix(g_sim, g_pred, curriculum: CurriculumState) -> np.ndarray:
     """Curriculum blend min((1 - rho) * G_sim + rho * G_pred, 1)."""
-    a = np.asarray(g_sim, dtype=float)
-    b = np.asarray(g_pred, dtype=float)
-    for name, arr in (("g_sim", a), ("g_pred", b)):
-        if arr.shape != (4,) or np.any(arr < 0) or np.any(arr > 1):
-            raise InputError(f"{name} must be four values in [0, 1]")
+    a = _four("g_sim", g_sim)
+    b = _four("g_pred", g_pred)
     rho = curriculum.rho
-    return np.minimum((1.0 - rho) * a + rho * b, 1.0)
+    blend = [(1.0 - rho) * x + rho * y for x, y in zip(a, b)]
+    return np.array([1.0 if v > 1.0 else v for v in blend])

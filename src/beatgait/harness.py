@@ -81,6 +81,10 @@ class ScenarioConfig:
     rhythm_sync; perturb_rad draws a uniform initial-phase kick from
     the run's seeded generator; iterations and estimator_mode shape
     the curriculum.
+
+    v_cmd, f_cmd, duration, warmup_s, gain_k and perturb_rad must be
+    finite numbers, seed and iterations integers and feedforward a
+    bool; anything else raises InputError.
     """
 
     mode: str
@@ -113,7 +117,21 @@ class ScenarioConfig:
         if self.estimator_mode not in ESTIMATOR_MODES:
             raise InputError(
                 f"estimator_mode must be one of {ESTIMATOR_MODES}, got {self.estimator_mode!r}")
-        if not (isinstance(self.seed, int) and self.seed >= 0):
+        # JSON configs can carry any type, NaN and Infinity; bool is an int
+        for name in ("seed", "iterations"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise InputError(f"{name} must be an integer, got {value!r}")
+        for name in ("v_cmd", "f_cmd", "duration", "warmup_s", "gain_k", "perturb_rad"):
+            value = getattr(self, name)
+            if value is None and name in ("f_cmd", "duration"):
+                continue
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not math.isfinite(value)):
+                raise InputError(f"{name} must be a finite number, got {value!r}")
+        if not isinstance(self.feedforward, bool):
+            raise InputError(f"feedforward must be true or false, got {self.feedforward!r}")
+        if self.seed < 0:
             raise InputError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.duration is not None and not (self.duration > 0):
             raise InputError(f"duration must be positive, got {self.duration!r}")
@@ -301,7 +319,7 @@ def _check_finite(state: SimState, label: str) -> None:
 
 
 def _simulate(cfg: ScenarioConfig, plant_cfg: PlantConfig, f_gait: float,
-              load=None, mod_fn=None, label: str | None = None):
+              load=None, mod_fn=None, label: str | None = None, log_osc: bool = True):
     """The closed loop every scenario runs: oscillators, plant, modulator.
 
     At each plant update the phases must be finite, else
@@ -313,13 +331,14 @@ def _simulate(cfg: ScenarioConfig, plant_cfg: PlantConfig, f_gait: float,
 
     Returns (final state, osc rows, plant rows). Osc row k is (t, four
     phases, omega_tilde) at the start of tick k, before its updates and
-    its step; plant row k is (t, four forces, four normalized loads) of
-    the k-th plant update, so state.n_plant_updates indexes it.
+    its step; the rows are None when log_osc is false. Plant row k is
+    (t, four forces, four normalized loads) of the k-th plant update,
+    so state.n_plant_updates indexes it.
     """
     label = label or cfg.mode
     phases, om, sg, xi = _initial_state(cfg, f_gait, plant_cfg)
     n_ticks, plant_every, mod_every = _tick_counts(cfg)
-    osc_rows = np.empty((n_ticks, 6))
+    osc_rows = np.empty((n_ticks, 6)) if log_osc else None
     plant_rows = np.empty((-(-n_ticks // plant_every), 9))
 
     def plant_fn(state: SimState):
@@ -335,11 +354,15 @@ def _simulate(cfg: ScenarioConfig, plant_cfg: PlantConfig, f_gait: float,
     state = SimState(phases=phases, om=om, sg=sg, xi=xi, dt=1.0 / cfg.rate_oscillator_hz,
                      plant_every=plant_every, mod_every=mod_every,
                      plant_fn=plant_fn, mod_fn=mod_fn)
-    for k in range(n_ticks):
-        osc_rows[k, 0] = state.t
-        osc_rows[k, 1:5] = state.phases
-        osc_rows[k, 5] = state.om[0]
-        scheduler_tick(state)
+    # a diverging step turns phases into NaN through np.mod; the check
+    # above reports that as IntegrationDivergedError, so numpy need not warn
+    with np.errstate(invalid="ignore"):
+        for k in range(n_ticks):
+            if log_osc:
+                osc_rows[k, 0] = state.t
+                osc_rows[k, 1:5] = state.phases
+                osc_rows[k, 5] = state.om[0]
+            scheduler_tick(state)
     _check_finite(state, label)
     return state, osc_rows, plant_rows
 
@@ -455,7 +478,7 @@ def run_rhythm_sync(config: ScenarioConfig):
     def mod_fn(state: SimState):
         i = state.n_mod_updates
         cmd = modulate(_ring(state.phases[leg]), _ring(theta_mod[i]), omega_m, mod_cfg,
-                       t=state.t, pair_obs=_ring(state.phases[pair_leg]))
+                       pair_obs=_ring(state.phases[pair_leg]))
         mod_rows[i] = (state.t, omega_m, cmd.delta_omega, cmd.omega_tilde, cmd.phase_error)
         return cmd.omega_tilde
 
@@ -545,24 +568,28 @@ def run_rhythm_sync(config: ScenarioConfig):
     return runlog, report_metrics, report
 
 
-def _curriculum_load(plant_cfg: PlantConfig, rho_state, model, inputs=None, loads=None):
+def _curriculum_load(plant_cfg: PlantConfig, rho_state, model, log=None):
     """Load map of one curriculum episode: simulated and predicted loads mixed by rho.
 
     The estimator sees each leg's contact flag and its share of the
     supported load, the quantity the plant's load law is exactly linear
     in (the raw sine weight is not, once double-support windows appear
-    around stance handoffs). When inputs and loads are lists, every
-    observation and its simulated loads are appended for the next fit.
+    around stance handoffs). log, when given, is three (n, 4) arrays
+    (indicators, shares, simulated loads) that receive row
+    state.n_plant_updates of every plant update, for the next fit.
     """
+    ind_log, share_log, load_log = (None, None, None) if log is None else log
+
     def load(state: SimState, g_sim):
-        shares = support_shares(stance_weight(state.phases, plant_cfg.weight_exponent))
-        obs = est.EstimatorInput(
-            contact_indicators=(state.phases >= math.pi).astype(float),
-            stance_weights=shares)
-        if inputs is not None:
-            inputs.append(obs)
-            loads.append(g_sim)
-        g_pred = g_sim if model is None else est.predict(obs, model)
+        phases = state.phases
+        shares = support_shares(stance_weight(phases, plant_cfg.weight_exponent))
+        indicators = [1.0 if p >= math.pi else 0.0 for p in phases.tolist()]
+        if ind_log is not None:
+            k = state.n_plant_updates
+            ind_log[k] = indicators
+            share_log[k] = shares
+            load_log[k] = g_sim
+        g_pred = g_sim if model is None else est.predict((indicators, shares.tolist()), model)
         return est.mix(g_sim, g_pred, rho_state)
     return load
 
@@ -586,8 +613,9 @@ def run_estimator_curriculum(config: ScenarioConfig):
     runlog = RunLog(header)
 
     if cfg.estimator_mode == "fallback":
+        fallback = np.full(4, est.FALLBACK_G)
         _, _, plant_rows = _simulate(cfg, plant_cfg, f_cmd, label="fallback run",
-                                     load=lambda state, g_sim: np.full(4, est.FALLBACK_G))
+                                     load=lambda state, g_sim: fallback, log_osc=False)
         stats = _leg_stats(_timeline(plant_rows), 0, f_cmd)
         report = {
             "mode": cfg.mode, "seed": cfg.seed, "estimator_mode": cfg.estimator_mode,
@@ -601,22 +629,27 @@ def run_estimator_curriculum(config: ScenarioConfig):
     n = cfg.iterations
     if n < 10:
         raise InputError(f"curriculum needs at least 10 iterations, got {n}")
-    inputs: list = []
-    loads: list = []
+    n_ticks, plant_every, _ = _tick_counts(cfg)
+    per_episode = -(-n_ticks // plant_every)
+    # indicators, shares and simulated loads of every plant update of every episode
+    data = np.empty((3, (n + 1) * per_episode, 4))
     model = None
     mse_rows = []
     for i in range(n + 1):
         rho_state = est.CurriculumState.at(i, n)
+        start, end = i * per_episode, (i + 1) * per_episode
         _simulate(cfg, plant_cfg, f_cmd, label=f"curriculum iteration {i} (rho={rho_state.rho})",
-                  load=_curriculum_load(plant_cfg, rho_state, model, inputs, loads))
-        model = est.fit(inputs, np.asarray(loads))
+                  load=_curriculum_load(plant_cfg, rho_state, model, data[:, start:end]),
+                  log_osc=False)
+        model = est.fit(est.EstimatorInput(data[0, :end], data[1, :end]), data[2, :end])
         mse_rows.append((float(i), rho_state.rho, model.mse))
 
     eval_stats = {}
     rho_one = est.CurriculumState.at(n, n)
     for f in FREQ_TRACK_COMMANDS:
         _, _, plant_rows = _simulate(cfg, plant_cfg, f, label=f"rho=1 evaluation at f_cmd={f}",
-                                     load=_curriculum_load(plant_cfg, rho_one, model))
+                                     load=_curriculum_load(plant_cfg, rho_one, model),
+                                     log_osc=False)
         stats = _leg_stats(_timeline(plant_rows), 0, f)
         eval_stats[f"{f:.1f}"] = stats
         if (stats["mean_abs_dev_hz"] >= FREQ_DEV_MEAN_BOUND_HZ

@@ -100,7 +100,6 @@ class ModulatorCommand:
 
     delta_omega: float
     omega_tilde: float
-    t: float
     phase_error: float
 
 
@@ -252,7 +251,7 @@ def feedforward_command(phi_j: float, theta: float, omega_m: float,
 
 
 def modulate(phi_obs_j, theta_obs, omega_m: float, config: ModulatorConfig,
-             t: float = 0.0, pair_obs=None) -> ModulatorCommand:
+             pair_obs=None) -> ModulatorCommand:
     """One frequency command from the tracked leg's phase and the music phase.
 
     Default law: delta_omega = clamp(-k * e, +-delta_max) with
@@ -297,4 +296,4 @@ def modulate(phi_obs_j, theta_obs, omega_m: float, config: ModulatorConfig,
         delta = -config.gain_k * e
     delta = float(np.clip(delta, -delta_max, delta_max))
     return ModulatorCommand(delta_omega=delta, omega_tilde=omega_m + delta,
-                            t=t, phase_error=float(e))
+                            phase_error=float(e))

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.io import wavfile
 
 from .errors import FormatError, InputError, InsufficientDataError, NoTempoError, TempoRangeError
 from .oscillator import FOOTFALL_PHASE, FREQ_BAND_HZ, TWO_PI, wrap_phase
@@ -47,11 +46,10 @@ SUBHARMONIC_GATE = 0.5
 
 @dataclass(frozen=True)
 class AudioClip:
-    """Mono PCM audio with a capture timestamp."""
+    """Mono PCM audio at one of the supported sample rates."""
 
     samples: np.ndarray
     sample_rate: int
-    t0: float = 0.0
 
     def __post_init__(self):
         if int(self.sample_rate) not in SUPPORTED_RATES:
@@ -73,6 +71,10 @@ class AudioClip:
 
 def load_wav(path) -> AudioClip:
     """Read a WAV file (PCM16/24/32, float32/64, mono or downmixed stereo)."""
+    # imported here, not at module load, so that runs without WAV files
+    # (and every CLI start) skip the cost of loading scipy.io
+    from scipy.io import wavfile
+
     try:
         rate, data = wavfile.read(path)
     except ValueError as exc:
@@ -95,6 +97,8 @@ def load_wav(path) -> AudioClip:
 
 def save_wav(path, clip: AudioClip) -> None:
     """Write a clip as 16-bit PCM."""
+    from scipy.io import wavfile
+
     pcm = np.clip(clip.samples, -1.0, 1.0)
     wavfile.write(path, clip.sample_rate, (pcm * 32767.0).astype(np.int16))
 
@@ -135,7 +139,6 @@ class OnsetEnvelope:
 
     values: np.ndarray
     frame_rate: float = FRAME_RATE_HZ
-    t0: float = 0.0
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -166,7 +169,7 @@ def onset_envelope(clip: AudioClip) -> OnsetEnvelope:
     out_n = int(math.floor(native_t[-1] * FRAME_RATE_HZ)) + 1
     out_t = np.arange(out_n) / FRAME_RATE_HZ
     values = np.interp(out_t, native_t, flux)
-    return OnsetEnvelope(values=values, frame_rate=FRAME_RATE_HZ, t0=clip.t0)
+    return OnsetEnvelope(values=values, frame_rate=FRAME_RATE_HZ)
 
 
 @dataclass(frozen=True)
@@ -335,13 +338,13 @@ def detect_beats(env: OnsetEnvelope, tempo_bpm: float) -> BeatGrid:
     if ks.size >= 2:
         frames = anchor + period * ks
         tempo_bpm = 60.0 * env.frame_rate / period
-    times = env.t0 + frames / env.frame_rate
-    conf = float(v[np.clip(((times - env.t0) * env.frame_rate).round().astype(int), 0, n - 1)].mean()
+    times = frames / env.frame_rate
+    conf = float(v[np.clip((times * env.frame_rate).round().astype(int), 0, n - 1)].mean()
                  / (v.mean() + 1e-12))
     return BeatGrid(beat_times=times, tempo_bpm=float(tempo_bpm), confidence=conf)
 
 
-def smooth_beats(grid: BeatGrid, frame_rate: float, n_frames: int, t0: float = 0.0) -> np.ndarray:
+def smooth_beats(grid: BeatGrid, frame_rate: float, n_frames: int) -> np.ndarray:
     """Smoothed beat curve B(t): unit impulses at beat frames, Gaussian blurred.
 
     Kernel sigma is 3 frames with truncated support of 15 frames, and the
@@ -350,7 +353,7 @@ def smooth_beats(grid: BeatGrid, frame_rate: float, n_frames: int, t0: float = 0
     b = np.zeros(max(0, n_frames))
     if b.size == 0:
         return b
-    frames = np.round((grid.beat_times - t0) * frame_rate).astype(int)
+    frames = np.round(grid.beat_times * frame_rate).astype(int)
     frames = frames[(frames >= 0) & (frames < n_frames)]
     b[frames] = 1.0
     k = np.arange(-KERNEL_HALF, KERNEL_HALF + 1)
@@ -411,7 +414,7 @@ def analyze_clip(clip: AudioClip) -> MusicAnalysis:
     env = onset_envelope(clip)
     tempo, conf = estimate_tempo(env)
     grid = detect_beats(env, tempo)
-    smoothed = smooth_beats(grid, env.frame_rate, env.values.size, t0=env.t0)
+    smoothed = smooth_beats(grid, env.frame_rate, env.values.size)
     return MusicAnalysis(envelope=env, tempo_bpm=grid.tempo_bpm, confidence=conf,
                          grid=grid, smoothed=smoothed)
 

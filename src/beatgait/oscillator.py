@@ -129,7 +129,9 @@ def select_params(v_x_cmd: float, f_cmd: float, forces) -> tuple[OscillatorParam
 def normalize_grf(forces, mass: float, g: float = 9.81):
     """Map per-leg forces in newtons to G = min(N / (mass*g), 1) in [0, 1]."""
     f = np.asarray(forces, dtype=float)
-    if not np.all(np.isfinite(f)) or np.any(f < 0.0):
+    # plain-float checks: this runs at every plant update
+    vals = f.ravel().tolist()
+    if not all(map(math.isfinite, vals)) or (vals and min(vals) < 0.0):
         raise InputError(f"forces must be finite and non-negative, got {forces!r}")
     if not (mass > 0.0 and g > 0.0):
         raise InputError(f"mass and g must be positive, got mass={mass}, g={g}")

@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import pytest
 
@@ -87,11 +92,23 @@ class TestExitCodes:
         assert code == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_config_error_non_finite_flags(self, tmp_path, capsys):
+        for flag in ("--gain-k", "--perturb-rad", "--duration"):
+            code = run_cli("rhythm-sync", flag, "inf", "--out", str(tmp_path))
+            assert code == 2, flag
+            assert "must be a finite number" in capsys.readouterr().err
+
     def test_divergence_code(self, tmp_path, capsys):
-        code = run_cli("rhythm-sync", "--gain-k", "inf", "--delta-max", "inf",
-                       "--error-mode", "raw", "--duration", "8", "--out", str(tmp_path))
+        # a gain near the float maximum overflows the first large command
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("rhythm-sync", "--gain-k", "1e308", "--delta-max", "inf",
+                           "--error-mode", "raw", "--duration", "8", "--out", str(tmp_path))
         assert code == 4
-        assert "diverged" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "diverged" in err
+        assert "RuntimeWarning" not in err
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
     def test_curriculum_failure_code(self, tmp_path, capsys, monkeypatch):
         def boom(cfg):
@@ -182,3 +199,16 @@ class TestRhythmSyncCommand:
         assert report["source"] == "synth:120.0bpm"
         assert (out / "runlog.mod.csv").exists()
         assert (out / "runlog.rewards.csv").exists()
+
+
+def test_import_leaves_scipy_io_unloaded():
+    # scipy.io is needed only to read or write a WAV file
+    code = ("import sys, beatgait.cli, beatgait.harness; "
+            "print('scipy.io' in sys.modules)")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -20,39 +20,68 @@ from beatgait.plant import stance_weight
 
 
 def plant_dataset(n, rng, noise=0.0):
-    """Observations plus true normalized loads from random phase states."""
-    inputs, loads = [], []
-    while len(inputs) < n:
-        phases = rng.uniform(0, TWO_PI, 4)
-        w = stance_weight(phases)
-        total = w.sum()
-        if total <= 1e-6:
-            continue
-        shares = w / total
-        inputs.append(EstimatorInput(
-            contact_indicators=(phases >= math.pi).astype(float),
-            stance_weights=shares))
-        loads.append(np.minimum(shares, 1.0))
-    g = np.asarray(loads)
+    """A batch of observations plus true normalized loads from random phase states."""
+    phases = rng.uniform(0, TWO_PI, (2 * n + 10, 4))
+    w = stance_weight(phases)
+    total = w.sum(axis=1)
+    keep = total > 1e-6
+    phases, w, total = phases[keep][:n], w[keep][:n], total[keep][:n]
+    assert len(phases) == n
+    shares = w / total[:, None]
+    inputs = EstimatorInput(contact_indicators=(phases >= math.pi).astype(float),
+                            stance_weights=shares)
+    g = np.minimum(shares, 1.0)
     if noise:
         g = np.clip(g + rng.normal(0.0, noise, g.shape), 0.0, 1.0)
     return inputs, g
 
 
+def rows(inputs):
+    """The observations of a batch one at a time, as predict takes them."""
+    return zip(inputs.contact_indicators, inputs.stance_weights)
+
+
 class TestInput:
     def test_validation(self):
-        ok = EstimatorInput(contact_indicators=np.array([0, 1, 1, 0.0]),
-                            stance_weights=np.array([0, 0.5, 1.0, 0]))
-        assert ok.contact_indicators.dtype == float
+        ok = EstimatorInput(contact_indicators=np.array([[0, 1, 1, 0]]),
+                            stance_weights=np.array([[0, 0.5, 1.0, 0]]))
+        assert ok.contact_indicators.dtype == float and ok.stance_weights.dtype == float
+        assert len(ok) == 1
         with pytest.raises(InputError):
-            EstimatorInput(contact_indicators=np.array([0, 1, 2, 0.0]),
-                           stance_weights=np.zeros(4))
+            EstimatorInput(contact_indicators=np.array([[0, 1, 2, 0.0]]),
+                           stance_weights=np.zeros((1, 4)))
         with pytest.raises(InputError):
-            EstimatorInput(contact_indicators=np.zeros(4),
-                           stance_weights=np.array([0, 0, 0, 1.5]))
+            EstimatorInput(contact_indicators=np.zeros((1, 4)),
+                           stance_weights=np.array([[0, 0, 0, 1.5]]))
         with pytest.raises(InputError):
-            EstimatorInput(contact_indicators=np.zeros(3),
-                           stance_weights=np.zeros(3))
+            EstimatorInput(contact_indicators=np.zeros((1, 3)),
+                           stance_weights=np.zeros((1, 3)))
+        # one observation is a batch of one row, not a bare four-vector
+        with pytest.raises(InputError):
+            EstimatorInput(contact_indicators=np.zeros(4), stance_weights=np.zeros(4))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("contact_indicators", 0.5, "0 or 1"),
+        ("contact_indicators", np.nan, "0 or 1"),
+        ("stance_weights", 1.0 + 1e-12, r"\[0, 1\]"),
+        ("stance_weights", -1e-12, r"\[0, 1\]"),
+        ("stance_weights", np.nan, r"\[0, 1\]"),
+        ("stance_weights", np.inf, r"\[0, 1\]"),
+    ])
+    def test_one_bad_row_in_a_large_batch(self, field, value, message):
+        inputs, _ = plant_dataset(5000, np.random.default_rng(7))
+        arrays = {"contact_indicators": inputs.contact_indicators.copy(),
+                  "stance_weights": inputs.stance_weights.copy()}
+        arrays[field][3172, 2] = value
+        with pytest.raises(InputError, match=rf"{message} \(row 3172\)"):
+            EstimatorInput(**arrays)
+
+    def test_shape_mismatch_in_a_large_batch(self):
+        inputs, _ = plant_dataset(5000, np.random.default_rng(8))
+        with pytest.raises(InputError, match="shape"):
+            EstimatorInput(inputs.contact_indicators, inputs.stance_weights[:-1])
+        with pytest.raises(InputError, match="shape"):
+            EstimatorInput(inputs.contact_indicators[:, :3], inputs.stance_weights[:, :3])
 
 
 class TestCurriculumState:
@@ -88,10 +117,18 @@ class TestFit:
         model = fit(inputs, g)
         assert model.mse == pytest.approx(1e-4, abs=5e-5)
 
+    def test_matches_per_observation_reference(self):
+        # reference: the feature matrix stacked one observation at a time
+        inputs, g = plant_dataset(3000, np.random.default_rng(4), noise=0.01)
+        x = np.vstack([np.column_stack([i, i * s]) for i, s in rows(inputs)])
+        coeffs, *_ = np.linalg.lstsq(x, g.reshape(-1), rcond=None)
+        model = fit(inputs, g)
+        assert model.coeffs.tobytes() == coeffs.tobytes()
+        assert model.mse == float(np.mean((x @ coeffs - g.reshape(-1)) ** 2))
+
     def test_rank_deficient_flag(self):
-        obs = EstimatorInput(contact_indicators=np.ones(4),
-                             stance_weights=np.full(4, 0.25))
-        inputs = [obs] * 30
+        inputs = EstimatorInput(contact_indicators=np.ones((30, 4)),
+                                stance_weights=np.full((30, 4), 0.25))
         g = np.full((30, 4), 0.25)
         model = fit(inputs, g)
         assert model.rank_deficient
@@ -107,13 +144,7 @@ class TestFit:
         with pytest.raises(InputError):
             fit(inputs, g[:-1])
         with pytest.raises(InputError):
-            fit([], np.zeros((0, 4)))
-
-    def test_to_dict(self):
-        inputs, g = plant_dataset(100, np.random.default_rng(4))
-        d = fit(inputs, g).to_dict()
-        assert set(d) == {"coeffs", "mse", "rank_deficient"}
-        assert isinstance(d["rank_deficient"], bool)
+            fit(EstimatorInput(np.zeros((0, 4)), np.zeros((0, 4))), np.zeros((0, 4)))
 
 
 class TestPredict:
@@ -124,28 +155,38 @@ class TestPredict:
     def test_matches_plant(self):
         model = self.model()
         inputs, g = plant_dataset(50, np.random.default_rng(6))
-        for obs, truth in zip(inputs, g):
+        for obs, truth in zip(rows(inputs), g):
             assert np.allclose(predict(obs, model), truth, atol=1e-6)
 
     def test_zero_indicator_zero_prediction(self):
         model = self.model()
-        obs = EstimatorInput(contact_indicators=np.array([0.0, 1, 1, 0]),
-                             stance_weights=np.array([0.9, 0.5, 0.5, 0.9]))
+        obs = ([0.0, 1.0, 1.0, 0.0], [0.9, 0.5, 0.5, 0.9])
         pred = predict(obs, model)
         assert pred[0] == 0.0 and pred[3] == 0.0
 
     def test_not_fitted(self):
-        obs = EstimatorInput(contact_indicators=np.ones(4),
-                             stance_weights=np.zeros(4))
+        obs = ([1.0] * 4, [0.0] * 4)
         with pytest.raises(NotFittedError):
             predict(obs, None)
 
     def test_clipped(self):
         model = FittedModel(coeffs=np.array([5.0, 5.0]), mse=0.0,
                             rank_deficient=False)
-        obs = EstimatorInput(contact_indicators=np.ones(4),
-                             stance_weights=np.ones(4))
-        assert np.all(predict(obs, model) == 1.0)
+        obs = ([1.0] * 4, [1.0] * 4)
+        assert np.all(np.array(predict(obs, model)) == 1.0)
+
+    def test_matches_matrix_product_bit_for_bit(self):
+        # the per-leg scalar form must round like clip([I, I*s] @ coeffs),
+        # signed zeros included, so that runs reproduce their goldens
+        rng = np.random.default_rng(9)
+        inputs, _ = plant_dataset(2000, rng)
+        for scale in (1.0, 1e-15):
+            coeffs = rng.normal(0.0, scale, 2)
+            model = FittedModel(coeffs=coeffs, mse=0.0, rank_deficient=False)
+            for ind, sw in rows(inputs):
+                want = np.clip(np.column_stack([ind, ind * sw]) @ coeffs, 0.0, 1.0)
+                got = np.array(predict((ind.tolist(), sw.tolist()), model))
+                assert got.tobytes() == want.tobytes()
 
 
 class TestMix:
@@ -171,6 +212,15 @@ class TestMix:
             mix(np.zeros(4), np.full(4, -0.1), s)
         with pytest.raises(InputError):
             mix(np.zeros(3), np.zeros(4), s)
+
+    def test_matches_array_reference(self):
+        rng = np.random.default_rng(10)
+        for i in range(11):
+            s = CurriculumState.at(i, 10)
+            for _ in range(200):
+                a, b = rng.uniform(0, 1, 4), rng.uniform(0, 1, 4)
+                want = np.minimum((1.0 - s.rho) * a + s.rho * b, 1.0)
+                assert mix(a, b.tolist(), s).tobytes() == want.tobytes()
 
     @given(hnp.arrays(np.float64, 4, elements=st.floats(0, 1)),
            hnp.arrays(np.float64, 4, elements=st.floats(0, 1)),

@@ -78,6 +78,36 @@ class TestScenarioConfig:
         with pytest.raises(InputError):
             ScenarioConfig(**kwargs)
 
+    @pytest.mark.parametrize("field", ["duration", "perturb_rad", "warmup_s", "v_cmd",
+                                       "f_cmd", "gain_k"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(InputError, match=f"{field} must be a finite number"):
+            ScenarioConfig(mode="freq_track", **{field: value})
+
+    @pytest.mark.parametrize("field", ["iterations", "seed"])
+    @pytest.mark.parametrize("value", [10.5, 10.0, True, "10"])
+    def test_non_integer_count_rejected(self, field, value):
+        with pytest.raises(InputError, match=f"{field} must be an integer"):
+            ScenarioConfig(mode="estimator_curriculum", **{field: value})
+
+    @pytest.mark.parametrize("value", ["no", "false", 0, 1, None])
+    def test_non_bool_feedforward_rejected(self, value):
+        with pytest.raises(InputError, match="feedforward must be true or false"):
+            ScenarioConfig(mode="rhythm_sync", feedforward=value)
+
+    def test_json_config_types_checked(self, tmp_path):
+        # JSON spells NaN and Infinity, and a string is truthy
+        for text in ('{"mode": "freq_track", "v_cmd": NaN}',
+                     '{"mode": "freq_track", "duration": Infinity}',
+                     '{"mode": "rhythm_sync", "feedforward": "no"}',
+                     '{"mode": "freq_track", "seed": true}',
+                     '{"mode": "estimator_curriculum", "iterations": 10.5}'):
+            p = tmp_path / "cfg.json"
+            p.write_text(text)
+            with pytest.raises(InputError):
+                ScenarioConfig.from_json(p)
+
     def test_rate_ladder_must_divide(self):
         with pytest.raises(InputError):
             ScenarioConfig(mode="freq_track", rate_plant_hz=300).resolve()
@@ -306,9 +336,10 @@ class TestRhythmSync:
         assert metrics.omega_std < 0.5
 
     def test_divergence_raises(self):
-        # an infinite gain drives the phases non-finite within one update
+        # a gain near the float maximum overflows the first large command
+        # to an infinite frequency, and the phases go non-finite
         cfg = ScenarioConfig(mode="rhythm_sync", synth_bpm=120.0, duration=2.0,
-                             error_mode="raw", gain_k=math.inf, delta_max=math.inf)
+                             error_mode="raw", gain_k=1e308, delta_max=math.inf)
         with pytest.raises(IntegrationDivergedError, match="rhythm_sync diverged"):
             run_rhythm_sync(cfg)
 
