@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from array import array
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -42,8 +43,8 @@ from .metrics import SyncReport, beat_alignment, frequency_deviation, frequency_
 from .modulator import ModulatorConfig, modulate, reward_phase, reward_r1, reward_r2, \
     reward_rhythm
 from .music import analyze_clip, fold_tempo, interpolate_phase, load_wav, synth_click_track
-from .oscillator import LEG_ORDER, TWO_PI, make_bank, normalize_grf, param_arrays, \
-    select_params, step_phases, wrap_phase
+from .oscillator import LEG_ORDER, TWO_PI, make_bank, param_arrays, select_params, \
+    step_phases, wrap_phase
 from .plant import GrfTimeline, PlantConfig, contact_onsets, grf_from_phases, \
     kinematic_beats, stance_weight, stepping_frequency, support_shares
 
@@ -83,8 +84,8 @@ class ScenarioConfig:
     the curriculum.
 
     v_cmd, f_cmd, duration, warmup_s, gain_k and perturb_rad must be
-    finite numbers, seed and iterations integers and feedforward a
-    bool; anything else raises InputError.
+    finite numbers, seed, iterations, target_leg and the rates integers
+    (not bools) and feedforward a bool; anything else raises InputError.
     """
 
     mode: str
@@ -118,8 +119,11 @@ class ScenarioConfig:
             raise InputError(
                 f"estimator_mode must be one of {ESTIMATOR_MODES}, got {self.estimator_mode!r}")
         # JSON configs can carry any type, NaN and Infinity; bool is an int
-        for name in ("seed", "iterations"):
+        for name in ("seed", "iterations", "target_leg", "rate_oscillator_hz",
+                     "rate_plant_hz", "rate_modulator_hz"):
             value = getattr(self, name)
+            if value is None and name == "rate_plant_hz":
+                continue
             if isinstance(value, bool) or not isinstance(value, int):
                 raise InputError(f"{name} must be an integer, got {value!r}")
         for name in ("v_cmd", "f_cmd", "duration", "warmup_s", "gain_k", "perturb_rad"):
@@ -158,7 +162,7 @@ class ScenarioConfig:
         osc_hz, plant_hz, mod_hz = (out.rate_oscillator_hz, out.rate_plant_hz,
                                     out.rate_modulator_hz)
         for name, r in (("oscillator", osc_hz), ("plant", plant_hz), ("modulator", mod_hz)):
-            if not (isinstance(r, int) and r > 0):
+            if r <= 0:
                 raise InputError(f"rate_{name}_hz must be a positive integer, got {r!r}")
         # rate ladder must divide evenly so zero-order holds line up
         if osc_hz % plant_hz != 0 or plant_hz % mod_hz != 0:
@@ -232,60 +236,22 @@ class RunLog:
         return written
 
 
-@dataclass
-class SimState:
-    """Mutable multi-rate loop state advanced by scheduler_tick.
+def scheduler_tick(phases, g, dt: float, om, sg, xi, n_steps: int, log):
+    """Run one plant period: n_steps Euler steps under the held loads g.
 
-    plant_fn(state) returns the next held normalized loads; mod_fn(state)
-    returns the next intrinsic frequency (or None to keep it). Both may
-    log through closed-over buffers. Holds stay untouched between their
-    update ticks.
+    Every argument but dt, n_steps and log is a list of four floats.
+    Appends each tick's phases, before its step, to log unless it is
+    None; returns the phases after the last step.
     """
-
-    phases: np.ndarray
-    om: np.ndarray
-    sg: np.ndarray
-    xi: np.ndarray
-    dt: float
-    plant_every: int
-    mod_every: int
-    plant_fn: object = None
-    mod_fn: object = None
-    tick: int = 0
-    g_held: np.ndarray = field(default_factory=lambda: np.zeros(4))
-    n_plant_updates: int = 0
-    n_mod_updates: int = 0
-
-    @property
-    def t(self) -> float:
-        return self.tick * self.dt
-
-
-def scheduler_tick(state: SimState) -> SimState:
-    """Advance one oscillator step; update plant/modulator on their ticks.
-
-    Update order within a tick: plant first, then modulator (which may
-    read the fresh loads), then one Euler step of all four phases using
-    the held values.
-    """
-    if state.tick % state.plant_every == 0:
-        if state.plant_fn is not None:
-            state.g_held = np.asarray(state.plant_fn(state), dtype=float)
-        state.n_plant_updates += 1
-    if state.tick % state.mod_every == 0:
-        if state.mod_fn is not None:
-            omega = state.mod_fn(state)
-            if omega is not None:
-                state.om[:] = omega
-        state.n_mod_updates += 1
-    state.phases = step_phases(state.phases, state.g_held, state.dt,
-                               state.om, state.sg, state.xi)
-    state.tick += 1
-    return state
+    for _ in range(n_steps):
+        if log is not None:
+            log.extend(phases)
+        phases = step_phases(phases, g, dt, om, sg, xi)
+    return phases
 
 
 def _initial_state(cfg: ScenarioConfig, f_gait: float, plant_cfg: PlantConfig):
-    """Moving-gait bank at the stationary-to-moving transition.
+    """Moving-gait bank at the stationary-to-moving transition, as float lists.
 
     All four legs carry equal weight while standing, so the low-load
     tie breaks to the left-diagonal pair per the parameter schedule.
@@ -294,12 +260,11 @@ def _initial_state(cfg: ScenarioConfig, f_gait: float, plant_cfg: PlantConfig):
     """
     standing = np.full(4, plant_cfg.mass * plant_cfg.g / 4.0)
     params = select_params(cfg.v_cmd, f_gait, standing)
-    phases = make_bank(params).phases.copy()
+    phases = make_bank(params).phases
     if cfg.perturb_rad > 0:
         rng = np.random.default_rng(cfg.seed)
         phases = wrap_phase(phases + rng.uniform(-cfg.perturb_rad, cfg.perturb_rad, 4))
-    om, sg, xi = param_arrays(params)
-    return phases, om, sg, xi
+    return [phases.tolist()] + [a.tolist() for a in param_arrays(params)]
 
 
 def _tick_counts(cfg: ScenarioConfig) -> tuple[int, int, int]:
@@ -309,62 +274,77 @@ def _tick_counts(cfg: ScenarioConfig) -> tuple[int, int, int]:
             osc_hz // cfg.rate_modulator_hz)
 
 
-def _check_finite(state: SimState, label: str) -> None:
-    # the phases lie in [0, 2*pi) while finite, so their sum is finite
-    # exactly when all of them are; summing a list is ~10x cheaper than
-    # np.isfinite on four values, and this runs at every plant update
-    if not math.isfinite(sum(state.phases.tolist())):
-        raise IntegrationDivergedError(
-            f"{label} diverged: oscillator phases non-finite by t={state.t:.3f} s")
+def _diverged(label: str, t: float) -> IntegrationDivergedError:
+    return IntegrationDivergedError(
+        f"{label} diverged: oscillator phases non-finite by t={t:.3f} s")
 
 
 def _simulate(cfg: ScenarioConfig, plant_cfg: PlantConfig, f_gait: float,
               load=None, mod_fn=None, label: str | None = None, log_osc: bool = True):
     """The closed loop every scenario runs: oscillators, plant, modulator.
 
-    At each plant update the phases must be finite, else
-    IntegrationDivergedError names the run (label, default the mode)
-    and the time. The plant turns the phases into forces and
-    normalized loads g, logged as one plant row. The oscillators then
-    hold load(state, g) when a load map is given, else g itself.
-    mod_fn(state) returns the next intrinsic frequency (see SimState).
+    The phases, the oscillator parameters and the held loads are lists
+    of four floats. Once per plant update, at time t of its tick:
 
-    Returns (final state, osc rows, plant rows). Osc row k is (t, four
+    1. the phases must be finite, else IntegrationDivergedError names
+       the run (label, default the mode) and the time;
+    2. the plant turns them into forces and normalized loads g, logged
+       as plant row i (i counts plant updates);
+    3. the oscillators hold load(t, phases, i, g) when a load map is
+       given, else g;
+    4. on a modulator tick, mod_fn(t, phases, j) returns the next
+       intrinsic frequency, or None to keep it (j counts modulator
+       updates);
+    5. scheduler_tick runs the Euler steps up to the next update.
+
+    Returns (final phases, osc rows, plant rows). Osc row k is (t, four
     phases, omega_tilde) at the start of tick k, before its updates and
-    its step; the rows are None when log_osc is false. Plant row k is
-    (t, four forces, four normalized loads) of the k-th plant update,
-    so state.n_plant_updates indexes it.
+    its step; the rows are None when log_osc is false. Plant row i is
+    (t, four forces, four normalized loads).
     """
     label = label or cfg.mode
     phases, om, sg, xi = _initial_state(cfg, f_gait, plant_cfg)
     n_ticks, plant_every, mod_every = _tick_counts(cfg)
-    osc_rows = np.empty((n_ticks, 6)) if log_osc else None
-    plant_rows = np.empty((-(-n_ticks // plant_every), 9))
+    dt = 1.0 / cfg.rate_oscillator_hz
+    body_weight = plant_cfg.mass * plant_cfg.g
+    osc_log = array("d") if log_osc else None
+    plant_log = array("d")
+    omegas = [om[0]]  # omega_tilde at the start, then after each modulator update
+    for i, tick in enumerate(range(0, n_ticks, plant_every)):
+        t = tick * dt
+        # the phases lie in [0, 2*pi) while finite, so their sum is
+        # finite exactly when all of them are
+        if not math.isfinite(sum(phases)):
+            raise _diverged(label, t)
+        forces = grf_from_phases(phases, plant_cfg)
+        g = [min(f / body_weight, 1.0) for f in forces]
+        plant_log.extend(forces)
+        plant_log.extend(g)
+        if load is not None:
+            g = load(t, phases, i, g)
+        if tick % mod_every == 0:
+            omega = None if mod_fn is None else mod_fn(t, phases, tick // mod_every)
+            if omega is not None:
+                om = [float(omega)] * 4
+            omegas.append(om[0])
+        phases = scheduler_tick(phases, g, dt, om, sg, xi,
+                                min(plant_every, n_ticks - tick), osc_log)
+    if not math.isfinite(sum(phases)):
+        raise _diverged(label, n_ticks * dt)
 
-    def plant_fn(state: SimState):
-        _check_finite(state, label)
-        forces = grf_from_phases(state.phases, plant_cfg)
-        g = normalize_grf(forces, plant_cfg.mass, plant_cfg.g)
-        row = plant_rows[state.n_plant_updates]
-        row[0] = state.t
-        row[1:5] = forces
-        row[5:9] = g
-        return g if load is None else load(state, g)
-
-    state = SimState(phases=phases, om=om, sg=sg, xi=xi, dt=1.0 / cfg.rate_oscillator_hz,
-                     plant_every=plant_every, mod_every=mod_every,
-                     plant_fn=plant_fn, mod_fn=mod_fn)
-    # a diverging step turns phases into NaN through np.mod; the check
-    # above reports that as IntegrationDivergedError, so numpy need not warn
-    with np.errstate(invalid="ignore"):
-        for k in range(n_ticks):
-            if log_osc:
-                osc_rows[k, 0] = state.t
-                osc_rows[k, 1:5] = state.phases
-                osc_rows[k, 5] = state.om[0]
-            scheduler_tick(state)
-    _check_finite(state, label)
-    return state, osc_rows, plant_rows
+    plant_rows = np.empty((len(plant_log) // 8, 9))
+    plant_rows[:, 0] = np.arange(0, n_ticks, plant_every) * dt
+    plant_rows[:, 1:] = np.reshape(plant_log, (-1, 8))
+    if not log_osc:
+        return phases, None, plant_rows
+    ticks = np.arange(n_ticks)
+    osc_rows = np.empty((n_ticks, 6))
+    osc_rows[:, 0] = ticks * dt
+    osc_rows[:, 1:5] = np.reshape(osc_log, (-1, 4))
+    # row k holds omega_tilde before tick k's modulator update: the
+    # value after update ceil(k / mod_every) - 1
+    osc_rows[:, 5] = np.asarray(omegas)[-(-ticks // mod_every)]
+    return phases, osc_rows, plant_rows
 
 
 def _timeline(plant_rows) -> GrfTimeline:
@@ -395,14 +375,14 @@ def run_frequency_tracking(config: ScenarioConfig):
     cfg = config.resolve()
     plant_cfg = PlantConfig(rate_hz=float(cfg.rate_plant_hz))
     f_cmd = float(cfg.f_cmd)
-    state, osc_rows, plant_rows = _simulate(cfg, plant_cfg, f_cmd)
+    phases, osc_rows, plant_rows = _simulate(cfg, plant_cfg, f_cmd)
 
     timeline = _timeline(plant_rows)
     per_leg = {LEG_ORDER[leg]: _leg_stats(timeline, leg, f_cmd) for leg in range(4)}
     rf = per_leg[LEG_ORDER[0]]
     report_metrics = SyncReport(
         freq_dev_mean=rf["mean_abs_dev_hz"], freq_dev_var=rf["variance_hz2"],
-        rpd_matrix=relative_phase_differences(state.phases).tolist())
+        rpd_matrix=relative_phase_differences(phases).tolist())
 
     header = {"mode": cfg.mode, "seed": cfg.seed, "f_cmd": f_cmd,
               "rate_oscillator_hz": cfg.rate_oscillator_hz,
@@ -475,14 +455,13 @@ def run_rhythm_sync(config: ScenarioConfig):
     theta_mod = interpolate_phase(analysis.grid, t_mod)
     mod_rows = np.empty((n_mod, 5))
 
-    def mod_fn(state: SimState):
-        i = state.n_mod_updates
-        cmd = modulate(_ring(state.phases[leg]), _ring(theta_mod[i]), omega_m, mod_cfg,
-                       pair_obs=_ring(state.phases[pair_leg]))
-        mod_rows[i] = (state.t, omega_m, cmd.delta_omega, cmd.omega_tilde, cmd.phase_error)
+    def mod_fn(t, phases, i):
+        cmd = modulate(_ring(phases[leg]), _ring(theta_mod[i]), omega_m, mod_cfg,
+                       pair_obs=_ring(phases[pair_leg]))
+        mod_rows[i] = (t, omega_m, cmd.delta_omega, cmd.omega_tilde, cmd.phase_error)
         return cmd.omega_tilde
 
-    state, osc_rows, plant_rows = _simulate(cfg, plant_cfg, f_gait, mod_fn=mod_fn)
+    final_phases, osc_rows, plant_rows = _simulate(cfg, plant_cfg, f_gait, mod_fn=mod_fn)
 
     timeline = _timeline(plant_rows)
     beats = analysis.grid.beat_times
@@ -523,7 +502,7 @@ def run_rhythm_sync(config: ScenarioConfig):
         delta_t_series=[float(d) for d in deltas],
         delta_t_max=float(delta_max),
         omega_std=float(omega_std),
-        rpd_matrix=relative_phase_differences(state.phases).tolist())
+        rpd_matrix=relative_phase_differences(final_phases).tolist())
 
     t_frames = np.arange(n_frames) / frame_rate
     music_rows = np.column_stack([
@@ -575,22 +554,20 @@ def _curriculum_load(plant_cfg: PlantConfig, rho_state, model, log=None):
     supported load, the quantity the plant's load law is exactly linear
     in (the raw sine weight is not, once double-support windows appear
     around stance handoffs). log, when given, is three (n, 4) arrays
-    (indicators, shares, simulated loads) that receive row
-    state.n_plant_updates of every plant update, for the next fit.
+    (indicators, shares, simulated loads) that receive row i of plant
+    update i, for the next fit.
     """
     ind_log, share_log, load_log = (None, None, None) if log is None else log
 
-    def load(state: SimState, g_sim):
-        phases = state.phases
+    def load(t, phases, i, g_sim):
         shares = support_shares(stance_weight(phases, plant_cfg.weight_exponent))
-        indicators = [1.0 if p >= math.pi else 0.0 for p in phases.tolist()]
+        indicators = [1.0 if p >= math.pi else 0.0 for p in phases]
         if ind_log is not None:
-            k = state.n_plant_updates
-            ind_log[k] = indicators
-            share_log[k] = shares
-            load_log[k] = g_sim
-        g_pred = g_sim if model is None else est.predict((indicators, shares.tolist()), model)
-        return est.mix(g_sim, g_pred, rho_state)
+            ind_log[i] = indicators
+            share_log[i] = shares
+            load_log[i] = g_sim
+        g_pred = g_sim if model is None else est.predict((indicators, shares), model)
+        return est.mix(g_sim, g_pred, rho_state).tolist()
     return load
 
 
@@ -613,9 +590,9 @@ def run_estimator_curriculum(config: ScenarioConfig):
     runlog = RunLog(header)
 
     if cfg.estimator_mode == "fallback":
-        fallback = np.full(4, est.FALLBACK_G)
+        fallback = [est.FALLBACK_G] * 4
         _, _, plant_rows = _simulate(cfg, plant_cfg, f_cmd, label="fallback run",
-                                     load=lambda state, g_sim: fallback, log_osc=False)
+                                     load=lambda t, phases, i, g_sim: fallback, log_osc=False)
         stats = _leg_stats(_timeline(plant_rows), 0, f_cmd)
         report = {
             "mode": cfg.mode, "seed": cfg.seed, "estimator_mode": cfg.estimator_mode,

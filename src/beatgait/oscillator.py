@@ -129,7 +129,6 @@ def select_params(v_x_cmd: float, f_cmd: float, forces) -> tuple[OscillatorParam
 def normalize_grf(forces, mass: float, g: float = 9.81):
     """Map per-leg forces in newtons to G = min(N / (mass*g), 1) in [0, 1]."""
     f = np.asarray(forces, dtype=float)
-    # plain-float checks: this runs at every plant update
     vals = f.ravel().tolist()
     if not all(map(math.isfinite, vals)) or (vals and min(vals) < 0.0):
         raise InputError(f"forces must be finite and non-negative, got {forces!r}")
@@ -169,7 +168,7 @@ def make_bank(params: tuple[OscillatorParams, ...]) -> OscillatorBank:
 
 
 def param_arrays(params: tuple[OscillatorParams, ...]):
-    """(omega_tilde, sigma, xi) as float arrays for vectorized stepping."""
+    """(omega_tilde, sigma, xi) as float arrays, one entry per leg."""
     om = np.array([p.omega_tilde for p in params], dtype=float)
     sg = np.array([p.sigma for p in params], dtype=float)
     xi = np.array([p.xi for p in params], dtype=float)
@@ -181,14 +180,30 @@ def phase_rate(phases, g_norm, om, sg, xi):
     return om - sg * np.asarray(g_norm, dtype=float) * (np.cos(phases) + xi)
 
 
+def _float_list(a, shape) -> list:
+    """a broadcast to shape, flattened to a list of floats."""
+    a = np.asarray(a, dtype=float)
+    if a.shape != shape:
+        a = np.broadcast_to(a, shape)
+    return a.ravel().tolist()
+
+
 def step_phases(phases, g_norm, dt: float, om, sg, xi):
-    """One forward Euler step on raw phase arrays; returns wrapped phases.
+    """One forward Euler step per leg; returns wrapped phases.
 
-    Unvalidated: a non-finite phase passes through, and the simulation
-    loop checks for one at every plant update.
+    phi + dt * (omega - sigma * G * (cos(phi) + xi)) mod 2*pi, computed
+    leg by leg on plain floats. A list of phases gives a list; any other
+    input is read as an array, the other arguments broadcast against
+    it, and gives an array of its shape. Unvalidated: a NaN phase stays
+    NaN, and the simulation loop checks for one at every plant update.
     """
-    out = phases + dt * phase_rate(phases, g_norm, om, sg, xi)
-    out = np.mod(out, TWO_PI)
-    out[out >= TWO_PI] = 0.0
-    return out
-
+    shape = None if isinstance(phases, list) else np.shape(phases)
+    if shape is not None:
+        phases, g_norm, om, sg, xi = (_float_list(a, shape)
+                                      for a in (phases, g_norm, om, sg, xi))
+    out = []
+    for p, g, o, s, x in zip(phases, g_norm, om, sg, xi):
+        p = (p + dt * (o - s * g * (math.cos(p) + x))) % TWO_PI
+        # % rounds up to the divisor for tiny negative sums
+        out.append(0.0 if p >= TWO_PI else p)
+    return out if shape is None else np.array(out).reshape(shape)

@@ -88,14 +88,22 @@ class GrfTimeline:
 def stance_weight(phi, exponent: float = 1.0):
     """Stance weight w(phi): 0 over [0, pi), sin(phi - pi)**exponent over [pi, 2*pi).
 
-    Peaks at 1 when phi = 3*pi/2, the footfall phase. Accepts scalars or
-    arrays; phases are wrapped first.
+    Peaks at 1 when phi = 3*pi/2, the footfall phase. Phases are wrapped
+    first, and each is computed on its own as a plain float. A list in
+    gives a list out; any other input is read as an array and gives an
+    array of its shape, or a float for a scalar.
     """
-    p = np.mod(np.asarray(phi, dtype=float), TWO_PI)
-    w = np.where(p >= math.pi, np.sin(p - math.pi), 0.0)
+    shape = None if isinstance(phi, list) else np.shape(phi)
+    values = phi if shape is None else np.ravel(np.asarray(phi, dtype=float)).tolist()
+    w = []
+    for p in values:
+        p %= TWO_PI
+        w.append(math.sin(p - math.pi) if p >= math.pi else 0.0)
     if exponent != 1.0:
-        w = w ** exponent
-    return w if w.ndim else float(w)
+        w = [v ** exponent for v in w]
+    if shape is None:
+        return w
+    return np.array(w).reshape(shape) if shape else w[0]
 
 
 def _pair_weight(p: float, q: float) -> float:
@@ -105,7 +113,7 @@ def _pair_weight(p: float, q: float) -> float:
     return p if p == q else 2.0 * p * q / (p + q)
 
 
-def support_shares(w) -> np.ndarray:
+def support_shares(w):
     """Fraction of the supported load on each foot, from stance weights w.
 
     Feet sit at the corners of a rectangle centred on the centre of mass,
@@ -128,33 +136,47 @@ def support_shares(w) -> np.ndarray:
     one moment the grounded feet can take: a lone foot carries
     everything and two feet carry half each. All zeros during flight
     (sum(w) at or below FLIGHT_THRESHOLD).
+
+    A list of four weights gives a list; any other input is read as an
+    array and gives an array.
     """
-    w_rf, w_lf, w_rh, w_lh = np.asarray(w, dtype=float).tolist()
+    as_list = isinstance(w, list)
+    w_rf, w_lf, w_rh, w_lh = w if as_list else np.asarray(w, dtype=float).tolist()
     # same summation order as numpy's sum over four values
     total = w_rf + w_lf + w_rh + w_lh
-    if total <= FLIGHT_THRESHOLD:
-        return np.zeros(4)
     h_a = _pair_weight(w_rf, w_lh)
     h_b = _pair_weight(w_lf, w_rh)
-    if h_a + h_b > 0.0:
+    if total <= FLIGHT_THRESHOLD:
+        shares = [0.0] * 4
+    elif h_a + h_b > 0.0:
         total = h_a + h_b + h_b + h_a
         # share ratio first: equal weights then divide to exactly 1/n, which
         # keeps the mid-stance force plateau bit-uniform for beat extraction
-        return np.array([h_a / total, h_b / total, h_b / total, h_a / total])
-    grounded = (np.asarray(w) > 0.0).astype(float)
-    return grounded / grounded.sum()
+        s_a, s_b = h_a / total, h_b / total
+        shares = [s_a, s_b, s_b, s_a]
+    else:
+        grounded = [1.0 if v > 0.0 else 0.0 for v in (w_rf, w_lf, w_rh, w_lh)]
+        n = sum(grounded)
+        shares = [v / n for v in grounded]
+    return shares if as_list else np.array(shares)
 
 
 def grf_from_phases(phases, config: PlantConfig):
     """Split supported body weight across grounded legs.
 
     N_i = force_scale * mass * g * support_shares(w)_i with w the stance
-    weights; all zeros during flight.
+    weights; all zeros during flight. A list of four phases gives a
+    list; any other input is read as an array and gives an array.
     """
-    w = np.asarray(stance_weight(phases, config.weight_exponent), dtype=float)
-    if w.shape != (4,):
-        raise InputError(f"expected 4 phases, got shape {w.shape}")
-    return (config.force_scale * config.mass * config.g) * support_shares(w)
+    as_list = isinstance(phases, list)
+    shape = (len(phases),) if as_list else np.shape(phases)
+    if shape != (4,):
+        raise InputError(f"expected 4 phases, got shape {shape}")
+    w = stance_weight(phases if as_list else np.asarray(phases, dtype=float).tolist(),
+                      config.weight_exponent)
+    weight = config.force_scale * config.mass * config.g
+    forces = [weight * s for s in support_shares(w)]
+    return forces if as_list else np.array(forces)
 
 
 def contact_onsets(timeline: GrfTimeline, leg: int) -> np.ndarray:

@@ -98,6 +98,15 @@ class TestExitCodes:
             assert code == 2, flag
             assert "must be a finite number" in capsys.readouterr().err
 
+    def test_config_error_bool_for_integer(self, tmp_path, capsys):
+        for field in ("target_leg", "rate_plant_hz", "rate_modulator_hz"):
+            p = tmp_path / "cfg.json"
+            p.write_text(json.dumps({"mode": "rhythm_sync", field: True}))
+            code = run_cli("rhythm-sync", "--config", str(p), "--out", str(tmp_path / "rs"))
+            assert code == 2, field
+            assert f"{field} must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "rs").exists()
+
     def test_divergence_code(self, tmp_path, capsys):
         # a gain near the float maximum overflows the first large command
         with warnings.catch_warnings(record=True) as caught:

@@ -1,5 +1,6 @@
 import json
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -18,13 +19,15 @@ from beatgait.harness import (
     REWARD_VARIANTS,
     RunLog,
     ScenarioConfig,
-    SimState,
+    _simulate,
     run_estimator_curriculum,
     run_frequency_tracking,
     run_rhythm_sync,
     scheduler_tick,
 )
 from beatgait.music import save_wav, synth_click_track
+from beatgait.oscillator import TWO_PI
+from beatgait.plant import PlantConfig
 
 
 class TestScenarioConfig:
@@ -85,7 +88,8 @@ class TestScenarioConfig:
         with pytest.raises(InputError, match=f"{field} must be a finite number"):
             ScenarioConfig(mode="freq_track", **{field: value})
 
-    @pytest.mark.parametrize("field", ["iterations", "seed"])
+    @pytest.mark.parametrize("field", ["iterations", "seed", "target_leg", "rate_oscillator_hz",
+                                       "rate_plant_hz", "rate_modulator_hz"])
     @pytest.mark.parametrize("value", [10.5, 10.0, True, "10"])
     def test_non_integer_count_rejected(self, field, value):
         with pytest.raises(InputError, match=f"{field} must be an integer"):
@@ -107,6 +111,15 @@ class TestScenarioConfig:
             p.write_text(text)
             with pytest.raises(InputError):
                 ScenarioConfig.from_json(p)
+
+    @pytest.mark.parametrize("field", ["target_leg", "rate_oscillator_hz", "rate_plant_hz",
+                                       "rate_modulator_hz", "seed", "iterations"])
+    def test_json_true_for_integer_rejected(self, field, tmp_path):
+        # true == 1 in Python: target_leg would run as leg 1, a rate as 1 Hz
+        p = tmp_path / "cfg.json"
+        p.write_text(f'{{"mode": "rhythm_sync", "{field}": true}}')
+        with pytest.raises(InputError, match=f"{field} must be an integer, got True"):
+            ScenarioConfig.from_json(p)
 
     def test_rate_ladder_must_divide(self):
         with pytest.raises(InputError):
@@ -194,69 +207,94 @@ class TestRunLog:
         assert np.array_equal(back, vals)
 
 
-def _idle_state(plant_fn=None, mod_fn=None):
-    return SimState(phases=np.array([0.1, 0.2, 0.3, 0.4]),
-                    om=np.full(4, 2.0), sg=np.zeros(4), xi=np.zeros(4),
-                    dt=1e-3, plant_every=10, mod_every=50,
-                    plant_fn=plant_fn, mod_fn=mod_fn)
+def _loop(load=None, mod_fn=None, duration=1.0):
+    """The shared loop at 1 kHz, a 100 Hz plant and a 20 Hz modulator, f = 2 Hz."""
+    cfg = ScenarioConfig(mode="freq_track", duration=duration, rate_plant_hz=100).resolve()
+    return _simulate(cfg, PlantConfig(rate_hz=100.0), 2.0, load=load, mod_fn=mod_fn)
+
+
+def _euler(osc, held, omega):
+    """Each osc row stepped once under the given loads and frequencies (numpy reference)."""
+    phi = osc[:-1, 1:5]
+    return np.mod(phi + 1e-3 * (omega - TWO_PI * held * (np.cos(phi) + 0.0)), TWO_PI)
 
 
 class TestScheduler:
     def test_update_counts(self):
-        state = _idle_state()
-        for _ in range(1000):
-            scheduler_tick(state)
-        assert state.n_plant_updates == 100
-        assert state.n_mod_updates == 20
-        assert state.tick == 1000
-        assert state.t == pytest.approx(1.0)
+        plant_calls, mod_calls = [], []
+
+        def load(t, phases, i, g):
+            plant_calls.append((t, i))
+            return g
+
+        def mod_fn(t, phases, j):
+            mod_calls.append((t, j))
+
+        _, osc, plant = _loop(load, mod_fn)
+        assert [i for _, i in plant_calls] == list(range(100))
+        assert [j for _, j in mod_calls] == list(range(20))
+        assert [t for t, _ in mod_calls] == pytest.approx([0.05 * j for j in range(20)])
+        assert osc.shape == (1000, 6) and plant.shape == (100, 9)
+        assert osc[-1, 0] == pytest.approx(0.999)
+        assert np.array_equal(plant[:, 0], [t for t, _ in plant_calls])
 
     def test_zero_order_hold(self):
-        held = []
-
-        def plant_fn(state):
-            return np.full(4, state.tick / 1000.0)
-
-        state = _idle_state(plant_fn=plant_fn)
-        for _ in range(25):
-            scheduler_tick(state)
-            held.append(state.g_held[0])
-        # value set at tick 0 persists through tick 9, refresh at tick 10
-        assert held[:10] == [0.0] * 10
-        assert held[10:20] == [0.010] * 10
-        assert held[20:25] == [0.020] * 5
+        # update i holds 0.1 * (i % 3) on every leg through its ten ticks
+        _, osc, _ = _loop(lambda t, phases, i, g: [0.1 * (i % 3)] * 4)
+        update = np.arange(999) // 10
+        held = (0.1 * (update % 3))[:, None]
+        assert np.array_equal(_euler(osc, held, 4.0 * np.pi), osc[1:, 1:5])
+        # the next update's loads would give other phases
+        early = (0.1 * ((update + 1) % 3))[:, None]
+        assert not np.array_equal(_euler(osc, early, 4.0 * np.pi), osc[1:, 1:5])
 
     def test_modulator_sees_fresh_plant_value(self):
-        seen = []
+        # the plant updates first on a shared tick, and the modulator
+        # reads the same phases the loads were just computed from
+        events = []
 
-        def plant_fn(state):
-            return np.full(4, 0.42)
+        def load(t, phases, i, g):
+            events.append(("plant", t, list(phases)))
+            return g
 
-        def mod_fn(state):
-            seen.append(state.g_held[0])
-            return None
+        def mod_fn(t, phases, j):
+            events.append(("mod", t, list(phases)))
 
-        state = _idle_state(plant_fn=plant_fn, mod_fn=mod_fn)
-        scheduler_tick(state)
-        assert seen == [0.42]
+        _loop(load, mod_fn, duration=0.1)
+        kinds = [kind for kind, _, _ in events]
+        assert kinds == ["plant", "mod"] + ["plant"] * 4 + ["plant", "mod"] + ["plant"] * 4
+        for k, (kind, t, phases) in enumerate(events):
+            if kind == "mod":
+                assert events[k - 1][1:] == (t, phases)
 
     def test_none_command_keeps_frequency(self):
-        state = _idle_state(mod_fn=lambda s: None)
-        om_before = state.om.copy()
-        for _ in range(100):
-            scheduler_tick(state)
-        assert np.array_equal(state.om, om_before)
+        _, osc, _ = _loop(mod_fn=lambda t, phases, j: None)
+        assert np.all(osc[:, 5] == 4.0 * np.pi)
+        _, free, _ = _loop()
+        assert np.array_equal(osc, free)
 
     def test_command_replaces_frequency(self):
-        state = _idle_state(mod_fn=lambda s: 3.5)
-        scheduler_tick(state)
-        assert np.all(state.om == 3.5)
+        _, osc, plant = _loop(mod_fn=lambda t, phases, j: 3.5)
+        assert osc[0, 5] == 4.0 * np.pi and np.all(osc[1:, 5] == 3.5)
+        held = plant[np.arange(999) // 10, 5:9]
+        assert np.array_equal(_euler(osc, held, 3.5), osc[1:, 1:5])
+
+    def test_osc_row_logs_command_before_its_update(self):
+        # update j commands 10 + j: row k holds the command in force
+        # before tick k's update, which is update ceil(k / 50) - 1
+        _, osc, _ = _loop(mod_fn=lambda t, phases, j: 10.0 + j)
+        k = np.arange(1, 1000)
+        assert osc[0, 5] == 4.0 * np.pi
+        assert np.array_equal(osc[1:, 5], 10.0 + (k - 1) // 50)
+        assert osc[50, 5] == 10.0 and osc[51, 5] == 11.0
 
     def test_phases_advance_by_held_rate(self):
-        state = _idle_state()
-        p0 = state.phases.copy()
-        scheduler_tick(state)
-        assert state.phases == pytest.approx(p0 + 2.0 * 1e-3)
+        log = array("d")
+        p0 = [0.1, 0.2, 0.3, 0.4]
+        out = scheduler_tick(p0, [0.5] * 4, 1e-3, [2.0] * 4, [0.0] * 4, [0.0] * 4, 3, log)
+        assert out == pytest.approx([p + 3 * 2.0 * 1e-3 for p in p0])
+        assert np.reshape(log, (3, 4))[0].tolist() == p0
+        assert isinstance(out, list)
 
 
 class TestFrequencyTracking:

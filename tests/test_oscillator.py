@@ -214,6 +214,25 @@ class TestStep:
         fine = run(1e-4, 100_000)
         assert np.all(np.abs(wrap_signed(coarse - fine)) <= 5e-3)
 
+    def test_list_step_matches_array_formula_bit_for_bit(self):
+        # the simulation loop steps lists of four floats; the goldens were
+        # made with this numpy formula on arrays, and must not move
+        n = 200_000
+        rng = np.random.default_rng(17)
+        phi = rng.uniform(0.0, TWO_PI, (n, 4))
+        g = rng.uniform(0.0, 1.0, (n, 4))
+        moving = rng.random((n, 1)) < 0.5
+        om = np.where(moving, TWO_PI * rng.uniform(1.001, 4.0, (n, 1)), 1.0) + 0.0 * phi
+        sg = np.where(moving, TWO_PI, 4.0) + 0.0 * phi
+        xi = np.where(moving, 0.0, 1.0) + 0.0 * phi
+        want = np.mod(phi + 1e-3 * (om - sg * g * (np.cos(phi) + xi)), TWO_PI)
+        want[want >= TWO_PI] = 0.0
+        args = [a.tolist() for a in (phi, g, om, sg, xi)]
+        got = [step_phases(p, gg, 1e-3, o, s, x) for p, gg, o, s, x in zip(*args)]
+        assert isinstance(got[0], list)
+        assert np.array_equal(np.array(got), want)
+        assert np.array_equal(step_phases(phi, g, 1e-3, om, sg, xi), want)
+
     def test_determinism_bitwise(self):
         params = select_params(0.8, 2.0, (1, 1, 1, 1))
         om, sg, xi = param_arrays(params)

@@ -17,6 +17,7 @@ from beatgait.plant import (
     kinematic_beats,
     stance_weight,
     stepping_frequency,
+    support_shares,
 )
 
 CFG = PlantConfig()
@@ -103,7 +104,7 @@ class TestGrf:
         # ratio-first sharing: equal weights give four bit-identical forces
         n = grf_from_phases([FOOTFALL_PHASE] * 4, CFG)
         assert n[0] == n[1] == n[2] == n[3]
-        assert n.sum() == pytest.approx(MG)
+        assert sum(n) == pytest.approx(MG)
 
     @given(hnp.arrays(np.float64, 4, elements=st.floats(0, TWO_PI - 1e-9)))
     @settings(max_examples=300)
@@ -155,9 +156,23 @@ class TestGrf:
     @settings(max_examples=300)
     def test_diagonal_symmetric_matches_share_law(self, p, q):
         phases = [p, q, q, p]
-        w = stance_weight(phases)
+        w = stance_weight(np.array(phases))
         expected = MG * (w / w.sum()) if w.sum() > 1e-6 else np.zeros(4)
         assert np.array_equal(grf_from_phases(phases, CFG), expected)
+
+    def test_list_forces_match_array_formula_bit_for_bit(self):
+        # the simulation loop passes lists of four phases; the goldens were
+        # made with the array formula, so every force must match it exactly
+        rng = np.random.default_rng(23)
+        phases = rng.uniform(0.0, TWO_PI, (200_000, 4))
+        # diagonal-symmetric and flight states take the other branches
+        phases[:20_000, 2:] = phases[:20_000, 1::-1]
+        phases[20_000:25_000] = rng.uniform(0.0, math.pi, (5_000, 4))
+        w = np.where(phases >= math.pi, np.sin(phases - math.pi), 0.0)
+        want = np.array([MG * support_shares(row) for row in w])
+        got = [grf_from_phases(p, CFG) for p in phases.tolist()]
+        assert isinstance(got[0], list)
+        assert np.array_equal(np.array(got), want)
 
     def test_odd_foot_of_three_unloaded(self):
         # RF landed early: LF+RH still balance the body, LH in swing
@@ -179,7 +194,7 @@ class TestGrf:
         cfg = PlantConfig(force_scale=0.5)
         n = grf_from_phases([FOOTFALL_PHASE, 0.5 * math.pi,
                              0.5 * math.pi, FOOTFALL_PHASE], cfg)
-        assert n.sum() == pytest.approx(0.5 * MG)
+        assert sum(n) == pytest.approx(0.5 * MG)
 
     def test_config_validation(self):
         with pytest.raises(InputError):
