@@ -8,10 +8,10 @@ and the change in odd ones, so a drift of the host spreads over both.
 The run length is the `run_seconds` that BENCHMARK.json declares, the
 same on both sides.
 
-    python3 scripts/bench_pairs.py --parent ../parent --change . --pr 6 \\
+    python3 scripts/bench_pairs.py --parent ../parent --change . --number 6 \\
         --workload curriculum --pairs 10 --first-seed 101
 
-The result file (default BENCH_<pr>.json at the root of the repository
+The result file (default BENCH_<n>.json at the root of the repository
 that holds this script) is rewritten after every run. Each workload's
 entry holds its own setup (the command, the host, and per side the git
 commit and a SHA-256 of the checkout's `src/*.py`, see `src_sha256`),
@@ -115,12 +115,12 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, type=Path, help="parent source checkout")
     ap.add_argument("--change", required=True, type=Path, help="change source checkout")
-    ap.add_argument("--pr", required=True, type=int, help="number n of BENCH_<n>.json")
+    ap.add_argument("--number", required=True, type=int, help="number n of BENCH_<n>.json")
     ap.add_argument("--workload", action="append", required=True,
                     help="a perfbench workload; repeat for several")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--first-seed", type=int, default=1)
-    ap.add_argument("--out", type=Path, help="result file (default BENCH_<pr>.json here)")
+    ap.add_argument("--out", type=Path, help="result file (default BENCH_<n>.json here)")
     args = ap.parse_args()
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
@@ -141,7 +141,7 @@ def main() -> int:
         "bounds": {m["name"]: m["bound"] for m in spec["end_to_end"]},
     }
 
-    out_path = args.out or ROOT / f"BENCH_{args.pr}.json"
+    out_path = args.out or ROOT / f"BENCH_{args.number}.json"
     doc = json.loads(out_path.read_text()) if out_path.is_file() else {"workloads": {}}
     doc["rule"] = ("a gain holds over at least 10 pairs when the change wins at least 9 in "
                    "10 of them and the medians differ by more than the parent's "
