@@ -5,11 +5,13 @@ Each manifest is self-describing: the scenario config that produced it,
 the full report.json content, and sha256 digests of every runlog CSV.
 tests/test_golden.py replays the stored config and compares against the
 manifest, so goldens only need regeneration when an intentional change
-shifts the numerics. Run from the repository root:
+shifts the numerics. Run from the repository root, naming the manifests
+to regenerate, or none to regenerate all of them:
 
-    python3 scripts/regen_goldens.py
+    python3 scripts/regen_goldens.py [name ...]
 """
 
+import argparse
 import hashlib
 import json
 import sys
@@ -60,11 +62,18 @@ def build_manifest(config: dict) -> dict:
             "csv_sha256": digests}
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("names", nargs="*", metavar="name",
+                    help=f"manifests to regenerate: {', '.join(GOLDEN_SCENARIOS)}")
+    args = ap.parse_args(argv)
+    unknown = [n for n in args.names if n not in GOLDEN_SCENARIOS]
+    if unknown:
+        ap.error(f"unknown manifest {', '.join(unknown)}")
     golden_dir = Path(__file__).resolve().parents[1] / "tests" / "goldens"
     golden_dir.mkdir(parents=True, exist_ok=True)
-    for name, config in GOLDEN_SCENARIOS.items():
-        manifest = build_manifest(config)
+    for name in args.names or GOLDEN_SCENARIOS:
+        manifest = build_manifest(GOLDEN_SCENARIOS[name])
         path = golden_dir / f"{name}.json"
         path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
         print(f"wrote {path} ({len(manifest['csv_sha256'])} stream digests)")

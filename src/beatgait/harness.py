@@ -428,7 +428,8 @@ def run_rhythm_sync(config: ScenarioConfig):
     footfalls vs the beat grid after warm-up), the 20 Hz command
     spread, and all four reward traces regardless of which variant the
     config emphasizes. A clip whose envelope is shorter than the run
-    raises InsufficientDataError before anything is simulated.
+    raises InsufficientDataError before anything is simulated; graded
+    metrics that are not finite raise IntegrationDivergedError.
     """
     cfg = config.resolve()
     plant_cfg = PlantConfig(rate_hz=float(cfg.rate_plant_hz))
@@ -492,11 +493,14 @@ def run_rhythm_sync(config: ScenarioConfig):
     kin = kinematic_beats(timeline, leg, interior_only=True)
     deltas, delta_max = beat_alignment(kin, beats, warmup_s=cfg.warmup_s)
     post = t >= cfg.warmup_s
-    omega_std = frequency_variance(mod_rows[post, 3])
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite spread raises below
+        omega_std = frequency_variance(mod_rows[post, 3])
     reward_means = {
         name: float(reward_rows[post, 1 + j].mean())
         for j, name in enumerate(("rhythm", "r1", "r2", "phase"))
     }
+    if not all(map(math.isfinite, (delta_max, omega_std, *reward_means.values()))):
+        raise IntegrationDivergedError(f"{cfg.mode} diverged: graded metrics not finite")
 
     report_metrics = SyncReport(
         delta_t_series=[float(d) for d in deltas],

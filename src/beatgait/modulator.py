@@ -17,17 +17,15 @@ refinements address this without touching the default law:
   steers the underlying phase ramp, whose 3*pi/2 crossing is the
   stance midpoint, and centers footfalls on beats instead of chasing
   the ripple.
-* feedforward=True replaces the raw law with a one-tick solve: bisect
-  for the command whose model rollout (same Euler step and force hold
-  as the plant) lands the end-of-tick phase exactly where the plain
-  law would have put it were the stance feedback absent. The wobble is
-  cancelled at its source and the logged error decays geometrically
-  by (1 - k/rate) per tick.
+* feedforward=True replaces the raw law with a one-tick solve: Illinois
+  regula falsi for the command whose model rollout (same Euler step and
+  force hold as the plant, the opposite diagonal pair rolled alongside)
+  lands the end-of-tick phase exactly where the plain law would have
+  put it were the stance feedback absent. The wobble is cancelled at
+  its source and the logged error decays by (1 - k/rate) per tick.
 
-Both refinements use only the modulator's inputs plus the known plant
-model; the feedforward rollout can optionally observe one more leg of
-the controller's own oscillator bank (the opposite diagonal pair) to
-model double-support load sharing exactly.
+Both refinements use only the modulator's inputs, the known plant
+model and, for the rollout, one more leg of the oscillator bank.
 
 Also here: the four reward scores (phase-force shaping, rhythm
 consistency on the unit ring, smoothed-beat windowing, and the binary
@@ -54,6 +52,9 @@ MODULATOR_RATE_HZ = 20.0
 
 ERROR_MODES = ("raw", "footfall")
 
+#: Bisection steps whose resolution the feedforward solve reaches; also its step cap.
+SOLVE_STEPS = 40
+
 
 @dataclass(frozen=True)
 class ModulatorConfig:
@@ -67,8 +68,7 @@ class ModulatorConfig:
     rate_hz: command rate
     error_mode: "raw" uses phi_j - theta directly; "footfall" corrects
         the measured phase for the predicted within-cycle wobble
-    feedforward: add the predicted tick-average stance feedback to the
-        command so the wobble is cancelled rather than tolerated
+    feedforward: solve each command by model rollout to cancel the wobble
     """
 
     gain_k: float = 2.0
@@ -162,52 +162,36 @@ def wobble_amplitude(omega_m: float) -> float:
     return STANCE_SIGMA * TROT_G / omega_m
 
 
-def rollout_phase(phi_j: float, rate: float, horizon_s: float,
-                  substep_s: float = 1e-3, hold_steps: int = 10,
-                  phi_pair: float | None = None) -> float:
+def rollout_phase(phi_j: float, phi_pair: float, rate: float, horizon_s: float,
+                  substep_s: float = 1e-3, hold_steps: int = 10) -> float:
     """Phase the trot model reaches after horizon_s at a fixed command.
 
     Forward Euler at the oscillator step with the load held for
-    hold_steps substeps like the plant's zero-order hold. With only
-    phi_j, stance load is the ideal G = 0.5 through [pi, 2*pi). Given
-    phi_pair, the phase of the opposite diagonal pair, both pairs are
-    rolled with the surrogate's own load split for diagonal pairs whose
-    feet move in step (unit force scale, unit weight exponent), which
-    reproduces the graded loads of the brief double-support windows
-    around each stance handoff; those windows are where the ideal-trot
-    model drifts from the plant.
+    hold_steps substeps like the plant's zero-order hold. phi_pair, the
+    phase of the opposite diagonal pair, is rolled alongside with the
+    surrogate's own load split for diagonal pairs whose feet move in
+    step (unit force scale, unit weight exponent), which reproduces the
+    graded loads of the double-support windows around stance handoffs.
     """
     n = max(1, int(round(horizon_s / substep_s)))
-    phi = phi_j
-    if phi_pair is None:
-        g_held = 0.0
-        for s in range(n):
-            if s % hold_steps == 0:
-                g_held = TROT_G if phi >= math.pi else 0.0
-            phi = (phi + substep_s * (rate - STANCE_SIGMA * g_held * math.cos(phi))) % TWO_PI
-        return phi
-    other = phi_pair
-    ga = gb = 0.0
     for s in range(n):
-        if s % hold_steps == 0:
-            wa = math.sin(phi - math.pi) if phi >= math.pi else 0.0
-            wb = math.sin(other - math.pi) if other >= math.pi else 0.0
+        if s % hold_steps == 0:  # true at s = 0, so ga and gb are set before use
+            wa = math.sin(phi_j - math.pi) if phi_j >= math.pi else 0.0
+            wb = math.sin(phi_pair - math.pi) if phi_pair >= math.pi else 0.0
             total = 2.0 * (wa + wb)
             if total <= 1e-6:
                 ga = gb = 0.0
             else:
                 ga = wa / total
                 gb = wb / total
-        phi = (phi + substep_s * (rate - STANCE_SIGMA * ga * math.cos(phi))) % TWO_PI
-        other = (other + substep_s * (rate - STANCE_SIGMA * gb * math.cos(other))) % TWO_PI
-    return phi
+        phi_j = (phi_j + substep_s * (rate - STANCE_SIGMA * ga * math.cos(phi_j))) % TWO_PI
+        phi_pair = (phi_pair + substep_s * (rate - STANCE_SIGMA * gb * math.cos(phi_pair))) % TWO_PI
+    return phi_j
 
 
-def feedforward_command(phi_j: float, theta: float, omega_m: float,
+def feedforward_command(phi_j: float, phi_pair: float, theta: float, omega_m: float,
                         gain_k: float, delta_max: float,
-                        rate_hz: float = MODULATOR_RATE_HZ,
-                        iterations: int = 40,
-                        phi_pair: float | None = None) -> float:
+                        rate_hz: float = MODULATOR_RATE_HZ) -> float:
     """Frequency offset that cancels the stance feedback over one tick.
 
     The proportional law alone leaves the within-cycle stance wobble in
@@ -217,17 +201,24 @@ def feedforward_command(phi_j: float, theta: float, omega_m: float,
     the plain law would put it if the feedback were absent, namely
     theta + omega_m*h plus the decayed error e*(1 - gain_k*h). The
     end phase grows monotonically with delta (faster command, earlier
-    stance holds), so bisection over the clamp range resolves delta to
-    within one force-hold quantum; outside the reachable range the
-    clamp bound is returned, matching the plain law's saturation.
+    stance holds), so outside the reachable range the clamp bound is
+    returned, matching the plain law's saturation. Inside it, Illinois
+    regula falsi (Dowell and Jarratt, 1971) takes secant steps, halving
+    the weight of an end kept twice in a row, and the midpoint when the
+    secant point leaves the bracket. The force hold and the load split
+    make the end phase jump at some commands: a step that fails to
+    halve its side's gap, still above what one stopping width moves the
+    phase in free swing, marks a jump, and bisection finishes the solve.
+    The solve stops once the bracket is no wider than SOLVE_STEPS
+    bisection steps would leave it, or after SOLVE_STEPS steps, and
+    returns the end with the smaller gap (or a point of zero gap).
     """
     h = 1.0 / rate_hz
     e = wrap_signed(phi_j - theta)
     target = (theta + omega_m * h + e * (1.0 - gain_k * h)) % TWO_PI
 
     def gap(delta: float) -> float:
-        end = rollout_phase(phi_j, omega_m + delta, h, phi_pair=phi_pair)
-        return wrap_signed(end - target)
+        return wrap_signed(rollout_phase(phi_j, phi_pair, omega_m + delta, h) - target)
 
     lo, hi = -delta_max, delta_max
     g_lo, g_hi = gap(lo), gap(hi)
@@ -235,19 +226,27 @@ def feedforward_command(phi_j: float, theta: float, omega_m: float,
         return lo
     if g_hi <= 0.0:
         return hi
-    best, best_gap = lo, abs(g_lo)
-    if abs(g_hi) < best_gap:
-        best, best_gap = hi, abs(g_hi)
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        g_mid = gap(mid)
-        if abs(g_mid) < best_gap:
-            best, best_gap = mid, abs(g_mid)
-        if g_mid >= 0.0:
-            hi = mid
+    width = delta_max * 2.0 ** (1 - SOLVE_STEPS)  # 2*delta_max*2**-40, no overflow
+    w_lo = w_hi = 1.0  # Illinois weights on the end gaps
+    moved = 0  # the end the last step moved: +1 hi, -1 lo
+    stalled = False
+    for _ in range(SOLVE_STEPS):
+        if hi - lo <= width:
+            break
+        x = hi - w_hi * g_hi * (hi - lo) / (w_hi * g_hi - w_lo * g_lo)
+        if stalled or not lo < x < hi:
+            x = 0.5 * lo + 0.5 * hi
+        g = gap(x)
+        if g == 0.0:
+            return x
+        stalled = stalled or abs(g) > max(0.5 * abs(g_hi if g > 0.0 else g_lo), h * width)
+        if g > 0.0:
+            w_lo *= 0.5 if moved > 0 else 1.0
+            hi, g_hi, w_hi, moved = x, g, 1.0, 1
         else:
-            lo = mid
-    return best
+            w_hi *= 0.5 if moved < 0 else 1.0
+            lo, g_lo, w_lo, moved = x, g, 1.0, -1
+    return lo if -g_lo <= g_hi else hi
 
 
 def modulate(phi_obs_j, theta_obs, omega_m: float, config: ModulatorConfig,
@@ -258,9 +257,9 @@ def modulate(phi_obs_j, theta_obs, omega_m: float, config: ModulatorConfig,
     e = wrap(phi_j - theta), so a leading oscillator slows down. The
     optional error correction and feedforward modes are described in
     the module docstring; the clamp always applies to the command.
-    pair_obs, an optional (cos, sin) observation of a leg from the
-    opposite diagonal pair, sharpens the feedforward rollout model
-    through double-support windows and is ignored otherwise.
+    pair_obs, a (cos, sin) observation of a leg from the opposite
+    diagonal pair, feeds the feedforward rollout model; feedforward
+    without it raises InputError, and the raw and footfall laws ignore it.
     """
     band = (TWO_PI * FREQ_BAND_HZ[0], TWO_PI * FREQ_BAND_HZ[1])
     if not (band[0] < omega_m <= band[1]):
@@ -285,13 +284,9 @@ def modulate(phi_obs_j, theta_obs, omega_m: float, config: ModulatorConfig,
     if delta_max is None:
         delta_max = min(0.5 * omega_m, math.pi)
     if config.feedforward:
-        phi_pair = None
-        if pair_obs is not None:
-            oc, os_ = _check_unit("pair_obs", pair_obs)
-            phi_pair = math.atan2(os_, oc) % TWO_PI
-        delta = feedforward_command(phi_j, theta, omega_m, config.gain_k,
-                                    delta_max, rate_hz=config.rate_hz,
-                                    phi_pair=phi_pair)
+        oc, os_ = _check_unit("pair_obs", pair_obs)
+        delta = feedforward_command(phi_j, math.atan2(os_, oc) % TWO_PI, theta, omega_m,
+                                    config.gain_k, delta_max, rate_hz=config.rate_hz)
     else:
         delta = -config.gain_k * e
     delta = float(np.clip(delta, -delta_max, delta_max))

@@ -119,6 +119,19 @@ class TestExitCodes:
         assert "RuntimeWarning" not in err
         assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
+    def test_overflowing_spread_code(self, tmp_path, capsys):
+        # finite commands near the float maximum overflow their spread omega_std
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("rhythm-sync", "--gain-k", "1e308", "--delta-max", "1e308",
+                           "--error-mode", "raw", "--feedforward", "--duration", "8",
+                           "--out", str(tmp_path))
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "diverged: graded metrics not finite" in err
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert not (tmp_path / "report.json").exists()
+
     def test_curriculum_failure_code(self, tmp_path, capsys, monkeypatch):
         def boom(cfg):
             raise CurriculumError("rho=1 loop failed frequency tracking")

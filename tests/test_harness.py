@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from array import array
 
 import numpy as np
@@ -380,6 +381,17 @@ class TestRhythmSync:
                              error_mode="raw", gain_k=1e308, delta_max=math.inf)
         with pytest.raises(IntegrationDivergedError, match="rhythm_sync diverged"):
             run_rhythm_sync(cfg)
+
+    def test_overflowing_command_spread_raises(self):
+        # commands near the float maximum stay finite, and so do the
+        # phases, but their spread omega_std overflows
+        cfg = ScenarioConfig(mode="rhythm_sync", synth_bpm=120.0, duration=8.0,
+                             error_mode="raw", feedforward=True, gain_k=1e308,
+                             delta_max=1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(IntegrationDivergedError, match="graded metrics not finite"):
+                run_rhythm_sync(cfg)
 
     def test_clip_shorter_than_run(self, tmp_path):
         wav = tmp_path / "clicks.wav"

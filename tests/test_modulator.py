@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from beatgait import modulator
 from beatgait.errors import InputError, TempoRangeError
+from beatgait.harness import ScenarioConfig, run_rhythm_sync
 from beatgait.modulator import (
     MODULATOR_RATE_HZ,
+    SOLVE_STEPS,
     STANCE_SIGMA,
     TROT_G,
     ModulatorConfig,
@@ -188,27 +191,61 @@ class TestRollout:
     OMEGA = TWO_PI * 2.0
 
     def test_swing_is_pure_ramp(self):
-        # no stance feedback below pi: advance is exactly rate * horizon
-        out = rollout_phase(0.5, self.OMEGA, 0.02)
+        # both pairs in swing carry no load: advance is exactly rate * horizon
+        out = rollout_phase(0.5, 0.5, self.OMEGA, 0.02)
         assert out == pytest.approx((0.5 + self.OMEGA * 0.02) % TWO_PI, abs=1e-12)
 
     def test_stance_slows_single(self):
-        # late stance (cos > 0) with G = 0.5 retards the phase
-        phi = 1.8 * math.pi
-        out = rollout_phase(phi, self.OMEGA, 0.05)
-        ramp = (phi + self.OMEGA * 0.05) % TWO_PI
+        # a lone stance leg (pair in swing) carries G = 0.5 exactly; in
+        # late stance (cos > 0) that retards the phase
+        phi, h = 1.7 * math.pi, 0.05
+        out = rollout_phase(phi, 0.3 * math.pi, self.OMEGA, h)
+        ramp = (phi + self.OMEGA * h) % TWO_PI
         assert wrap_signed(out - ramp) < 0
+        # the ideal-trot model: G = 0.5 through the whole stance
+        ideal = phi
+        for _ in range(50):
+            ideal = (ideal + 1e-3 * (self.OMEGA - STANCE_SIGMA * TROT_G * math.cos(ideal))) % TWO_PI
+        assert out == ideal
 
     def test_pair_rollout_shares_load(self):
         phi = 1.2 * math.pi
-        solo = rollout_phase(phi, self.OMEGA, 0.05)
-        paired = rollout_phase(phi, self.OMEGA, 0.05, phi_pair=phi)
-        # equal-phase pair halves each leg's share relative to TROT_G
-        assert solo != pytest.approx(paired, abs=1e-6)
+        lone = rollout_phase(phi, phi - math.pi, self.OMEGA, 0.05)
+        shared = rollout_phase(phi, phi, self.OMEGA, 0.05)
+        # an equal-phase pair halves each leg's share relative to TROT_G
+        assert lone != pytest.approx(shared, abs=1e-6)
 
     def test_wobble_amplitude(self):
         assert wobble_amplitude(self.OMEGA) == pytest.approx(
             STANCE_SIGMA * TROT_G / self.OMEGA)
+
+
+def bisect_command(phi, pair, theta, omega_m, gain_k, delta_max):
+    """The feedforward solve as 40 bisection steps: (delta, saturated)."""
+    h = 1.0 / MODULATOR_RATE_HZ
+    e = wrap_signed(phi - theta)
+    target = (theta + omega_m * h + e * (1.0 - gain_k * h)) % TWO_PI
+
+    def gap(delta):
+        return wrap_signed(rollout_phase(phi, pair, omega_m + delta, h) - target)
+
+    lo, hi = -delta_max, delta_max
+    g_lo, g_hi = gap(lo), gap(hi)
+    if g_lo >= 0.0:
+        return lo, True
+    if g_hi <= 0.0:
+        return hi, True
+    best, best_gap = (lo, -g_lo) if -g_lo <= g_hi else (hi, g_hi)
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        g = gap(mid)
+        if abs(g) < best_gap:
+            best, best_gap = mid, abs(g)
+        if g >= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return best, False
 
 
 class TestFeedforward:
@@ -221,17 +258,86 @@ class TestFeedforward:
     def test_hits_proportional_target(self):
         h = 1.0 / MODULATOR_RATE_HZ
         for phi in (0.3, 1.0, 2.5, 4.0, 5.5):
-            theta = phi - 0.15
-            delta = feedforward_command(phi, theta, self.OMEGA, 2.0,
+            theta, pair = phi - 0.15, (phi + math.pi) % TWO_PI
+            delta = feedforward_command(phi, pair, theta, self.OMEGA, 2.0,
                                         0.5 * self.OMEGA)
-            landed = rollout_phase(phi, self.OMEGA + delta, h)
+            landed = rollout_phase(phi, pair, self.OMEGA + delta, h)
             target = self.p_target(phi, theta, 2.0, h)
-            # solver resolves to within one feedback hold quantum
-            assert abs(wrap_signed(landed - target)) <= 0.04
+            assert abs(wrap_signed(landed - target)) <= 1e-9
 
     def test_saturates(self):
-        delta = feedforward_command(0.0, math.pi - 0.2, self.OMEGA, 4.0, 1.0)
-        assert abs(delta) == pytest.approx(1.0)
+        # lagging theta by pi - 0.2 asks for more speed-up than the clamp allows
+        delta = feedforward_command(0.0, math.pi, math.pi - 0.2, self.OMEGA, 4.0, 1.0)
+        assert delta == 1.0
+
+    # below delta_max = 0.25 the rollout's rounding noise (about 1e-15 rad
+    # of gap) outgrows the gap change over one stopping width, and the
+    # last digits of either solve are noise
+    @given(angles, angles, st.floats(min_value=-1.0, max_value=1.0),
+           st.floats(min_value=0.0, max_value=40.0, exclude_min=True, exclude_max=True),
+           st.floats(min_value=0.25, max_value=TWO_PI))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_bisection(self, phi, pair, error, gain_k, delta_max):
+        # phase errors up to 1 rad mix solves inside the clamp range with
+        # saturated ones
+        theta = (phi - error) % TWO_PI
+        ref, saturated = bisect_command(phi, pair, theta, self.OMEGA, gain_k, delta_max)
+        got = feedforward_command(phi, pair, theta, self.OMEGA, gain_k, delta_max)
+        if saturated:
+            assert got == ref
+        else:
+            # the bisection's own resolution is 2 * delta_max * 2**-40
+            assert abs(got - ref) <= 4 * 2 * delta_max * 2.0 ** -SOLVE_STEPS
+
+    def test_rollouts_per_solve(self, monkeypatch):
+        counts = []
+        rollout, solve = modulator.rollout_phase, modulator.feedforward_command
+
+        def counted_rollout(*args, **kwargs):
+            counts[-1] += 1
+            return rollout(*args, **kwargs)
+
+        def counted_solve(*args, **kwargs):
+            counts.append(0)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(modulator, "rollout_phase", counted_rollout)
+        monkeypatch.setattr(modulator, "feedforward_command", counted_solve)
+        run_rhythm_sync(ScenarioConfig(mode="rhythm_sync", synth_bpm=120.0, duration=30.0,
+                                       error_mode="raw", feedforward=True))
+        assert len(counts) == 600
+        assert sum(counts) / len(counts) <= 10
+        assert max(counts) <= 2 + SOLVE_STEPS == 42
+
+    def solve_on(self, monkeypatch, end_offset):
+        """Solve on a synthetic model whose gap is end_offset(delta); (delta, rollouts)."""
+        calls = []
+
+        def rollout(phi, pair, rate, horizon_s):
+            calls.append(rate)
+            return (self.OMEGA * horizon_s + end_offset(rate - self.OMEGA)) % TWO_PI
+
+        monkeypatch.setattr(modulator, "rollout_phase", rollout)
+        # theta = phi: zero phase error, so the target is the plain ramp
+        return feedforward_command(0.0, math.pi, 0.0, self.OMEGA, 2.0, math.pi), len(calls)
+
+    def test_curved_gap_converges_fast(self, monkeypatch):
+        # a convex gap holds one end of a plain regula falsi for many
+        # steps; the Illinois weights release it
+        a = 2.5 / (math.exp(0.2 * math.pi) - math.exp(0.1))
+        delta, rollouts = self.solve_on(
+            monkeypatch, lambda d: a * (math.exp(0.2 * d) - math.exp(0.1)))
+        assert abs(delta - 0.5) <= 2 * math.pi * 2.0 ** -SOLVE_STEPS
+        assert rollouts <= 12
+
+    def test_jump_is_bisected(self, monkeypatch):
+        # the gap jumps over zero at 0.3: no secant step lands near it,
+        # so the solve bisects down to the jump and keeps the end below
+        # it, whose gap is the smaller one
+        delta, rollouts = self.solve_on(
+            monkeypatch, lambda d: 0.05 * (d - 0.3) + (0.01 if d >= 0.3 else -0.003))
+        assert 0.3 - 2 * math.pi * 2.0 ** -SOLVE_STEPS <= delta < 0.3
+        assert rollouts <= 2 + SOLVE_STEPS
 
     def test_feedforward_via_modulate(self):
         cfg = ModulatorConfig(gain_k=2.0, feedforward=True)
@@ -240,3 +346,8 @@ class TestFeedforward:
                        pair_obs=unit(phi + math.pi))
         assert abs(cmd.delta_omega) <= 0.5 * self.OMEGA
         assert cmd.phase_error == pytest.approx(wrap_signed(phi - theta), abs=1e-9)
+
+    def test_feedforward_needs_pair(self):
+        cfg = ModulatorConfig(feedforward=True)
+        with pytest.raises(InputError, match="pair_obs"):
+            modulate(unit(2.0), unit(1.9), self.OMEGA, cfg)
