@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import FormatError, InputError, InsufficientDataError, NoTempoError, TempoRangeError
 from .oscillator import FOOTFALL_PHASE, FREQ_BAND_HZ, TWO_PI, wrap_phase
@@ -29,6 +30,8 @@ FRAME_RATE_HZ = 100.0
 #: Spectral-flux analysis window and hop in samples (50% overlap).
 ANALYSIS_WINDOW = 1024
 ANALYSIS_HOP = 512
+#: Frames per rfft block of onset_envelope; bounds its working memory.
+FLUX_BLOCK_FRAMES = 256
 
 TEMPO_RANGE_BPM = (60.0, 200.0)
 
@@ -152,19 +155,26 @@ def onset_envelope(clip: AudioClip) -> OnsetEnvelope:
 
     Frames are centered (the signal is left-padded by half a window), so
     a click's flux peak lands on the frame nearest the click itself
-    rather than half a window late.
+    rather than half a window late. The frames are strided views of the
+    padded signal, transformed FLUX_BLOCK_FRAMES at a time with the last
+    magnitude row of a block carried into the next, so working memory
+    beyond the padded copy stays bounded whatever the clip's length.
     """
     x = clip.samples
     if x.size == 0:
         raise InputError("empty clip")
     pad = ANALYSIS_WINDOW // 2
     x = np.concatenate([np.zeros(pad), x, np.zeros(ANALYSIS_WINDOW)])
-    n_frames = 1 + (x.size - ANALYSIS_WINDOW) // ANALYSIS_HOP
+    frames = sliding_window_view(x, ANALYSIS_WINDOW)[::ANALYSIS_HOP]
+    n_frames = frames.shape[0]
     window = np.hanning(ANALYSIS_WINDOW + 1)[:-1]
-    idx = np.arange(ANALYSIS_WINDOW)[None, :] + ANALYSIS_HOP * np.arange(n_frames)[:, None]
-    mags = np.abs(np.fft.rfft(x[idx] * window, axis=1))
-    prev = np.vstack([np.zeros(mags.shape[1]), mags[:-1]])
-    flux = np.maximum(mags - prev, 0.0).sum(axis=1)
+    flux = np.empty(n_frames)
+    prev = np.zeros((1, ANALYSIS_WINDOW // 2 + 1))
+    for i in range(0, n_frames, FLUX_BLOCK_FRAMES):
+        mags = np.abs(np.fft.rfft(frames[i : i + FLUX_BLOCK_FRAMES] * window, axis=1))
+        rise = np.maximum(np.diff(mags, axis=0, prepend=prev), 0.0)
+        flux[i : i + mags.shape[0]] = rise.sum(axis=1)
+        prev = mags[-1:]
     native_t = np.arange(n_frames) * (ANALYSIS_HOP / clip.sample_rate)
     out_n = int(math.floor(native_t[-1] * FRAME_RATE_HZ)) + 1
     out_t = np.arange(out_n) / FRAME_RATE_HZ
@@ -194,17 +204,19 @@ class BeatGrid:
         object.__setattr__(self, "beat_times", bt)
 
 
-def _autocorr_norm(x: np.ndarray) -> np.ndarray:
-    """Autocorrelation divided by overlap length, so periodic peaks tie."""
+def _autocorr_norm(x: np.ndarray, n_lags: int) -> np.ndarray:
+    """Autocorrelation at lags 0..n_lags-1 (fewer for a shorter x), divided
+    by overlap length so periodic peaks tie. One dot product per lag makes
+    it O(n * n_lags), not the O(n^2) of a full correlation."""
     n = x.size
-    r = np.correlate(x, x, mode="full")[n - 1 :]
-    return r / (n - np.arange(n))
+    return np.array([np.dot(x[: n - k], x[k:]) / (n - k) for k in range(min(n_lags, n))])
 
 
 def estimate_tempo(env: OnsetEnvelope) -> tuple[float, float]:
     """Tempo in BPM from envelope autocorrelation, with a confidence score.
 
-    Searches lags for 60-200 BPM over the whole envelope, picks the
+    Correlates the whole envelope at the lags for 60-200 BPM only (plus
+    lag 0 and one neighbour each side for the interpolation), picks the
     shortest lag among near-maximal peaks so subharmonics do not halve
     the tempo, and parabolic-interpolates the peak to sub-frame
     resolution. Raises NoTempoError on a flat envelope and
@@ -219,7 +231,7 @@ def estimate_tempo(env: OnsetEnvelope) -> tuple[float, float]:
     lag_max = int(round(env.frame_rate * 60.0 / TEMPO_RANGE_BPM[0]))
     if v.size <= lag_min + 1:
         raise InsufficientDataError("envelope shorter than the minimum tempo lag")
-    r = _autocorr_norm(x)
+    r = _autocorr_norm(x, lag_max + 2)
     hi = min(lag_max, r.size - 2)
     lags = np.arange(lag_min, hi + 1)
     seg = r[lag_min : hi + 1]
@@ -237,7 +249,7 @@ def estimate_tempo(env: OnsetEnvelope) -> tuple[float, float]:
     best = int(peaks.min())
     y1, y2, y3 = r[best - 1], r[best], r[best + 1]
     denom = y1 - 2.0 * y2 + y3
-    shift = 0.0 if denom == 0 else float(np.clip(0.5 * (y1 - y3) / denom, -0.5, 0.5))
+    shift = 0.0 if denom == 0 else min(max(0.5 * (y1 - y3) / denom, -0.5), 0.5)
     lag = best + shift
     bpm = 60.0 * env.frame_rate / lag
     if v.size / env.frame_rate < 4.0 * 60.0 / bpm:
@@ -292,13 +304,13 @@ def detect_beats(env: OnsetEnvelope, tempo_bpm: float) -> BeatGrid:
             seg = v[lo:hi]
             hit = bool(seg.size) and seg.max() > 0
             if hit:
-                p = lo + int(np.argmax(seg))
+                p = lo + int(seg.argmax())
                 frame = float(p)
                 if 0 < p < n - 1:
                     y1, y2, y3 = v[p - 1], v[p], v[p + 1]
                     denom = y1 - 2.0 * y2 + y3
                     if denom != 0:
-                        frame += float(np.clip(0.5 * (y1 - y3) / denom, -0.5, 0.5))
+                        frame += float(min(max(0.5 * (y1 - y3) / denom, -0.5), 0.5))
             elif 0 <= center:
                 frame = pos  # in-window dropout: keep the comb position
             else:
@@ -348,7 +360,8 @@ def smooth_beats(grid: BeatGrid, frame_rate: float, n_frames: int) -> np.ndarray
     """Smoothed beat curve B(t): unit impulses at beat frames, Gaussian blurred.
 
     Kernel sigma is 3 frames with truncated support of 15 frames, and the
-    kernel peak is 1 so B equals 1.0 exactly at beat frames.
+    kernel peak is 1 so B equals 1.0 exactly at beat frames. The output
+    has n_frames samples, also when n_frames is shorter than the kernel.
     """
     b = np.zeros(max(0, n_frames))
     if b.size == 0:
@@ -358,7 +371,7 @@ def smooth_beats(grid: BeatGrid, frame_rate: float, n_frames: int) -> np.ndarray
     b[frames] = 1.0
     k = np.arange(-KERNEL_HALF, KERNEL_HALF + 1)
     kernel = np.exp(-(k.astype(float) ** 2) / (2.0 * KERNEL_SIGMA**2))
-    return np.convolve(b, kernel, mode="same")
+    return np.convolve(b, kernel)[KERNEL_HALF : KERNEL_HALF + b.size]
 
 
 def interpolate_phase(grid: BeatGrid, t):

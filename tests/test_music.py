@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,9 +12,15 @@ from beatgait.errors import (
     TempoRangeError,
 )
 from beatgait.music import (
+    ANALYSIS_HOP,
+    ANALYSIS_WINDOW,
+    FLUX_BLOCK_FRAMES,
+    FRAME_RATE_HZ,
+    TEMPO_RANGE_BPM,
     AudioClip,
     BeatGrid,
     OnsetEnvelope,
+    _autocorr_norm,
     analyze_clip,
     detect_beats,
     estimate_tempo,
@@ -86,6 +93,75 @@ class TestEnvelope:
     def test_envelope_nonnegative(self):
         env = onset_envelope(synth_click_track(90.0, 3.0))
         assert np.all(env.values >= 0)
+
+
+def _envelope_reference(clip):
+    """The whole-clip formula: every frame, its spectrum and the flux at once."""
+    x = np.concatenate([np.zeros(ANALYSIS_WINDOW // 2), clip.samples, np.zeros(ANALYSIS_WINDOW)])
+    n_frames = 1 + (x.size - ANALYSIS_WINDOW) // ANALYSIS_HOP
+    window = np.hanning(ANALYSIS_WINDOW + 1)[:-1]
+    idx = np.arange(ANALYSIS_WINDOW)[None, :] + ANALYSIS_HOP * np.arange(n_frames)[:, None]
+    mags = np.abs(np.fft.rfft(x[idx] * window, axis=1))
+    prev = np.vstack([np.zeros(mags.shape[1]), mags[:-1]])
+    flux = np.maximum(mags - prev, 0.0).sum(axis=1)
+    native_t = np.arange(n_frames) * (ANALYSIS_HOP / clip.sample_rate)
+    out_n = int(math.floor(native_t[-1] * FRAME_RATE_HZ)) + 1
+    return np.interp(np.arange(out_n) / FRAME_RATE_HZ, native_t, flux)
+
+
+class TestBlockwiseEnvelope:
+    # a clip of n samples has 2 + n // ANALYSIS_HOP frames (the padding
+    # adds two), so 2 is the fewest a non-empty clip can have
+    @pytest.mark.parametrize("n_frames", [2, FLUX_BLOCK_FRAMES - 1, FLUX_BLOCK_FRAMES,
+                                          FLUX_BLOCK_FRAMES + 1, 3 * FLUX_BLOCK_FRAMES + 5])
+    def test_matches_whole_clip_formula(self, n_frames):
+        rng = np.random.default_rng(n_frames)
+        n = (n_frames - 2) * ANALYSIS_HOP + int(rng.integers(1, ANALYSIS_HOP))
+        x = rng.normal(0.0, 0.01, n)
+        x[:: 8000] += 0.6  # clicks at 2 Hz
+        clip = AudioClip(samples=x, sample_rate=16000)
+        env = onset_envelope(clip)
+        assert np.array_equal(env.values, _envelope_reference(clip))
+
+    def test_memory_bounded(self):
+        clip = synth_click_track(120.0, 60.0, sample_rate=22050)
+        tracemalloc.start()
+        try:
+            onset_envelope(clip)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one padded copy of the clip plus one block's arrays
+        assert peak < 3 * clip.samples.nbytes
+
+
+#: The tempo lags at 100 Hz; estimate_tempo reads lags 0..LAG_MAX + 1.
+LAG_MIN = int(round(FRAME_RATE_HZ * 60.0 / TEMPO_RANGE_BPM[1]))
+LAG_MAX = int(round(FRAME_RATE_HZ * 60.0 / TEMPO_RANGE_BPM[0]))
+
+
+class TestAutocorr:
+    # estimate_tempo correlates only envelopes longer than LAG_MIN + 1;
+    # the sizes straddle both that floor and the LAG_MAX + 2 lags read
+    @pytest.mark.parametrize("n", [LAG_MIN + 2, LAG_MIN + 3, 60, LAG_MAX + 1, LAG_MAX + 2,
+                                   LAG_MAX + 3, 500, 3000])
+    def test_matches_full_correlation(self, n):
+        x = np.random.default_rng(n).normal(size=n)
+        n_lags = LAG_MAX + 2
+        r = _autocorr_norm(x, n_lags)
+        full = np.correlate(x, x, "full")[n - 1:] / (n - np.arange(n))
+        assert r.size == min(n_lags, n)
+        assert np.array_equal(r, full[: r.size])
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_vectors_shorter_than_the_lags(self, n):
+        # np.correlate sums the full overlap of vectors of at most 8
+        # samples in another order, so lag 0 may differ in the last bit
+        x = np.random.default_rng(n).normal(size=n)
+        r = _autocorr_norm(x, LAG_MAX + 2)
+        full = np.correlate(x, x, "full")[n - 1:] / (n - np.arange(n))
+        assert r.size == n
+        np.testing.assert_allclose(r, full, rtol=1e-15, atol=1e-15)
 
 
 class TestTempo:
@@ -192,6 +268,21 @@ class TestSmoothedBeats:
         b = smooth_beats(g, 100.0, 300)
         assert b[103] == pytest.approx(math.exp(-9 / 18))
         assert b[100 + 8] == 0.0  # outside the truncated kernel
+
+    @pytest.mark.parametrize("n_frames", [0, 1, 5, 14, 15, 16])
+    def test_length_is_n_frames(self, n_frames):
+        g = BeatGrid(beat_times=np.array([0.02]), tempo_bpm=120.0)
+        b = smooth_beats(g, 100.0, n_frames)
+        assert b.size == n_frames
+        # the kernel centred on the beat at frame 2, if the curve reaches it
+        i = np.arange(n_frames)
+        expect = np.exp(-((i - 2.0) ** 2) / 18.0) * (np.abs(i - 2) <= 7) * (n_frames > 2)
+        np.testing.assert_allclose(b, expect, rtol=0, atol=1e-15)
+        if n_frames >= 15:
+            # from the kernel's length on, numpy's "same" mode, bit for bit
+            imp = (i == 2).astype(float)
+            kernel = np.exp(-(np.arange(-7, 8) ** 2) / 18.0)
+            assert np.array_equal(b, np.convolve(imp, kernel, mode="same"))
 
 
 class TestFolding:
