@@ -29,7 +29,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .errors import BeatGaitError
 from .harness import (
@@ -43,33 +43,12 @@ from .harness import (
 from .modulator import ERROR_MODES
 from .music import analyze_clip, load_wav, save_wav, synth_click_track
 
-# flag destination -> ScenarioConfig field, applied only when the flag
-# was actually given (None means "keep the config/default value")
-_SCENARIO_FIELDS = {
-    "seed": "seed",
-    "out": "outdir",
-    "duration": "duration",
-    "f_cmd": "f_cmd",
-    "v_cmd": "v_cmd",
-    "bpm": "synth_bpm",
-    "audio": "audio_path",
-    "reward": "reward",
-    "gain_k": "gain_k",
-    "error_mode": "error_mode",
-    "feedforward": "feedforward",
-    "delta_max": "delta_max",
-    "perturb_rad": "perturb_rad",
-    "iterations": "iterations",
-    "estimator_mode": "estimator_mode",
-    "warmup": "warmup_s",
-}
-
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--config", metavar="JSON",
                     help="scenario config file; explicit flags override it")
     sp.add_argument("--seed", type=int, help="run seed (default 0)")
-    sp.add_argument("--out", metavar="DIR",
+    sp.add_argument("--out", dest="outdir", metavar="DIR",
                     help="artifact directory (default out/<mode>)")
     sp.add_argument("--duration", type=float, metavar="S",
                     help="simulated duration in seconds")
@@ -94,9 +73,9 @@ def build_parser() -> argparse.ArgumentParser:
         "rhythm-sync",
         help="lock the gait to the beat of a clip or synthetic click track")
     _add_common(rs)
-    rs.add_argument("--audio", metavar="WAV",
+    rs.add_argument("--audio", dest="audio_path", metavar="WAV",
                     help="input clip; omit to synthesize a click track")
-    rs.add_argument("--bpm", type=float,
+    rs.add_argument("--bpm", type=float, dest="synth_bpm", metavar="BPM",
                     help="click track tempo when no --audio is given")
     rs.add_argument("--reward", choices=REWARD_VARIANTS,
                     help="headline reward variant for the report")
@@ -107,10 +86,10 @@ def build_parser() -> argparse.ArgumentParser:
     rs.add_argument("--feedforward", action="store_true", default=None,
                     help="enable the one-tick feedforward solve")
     rs.add_argument("--delta-max", type=float, dest="delta_max", metavar="RAD_S",
-                    help="command clamp (default 0.5*omega_m)")
+                    help="command clamp (default min(0.5*omega_m, pi))")
     rs.add_argument("--perturb-rad", type=float, dest="perturb_rad", metavar="RAD",
                     help="random initial phase offset amplitude")
-    rs.add_argument("--warmup", type=float, metavar="S",
+    rs.add_argument("--warmup", type=float, dest="warmup_s", metavar="S",
                     help="settling window excluded from metrics (default 5)")
 
     cu = sub.add_parser(
@@ -139,8 +118,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _scenario_config(args: argparse.Namespace, mode: str) -> ScenarioConfig:
-    flags = {field: getattr(args, attr) for attr, field in _SCENARIO_FIELDS.items()
-             if getattr(args, attr, None) is not None}
+    # scenario flags are named after their ScenarioConfig fields; None
+    # means the flag was not given, so the config/default value stays
+    names = {f.name for f in fields(ScenarioConfig)}
+    flags = {k: v for k, v in vars(args).items() if k in names and v is not None}
     if args.config is None:
         cfg = ScenarioConfig(mode=mode, **flags)
     else:
@@ -156,7 +137,7 @@ def _cmd_freq_track(args: argparse.Namespace) -> int:
     print(f"f_cmd={report['f_cmd_hz']:g} Hz  "
           f"freq_dev_mean={metrics.freq_dev_mean:.6f} Hz  "
           f"freq_dev_var={metrics.freq_dev_var:.6f} Hz^2")
-    print(f"artifacts: {cfg.resolve().outdir}")
+    print(f"artifacts: {cfg.outdir}")
     return 0
 
 
@@ -171,7 +152,7 @@ def _cmd_rhythm_sync(args: argparse.Namespace) -> int:
           f"omega_std={metrics.omega_std:.4f} rad/s  "
           f"reward[{report['reward_variant']}]="
           f"{report['reward_means_post_warmup'][report['reward_variant']]:.4f}")
-    print(f"artifacts: {cfg.resolve().outdir}")
+    print(f"artifacts: {cfg.outdir}")
     return 0
 
 
@@ -185,7 +166,7 @@ def _cmd_curriculum(args: argparse.Namespace) -> int:
         print(f"iterations={report['iterations']}  "
               f"final_mse={report['final_mse']:.3e}  "
               f"rank_deficient={report['rank_deficient']}")
-    print(f"artifacts: {cfg.resolve().outdir}")
+    print(f"artifacts: {cfg.outdir}")
     return 0
 
 

@@ -10,13 +10,13 @@ exactly linear in these features, so the fit is exact up to rounding.
 Training data arrive as one batch: EstimatorInput holds (n, 4) arrays
 of indicators and stance weights, validated once when it is built, and
 fit builds the whole feature matrix in one step. predict and mix are
-the closed loop's per-sample calls. They compute on plain floats, and
-mix returns the one array the oscillators then hold.
+the closed loop's per-sample calls. They compute on plain floats and
+return lists, and mix's list is what the oscillators then hold.
 
 The curriculum blends simulated and predicted loads into the feedback
-path with a weight rho that grows from 0 to 1 across training
-iterations, so the oscillators gradually switch from ground truth to
-the estimator. Runs without any fitted model can hold the constant
+path with a weight rho = iteration/N that grows from 0 to 1 across
+the N training iterations, so the oscillators gradually switch from
+ground truth to the estimator. Runs without any fitted model can hold the constant
 FALLBACK_G = 0.25 (a quarter of body weight per leg) instead.
 """
 
@@ -69,29 +69,6 @@ class EstimatorInput:
 
     def __len__(self) -> int:
         return self.contact_indicators.shape[0]
-
-
-@dataclass(frozen=True)
-class CurriculumState:
-    """Position in the training curriculum: rho = iteration / total."""
-
-    iteration: int
-    total: int
-    rho: float
-
-    def __post_init__(self):
-        if self.total <= 0 or not (0 <= self.iteration <= self.total):
-            raise InputError(
-                f"need 0 <= iteration <= total, got {self.iteration}/{self.total}"
-            )
-        if abs(self.rho - self.iteration / self.total) > 1e-12:
-            raise InputError("rho must equal iteration/total")
-
-    @classmethod
-    def at(cls, iteration: int, total: int) -> "CurriculumState":
-        if total <= 0:
-            raise InputError(f"total must be positive, got {total}")
-        return cls(iteration=iteration, total=total, rho=iteration / total)
 
 
 @dataclass(frozen=True)
@@ -163,10 +140,9 @@ def _four(name: str, values):
     return values
 
 
-def mix(g_sim, g_pred, curriculum: CurriculumState) -> np.ndarray:
+def mix(g_sim, g_pred, rho: float) -> list[float]:
     """Curriculum blend min((1 - rho) * G_sim + rho * G_pred, 1)."""
     a = _four("g_sim", g_sim)
     b = _four("g_pred", g_pred)
-    rho = curriculum.rho
     blend = [(1.0 - rho) * x + rho * y for x, y in zip(a, b)]
-    return np.array([1.0 if v > 1.0 else v for v in blend])
+    return [1.0 if v > 1.0 else v for v in blend]

@@ -42,7 +42,8 @@ from .metrics import SyncReport, beat_alignment, frequency_deviation, frequency_
     relative_phase_differences
 from .modulator import ModulatorConfig, modulate, reward_phase, reward_r1, reward_r2, \
     reward_rhythm
-from .music import analyze_clip, fold_tempo, interpolate_phase, load_wav, synth_click_track
+from .music import FRAME_RATE_HZ, analyze_clip, fold_tempo, interpolate_phase, load_wav, \
+    synth_click_track
 from .oscillator import LEG_ORDER, TWO_PI, make_bank, param_arrays, select_params, \
     step_phases, wrap_phase
 from .plant import GrfTimeline, PlantConfig, contact_onsets, grf_from_phases, \
@@ -56,6 +57,9 @@ ESTIMATOR_MODES = ("learned", "fallback")
 
 #: Nominal command sweep of the frequency-tracking experiment, Hz.
 FREQ_TRACK_COMMANDS = (1.5, 2.0, 2.5, 3.0, 3.5, 4.0)
+
+#: Largest integer a JSON number carries exactly (RFC 8259, section 6).
+MAX_JSON_INT = 2**53 - 1
 
 #: Acceptance bounds every frequency-tracking run is graded against.
 FREQ_DEV_MEAN_BOUND_HZ = 0.05
@@ -78,14 +82,20 @@ class ScenarioConfig:
     2.0 Hz where used, and a rhythm_sync run with neither audio_path
     nor synth_bpm synthesizes 120 BPM clicks.
 
-    error_mode/feedforward/gain_k select the modulator variant for
-    rhythm_sync; perturb_rad draws a uniform initial-phase kick from
-    the run's seeded generator; iterations and estimator_mode shape
-    the curriculum.
+    error_mode/feedforward/gain_k/delta_max select the modulator
+    variant for rhythm_sync, and target_leg the leg whose footfalls it
+    locks to the beat; perturb_rad draws a uniform initial-phase kick
+    from the run's seeded generator; iterations and estimator_mode
+    shape the curriculum.
 
-    v_cmd, f_cmd, duration, warmup_s, gain_k and perturb_rad must be
-    finite numbers, seed, iterations, target_leg and the rates integers
-    (not bools) and feedforward a bool; anything else raises InputError.
+    v_cmd, f_cmd, duration, warmup_s, gain_k, delta_max, synth_bpm and
+    perturb_rad must be finite numbers (bools excluded), seed,
+    iterations, target_leg and the rates integers (not bools),
+    feedforward a bool, and audio_path and outdir strings; f_cmd,
+    duration, delta_max, synth_bpm, audio_path, outdir and
+    rate_plant_hz may also be None. Anything else raises InputError.
+    error_mode, delta_max's sign and synth_bpm's range are checked
+    when a rhythm_sync run builds its modulator and its clip.
     """
 
     mode: str
@@ -118,7 +128,8 @@ class ScenarioConfig:
         if self.estimator_mode not in ESTIMATOR_MODES:
             raise InputError(
                 f"estimator_mode must be one of {ESTIMATOR_MODES}, got {self.estimator_mode!r}")
-        # JSON configs can carry any type, NaN and Infinity; bool is an int
+        # JSON configs can carry any type, NaN and Infinity; bool is an int,
+        # and an integer beyond JSON's exact range need not convert to float
         for name in ("seed", "iterations", "target_leg", "rate_oscillator_hz",
                      "rate_plant_hz", "rate_modulator_hz"):
             value = getattr(self, name)
@@ -126,13 +137,20 @@ class ScenarioConfig:
                 continue
             if isinstance(value, bool) or not isinstance(value, int):
                 raise InputError(f"{name} must be an integer, got {value!r}")
-        for name in ("v_cmd", "f_cmd", "duration", "warmup_s", "gain_k", "perturb_rad"):
+            if abs(value) > MAX_JSON_INT:
+                raise InputError(f"{name} must be an integer within +-(2**53 - 1), got {value}")
+        for name in ("v_cmd", "f_cmd", "duration", "warmup_s", "gain_k", "delta_max",
+                     "synth_bpm", "perturb_rad"):
             value = getattr(self, name)
-            if value is None and name in ("f_cmd", "duration"):
+            if value is None and name in ("f_cmd", "duration", "delta_max", "synth_bpm"):
                 continue
             if (isinstance(value, bool) or not isinstance(value, (int, float))
                     or not math.isfinite(value)):
                 raise InputError(f"{name} must be a finite number, got {value!r}")
+        for name in ("audio_path", "outdir"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise InputError(f"{name} must be a string, got {value!r}")
         if not isinstance(self.feedforward, bool):
             raise InputError(f"feedforward must be true or false, got {self.feedforward!r}")
         if self.seed < 0:
@@ -143,8 +161,11 @@ class ScenarioConfig:
             raise InputError(f"warmup_s must be non-negative, got {self.warmup_s!r}")
         if self.target_leg not in (1, 2, 3, 4):
             raise InputError(f"target_leg must be 1..4, got {self.target_leg!r}")
-        if not (self.perturb_rad >= 0):
-            raise InputError(f"perturb_rad must be non-negative, got {self.perturb_rad!r}")
+        # the kick is drawn from [-perturb_rad, perturb_rad), a range that must be finite
+        if not (self.perturb_rad >= 0 and math.isfinite(2.0 * self.perturb_rad)):
+            raise InputError(
+                f"perturb_rad must be non-negative with a finite range 2*perturb_rad, "
+                f"got {self.perturb_rad!r}")
         if self.iterations < 1:
             raise InputError(f"iterations must be positive, got {self.iterations!r}")
 
@@ -169,6 +190,9 @@ class ScenarioConfig:
             raise InputError(
                 f"rates must divide evenly: oscillator {osc_hz} / plant {plant_hz} "
                 f"/ modulator {mod_hz}")
+        if not math.isfinite(out.duration * osc_hz):
+            raise InputError(
+                f"duration {out.duration!r} s at {osc_hz} Hz is more ticks than a float holds")
         return out
 
     def to_dict(self) -> dict:
@@ -195,9 +219,8 @@ class ScenarioConfig:
             raise InputError(f"cannot read config {path}: {exc}") from exc
         except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
             raise InputError(f"invalid JSON in config {path}: {exc}") from exc
-        if not isinstance(data, dict):
-            raise InputError(f"config must be a JSON object, got {type(data).__name__}")
-        return cls.from_dict({**data, **overrides})
+        # from_dict rejects anything but an object
+        return cls.from_dict({**data, **overrides} if isinstance(data, dict) else data)
 
 
 class RunLog:
@@ -348,8 +371,7 @@ def _simulate(cfg: ScenarioConfig, plant_cfg: PlantConfig, f_gait: float,
 
 
 def _timeline(plant_rows) -> GrfTimeline:
-    return GrfTimeline(t=plant_rows[:, 0], forces=plant_rows[:, 1:5],
-                       normalized=plant_rows[:, 5:9])
+    return GrfTimeline(t=plant_rows[:, 0], forces=plant_rows[:, 1:5])
 
 
 def _leg_stats(timeline: GrfTimeline, leg: int, f_cmd: float) -> dict:
@@ -373,7 +395,7 @@ def run_frequency_tracking(config: ScenarioConfig):
     command-range error the oscillator would.
     """
     cfg = config.resolve()
-    plant_cfg = PlantConfig(rate_hz=float(cfg.rate_plant_hz))
+    plant_cfg = PlantConfig()
     f_cmd = float(cfg.f_cmd)
     phases, osc_rows, plant_rows = _simulate(cfg, plant_cfg, f_cmd)
 
@@ -432,11 +454,10 @@ def run_rhythm_sync(config: ScenarioConfig):
     metrics that are not finite raise IntegrationDivergedError.
     """
     cfg = config.resolve()
-    plant_cfg = PlantConfig(rate_hz=float(cfg.rate_plant_hz))
+    plant_cfg = PlantConfig()
 
     analysis = analyze_clip(_resolve_clip(cfg))
-    frame_rate = analysis.envelope.frame_rate
-    n_frames = int(round(cfg.duration * frame_rate))
+    n_frames = int(round(cfg.duration * FRAME_RATE_HZ))
     if analysis.envelope.values.size < n_frames:
         raise InsufficientDataError(
             f"clip covers {analysis.envelope.values.size} envelope frames, the "
@@ -445,7 +466,7 @@ def run_rhythm_sync(config: ScenarioConfig):
     omega_m = TWO_PI * f_gait
 
     mod_cfg = ModulatorConfig(gain_k=cfg.gain_k, delta_max=cfg.delta_max,
-                              target_leg=cfg.target_leg, rate_hz=float(cfg.rate_modulator_hz),
+                              rate_hz=float(cfg.rate_modulator_hz),
                               error_mode=cfg.error_mode, feedforward=cfg.feedforward)
     leg = cfg.target_leg - 1
     pair_leg = 1 if leg in (0, 3) else 0  # one leg of the opposite diagonal
@@ -482,9 +503,9 @@ def run_rhythm_sync(config: ScenarioConfig):
     loads = plant_rows[::mod_every // plant_every, 5:9]
     music_beat = in_tick(beats, t_mod)
     kin_beat = in_tick(contact_onsets(timeline, leg), t)
-    frames = np.minimum(np.round(t * frame_rate).astype(int), analysis.smoothed.size - 1)
+    frames = np.minimum(np.round(t * FRAME_RATE_HZ).astype(int), analysis.smoothed.size - 1)
     reward_rows = np.array([
-        (t[i], reward_rhythm(_ring(phases[i, leg]), _ring(theta_mod[i]), mod_cfg.sigma_r),
+        (t[i], reward_rhythm(_ring(phases[i, leg]), _ring(theta_mod[i])),
          reward_r1(analysis.smoothed[frames[i]], phases[i, leg]),
          reward_r2(bool(music_beat[i]), bool(kin_beat[i])),
          reward_phase(loads[i], phases[i]))
@@ -508,7 +529,7 @@ def run_rhythm_sync(config: ScenarioConfig):
         omega_std=float(omega_std),
         rpd_matrix=relative_phase_differences(final_phases).tolist())
 
-    t_frames = np.arange(n_frames) / frame_rate
+    t_frames = np.arange(n_frames) / FRAME_RATE_HZ
     music_rows = np.column_stack([
         t_frames,
         analysis.envelope.values[:n_frames],
@@ -551,7 +572,7 @@ def run_rhythm_sync(config: ScenarioConfig):
     return runlog, report_metrics, report
 
 
-def _curriculum_load(plant_cfg: PlantConfig, rho_state, model, log=None):
+def _curriculum_load(rho: float, model, log=None):
     """Load map of one curriculum episode: simulated and predicted loads mixed by rho.
 
     The estimator sees each leg's contact flag and its share of the
@@ -564,14 +585,14 @@ def _curriculum_load(plant_cfg: PlantConfig, rho_state, model, log=None):
     ind_log, share_log, load_log = (None, None, None) if log is None else log
 
     def load(t, phases, i, g_sim):
-        shares = support_shares(stance_weight(phases, plant_cfg.weight_exponent))
+        shares = support_shares(stance_weight(phases))
         indicators = [1.0 if p >= math.pi else 0.0 for p in phases]
         if ind_log is not None:
             ind_log[i] = indicators
             share_log[i] = shares
             load_log[i] = g_sim
         g_pred = g_sim if model is None else est.predict((indicators, shares), model)
-        return est.mix(g_sim, g_pred, rho_state).tolist()
+        return est.mix(g_sim, g_pred, rho)
     return load
 
 
@@ -586,7 +607,7 @@ def run_estimator_curriculum(config: ScenarioConfig):
     the command.
     """
     cfg = config.resolve()
-    plant_cfg = PlantConfig(rate_hz=float(cfg.rate_plant_hz))
+    plant_cfg = PlantConfig()
     f_cmd = float(cfg.f_cmd)
 
     header = {"mode": cfg.mode, "seed": cfg.seed, "estimator_mode": cfg.estimator_mode,
@@ -613,23 +634,25 @@ def run_estimator_curriculum(config: ScenarioConfig):
     n_ticks, plant_every, _ = _tick_counts(cfg)
     per_episode = -(-n_ticks // plant_every)
     # indicators, shares and simulated loads of every plant update of every episode
-    data = np.empty((3, (n + 1) * per_episode, 4))
+    try:
+        data = np.empty((3, (n + 1) * per_episode, 4))
+    except (MemoryError, ValueError) as exc:  # numpy's "array is too big" is a ValueError
+        raise InputError(
+            f"{n} iterations of {per_episode} plant updates do not fit in memory") from exc
     model = None
     mse_rows = []
     for i in range(n + 1):
-        rho_state = est.CurriculumState.at(i, n)
+        rho = i / n
         start, end = i * per_episode, (i + 1) * per_episode
-        _simulate(cfg, plant_cfg, f_cmd, label=f"curriculum iteration {i} (rho={rho_state.rho})",
-                  load=_curriculum_load(plant_cfg, rho_state, model, data[:, start:end]),
-                  log_osc=False)
+        _simulate(cfg, plant_cfg, f_cmd, label=f"curriculum iteration {i} (rho={rho})",
+                  load=_curriculum_load(rho, model, data[:, start:end]), log_osc=False)
         model = est.fit(est.EstimatorInput(data[0, :end], data[1, :end]), data[2, :end])
-        mse_rows.append((float(i), rho_state.rho, model.mse))
+        mse_rows.append((float(i), rho, model.mse))
 
     eval_stats = {}
-    rho_one = est.CurriculumState.at(n, n)
     for f in FREQ_TRACK_COMMANDS:
         _, _, plant_rows = _simulate(cfg, plant_cfg, f, label=f"rho=1 evaluation at f_cmd={f}",
-                                     load=_curriculum_load(plant_cfg, rho_one, model),
+                                     load=_curriculum_load(1.0, model),
                                      log_osc=False)
         stats = _leg_stats(_timeline(plant_rows), 0, f)
         eval_stats[f"{f:.1f}"] = stats

@@ -58,13 +58,11 @@ SOLVE_STEPS = 40
 
 @dataclass(frozen=True)
 class ModulatorConfig:
-    """Modulator gains and target selection.
+    """Modulator gains and law selection.
 
     gain_k: proportional gain on the phase error, 1/s
     delta_max: clamp on |delta_omega| in rad/s; None resolves per call
         to min(0.5 * omega_m, pi)
-    target_leg: 1-based leg number whose footfall tracks the beat
-    sigma_r: scale inside the rhythm consistency reward
     rate_hz: command rate
     error_mode: "raw" uses phi_j - theta directly; "footfall" corrects
         the measured phase for the predicted within-cycle wobble
@@ -73,8 +71,6 @@ class ModulatorConfig:
 
     gain_k: float = 2.0
     delta_max: float | None = None
-    target_leg: int = 1
-    sigma_r: float = 1.0
     rate_hz: float = MODULATOR_RATE_HZ
     error_mode: str = "raw"
     feedforward: bool = False
@@ -84,10 +80,6 @@ class ModulatorConfig:
             raise InputError(f"gain_k must be positive, got {self.gain_k!r}")
         if self.delta_max is not None and not (self.delta_max > 0):
             raise InputError(f"delta_max must be positive, got {self.delta_max!r}")
-        if self.target_leg not in (1, 2, 3, 4):
-            raise InputError(f"target_leg must be 1..4, got {self.target_leg!r}")
-        if self.sigma_r < 0:
-            raise InputError(f"sigma_r must be non-negative, got {self.sigma_r!r}")
         if self.rate_hz <= 0:
             raise InputError(f"rate_hz must be positive, got {self.rate_hz!r}")
         if self.error_mode not in ERROR_MODES:
@@ -124,8 +116,11 @@ def ring_distance_sq(phi_obs, theta_obs) -> float:
     return (pc - tc) ** 2 + (ps - ts) ** 2
 
 
-def reward_rhythm(phi_obs, theta_obs, sigma_r: float) -> float:
-    """Rhythm consistency: exp(-sigma_r * squared ring distance)."""
+def reward_rhythm(phi_obs, theta_obs, sigma_r: float = 1.0) -> float:
+    """Rhythm consistency: exp(-sigma_r * squared ring distance).
+
+    Runs grade with sigma_r = 1; sigma_r = 0 scores every pair 1.
+    """
     return math.exp(-sigma_r * ring_distance_sq(phi_obs, theta_obs))
 
 
@@ -170,7 +165,7 @@ def rollout_phase(phi_j: float, phi_pair: float, rate: float, horizon_s: float,
     hold_steps substeps like the plant's zero-order hold. phi_pair, the
     phase of the opposite diagonal pair, is rolled alongside with the
     surrogate's own load split for diagonal pairs whose feet move in
-    step (unit force scale, unit weight exponent), which reproduces the
+    step (at unit force scale), which reproduces the
     graded loads of the double-support windows around stance handoffs.
     """
     n = max(1, int(round(horizon_s / substep_s)))

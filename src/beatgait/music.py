@@ -39,7 +39,8 @@ TEMPO_RANGE_BPM = (60.0, 200.0)
 KERNEL_SIGMA = 3.0
 KERNEL_HALF = 7
 
-DEFAULT_CLICK_S = 0.010
+#: Length of one synthesized click, seconds.
+CLICK_S = 0.010
 DEFAULT_SYNTH_RATE = 22050
 
 #: An autocorrelation peak at a shorter lag wins over the global max
@@ -106,32 +107,31 @@ def save_wav(path, clip: AudioClip) -> None:
     wavfile.write(path, clip.sample_rate, (pcm * 32767.0).astype(np.int16))
 
 
-def synth_click_track(
-    bpm: float,
-    duration_s: float,
-    sample_rate: int = DEFAULT_SYNTH_RATE,
-    click_s: float = DEFAULT_CLICK_S,
-    amplitude: float = 1.0,
-) -> AudioClip:
-    """Rectangular clicks of click_s seconds at every beat of a constant tempo.
+def synth_click_track(bpm: float, duration_s: float,
+                      sample_rate: int = DEFAULT_SYNTH_RATE) -> AudioClip:
+    """Full-scale rectangular clicks, CLICK_S long, at every beat of a constant tempo.
 
     The first click starts at t=0; clicks repeat every 60/bpm seconds for
-    the whole duration.
+    the whole duration. A period shorter than one sample raises
+    InputError: no two clicks could be told apart.
     """
     if not (bpm > 0 and math.isfinite(bpm)):
         raise InputError(f"bpm must be positive, got {bpm!r}")
-    if duration_s <= 0:
-        raise InputError(f"duration must be positive, got {duration_s!r}")
+    if not (duration_s > 0 and math.isfinite(duration_s)):
+        raise InputError(f"duration must be positive and finite, got {duration_s!r}")
+    period = 60.0 / bpm
+    if period * sample_rate < 1.0:
+        raise InputError(
+            f"bpm {bpm!r} gives a click period under one sample at {sample_rate} Hz")
     n = int(round(duration_s * sample_rate))
     x = np.zeros(n)
-    period = 60.0 / bpm
-    click_n = max(1, int(round(click_s * sample_rate)))
+    click_n = max(1, int(round(CLICK_S * sample_rate)))
     k = 0
     while True:
         start = int(round(k * period * sample_rate))
         if start >= n:
             break
-        x[start : min(start + click_n, n)] = amplitude
+        x[start : min(start + click_n, n)] = 1.0
         k += 1
     return AudioClip(samples=x, sample_rate=sample_rate)
 
@@ -141,7 +141,6 @@ class OnsetEnvelope:
     """Non-negative music intensity per frame at FRAME_RATE_HZ."""
 
     values: np.ndarray
-    frame_rate: float = FRAME_RATE_HZ
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -179,7 +178,7 @@ def onset_envelope(clip: AudioClip) -> OnsetEnvelope:
     out_n = int(math.floor(native_t[-1] * FRAME_RATE_HZ)) + 1
     out_t = np.arange(out_n) / FRAME_RATE_HZ
     values = np.interp(out_t, native_t, flux)
-    return OnsetEnvelope(values=values, frame_rate=FRAME_RATE_HZ)
+    return OnsetEnvelope(values=values)
 
 
 @dataclass(frozen=True)
@@ -188,7 +187,6 @@ class BeatGrid:
 
     beat_times: np.ndarray
     tempo_bpm: float
-    confidence: float = 1.0
 
     def __post_init__(self):
         bt = np.asarray(self.beat_times, dtype=float)
@@ -227,8 +225,8 @@ def estimate_tempo(env: OnsetEnvelope) -> tuple[float, float]:
     if v.size < 2 or np.ptp(v) < 1e-12:
         raise NoTempoError("envelope is flat; no periodicity to estimate")
     x = v - v.mean()
-    lag_min = int(round(env.frame_rate * 60.0 / TEMPO_RANGE_BPM[1]))
-    lag_max = int(round(env.frame_rate * 60.0 / TEMPO_RANGE_BPM[0]))
+    lag_min = int(round(FRAME_RATE_HZ * 60.0 / TEMPO_RANGE_BPM[1]))
+    lag_max = int(round(FRAME_RATE_HZ * 60.0 / TEMPO_RANGE_BPM[0]))
     if v.size <= lag_min + 1:
         raise InsufficientDataError("envelope shorter than the minimum tempo lag")
     r = _autocorr_norm(x, lag_max + 2)
@@ -251,10 +249,10 @@ def estimate_tempo(env: OnsetEnvelope) -> tuple[float, float]:
     denom = y1 - 2.0 * y2 + y3
     shift = 0.0 if denom == 0 else min(max(0.5 * (y1 - y3) / denom, -0.5), 0.5)
     lag = best + shift
-    bpm = 60.0 * env.frame_rate / lag
-    if v.size / env.frame_rate < 4.0 * 60.0 / bpm:
+    bpm = 60.0 * FRAME_RATE_HZ / lag
+    if v.size / FRAME_RATE_HZ < 4.0 * 60.0 / bpm:
         raise InsufficientDataError(
-            f"envelope {v.size / env.frame_rate:.2f}s spans fewer than 4 beats at {bpm:.1f} BPM"
+            f"envelope {v.size / FRAME_RATE_HZ:.2f}s spans fewer than 4 beats at {bpm:.1f} BPM"
         )
     confidence = float(seg.max() / (r[0] + 1e-12))
     return float(bpm), confidence
@@ -272,7 +270,7 @@ def detect_beats(env: OnsetEnvelope, tempo_bpm: float) -> BeatGrid:
     if not (tempo_bpm > 0 and math.isfinite(tempo_bpm)):
         raise InputError(f"tempo must be positive, got {tempo_bpm!r}")
     v = env.values
-    period = env.frame_rate * 60.0 / tempo_bpm
+    period = FRAME_RATE_HZ * 60.0 / tempo_bpm
     n = v.size
     if n < 2 * period:
         raise InsufficientDataError("envelope shorter than two beat periods")
@@ -349,24 +347,22 @@ def detect_beats(env: OnsetEnvelope, tempo_bpm: float) -> BeatGrid:
         ks, frames, snapped = snap_pass(anchor, period, follow=False)
     if ks.size >= 2:
         frames = anchor + period * ks
-        tempo_bpm = 60.0 * env.frame_rate / period
-    times = frames / env.frame_rate
-    conf = float(v[np.clip((times * env.frame_rate).round().astype(int), 0, n - 1)].mean()
-                 / (v.mean() + 1e-12))
-    return BeatGrid(beat_times=times, tempo_bpm=float(tempo_bpm), confidence=conf)
+        tempo_bpm = 60.0 * FRAME_RATE_HZ / period
+    return BeatGrid(beat_times=frames / FRAME_RATE_HZ, tempo_bpm=float(tempo_bpm))
 
 
-def smooth_beats(grid: BeatGrid, frame_rate: float, n_frames: int) -> np.ndarray:
+def smooth_beats(grid: BeatGrid, n_frames: int) -> np.ndarray:
     """Smoothed beat curve B(t): unit impulses at beat frames, Gaussian blurred.
 
-    Kernel sigma is 3 frames with truncated support of 15 frames, and the
-    kernel peak is 1 so B equals 1.0 exactly at beat frames. The output
-    has n_frames samples, also when n_frames is shorter than the kernel.
+    Frames run at FRAME_RATE_HZ, like the envelope's. Kernel sigma is 3
+    frames with truncated support of 15 frames, and the kernel peak is 1
+    so B equals 1.0 exactly at beat frames. The output has n_frames
+    samples, also when n_frames is shorter than the kernel.
     """
     b = np.zeros(max(0, n_frames))
     if b.size == 0:
         return b
-    frames = np.round(grid.beat_times * frame_rate).astype(int)
+    frames = np.round(grid.beat_times * FRAME_RATE_HZ).astype(int)
     frames = frames[(frames >= 0) & (frames < n_frames)]
     b[frames] = 1.0
     k = np.arange(-KERNEL_HALF, KERNEL_HALF + 1)
@@ -427,7 +423,7 @@ def analyze_clip(clip: AudioClip) -> MusicAnalysis:
     env = onset_envelope(clip)
     tempo, conf = estimate_tempo(env)
     grid = detect_beats(env, tempo)
-    smoothed = smooth_beats(grid, env.frame_rate, env.values.size)
+    smoothed = smooth_beats(grid, env.values.size)
     return MusicAnalysis(envelope=env, tempo_bpm=grid.tempo_bpm, confidence=conf,
                          grid=grid, smoothed=smoothed)
 

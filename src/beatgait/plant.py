@@ -35,24 +35,18 @@ class PlantConfig:
 
     mass: body mass in kg
     g: gravitational acceleration, m/s^2
-    weight_exponent: stance weight is sin(phi - pi) ** weight_exponent
     force_scale: scales total supported load (1.0 conserves body weight)
-    rate_hz: force sampling rate
     """
 
     mass: float = 12.0
     g: float = 9.81
-    weight_exponent: float = 1.0
     force_scale: float = 1.0
-    rate_hz: float = 100.0
 
     def __post_init__(self):
         if not (self.mass > 0 and self.g > 0):
             raise InputError("mass and g must be positive")
-        if not (self.weight_exponent > 0 and self.force_scale > 0):
-            raise InputError("weight_exponent and force_scale must be positive")
-        if self.rate_hz <= 0:
-            raise InputError("rate_hz must be positive")
+        if not self.force_scale > 0:
+            raise InputError("force_scale must be positive")
 
 
 @dataclass(frozen=True)
@@ -61,19 +55,16 @@ class GrfTimeline:
 
     t: shape (n,), strictly increasing, uniform spacing
     forces: shape (n, 4)
-    normalized: shape (n, 4)
     """
 
     t: np.ndarray
     forces: np.ndarray
-    normalized: np.ndarray
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=float)
         f = np.asarray(self.forces, dtype=float)
-        g = np.asarray(self.normalized, dtype=float)
-        if t.ndim != 1 or f.shape != (t.size, 4) or g.shape != (t.size, 4):
-            raise InputError("timeline arrays must be (n,), (n,4), (n,4)")
+        if t.ndim != 1 or f.shape != (t.size, 4):
+            raise InputError("timeline arrays must be (n,) and (n,4)")
         if t.size >= 2:
             dt = np.diff(t)
             if np.any(dt <= 0):
@@ -82,11 +73,10 @@ class GrfTimeline:
                 raise InputError("timestamps must be uniformly spaced")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "forces", f)
-        object.__setattr__(self, "normalized", g)
 
 
-def stance_weight(phi, exponent: float = 1.0):
-    """Stance weight w(phi): 0 over [0, pi), sin(phi - pi)**exponent over [pi, 2*pi).
+def stance_weight(phi):
+    """Stance weight w(phi): 0 over [0, pi), sin(phi - pi) over [pi, 2*pi).
 
     Peaks at 1 when phi = 3*pi/2, the footfall phase. Phases are wrapped
     first, and each is computed on its own as a plain float. A list in
@@ -99,8 +89,6 @@ def stance_weight(phi, exponent: float = 1.0):
     for p in values:
         p %= TWO_PI
         w.append(math.sin(p - math.pi) if p >= math.pi else 0.0)
-    if exponent != 1.0:
-        w = [v ** exponent for v in w]
     if shape is None:
         return w
     return np.array(w).reshape(shape) if shape else w[0]
@@ -172,8 +160,7 @@ def grf_from_phases(phases, config: PlantConfig):
     shape = (len(phases),) if as_list else np.shape(phases)
     if shape != (4,):
         raise InputError(f"expected 4 phases, got shape {shape}")
-    w = stance_weight(phases if as_list else np.asarray(phases, dtype=float).tolist(),
-                      config.weight_exponent)
+    w = stance_weight(phases if as_list else np.asarray(phases, dtype=float).tolist())
     weight = config.force_scale * config.mass * config.g
     forces = [weight * s for s in support_shares(w)]
     return forces if as_list else np.array(forces)

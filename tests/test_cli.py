@@ -3,17 +3,32 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import beatgait.cli as cli
 from beatgait.errors import CurriculumError
+from beatgait.harness import ScenarioConfig
 from beatgait.music import load_wav
 
 
 def run_cli(*argv):
     return cli.main(list(argv))
+
+
+def _subprocess_env():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+
+def run_cli_process(*argv, timeout=60, cwd=None):
+    """The CLI in a child process with no stdin; a hang fails by timeout."""
+    return subprocess.run([sys.executable, "-m", "beatgait.cli", *argv], capture_output=True,
+                          text=True, env=_subprocess_env(), stdin=subprocess.DEVNULL,
+                          timeout=timeout, cwd=cwd)
 
 
 class TestParser:
@@ -31,13 +46,20 @@ class TestParser:
         args = cli.build_parser().parse_args(
             ["freq-track", "--seed", "3", "--out", "d", "--duration", "2.5",
              "--f-cmd", "3.0"])
-        assert args.seed == 3 and args.out == "d"
+        assert args.seed == 3 and args.outdir == "d"
         assert args.duration == 2.5 and args.f_cmd == 3.0
 
     def test_unset_flags_stay_none(self):
         args = cli.build_parser().parse_args(["rhythm-sync"])
         assert args.feedforward is None and args.gain_k is None
-        assert args.audio is None and args.bpm is None
+        assert args.audio_path is None and args.synth_bpm is None
+
+    @pytest.mark.parametrize("command", ["freq-track", "rhythm-sync", "curriculum"])
+    def test_scenario_dests_are_config_fields(self, command):
+        # each scenario flag lands in the ScenarioConfig field of its dest
+        sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        dests = {a.dest for a in sub.choices[command]._actions} - {"help", "config", "command"}
+        assert dests <= {f.name for f in fields(ScenarioConfig)}
 
 
 class TestExitCodes:
@@ -93,7 +115,8 @@ class TestExitCodes:
         assert "error:" in capsys.readouterr().err
 
     def test_config_error_non_finite_flags(self, tmp_path, capsys):
-        for flag in ("--gain-k", "--perturb-rad", "--duration"):
+        for flag in ("--gain-k", "--perturb-rad", "--duration", "--delta-max", "--bpm",
+                     "--warmup"):
             code = run_cli("rhythm-sync", flag, "inf", "--out", str(tmp_path))
             assert code == 2, flag
             assert "must be a finite number" in capsys.readouterr().err
@@ -108,10 +131,11 @@ class TestExitCodes:
         assert not (tmp_path / "rs").exists()
 
     def test_divergence_code(self, tmp_path, capsys):
-        # a gain near the float maximum overflows the first large command
+        # finite flags only (an infinite clamp exits 2): a gain and a clamp
+        # near the float maximum give raw commands whose spread overflows
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code = run_cli("rhythm-sync", "--gain-k", "1e308", "--delta-max", "inf",
+            code = run_cli("rhythm-sync", "--gain-k", "1e308", "--delta-max", "1e308",
                            "--error-mode", "raw", "--duration", "8", "--out", str(tmp_path))
         assert code == 4
         err = capsys.readouterr().err
@@ -131,6 +155,28 @@ class TestExitCodes:
         assert "diverged: graded metrics not finite" in err
         assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
         assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("entry", [
+        '"delta_max": "x"', '"synth_bpm": "abc"', '"outdir": 5', '"audio_path": ["a"]',
+        '"audio_path": 0', '"delta_max": true', '"synth_bpm": true'],
+        ids=lambda entry: entry.replace('"', "").replace(": ", "="))
+    def test_config_error_wrong_type(self, entry, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text(f'{{"duration": 1, {entry}}}')
+        # --out would replace the config's outdir
+        out = () if "outdir" in entry else ("--out", str(tmp_path / "rs"))
+        proc = run_cli_process("rhythm-sync", "--config", str(p), *out, cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+        assert entry.split('"')[1] in proc.stderr
+        assert sorted(q.name for q in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_config_error_sub_sample_click_period(self, tmp_path):
+        # one click per 60/bpm seconds: at 1e308 BPM that is far under a sample
+        proc = run_cli_process("rhythm-sync", "--bpm", "1e308", "--out", str(tmp_path),
+                               timeout=30)
+        assert proc.returncode == 2, proc.stderr
+        assert "under one sample" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_curriculum_failure_code(self, tmp_path, capsys, monkeypatch):
         def boom(cfg):
@@ -227,10 +273,7 @@ def test_import_leaves_scipy_io_unloaded():
     # scipy.io is needed only to read or write a WAV file
     code = ("import sys, beatgait.cli, beatgait.harness; "
             "print('scipy.io' in sys.modules)")
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=60)
+                          env=_subprocess_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"

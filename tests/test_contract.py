@@ -1,0 +1,162 @@
+"""Property tests of the run contract.
+
+Every ScenarioConfig, whatever its field values, either gives a report
+whose numbers are all finite or raises a BeatGaitError; through the
+command line that is exit 0, or 2, 3 or 4. The wrong values are other
+types, bools, NaN, the infinities, huge, zero and negative numbers, as
+a JSON config file can spell them. One test puts each of them in each
+field of a 50 ms run of each mode. The hypothesis tests draw a valid,
+short value for every field (at most 1 s of simulated time, 10 or 11
+curriculum iterations) and then replace up to two fields with wrong
+values. Huge values that would be valid, such as a 1e30 s duration or
+a 1e30 Hz oscillator, ask for a run that long, so they are drawn only
+where validation rejects them.
+"""
+
+import contextlib
+import io
+import json
+import math
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from beatgait import cli
+from beatgait.errors import BeatGaitError
+from beatgait.harness import (
+    ESTIMATOR_MODES,
+    MODES,
+    REWARD_VARIANTS,
+    ScenarioConfig,
+    run_estimator_curriculum,
+    run_frequency_tracking,
+    run_rhythm_sync,
+)
+from beatgait.modulator import ERROR_MODES
+from beatgait.music import save_wav, synth_click_track
+
+_RUNNERS = {"freq_track": run_frequency_tracking, "rhythm_sync": run_rhythm_sync,
+            "estimator_curriculum": run_estimator_curriculum}
+
+_SUBCOMMANDS = ("freq-track", "rhythm-sync", "curriculum")
+
+
+def _valid(wav: str) -> dict:
+    """A strategy per field for values that validate and run within about 1 s."""
+    return {
+        "mode": st.sampled_from(MODES),
+        "v_cmd": st.floats(-1.5, 1.5) | st.floats(0.6, 1.5),  # mostly moving
+        # three contacts, the fewest a stepping frequency needs, take
+        # more than 1 s below about 2.5 Hz
+        "f_cmd": st.none() | st.floats(0.5, 4.5) | st.floats(2.5, 4.0),
+        "audio_path": st.sampled_from([None, None, wav, str(Path(wav).with_name("none.wav"))]),
+        "synth_bpm": st.none() | st.floats(20.0, 400.0),
+        "duration": st.just(1.0) | st.floats(0.05, 1.0),
+        "reward": st.sampled_from(REWARD_VARIANTS),
+        "seed": st.integers(0, 2**32),
+        "rate_oscillator_hz": st.sampled_from([500, 1000, 2000]),
+        "rate_plant_hz": st.sampled_from([None, 100, 250, 500]),
+        "rate_modulator_hz": st.sampled_from([10, 20, 50]),
+        "outdir": st.sampled_from([None, "run"]),
+        "warmup_s": st.floats(0.0, 0.5),
+        "target_leg": st.integers(1, 4),
+        "gain_k": st.floats(0.1, 50.0),
+        "error_mode": st.sampled_from(ERROR_MODES),
+        "feedforward": st.booleans(),
+        "delta_max": st.none() | st.floats(0.01, 10.0),
+        "perturb_rad": st.floats(0.0, 4.0),
+        "iterations": st.integers(10, 11),
+        "estimator_mode": st.sampled_from(ESTIMATOR_MODES),
+    }
+
+
+#: Wrong values a JSON config can carry: other types, bools, non-finite,
+#: huge, zero and negative numbers.
+_WRONG = [None, True, False, "", "x", "2.0", [], [2.0], {}, {"a": 1},
+          math.nan, math.inf, -math.inf, 1e308, -1e308, 10**30, -(10**30), 0, 0.0, -1, -0.5]
+
+#: Huge values a field would accept as a (long) run are left out.
+_WRONG_FOR = {
+    "duration": [v for v in _WRONG if v != 10**30],
+    "rate_oscillator_hz": [v for v in _WRONG if v != 10**30] + [2**53, 10**400],
+    "iterations": _WRONG + [10**15, 10**400],
+}
+
+
+@st.composite
+def configs(draw, wav):
+    cfg = {name: draw(strategy) for name, strategy in _valid(wav).items()}
+    for name in draw(st.lists(st.sampled_from(sorted(cfg)), max_size=2, unique=True)):
+        cfg[name] = draw(st.sampled_from(_WRONG_FOR.get(name, _WRONG)))
+    return cfg
+
+
+def _ends_in_finite_report_or_typed_error(cfg: dict) -> None:
+    try:
+        config = ScenarioConfig.from_dict(cfg)
+        report = _RUNNERS[config.mode](config)[-1]
+    except BeatGaitError:
+        return
+    assert _all_finite(report), (cfg, report)
+
+
+def _all_finite(value) -> bool:
+    if isinstance(value, dict):
+        return all(_all_finite(v) for v in value.values())
+    if isinstance(value, (list, tuple)):
+        return all(_all_finite(v) for v in value)
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return True
+
+
+@pytest.fixture(scope="module")
+def wav(tmp_path_factory):
+    path = tmp_path_factory.mktemp("audio") / "clicks.wav"
+    save_wav(path, synth_click_track(120.0, 3.0))
+    return str(path)
+
+
+def test_each_wrong_value_in_each_field(tmp_path, monkeypatch):
+    # every wrong value once per field and mode, on 50 ms runs; the
+    # property tests below combine them with drawn valid values. A
+    # string outdir is a valid one, so artifacts land under tmp_path
+    monkeypatch.chdir(tmp_path)
+    base = {"duration": 0.05, "iterations": 10, "f_cmd": 3.0}
+    for mode in MODES:
+        for name in sorted(_valid("x.wav")):
+            for value in _WRONG_FOR.get(name, _WRONG):
+                _ends_in_finite_report_or_typed_error({"mode": mode, **base, name: value})
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_config_ends_in_finite_report_or_typed_error(wav, data):
+    cfg = data.draw(configs(wav))
+    with tempfile.TemporaryDirectory() as tmp:
+        if isinstance(cfg["outdir"], str):  # artifacts go to the temporary directory
+            cfg["outdir"] = str(Path(tmp, cfg["outdir"]))
+        _ends_in_finite_report_or_typed_error(cfg)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_cli_exit_code_is_documented(wav, data):
+    cfg = data.draw(configs(wav))
+    command = data.draw(st.sampled_from(_SUBCOMMANDS))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "cfg.json")
+        path.write_text(json.dumps(cfg))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([command, "--config", str(path), "--out", str(Path(tmp, "run"))])
+        assert code in (0, 2, 3, 4)
+        if code:
+            assert err.getvalue().startswith("error: "), err.getvalue()
+            assert not Path(tmp, "run", "report.json").exists()
+        else:
+            report = json.loads(Path(tmp, "run", "report.json").read_text())
+            assert _all_finite(report), report

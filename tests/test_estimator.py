@@ -8,7 +8,6 @@ from hypothesis.extra import numpy as hnp
 
 from beatgait.errors import InputError, InsufficientDataError, NotFittedError
 from beatgait.estimator import (
-    CurriculumState,
     EstimatorInput,
     FittedModel,
     fit,
@@ -82,24 +81,6 @@ class TestInput:
             EstimatorInput(inputs.contact_indicators, inputs.stance_weights[:-1])
         with pytest.raises(InputError, match="shape"):
             EstimatorInput(inputs.contact_indicators[:, :3], inputs.stance_weights[:, :3])
-
-
-class TestCurriculumState:
-    def test_at(self):
-        s = CurriculumState.at(3, 10)
-        assert s.rho == pytest.approx(0.3)
-        assert CurriculumState.at(0, 10).rho == 0.0
-        assert CurriculumState.at(10, 10).rho == 1.0
-
-    def test_validation(self):
-        with pytest.raises(InputError):
-            CurriculumState(iteration=2, total=10, rho=0.5)
-        with pytest.raises(InputError):
-            CurriculumState.at(11, 10)
-        with pytest.raises(InputError):
-            CurriculumState.at(-1, 10)
-        with pytest.raises(InputError):
-            CurriculumState.at(0, 0)
 
 
 class TestFit:
@@ -191,41 +172,40 @@ class TestPredict:
 
 class TestMix:
     def test_endpoints(self):
-        a = np.array([0.1, 0.2, 0.3, 0.4])
-        b = np.array([0.9, 0.8, 0.7, 0.6])
-        assert np.array_equal(mix(a, b, CurriculumState.at(0, 10)), a)
-        assert np.array_equal(mix(a, b, CurriculumState.at(10, 10)), b)
+        a = [0.1, 0.2, 0.3, 0.4]
+        b = [0.9, 0.8, 0.7, 0.6]
+        assert mix(a, b, 0.0) == a
+        assert mix(np.array(a), np.array(b), 1.0) == b
 
     def test_blend_example(self):
-        out = mix(np.full(4, 0.8), np.full(4, 0.4), CurriculumState.at(5, 10))
-        assert np.allclose(out, 0.6)
+        out = mix(np.full(4, 0.8), np.full(4, 0.4), 0.5)
+        assert isinstance(out, list) and np.allclose(out, 0.6)
 
     def test_clamped_at_one(self):
-        out = mix(np.ones(4), np.ones(4), CurriculumState.at(5, 10))
-        assert np.all(out == 1.0)
+        out = mix(np.ones(4), np.ones(4), 0.5)
+        assert out == [1.0] * 4
 
     def test_validation(self):
-        s = CurriculumState.at(5, 10)
         with pytest.raises(InputError):
-            mix(np.full(4, 1.5), np.zeros(4), s)
+            mix(np.full(4, 1.5), np.zeros(4), 0.5)
         with pytest.raises(InputError):
-            mix(np.zeros(4), np.full(4, -0.1), s)
+            mix(np.zeros(4), np.full(4, -0.1), 0.5)
         with pytest.raises(InputError):
-            mix(np.zeros(3), np.zeros(4), s)
+            mix(np.zeros(3), np.zeros(4), 0.5)
 
     def test_matches_array_reference(self):
         rng = np.random.default_rng(10)
         for i in range(11):
-            s = CurriculumState.at(i, 10)
+            rho = i / 10
             for _ in range(200):
                 a, b = rng.uniform(0, 1, 4), rng.uniform(0, 1, 4)
-                want = np.minimum((1.0 - s.rho) * a + s.rho * b, 1.0)
-                assert mix(a, b.tolist(), s).tobytes() == want.tobytes()
+                want = np.minimum((1.0 - rho) * a + rho * b, 1.0)
+                assert np.array(mix(a, b.tolist(), rho)).tobytes() == want.tobytes()
 
     @given(hnp.arrays(np.float64, 4, elements=st.floats(0, 1)),
            hnp.arrays(np.float64, 4, elements=st.floats(0, 1)),
            st.integers(min_value=0, max_value=10))
     @settings(max_examples=200)
     def test_range_property(self, a, b, i):
-        out = mix(a, b, CurriculumState.at(i, 10))
+        out = np.array(mix(a, b, i / 10))
         assert np.all(out >= 0) and np.all(out <= 1)

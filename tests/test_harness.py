@@ -6,7 +6,7 @@ from array import array
 import numpy as np
 import pytest
 
-from beatgait import estimator
+from beatgait import estimator, harness
 from beatgait.errors import (
     CommandRangeError,
     InputError,
@@ -26,6 +26,7 @@ from beatgait.harness import (
     run_rhythm_sync,
     scheduler_tick,
 )
+from beatgait.modulator import ModulatorCommand
 from beatgait.music import save_wav, synth_click_track
 from beatgait.oscillator import TWO_PI
 from beatgait.plant import PlantConfig
@@ -75,6 +76,7 @@ class TestScenarioConfig:
         {"mode": "freq_track", "warmup_s": -1.0},
         {"mode": "freq_track", "target_leg": 0},
         {"mode": "freq_track", "perturb_rad": -0.1},
+        {"mode": "freq_track", "perturb_rad": 1e308},
         {"mode": "freq_track", "iterations": 0},
         {"mode": "freq_track", "estimator_mode": "psychic"},
     ])
@@ -83,16 +85,32 @@ class TestScenarioConfig:
             ScenarioConfig(**kwargs)
 
     @pytest.mark.parametrize("field", ["duration", "perturb_rad", "warmup_s", "v_cmd",
-                                       "f_cmd", "gain_k"])
+                                       "f_cmd", "gain_k", "delta_max", "synth_bpm"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_rejected(self, field, value):
         with pytest.raises(InputError, match=f"{field} must be a finite number"):
             ScenarioConfig(mode="freq_track", **{field: value})
 
+    @pytest.mark.parametrize("field", ["duration", "perturb_rad", "warmup_s", "v_cmd",
+                                       "f_cmd", "gain_k", "delta_max", "synth_bpm"])
+    @pytest.mark.parametrize("value", [True, "1", [1.0]])
+    def test_non_number_rejected(self, field, value):
+        # true == 1 in Python: delta_max would clamp at 1 rad/s, synth_bpm click at 1 BPM
+        with pytest.raises(InputError, match=f"{field} must be a finite number"):
+            ScenarioConfig(mode="rhythm_sync", **{field: value})
+
+    @pytest.mark.parametrize("field", ["audio_path", "outdir"])
+    @pytest.mark.parametrize("value", [0, 5, ["a"], True, b"a.wav"])
+    def test_non_string_path_rejected(self, field, value):
+        # an int path would open a file descriptor: 0 reads stdin
+        with pytest.raises(InputError, match=f"{field} must be a string"):
+            ScenarioConfig(mode="rhythm_sync", **{field: value})
+
     @pytest.mark.parametrize("field", ["iterations", "seed", "target_leg", "rate_oscillator_hz",
                                        "rate_plant_hz", "rate_modulator_hz"])
-    @pytest.mark.parametrize("value", [10.5, 10.0, True, "10"])
+    @pytest.mark.parametrize("value", [10.5, 10.0, True, "10", 2**53, -(10**400)])
     def test_non_integer_count_rejected(self, field, value):
+        # integers past +-(2**53 - 1) are not exact in JSON, and 10**400 has no float
         with pytest.raises(InputError, match=f"{field} must be an integer"):
             ScenarioConfig(mode="estimator_curriculum", **{field: value})
 
@@ -107,7 +125,16 @@ class TestScenarioConfig:
                      '{"mode": "freq_track", "duration": Infinity}',
                      '{"mode": "rhythm_sync", "feedforward": "no"}',
                      '{"mode": "freq_track", "seed": true}',
-                     '{"mode": "estimator_curriculum", "iterations": 10.5}'):
+                     '{"mode": "estimator_curriculum", "iterations": 10.5}',
+                     '{"mode": "rhythm_sync", "delta_max": "x"}',
+                     '{"mode": "rhythm_sync", "delta_max": true}',
+                     '{"mode": "rhythm_sync", "delta_max": NaN}',
+                     '{"mode": "rhythm_sync", "synth_bpm": "abc"}',
+                     '{"mode": "rhythm_sync", "synth_bpm": true}',
+                     '{"mode": "rhythm_sync", "synth_bpm": -Infinity}',
+                     '{"mode": "rhythm_sync", "outdir": 5}',
+                     '{"mode": "rhythm_sync", "audio_path": ["a"]}',
+                     '{"mode": "rhythm_sync", "audio_path": 0}'):
             p = tmp_path / "cfg.json"
             p.write_text(text)
             with pytest.raises(InputError):
@@ -148,6 +175,14 @@ class TestScenarioConfig:
     def test_non_object_rejected(self):
         with pytest.raises(InputError):
             ScenarioConfig.from_dict([1, 2, 3])
+
+    @pytest.mark.parametrize("text", ["[1, 2, 3]", "null", "7", '"freq_track"'])
+    def test_from_json_non_object(self, text, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text(text)
+        for overrides in ({}, {"mode": "freq_track"}):
+            with pytest.raises(InputError, match="must be a JSON object"):
+                ScenarioConfig.from_json(p, **overrides)
 
     def test_from_json(self, tmp_path):
         p = tmp_path / "cfg.json"
@@ -211,7 +246,7 @@ class TestRunLog:
 def _loop(load=None, mod_fn=None, duration=1.0):
     """The shared loop at 1 kHz, a 100 Hz plant and a 20 Hz modulator, f = 2 Hz."""
     cfg = ScenarioConfig(mode="freq_track", duration=duration, rate_plant_hz=100).resolve()
-    return _simulate(cfg, PlantConfig(rate_hz=100.0), 2.0, load=load, mod_fn=mod_fn)
+    return _simulate(cfg, PlantConfig(), 2.0, load=load, mod_fn=mod_fn)
 
 
 def _euler(osc, held, omega):
@@ -374,12 +409,17 @@ class TestRhythmSync:
         assert metrics.delta_t_max < 0.1
         assert metrics.omega_std < 0.5
 
-    def test_divergence_raises(self):
-        # a gain near the float maximum overflows the first large command
-        # to an infinite frequency, and the phases go non-finite
-        cfg = ScenarioConfig(mode="rhythm_sync", synth_bpm=120.0, duration=2.0,
-                             error_mode="raw", gain_k=1e308, delta_max=math.inf)
-        with pytest.raises(IntegrationDivergedError, match="rhythm_sync diverged"):
+    def test_divergence_raises(self, monkeypatch):
+        # the clamp delta_max is finite in every valid config, so no config
+        # commands an infinite frequency; a runaway modulator stands in
+        def runaway(*args, **kwargs):
+            return ModulatorCommand(delta_omega=math.inf, omega_tilde=math.inf,
+                                    phase_error=0.0)
+
+        monkeypatch.setattr(harness, "modulate", runaway)
+        cfg = ScenarioConfig(mode="rhythm_sync", synth_bpm=120.0, duration=2.0)
+        with pytest.raises(IntegrationDivergedError,
+                           match="rhythm_sync diverged: oscillator phases non-finite"):
             run_rhythm_sync(cfg)
 
     def test_overflowing_command_spread_raises(self):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -59,6 +60,8 @@ class TestRewards:
         assert reward_rhythm(unit(0.0), unit(math.pi), 1.0) == pytest.approx(
             math.exp(-4.0), abs=1e-12)
         assert reward_rhythm(unit(0.3), unit(2.2), 0.0) == pytest.approx(1.0, abs=1e-12)
+        # runs grade with the default scale 1
+        assert reward_rhythm(unit(0.3), unit(2.2)) == reward_rhythm(unit(0.3), unit(2.2), 1.0)
 
     def test_rhythm_monotone(self):
         errs = np.linspace(0, math.pi, 50)
@@ -105,6 +108,8 @@ class TestConfig:
         cfg = ModulatorConfig()
         assert cfg.gain_k == 2.0 and cfg.rate_hz == MODULATOR_RATE_HZ
         assert cfg.delta_max is None and cfg.error_mode == "raw"
+        assert [f.name for f in fields(ModulatorConfig)] == [
+            "gain_k", "delta_max", "rate_hz", "error_mode", "feedforward"]
 
     def test_validation(self):
         with pytest.raises(InputError):
@@ -112,11 +117,9 @@ class TestConfig:
         with pytest.raises(InputError):
             ModulatorConfig(delta_max=-1.0)
         with pytest.raises(InputError):
-            ModulatorConfig(target_leg=5)
+            ModulatorConfig(rate_hz=0.0)
         with pytest.raises(InputError):
             ModulatorConfig(error_mode="fancy")
-        with pytest.raises(InputError):
-            ModulatorConfig(sigma_r=-0.1)
 
 
 class TestModulate:

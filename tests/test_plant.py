@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -61,8 +62,7 @@ def timeline_from_force(force_column, rate=100.0):
     f = np.zeros((len(force_column), 4))
     f[:, 0] = force_column
     t = np.arange(len(force_column)) / rate
-    g = np.minimum(f / MG, 1.0)
-    return GrfTimeline(t=t, forces=f, normalized=g)
+    return GrfTimeline(t=t, forces=f)
 
 
 class TestStanceWeight:
@@ -77,9 +77,6 @@ class TestStanceWeight:
 
     def test_wraps_input(self):
         assert stance_weight(FOOTFALL_PHASE + TWO_PI) == pytest.approx(1.0)
-
-    def test_exponent(self):
-        assert stance_weight(1.25 * math.pi, exponent=2.0) == pytest.approx(0.5)
 
 
 class TestGrf:
@@ -200,9 +197,8 @@ class TestGrf:
         with pytest.raises(InputError):
             PlantConfig(mass=0.0)
         with pytest.raises(InputError):
-            PlantConfig(weight_exponent=0.0)
-        with pytest.raises(InputError):
-            PlantConfig(rate_hz=-1.0)
+            PlantConfig(force_scale=0.0)
+        assert [f.name for f in fields(PlantConfig)] == ["mass", "g", "force_scale"]
 
 
 class TestTimeline:
@@ -210,11 +206,14 @@ class TestTimeline:
         t = np.array([0.0, 0.01, 0.03])  # non-uniform
         z = np.zeros((3, 4))
         with pytest.raises(InputError):
-            GrfTimeline(t=t, forces=z, normalized=z)
+            GrfTimeline(t=t, forces=z)
         with pytest.raises(InputError):
-            GrfTimeline(t=np.array([0.0, 0.0, 0.01]), forces=z, normalized=z)
+            GrfTimeline(t=np.array([0.0, 0.0, 0.01]), forces=z)
         with pytest.raises(InputError):
-            GrfTimeline(t=np.zeros(2), forces=z, normalized=z)
+            GrfTimeline(t=np.zeros(2), forces=z)
+        with pytest.raises(InputError):
+            GrfTimeline(t=np.arange(3.0), forces=np.zeros((3, 3)))
+        assert [f.name for f in fields(GrfTimeline)] == ["t", "forces"]
 
 
 class TestContactOnsets:
