@@ -19,8 +19,11 @@ every run, and per end-to-end metric each side's median and quartiles,
 the pairs the change won and lost, and whether a gain holds by the rule
 of the benchmark: at least ten pairs, the change wins at least nine in
 ten of them, and the medians differ by more than the parent's
-interquartile spread. Running the script again for other workloads adds
-them to an existing file; a workload run again replaces its entry.
+interquartile spread. A pair counts only when both of its runs passed
+perfbench's output checks and exited 0; the entry records how many
+pairs were left out (`pairs_left_out`). Running the script again for
+other workloads adds them to an existing file; a workload run again
+replaces its entry.
 """
 
 from __future__ import annotations
@@ -83,8 +86,19 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def pair_ok(pair: dict) -> bool:
+    """Both runs of the pair passed perfbench's output checks and exited 0."""
+    return all(pair[side]["correct"] and pair[side]["exit_code"] == 0
+               for side in ("parent", "change"))
+
+
 def summarize(pairs: list[dict], directions: dict[str, str]) -> dict:
-    """Per metric: each side's median and quartiles, wins, and the gain rule."""
+    """Per metric: each side's median and quartiles, wins, and the gain rule.
+
+    Only pairs that are `pair_ok` count: perfbench prints timings also
+    for a run whose outputs failed its checks.
+    """
+    pairs = [p for p in pairs if pair_ok(p)]
     out = {}
     for name, better in directions.items():
         both = [(p["parent"]["metrics"].get(name), p["change"]["metrics"].get(name))
@@ -163,6 +177,7 @@ def main() -> int:
                 **setup, "runs": pairs,
                 "failed_operations": {side: sum(p[side]["failed"] for p in pairs)
                                       for side in checkouts},
+                "pairs_left_out": sum(not pair_ok(p) for p in pairs),
                 "summary": summarize(pairs, directions)}
             out_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         for name, s in doc["workloads"][workload]["summary"].items():

@@ -93,9 +93,10 @@ class ScenarioConfig:
     iterations, target_leg and the rates integers (not bools),
     feedforward a bool, and audio_path and outdir strings; f_cmd,
     duration, delta_max, synth_bpm, audio_path, outdir and
-    rate_plant_hz may also be None. Anything else raises InputError.
-    error_mode, delta_max's sign and synth_bpm's range are checked
-    when a rhythm_sync run builds its modulator and its clip.
+    rate_plant_hz may also be None. error_mode must be one of
+    ERROR_MODES and delta_max, where set, positive, in every mode.
+    Anything else raises InputError. synth_bpm's range is checked when
+    a rhythm_sync run builds its clip.
     """
 
     mode: str
@@ -157,6 +158,8 @@ class ScenarioConfig:
             raise InputError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.duration is not None and not (self.duration > 0):
             raise InputError(f"duration must be positive, got {self.duration!r}")
+        # error_mode and delta_max's sign by the modulator's own rules
+        ModulatorConfig(delta_max=self.delta_max, error_mode=self.error_mode)
         if not (self.warmup_s >= 0):
             raise InputError(f"warmup_s must be non-negative, got {self.warmup_s!r}")
         if self.target_leg not in (1, 2, 3, 4):
@@ -223,12 +226,18 @@ class ScenarioConfig:
         return cls.from_dict({**data, **overrides} if isinstance(data, dict) else data)
 
 
+#: Rows per `%` in RunLog.write. Larger blocks are no faster, and they
+#: raised the peak RSS of a process that writes run after run.
+_WRITE_BLOCK_ROWS = 64
+
+
 class RunLog:
     """Per-stream records at their native rates plus a header.
 
     Streams are (column names, float array) pairs whose first column is
     a strictly increasing timestamp. The "osc" stream lands in
-    runlog.csv, every other stream in runlog.<name>.csv.
+    runlog.csv, every other stream in runlog.<name>.csv, each value as
+    %.17g, which reads back as the same double.
     """
 
     def __init__(self, header: dict):
@@ -251,10 +260,15 @@ class RunLog:
         written = []
         for name, (columns, arr) in self.streams.items():
             path = outdir / ("runlog.csv" if name == "osc" else f"runlog.{name}.csv")
+            # the bytes np.savetxt(fmt="%.17g", delimiter=",") writes, one
+            # `%` per block of rows instead of one per row
+            row = ",".join(["%.17g"] * len(columns)) + "\n"
             with open(path, "w") as fh:
                 fh.write(f"# {head}\n")
                 fh.write(",".join(columns) + "\n")
-                np.savetxt(fh, arr, fmt="%.17g", delimiter=",")
+                for i in range(0, arr.shape[0], _WRITE_BLOCK_ROWS):
+                    rows = arr[i:i + _WRITE_BLOCK_ROWS]
+                    fh.write((row * rows.shape[0]) % tuple(rows.ravel().tolist()))
             written.append(path)
         return written
 

@@ -83,7 +83,7 @@ class ModulatorConfig:
         if self.rate_hz <= 0:
             raise InputError(f"rate_hz must be positive, got {self.rate_hz!r}")
         if self.error_mode not in ERROR_MODES:
-            raise InputError(f"error_mode must be one of {ERROR_MODES}")
+            raise InputError(f"error_mode must be one of {ERROR_MODES}, got {self.error_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -96,12 +96,17 @@ class ModulatorCommand:
 
 
 def _check_unit(name: str, obs) -> tuple[float, float]:
-    v = np.asarray(obs, dtype=float).reshape(-1)
-    if v.size != 2 or not np.all(np.isfinite(v)):
+    """The (cos, sin) pair obs as two floats, checked finite and unit norm."""
+    try:
+        c, s = obs
+        c, s = float(c), float(s)
+    except (TypeError, ValueError):
+        raise InputError(f"{name} must be a finite (cos, sin) pair") from None
+    if not (math.isfinite(c) and math.isfinite(s)):
         raise InputError(f"{name} must be a finite (cos, sin) pair")
-    if abs(v[0] * v[0] + v[1] * v[1] - 1.0) > 1e-6:
-        raise InputError(f"{name} must be unit norm, got {v}")
-    return float(v[0]), float(v[1])
+    if abs(c * c + s * s - 1.0) > 1e-6:
+        raise InputError(f"{name} must be unit norm, got {np.array([c, s])}")
+    return c, s
 
 
 def ring_distance_sq(phi_obs, theta_obs) -> float:
@@ -205,8 +210,10 @@ def feedforward_command(phi_j: float, phi_pair: float, theta: float, omega_m: fl
     halve its side's gap, still above what one stopping width moves the
     phase in free swing, marks a jump, and bisection finishes the solve.
     The solve stops once the bracket is no wider than SOLVE_STEPS
-    bisection steps would leave it, or after SOLVE_STEPS steps, and
-    returns the end with the smaller gap (or a point of zero gap).
+    bisection steps would leave it (on a clamp of at least 0.25 rad/s,
+    since below that rounding noise sets the resolution), or after
+    SOLVE_STEPS steps, and returns the end with the smaller gap (or a
+    point of zero gap).
     """
     h = 1.0 / rate_hz
     e = wrap_signed(phi_j - theta)
@@ -221,7 +228,10 @@ def feedforward_command(phi_j: float, phi_pair: float, theta: float, omega_m: fl
         return lo
     if g_hi <= 0.0:
         return hi
-    width = delta_max * 2.0 ** (1 - SOLVE_STEPS)  # 2*delta_max*2**-40, no overflow
+    # 2*delta_max*2**-40 (no overflow), floored at the 0.25 rad/s clamp
+    # below which one width moves the end phase less than the rollout's
+    # rounding noise (about 1e-15 rad)
+    width = max(delta_max, 0.25) * 2.0 ** (1 - SOLVE_STEPS)
     w_lo = w_hi = 1.0  # Illinois weights on the end gaps
     moved = 0  # the end the last step moved: +1 hi, -1 lo
     stalled = False
@@ -284,6 +294,6 @@ def modulate(phi_obs_j, theta_obs, omega_m: float, config: ModulatorConfig,
                                     config.gain_k, delta_max, rate_hz=config.rate_hz)
     else:
         delta = -config.gain_k * e
-    delta = float(np.clip(delta, -delta_max, delta_max))
+    delta = float(min(max(delta, -delta_max), delta_max))
     return ModulatorCommand(delta_omega=delta, omega_tilde=omega_m + delta,
                             phase_error=float(e))

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import warnings
@@ -113,6 +114,19 @@ class TestScenarioConfig:
         # integers past +-(2**53 - 1) are not exact in JSON, and 10**400 has no float
         with pytest.raises(InputError, match=f"{field} must be an integer"):
             ScenarioConfig(mode="estimator_curriculum", **{field: value})
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("value", ["bogus", [1], None, 1, "RAW"])
+    def test_error_mode_checked_in_every_mode(self, mode, value):
+        # before any clip is built, and also where no modulator runs
+        with pytest.raises(InputError, match="error_mode must be one of"):
+            ScenarioConfig(mode=mode, error_mode=value)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("value", [-1.0, 0.0, -0.0, -5])
+    def test_delta_max_sign_checked_in_every_mode(self, mode, value):
+        with pytest.raises(InputError, match="delta_max must be positive"):
+            ScenarioConfig(mode=mode, delta_max=value)
 
     @pytest.mark.parametrize("value", ["no", "false", 0, 1, None])
     def test_non_bool_feedforward_rejected(self, value):
@@ -241,6 +255,29 @@ class TestRunLog:
         log.write(tmp_path)
         back = np.loadtxt(tmp_path / "runlog.plant.csv", delimiter=",", skiprows=2)
         assert np.array_equal(back, vals)
+
+    @pytest.mark.parametrize("n_rows", [1, 63, 64, 65, 200])
+    @pytest.mark.parametrize("n_cols", range(2, 10))
+    def test_write_matches_savetxt(self, tmp_path, n_rows, n_cols):
+        # rows are formatted in blocks; the bytes are those of np.savetxt
+        # under the same two header lines, across the block edges at 64
+        special = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e308, 0.1,
+                   float(2**53 + 2), float(2**60 + 2**8), -1.0 / 3.0]
+        rng = np.random.default_rng(n_rows * 10 + n_cols)
+        data = rng.normal(size=(n_rows, n_cols)) * 10.0 ** rng.integers(-300, 300,
+                                                                         (n_rows, n_cols))
+        mask = rng.random((n_rows, n_cols)) < 0.5
+        data[mask] = rng.choice(special, size=mask.sum())
+        data[:, 0] = np.arange(n_rows) * 1e-3  # timestamps increase
+        data[0, 1:] = special[:n_cols - 1]
+        columns = [f"c{j}" for j in range(n_cols)]
+        log = RunLog({"seed": 5, "mode": "rhythm_sync"})
+        log.add_stream("mod", columns, data)
+        log.write(tmp_path)
+        ref = io.BytesIO()
+        ref.write(b"# mode=rhythm_sync seed=5\n" + ",".join(columns).encode() + b"\n")
+        np.savetxt(ref, data, fmt="%.17g", delimiter=",")
+        assert (tmp_path / "runlog.mod.csv").read_bytes() == ref.getvalue()
 
 
 def _loop(load=None, mod_fn=None, duration=1.0):

@@ -53,6 +53,18 @@ class TestRingDistance:
         with pytest.raises(InputError):
             ring_distance_sq(unit(0.0), (float("nan"), 0.0))
 
+    @pytest.mark.parametrize("obs", [(0.6, 0.8), [0.6, 0.8], np.array([0.6, 0.8]),
+                                     (np.float64(0.6), np.float64(0.8)), (1, 0)])
+    def test_pairs_of_two_accepted(self, obs):
+        assert ring_distance_sq(obs, (float(obs[0]), float(obs[1]))) == 0.0
+
+    @pytest.mark.parametrize("obs", [None, 1.0, (1.0,), (1.0, 0.0, 0.0), [], "ab",
+                                     (None, 1.0), (1.0, math.inf), [math.nan, 1.0],
+                                     np.array([1.0, 0.0, 0.0]), (1j, 0.0)])
+    def test_not_a_finite_pair_rejected(self, obs):
+        with pytest.raises(InputError, match="phi_obs must be a finite"):
+            ring_distance_sq(obs, unit(0.0))
+
 
 class TestRewards:
     def test_rhythm_examples(self):
@@ -311,6 +323,40 @@ class TestFeedforward:
         assert len(counts) == 600
         assert sum(counts) / len(counts) <= 10
         assert max(counts) <= 2 + SOLVE_STEPS == 42
+
+    def test_small_clamp_stops_at_noise_floor(self, monkeypatch):
+        # below a 0.25 rad/s clamp the stopping width stays that of 0.25,
+        # so the solve does not chase the rollout's rounding noise; 150
+        # interior solves at each clamp, phase errors of 5% of the clamp
+        h = 1.0 / MODULATOR_RATE_HZ
+        rng = np.random.default_rng(20)
+        rollout, counts, gaps = modulator.rollout_phase, [], []
+
+        def counted_rollout(*args, **kwargs):
+            counts[-1] += 1
+            return rollout(*args, **kwargs)
+
+        for delta_max in (0.01, 0.05):
+            n_solves = len(counts) + 150
+            while len(counts) < n_solves:
+                phi, pair = rng.uniform(0.0, TWO_PI, 2)
+                gain_k = rng.uniform(0.5, 4.0)
+                theta = (phi - rng.uniform(-0.05, 0.05) * delta_max) % TWO_PI
+                target = self.p_target(phi, theta, gain_k, h)
+
+                def gap(delta):
+                    return wrap_signed(rollout(phi, pair, self.OMEGA + delta, h) - target)
+
+                if not gap(-delta_max) < 0.0 < gap(delta_max):
+                    continue  # saturated: two rollouts, no search
+                counts.append(0)
+                with monkeypatch.context() as m:
+                    m.setattr(modulator, "rollout_phase", counted_rollout)
+                    delta = feedforward_command(phi, pair, theta, self.OMEGA, gain_k, delta_max)
+                gaps.append(abs(gap(delta)))
+        assert sum(counts) / len(counts) <= 8
+        assert max(counts) < 2 + SOLVE_STEPS
+        assert max(gaps) <= 1e-12
 
     def solve_on(self, monkeypatch, end_offset):
         """Solve on a synthetic model whose gap is end_offset(delta); (delta, rollouts)."""
