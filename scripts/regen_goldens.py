@@ -14,6 +14,7 @@ to regenerate, or none to regenerate all of them:
 import argparse
 import hashlib
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -26,19 +27,39 @@ from beatgait.harness import (  # noqa: E402
     run_frequency_tracking,
     run_rhythm_sync,
 )
+from beatgait.music import save_wav, synth_click_track  # noqa: E402
+
+_RHYTHM = {"mode": "rhythm_sync", "synth_bpm": 120.0, "duration": 12.0, "seed": 0}
+_KICKED = {"mode": "freq_track", "f_cmd": 2.0, "duration": 10.0, "seed": 1}
+
+#: Click tracks a scenario may name as its audio_path, by file name:
+#: (bpm, length in s). run_scenario writes them with save_wav into the
+#: run's working directory, so no WAV is committed.
+GOLDEN_WAVS = {"clicks_120bpm.wav": (120.0, 14.0)}
 
 GOLDEN_SCENARIOS = {
     "freq_track": {"mode": "freq_track", "f_cmd": 2.0, "seed": 0},
-    "rhythm_sync": {"mode": "rhythm_sync", "synth_bpm": 120.0,
-                    "duration": 12.0, "seed": 0},
-    "rhythm_sync_feedforward": {"mode": "rhythm_sync", "synth_bpm": 120.0,
-                                "duration": 12.0, "seed": 0, "error_mode": "raw",
-                                "feedforward": True},
+    "rhythm_sync": _RHYTHM,
+    "rhythm_sync_feedforward": {**_RHYTHM, "error_mode": "raw", "feedforward": True},
     "estimator_curriculum": {"mode": "estimator_curriculum", "estimator_mode": "learned",
                              "iterations": 10, "duration": 2.0, "seed": 0},
     # the benchmark's curriculum scenario, at the default 5 s episodes
     "estimator_curriculum_5s": {"mode": "estimator_curriculum", "estimator_mode": "learned",
                                 "iterations": 10, "seed": 0},
+    # initial-phase kicks: the C5 recovery run, and one large enough to
+    # leave feet grounded without load
+    "freq_track_kick_0.5": {**_KICKED, "perturb_rad": 0.5},
+    "freq_track_kick_3": {**_KICKED, "perturb_rad": 3.0},
+    "rhythm_sync_plant_200hz": {**_RHYTHM, "rate_plant_hz": 200},
+    "rhythm_sync_target_leg_3": {**_RHYTHM, "target_leg": 3},
+    "rhythm_sync_wav": {"mode": "rhythm_sync", "audio_path": "clicks_120bpm.wav",
+                        "duration": 12.0, "seed": 0},
+    # a clamp below the 0.25 rad/s floor of the feedforward solve's width
+    "rhythm_sync_feedforward_delta_0.1": {**_RHYTHM, "error_mode": "raw", "feedforward": True,
+                                          "delta_max": 0.1},
+    "estimator_curriculum_fallback": {"mode": "estimator_curriculum",
+                                      "estimator_mode": "fallback", "duration": 30.0,
+                                      "seed": 0},
 }
 
 RUNNERS = {
@@ -48,18 +69,40 @@ RUNNERS = {
 }
 
 
+def run_scenario(config: dict, workdir) -> Path:
+    """Run one scenario config in workdir; return its artifact directory.
+
+    The click track the config names as audio_path, if any, is written
+    into workdir first, and the run reads it from there under that
+    relative name, so report.json records the name and not workdir.
+    """
+    workdir = Path(workdir)
+    if config.get("audio_path") in GOLDEN_WAVS:
+        bpm, length_s = GOLDEN_WAVS[config["audio_path"]]
+        save_wav(workdir / config["audio_path"], synth_click_track(bpm, length_s))
+    outdir = workdir / "out"
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        RUNNERS[config["mode"]](ScenarioConfig.from_dict({**config, "outdir": str(outdir)}))
+    finally:
+        os.chdir(cwd)
+    return outdir
+
+
+def digests(outdir) -> dict:
+    """sha256 of every runlog CSV in outdir, by file name."""
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(Path(outdir).glob("runlog*.csv"))}
+
+
 def build_manifest(config: dict) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
-        cfg = ScenarioConfig.from_dict({**config, "outdir": tmp})
-        RUNNERS[config["mode"]](cfg)
-        outdir = Path(tmp)
+        outdir = run_scenario(config, tmp)
         report = json.loads((outdir / "report.json").read_text())
-        digests = {
-            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in sorted(outdir.glob("runlog*.csv"))
-        }
+        csv_sha256 = digests(outdir)
     return {"config": {**config, "outdir": None}, "report": report,
-            "csv_sha256": digests}
+            "csv_sha256": csv_sha256}
 
 
 def main(argv=None) -> int:

@@ -42,8 +42,8 @@ from .metrics import SyncReport, beat_alignment, frequency_deviation, frequency_
     relative_phase_differences
 from .modulator import ModulatorConfig, modulate, reward_phase, reward_r1, reward_r2, \
     reward_rhythm
-from .music import FRAME_RATE_HZ, analyze_clip, fold_tempo, interpolate_phase, load_wav, \
-    synth_click_track
+from .music import FRAME_RATE_HZ, MAX_SAMPLES, analyze_clip, fold_tempo, interpolate_phase, \
+    load_wav, synth_click_track
 from .oscillator import LEG_ORDER, TWO_PI, make_bank, param_arrays, select_params, \
     step_phases, wrap_phase
 from .plant import GrfTimeline, PlantConfig, contact_onsets, grf_from_phases, \
@@ -173,7 +173,7 @@ class ScenarioConfig:
             raise InputError(f"iterations must be positive, got {self.iterations!r}")
 
     def resolve(self) -> "ScenarioConfig":
-        """Fill mode defaults and validate the rate ladder."""
+        """Fill mode defaults and validate the rate ladder and the run's length in ticks."""
         duration_default, plant_default = _MODE_DEFAULTS[self.mode]
         out = replace(
             self,
@@ -193,9 +193,9 @@ class ScenarioConfig:
             raise InputError(
                 f"rates must divide evenly: oscillator {osc_hz} / plant {plant_hz} "
                 f"/ modulator {mod_hz}")
-        if not math.isfinite(out.duration * osc_hz):
-            raise InputError(
-                f"duration {out.duration!r} s at {osc_hz} Hz is more ticks than a float holds")
+        if out.duration * osc_hz > MAX_SAMPLES:
+            raise InputError(f"duration {out.duration!r} s at {osc_hz} Hz is more than the "
+                             f"{MAX_SAMPLES:,} oscillator ticks a run may hold")
         return out
 
     def to_dict(self) -> dict:
@@ -479,13 +479,15 @@ def run_rhythm_sync(config: ScenarioConfig):
     f_gait = fold_tempo(analysis.tempo_bpm)
     omega_m = TWO_PI * f_gait
 
+    n_ticks, plant_every, mod_every = _tick_counts(cfg)
+    # the feedforward rollout steps and holds its loads on the loop's own clock
     mod_cfg = ModulatorConfig(gain_k=cfg.gain_k, delta_max=cfg.delta_max,
                               rate_hz=float(cfg.rate_modulator_hz),
-                              error_mode=cfg.error_mode, feedforward=cfg.feedforward)
+                              error_mode=cfg.error_mode, feedforward=cfg.feedforward,
+                              step_s=1.0 / cfg.rate_oscillator_hz, hold_steps=plant_every)
     leg = cfg.target_leg - 1
     pair_leg = 1 if leg in (0, 3) else 0  # one leg of the opposite diagonal
 
-    n_ticks, plant_every, mod_every = _tick_counts(cfg)
     n_mod = -(-n_ticks // mod_every)
     t_mod = np.arange(n_mod) / cfg.rate_modulator_hz
     theta_mod = interpolate_phase(analysis.grid, t_mod)
@@ -592,11 +594,11 @@ def _curriculum_load(rho: float, model, log=None):
     The estimator sees each leg's contact flag and its share of the
     supported load, the quantity the plant's load law is exactly linear
     in (the raw sine weight is not, once double-support windows appear
-    around stance handoffs). log, when given, is three (n, 4) arrays
-    (indicators, shares, simulated loads) that receive row i of plant
-    update i, for the next fit.
+    around stance handoffs). log, when given, is two (n, 4) arrays
+    (indicators, shares) that receive row i at plant update i, for the
+    next fit; its targets, the simulated loads, are the plant rows' own.
     """
-    ind_log, share_log, load_log = (None, None, None) if log is None else log
+    ind_log, share_log = (None, None) if log is None else log
 
     def load(t, phases, i, g_sim):
         shares = support_shares(stance_weight(phases))
@@ -604,7 +606,6 @@ def _curriculum_load(rho: float, model, log=None):
         if ind_log is not None:
             ind_log[i] = indicators
             share_log[i] = shares
-            load_log[i] = g_sim
         g_pred = g_sim if model is None else est.predict((indicators, shares), model)
         return est.mix(g_sim, g_pred, rho)
     return load
@@ -658,8 +659,10 @@ def run_estimator_curriculum(config: ScenarioConfig):
     for i in range(n + 1):
         rho = i / n
         start, end = i * per_episode, (i + 1) * per_episode
-        _simulate(cfg, plant_cfg, f_cmd, label=f"curriculum iteration {i} (rho={rho})",
-                  load=_curriculum_load(rho, model, data[:, start:end]), log_osc=False)
+        _, _, plant_rows = _simulate(
+            cfg, plant_cfg, f_cmd, label=f"curriculum iteration {i} (rho={rho})",
+            load=_curriculum_load(rho, model, data[:2, start:end]), log_osc=False)
+        data[2, start:end] = plant_rows[:, 5:9]
         model = est.fit(est.EstimatorInput(data[0, :end], data[1, :end]), data[2, :end])
         mse_rows.append((float(i), rho, model.mse))
 

@@ -67,6 +67,9 @@ class ModulatorConfig:
     error_mode: "raw" uses phi_j - theta directly; "footfall" corrects
         the measured phase for the predicted within-cycle wobble
     feedforward: solve each command by model rollout to cancel the wobble
+    step_s, hold_steps: the loop the rollout models, its oscillator Euler
+        step in s and its plant update period in steps (defaults: the
+        1 kHz oscillator and 100 Hz plant of the default rate ladder)
     """
 
     gain_k: float = 2.0
@@ -74,6 +77,8 @@ class ModulatorConfig:
     rate_hz: float = MODULATOR_RATE_HZ
     error_mode: str = "raw"
     feedforward: bool = False
+    step_s: float = 1e-3
+    hold_steps: int = 10
 
     def __post_init__(self):
         if not (self.gain_k > 0):
@@ -84,6 +89,9 @@ class ModulatorConfig:
             raise InputError(f"rate_hz must be positive, got {self.rate_hz!r}")
         if self.error_mode not in ERROR_MODES:
             raise InputError(f"error_mode must be one of {ERROR_MODES}, got {self.error_mode!r}")
+        if not (self.step_s > 0 and self.hold_steps >= 1):
+            raise InputError(f"step_s and hold_steps must be positive, got "
+                             f"{self.step_s!r} and {self.hold_steps!r}")
 
 
 @dataclass(frozen=True)
@@ -163,14 +171,14 @@ def wobble_amplitude(omega_m: float) -> float:
 
 
 def rollout_phase(phi_j: float, phi_pair: float, rate: float, horizon_s: float,
-                  substep_s: float = 1e-3, hold_steps: int = 10) -> float:
+                  substep_s: float, hold_steps: int) -> float:
     """Phase the trot model reaches after horizon_s at a fixed command.
 
-    Forward Euler at the oscillator step with the load held for
-    hold_steps substeps like the plant's zero-order hold. phi_pair, the
-    phase of the opposite diagonal pair, is rolled alongside with the
-    surrogate's own load split for diagonal pairs whose feet move in
-    step (at unit force scale), which reproduces the
+    Forward Euler at the loop's oscillator step substep_s, with the load
+    held for hold_steps substeps like the plant's zero-order hold.
+    phi_pair, the phase of the opposite diagonal pair, is rolled
+    alongside with the surrogate's own load split for diagonal pairs
+    whose feet move in step (at unit force scale), which reproduces the
     graded loads of the double-support windows around stance handoffs.
     """
     n = max(1, int(round(horizon_s / substep_s)))
@@ -190,7 +198,7 @@ def rollout_phase(phi_j: float, phi_pair: float, rate: float, horizon_s: float,
 
 
 def feedforward_command(phi_j: float, phi_pair: float, theta: float, omega_m: float,
-                        gain_k: float, delta_max: float,
+                        gain_k: float, delta_max: float, substep_s: float, hold_steps: int,
                         rate_hz: float = MODULATOR_RATE_HZ) -> float:
     """Frequency offset that cancels the stance feedback over one tick.
 
@@ -213,14 +221,15 @@ def feedforward_command(phi_j: float, phi_pair: float, theta: float, omega_m: fl
     bisection steps would leave it (on a clamp of at least 0.25 rad/s,
     since below that rounding noise sets the resolution), or after
     SOLVE_STEPS steps, and returns the end with the smaller gap (or a
-    point of zero gap).
+    point of zero gap). substep_s and hold_steps are the rollout's clock.
     """
     h = 1.0 / rate_hz
     e = wrap_signed(phi_j - theta)
     target = (theta + omega_m * h + e * (1.0 - gain_k * h)) % TWO_PI
 
     def gap(delta: float) -> float:
-        return wrap_signed(rollout_phase(phi_j, phi_pair, omega_m + delta, h) - target)
+        return wrap_signed(rollout_phase(phi_j, phi_pair, omega_m + delta, h, substep_s,
+                                         hold_steps) - target)
 
     lo, hi = -delta_max, delta_max
     g_lo, g_hi = gap(lo), gap(hi)
@@ -291,7 +300,8 @@ def modulate(phi_obs_j, theta_obs, omega_m: float, config: ModulatorConfig,
     if config.feedforward:
         oc, os_ = _check_unit("pair_obs", pair_obs)
         delta = feedforward_command(phi_j, math.atan2(os_, oc) % TWO_PI, theta, omega_m,
-                                    config.gain_k, delta_max, rate_hz=config.rate_hz)
+                                    config.gain_k, delta_max, config.step_s,
+                                    config.hold_steps, rate_hz=config.rate_hz)
     else:
         delta = -config.gain_k * e
     delta = float(min(max(delta, -delta_max), delta_max))

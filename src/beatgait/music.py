@@ -43,6 +43,14 @@ KERNEL_HALF = 7
 CLICK_S = 0.010
 DEFAULT_SYNTH_RATE = 22050
 
+#: Most samples a run may hold: the oscillator ticks of a scenario and
+#: the samples of a synthesized click track. A tick costs about 180
+#: bytes (traced on a freq_track run: its phases in the loop's log, its
+#: osc row and the index arrays that fill it), so a run at the cap holds
+#: about 1.8 GB; a click track sample costs about 17 (the float, then its
+#: analysis). Longer requests raise InputError before anything is allocated.
+MAX_SAMPLES = 10_000_000
+
 #: An autocorrelation peak at a shorter lag wins over the global max
 #: when it reaches this fraction of it (tempo octave disambiguation).
 SUBHARMONIC_GATE = 0.5
@@ -113,7 +121,8 @@ def synth_click_track(bpm: float, duration_s: float,
 
     The first click starts at t=0; clicks repeat every 60/bpm seconds for
     the whole duration. A period shorter than one sample raises
-    InputError: no two clicks could be told apart.
+    InputError: no two clicks could be told apart; so does a track of
+    more than MAX_SAMPLES samples.
     """
     if not (bpm > 0 and math.isfinite(bpm)):
         raise InputError(f"bpm must be positive, got {bpm!r}")
@@ -123,6 +132,9 @@ def synth_click_track(bpm: float, duration_s: float,
     if period * sample_rate < 1.0:
         raise InputError(
             f"bpm {bpm!r} gives a click period under one sample at {sample_rate} Hz")
+    if duration_s * sample_rate > MAX_SAMPLES:
+        raise InputError(f"a {duration_s!r} s click track at {sample_rate} Hz is more than "
+                         f"the {MAX_SAMPLES:,} samples one may hold")
     n = int(round(duration_s * sample_rate))
     x = np.zeros(n)
     click_n = max(1, int(round(CLICK_S * sample_rate)))

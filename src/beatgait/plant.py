@@ -75,23 +75,17 @@ class GrfTimeline:
         object.__setattr__(self, "forces", f)
 
 
-def stance_weight(phi):
-    """Stance weight w(phi): 0 over [0, pi), sin(phi - pi) over [pi, 2*pi).
+def stance_weight(phi: list) -> list:
+    """Stance weights of a list of phases: 0 over [0, pi), sin(phi - pi) over [pi, 2*pi).
 
     Peaks at 1 when phi = 3*pi/2, the footfall phase. Phases are wrapped
-    first, and each is computed on its own as a plain float. A list in
-    gives a list out; any other input is read as an array and gives an
-    array of its shape, or a float for a scalar.
+    first, and each is computed on its own as a plain float.
     """
-    shape = None if isinstance(phi, list) else np.shape(phi)
-    values = phi if shape is None else np.ravel(np.asarray(phi, dtype=float)).tolist()
     w = []
-    for p in values:
+    for p in phi:
         p %= TWO_PI
         w.append(math.sin(p - math.pi) if p >= math.pi else 0.0)
-    if shape is None:
-        return w
-    return np.array(w).reshape(shape) if shape else w[0]
+    return w
 
 
 def _pair_weight(p: float, q: float) -> float:
@@ -101,8 +95,8 @@ def _pair_weight(p: float, q: float) -> float:
     return p if p == q else 2.0 * p * q / (p + q)
 
 
-def support_shares(w):
-    """Fraction of the supported load on each foot, from stance weights w.
+def support_shares(w: list) -> list:
+    """Fraction of the supported load on each foot, from a list of four stance weights w.
 
     Feet sit at the corners of a rectangle centred on the centre of mass,
     so vertical-force and moment balance force the two feet of a
@@ -124,29 +118,23 @@ def support_shares(w):
     one moment the grounded feet can take: a lone foot carries
     everything and two feet carry half each. All zeros during flight
     (sum(w) at or below FLIGHT_THRESHOLD).
-
-    A list of four weights gives a list; any other input is read as an
-    array and gives an array.
     """
-    as_list = isinstance(w, list)
-    w_rf, w_lf, w_rh, w_lh = w if as_list else np.asarray(w, dtype=float).tolist()
+    w_rf, w_lf, w_rh, w_lh = w
     # same summation order as numpy's sum over four values
     total = w_rf + w_lf + w_rh + w_lh
     h_a = _pair_weight(w_rf, w_lh)
     h_b = _pair_weight(w_lf, w_rh)
     if total <= FLIGHT_THRESHOLD:
-        shares = [0.0] * 4
-    elif h_a + h_b > 0.0:
+        return [0.0] * 4
+    if h_a + h_b > 0.0:
         total = h_a + h_b + h_b + h_a
         # share ratio first: equal weights then divide to exactly 1/n, which
         # keeps the mid-stance force plateau bit-uniform for beat extraction
         s_a, s_b = h_a / total, h_b / total
-        shares = [s_a, s_b, s_b, s_a]
-    else:
-        grounded = [1.0 if v > 0.0 else 0.0 for v in (w_rf, w_lf, w_rh, w_lh)]
-        n = sum(grounded)
-        shares = [v / n for v in grounded]
-    return shares if as_list else np.array(shares)
+        return [s_a, s_b, s_b, s_a]
+    grounded = [1.0 if v > 0.0 else 0.0 for v in w]
+    n = sum(grounded)
+    return [v / n for v in grounded]
 
 
 def grf_from_phases(phases, config: PlantConfig):
@@ -184,10 +172,9 @@ def contact_onsets(timeline: GrfTimeline, leg: int) -> np.ndarray:
     return timeline.t[1:][rising]
 
 
-def _stance_runs(force: np.ndarray):
-    """Index ranges [start, stop) of contiguous positive-force samples."""
-    grounded = force > 0.0
-    padded = np.concatenate([[False], grounded, [False]])
+def _true_runs(mask: np.ndarray):
+    """Index ranges [start, stop) of the contiguous True runs of a boolean mask."""
+    padded = np.concatenate([[False], mask, [False]])
     edges = np.flatnonzero(np.diff(padded.astype(int)))
     return list(zip(edges[0::2], edges[1::2]))
 
@@ -208,25 +195,13 @@ def kinematic_beats(timeline: GrfTimeline, leg: int, interior_only: bool = False
     """
     f = timeline.forces[:, leg]
     beats = []
-    for start, stop in _stance_runs(f):
+    for start, stop in _true_runs(f > 0.0):
         if interior_only and (start == 0 or stop == f.size):
             continue
         seg = f[start:stop]
-        peak = seg.max()
-        at_peak = np.flatnonzero(seg == peak)
-        run = at_peak[0]
-        # longest contiguous run at the peak value, earliest if several
-        best_len = 0
-        i = 0
-        while i < at_peak.size:
-            j = i
-            while j + 1 < at_peak.size and at_peak[j + 1] == at_peak[j] + 1:
-                j += 1
-            if j - i + 1 > best_len:
-                best_len = j - i + 1
-                run = at_peak[i] + (at_peak[j] - at_peak[i]) // 2
-            i = j + 1
-        beats.append(timeline.t[start + run])
+        # longest run at the peak value, the earliest if several tie
+        lo, hi = max(_true_runs(seg == seg.max()), key=lambda r: r[1] - r[0])
+        beats.append(timeline.t[start + lo + (hi - 1 - lo) // 2])
     return np.asarray(beats, dtype=float)
 
 

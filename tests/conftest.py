@@ -1,9 +1,37 @@
-"""Shared pytest configuration: acceptance criterion summary lines.
+"""Shared pytest configuration: golden runs and acceptance summary lines.
+
+The golden scenarios live in scripts/regen_goldens.py, which the test
+files import as regen_goldens; the golden_run fixture runs each config
+once per session for every test that reads its artifacts.
 
 Each acceptance criterion maps to one test (or parametrized family) in
 tests/test_acceptance.py named test_c<NN>_*. After the run, one PASS or
 FAIL line per criterion is printed so the gate can be read at a glance.
 """
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+
+import regen_goldens  # noqa: E402
+
+
+@pytest.fixture(scope="session")
+def golden_run(tmp_path_factory):
+    """A function from a scenario config to the artifact directory of its run."""
+    runs = {}
+
+    def run(config: dict) -> Path:
+        key = json.dumps(config, sort_keys=True)
+        if key not in runs:
+            runs[key] = regen_goldens.run_scenario(config, tmp_path_factory.mktemp("golden"))
+        return runs[key]
+    return run
+
 
 _CRITERIA = [
     ("test_c01", "C1  frequency tracking: 6 commands, mean dev < 0.05 Hz, var < 0.01 Hz^2, < 1 s each"),

@@ -178,6 +178,15 @@ class TestExitCodes:
         assert proc.returncode == 2, proc.stderr
         assert "under one sample" in proc.stderr and "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("command", ["rhythm-sync", "synth-click"])
+    def test_config_error_run_too_long(self, command, tmp_path):
+        # refused by the length cap, not by numpy failing to allocate the run
+        proc = run_cli_process(command, "--duration", "1e12", "--out", str(tmp_path / "o"),
+                               timeout=30)
+        assert proc.returncode == 2, proc.stderr
+        assert "10,000,000" in proc.stderr and "Traceback" not in proc.stderr
+        assert not (tmp_path / "o").exists()
+
     def test_curriculum_failure_code(self, tmp_path, capsys, monkeypatch):
         def boom(cfg):
             raise CurriculumError("rho=1 loop failed frequency tracking")

@@ -3,29 +3,17 @@
 Each manifest under tests/goldens/ records the scenario config that
 produced it, the expected report.json content, and sha256 digests of
 every runlog CSV. A mismatch means the numerics changed; if the change
-is intentional, regenerate with scripts/regen_goldens.py.
+is intentional, regenerate with scripts/regen_goldens.py, whose
+GOLDEN_SCENARIOS holds one entry per manifest.
 """
 
-import hashlib
 import json
 from pathlib import Path
 
 import pytest
-
-from beatgait.harness import (
-    ScenarioConfig,
-    run_estimator_curriculum,
-    run_frequency_tracking,
-    run_rhythm_sync,
-)
+import regen_goldens
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
-
-_RUNNERS = {
-    "freq_track": run_frequency_tracking,
-    "rhythm_sync": run_rhythm_sync,
-    "estimator_curriculum": run_estimator_curriculum,
-}
 
 
 def _manifests():
@@ -33,21 +21,29 @@ def _manifests():
 
 
 @pytest.mark.parametrize("path", _manifests(), ids=lambda p: p.stem)
-def test_golden_run(path, tmp_path):
+def test_golden_run(path, golden_run):
     manifest = json.loads(path.read_text())
-    cfg = ScenarioConfig.from_dict({**manifest["config"], "outdir": str(tmp_path)})
-    _RUNNERS[manifest["config"]["mode"]](cfg)
+    outdir = golden_run(manifest["config"])
 
-    report = json.loads((tmp_path / "report.json").read_text())
+    report = json.loads((outdir / "report.json").read_text())
     assert report == manifest["report"], (
         f"{path.stem}: report.json drifted from the stored golden; "
         f"regenerate with scripts/regen_goldens.py if intentional")
 
-    produced = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-                for p in sorted(tmp_path.glob("runlog*.csv"))}
-    assert produced == manifest["csv_sha256"], (
+    assert regen_goldens.digests(outdir) == manifest["csv_sha256"], (
         f"{path.stem}: runlog stream bytes drifted from the stored golden")
 
 
 def test_goldens_exist():
     assert len(_manifests()) >= 2, "golden manifests missing from tests/goldens/"
+
+
+def test_scenarios_and_manifests_one_to_one():
+    # a scenario added to the script but never generated, or a manifest
+    # whose script entry was removed or edited, would otherwise go unseen
+    stored = {p.stem: json.loads(p.read_text())["config"] for p in _manifests()}
+    scenarios = regen_goldens.GOLDEN_SCENARIOS
+    assert sorted(set(scenarios) - set(stored)) == [], "scenarios without a manifest"
+    assert sorted(set(stored) - set(scenarios)) == [], "manifests without a scenario"
+    for name, config in scenarios.items():
+        assert stored[name] == {**config, "outdir": None}, f"{name}: config differs"

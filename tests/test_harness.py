@@ -28,7 +28,7 @@ from beatgait.harness import (
     scheduler_tick,
 )
 from beatgait.modulator import ModulatorCommand
-from beatgait.music import save_wav, synth_click_track
+from beatgait.music import MAX_SAMPLES, save_wav, synth_click_track
 from beatgait.oscillator import TWO_PI
 from beatgait.plant import PlantConfig
 
@@ -171,6 +171,14 @@ class TestScenarioConfig:
                            rate_modulator_hz=30).resolve()
         with pytest.raises(InputError):
             ScenarioConfig(mode="freq_track", rate_plant_hz=0).resolve()
+
+    def test_run_length_capped(self):
+        # MAX_SAMPLES oscillator ticks at most, checked before anything is allocated
+        at_cap = ScenarioConfig(mode="freq_track", duration=MAX_SAMPLES / 2000,
+                                rate_oscillator_hz=2000)
+        assert at_cap.resolve().duration == MAX_SAMPLES / 2000
+        with pytest.raises(InputError, match="10,000,000 oscillator ticks"):
+            ScenarioConfig(mode="rhythm_sync", duration=MAX_SAMPLES / 1000 + 0.001).resolve()
 
     def test_round_trip(self):
         cfg = ScenarioConfig(mode="rhythm_sync", synth_bpm=96.0, seed=7,
@@ -469,6 +477,15 @@ class TestRhythmSync:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(IntegrationDivergedError, match="graded metrics not finite"):
                 run_rhythm_sync(cfg)
+
+    def test_feedforward_model_runs_on_the_loop_clock(self):
+        # the rollout steps and holds its loads like the configured loop;
+        # a model of the default 100 Hz hold left 0.0107 rad at a 200 Hz plant
+        cfg = ScenarioConfig(mode="rhythm_sync", synth_bpm=120.0, duration=12.0,
+                             error_mode="raw", feedforward=True, gain_k=2.0,
+                             rate_plant_hz=200)
+        _, mod = run_rhythm_sync(cfg)[0].streams["mod"]
+        assert np.abs(mod[mod[:, 0] > 5.0, 4]).max() < 1e-4
 
     def test_clip_shorter_than_run(self, tmp_path):
         wav = tmp_path / "clicks.wav"

@@ -29,6 +29,10 @@ from beatgait.oscillator import FOOTFALL_PHASE, TWO_PI, wrap_signed
 
 angles = st.floats(min_value=0.0, max_value=TWO_PI - 1e-9)
 
+#: The rollout clock of the default loop: a 1 ms oscillator step, loads
+#: held for 10 steps (a 100 Hz plant).
+CLOCK = (1e-3, 10)
+
 
 def unit(phi):
     return (math.cos(phi), math.sin(phi))
@@ -120,8 +124,10 @@ class TestConfig:
         cfg = ModulatorConfig()
         assert cfg.gain_k == 2.0 and cfg.rate_hz == MODULATOR_RATE_HZ
         assert cfg.delta_max is None and cfg.error_mode == "raw"
+        assert (cfg.step_s, cfg.hold_steps) == CLOCK
         assert [f.name for f in fields(ModulatorConfig)] == [
-            "gain_k", "delta_max", "rate_hz", "error_mode", "feedforward"]
+            "gain_k", "delta_max", "rate_hz", "error_mode", "feedforward", "step_s",
+            "hold_steps"]
 
     def test_validation(self):
         with pytest.raises(InputError):
@@ -132,6 +138,10 @@ class TestConfig:
             ModulatorConfig(rate_hz=0.0)
         with pytest.raises(InputError):
             ModulatorConfig(error_mode="fancy")
+        with pytest.raises(InputError):
+            ModulatorConfig(step_s=0.0)
+        with pytest.raises(InputError):
+            ModulatorConfig(hold_steps=0)
 
 
 class TestModulate:
@@ -207,14 +217,14 @@ class TestRollout:
 
     def test_swing_is_pure_ramp(self):
         # both pairs in swing carry no load: advance is exactly rate * horizon
-        out = rollout_phase(0.5, 0.5, self.OMEGA, 0.02)
+        out = rollout_phase(0.5, 0.5, self.OMEGA, 0.02, *CLOCK)
         assert out == pytest.approx((0.5 + self.OMEGA * 0.02) % TWO_PI, abs=1e-12)
 
     def test_stance_slows_single(self):
         # a lone stance leg (pair in swing) carries G = 0.5 exactly; in
         # late stance (cos > 0) that retards the phase
         phi, h = 1.7 * math.pi, 0.05
-        out = rollout_phase(phi, 0.3 * math.pi, self.OMEGA, h)
+        out = rollout_phase(phi, 0.3 * math.pi, self.OMEGA, h, *CLOCK)
         ramp = (phi + self.OMEGA * h) % TWO_PI
         assert wrap_signed(out - ramp) < 0
         # the ideal-trot model: G = 0.5 through the whole stance
@@ -225,8 +235,8 @@ class TestRollout:
 
     def test_pair_rollout_shares_load(self):
         phi = 1.2 * math.pi
-        lone = rollout_phase(phi, phi - math.pi, self.OMEGA, 0.05)
-        shared = rollout_phase(phi, phi, self.OMEGA, 0.05)
+        lone = rollout_phase(phi, phi - math.pi, self.OMEGA, 0.05, *CLOCK)
+        shared = rollout_phase(phi, phi, self.OMEGA, 0.05, *CLOCK)
         # an equal-phase pair halves each leg's share relative to TROT_G
         assert lone != pytest.approx(shared, abs=1e-6)
 
@@ -242,7 +252,7 @@ def bisect_command(phi, pair, theta, omega_m, gain_k, delta_max):
     target = (theta + omega_m * h + e * (1.0 - gain_k * h)) % TWO_PI
 
     def gap(delta):
-        return wrap_signed(rollout_phase(phi, pair, omega_m + delta, h) - target)
+        return wrap_signed(rollout_phase(phi, pair, omega_m + delta, h, *CLOCK) - target)
 
     lo, hi = -delta_max, delta_max
     g_lo, g_hi = gap(lo), gap(hi)
@@ -275,14 +285,14 @@ class TestFeedforward:
         for phi in (0.3, 1.0, 2.5, 4.0, 5.5):
             theta, pair = phi - 0.15, (phi + math.pi) % TWO_PI
             delta = feedforward_command(phi, pair, theta, self.OMEGA, 2.0,
-                                        0.5 * self.OMEGA)
-            landed = rollout_phase(phi, pair, self.OMEGA + delta, h)
+                                        0.5 * self.OMEGA, *CLOCK)
+            landed = rollout_phase(phi, pair, self.OMEGA + delta, h, *CLOCK)
             target = self.p_target(phi, theta, 2.0, h)
             assert abs(wrap_signed(landed - target)) <= 1e-9
 
     def test_saturates(self):
         # lagging theta by pi - 0.2 asks for more speed-up than the clamp allows
-        delta = feedforward_command(0.0, math.pi, math.pi - 0.2, self.OMEGA, 4.0, 1.0)
+        delta = feedforward_command(0.0, math.pi, math.pi - 0.2, self.OMEGA, 4.0, 1.0, *CLOCK)
         assert delta == 1.0
 
     # below delta_max = 0.25 the rollout's rounding noise (about 1e-15 rad
@@ -297,7 +307,7 @@ class TestFeedforward:
         # saturated ones
         theta = (phi - error) % TWO_PI
         ref, saturated = bisect_command(phi, pair, theta, self.OMEGA, gain_k, delta_max)
-        got = feedforward_command(phi, pair, theta, self.OMEGA, gain_k, delta_max)
+        got = feedforward_command(phi, pair, theta, self.OMEGA, gain_k, delta_max, *CLOCK)
         if saturated:
             assert got == ref
         else:
@@ -345,14 +355,15 @@ class TestFeedforward:
                 target = self.p_target(phi, theta, gain_k, h)
 
                 def gap(delta):
-                    return wrap_signed(rollout(phi, pair, self.OMEGA + delta, h) - target)
+                    return wrap_signed(rollout(phi, pair, self.OMEGA + delta, h, *CLOCK) - target)
 
                 if not gap(-delta_max) < 0.0 < gap(delta_max):
                     continue  # saturated: two rollouts, no search
                 counts.append(0)
                 with monkeypatch.context() as m:
                     m.setattr(modulator, "rollout_phase", counted_rollout)
-                    delta = feedforward_command(phi, pair, theta, self.OMEGA, gain_k, delta_max)
+                    delta = feedforward_command(phi, pair, theta, self.OMEGA, gain_k, delta_max,
+                                                *CLOCK)
                 gaps.append(abs(gap(delta)))
         assert sum(counts) / len(counts) <= 8
         assert max(counts) < 2 + SOLVE_STEPS
@@ -362,13 +373,14 @@ class TestFeedforward:
         """Solve on a synthetic model whose gap is end_offset(delta); (delta, rollouts)."""
         calls = []
 
-        def rollout(phi, pair, rate, horizon_s):
+        def rollout(phi, pair, rate, horizon_s, substep_s, hold_steps):
             calls.append(rate)
             return (self.OMEGA * horizon_s + end_offset(rate - self.OMEGA)) % TWO_PI
 
         monkeypatch.setattr(modulator, "rollout_phase", rollout)
         # theta = phi: zero phase error, so the target is the plain ramp
-        return feedforward_command(0.0, math.pi, 0.0, self.OMEGA, 2.0, math.pi), len(calls)
+        return (feedforward_command(0.0, math.pi, 0.0, self.OMEGA, 2.0, math.pi, *CLOCK),
+                len(calls))
 
     def test_curved_gap_converges_fast(self, monkeypatch):
         # a convex gap holds one end of a plain regula falsi for many

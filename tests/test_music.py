@@ -17,6 +17,7 @@ from beatgait.music import (
     ANALYSIS_WINDOW,
     FLUX_BLOCK_FRAMES,
     FRAME_RATE_HZ,
+    MAX_SAMPLES,
     TEMPO_RANGE_BPM,
     AudioClip,
     BeatGrid,
@@ -54,6 +55,11 @@ class TestSynthAndIo:
             synth_click_track(120.0, -1.0)
         with pytest.raises(InputError):
             synth_click_track(120.0, math.nan)
+
+    def test_track_length_capped(self):
+        # refused before the samples are allocated
+        with pytest.raises(InputError, match="10,000,000 samples"):
+            synth_click_track(120.0, (MAX_SAMPLES + 1) / 16000, sample_rate=16000)
 
     def test_sub_sample_period_rejected(self):
         # 60/bpm seconds must span at least one sample
