@@ -9,6 +9,10 @@ shifts the numerics. Run from the repository root, naming the manifests
 to regenerate, or none to regenerate all of them:
 
     python3 scripts/regen_goldens.py [name ...]
+
+For each manifest it rewrites, the script prints the drift from the
+stored one: how many report values changed, the largest absolute change
+among the numbers and its path, and which stream digests changed.
 """
 
 import argparse
@@ -62,6 +66,8 @@ GOLDEN_SCENARIOS = {
                                       "seed": 0},
 }
 
+GOLDEN_DIR = Path(__file__).resolve().parents[1] / "tests" / "goldens"
+
 RUNNERS = {
     "freq_track": run_frequency_tracking,
     "rhythm_sync": run_rhythm_sync,
@@ -105,6 +111,35 @@ def build_manifest(config: dict) -> dict:
             "csv_sha256": csv_sha256}
 
 
+def _leaves(value, path=""):
+    """(path, value) for every leaf of a JSON value, e.g. ("metrics.delta_t_series[3]", x)."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaves(item, f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _leaves(item, f"{path}[{i}]")
+    else:
+        yield path, value
+
+
+def drift(old: dict, new: dict) -> str:
+    """How a new manifest differs from the stored one, in two lines."""
+    before, after = dict(_leaves(old["report"])), dict(_leaves(new["report"]))
+    changed = [p for p in sorted(before.keys() | after.keys())
+               if p not in before or p not in after or before[p] != after[p]]
+    numeric = [(abs(after[p] - before[p]), p) for p in changed
+               if isinstance(before.get(p), (int, float))
+               and isinstance(after.get(p), (int, float))]
+    line = f"  report: {len(changed)} values changed"
+    if numeric:
+        size, where = max(numeric)
+        line += f", largest |change| {size:.3g} at {where}"
+    streams = sorted(name for name in old["csv_sha256"].keys() | new["csv_sha256"].keys()
+                     if old["csv_sha256"].get(name) != new["csv_sha256"].get(name))
+    return f"{line}\n  streams changed: {', '.join(streams) or 'none'}"
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("names", nargs="*", metavar="name",
@@ -113,13 +148,14 @@ def main(argv=None) -> int:
     unknown = [n for n in args.names if n not in GOLDEN_SCENARIOS]
     if unknown:
         ap.error(f"unknown manifest {', '.join(unknown)}")
-    golden_dir = Path(__file__).resolve().parents[1] / "tests" / "goldens"
-    golden_dir.mkdir(parents=True, exist_ok=True)
+    GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     for name in args.names or GOLDEN_SCENARIOS:
         manifest = build_manifest(GOLDEN_SCENARIOS[name])
-        path = golden_dir / f"{name}.json"
+        path = GOLDEN_DIR / f"{name}.json"
+        old = json.loads(path.read_text()) if path.exists() else None
         path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
         print(f"wrote {path} ({len(manifest['csv_sha256'])} stream digests)")
+        print(drift(old, manifest) if old else "  new manifest")
     return 0
 
 

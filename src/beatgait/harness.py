@@ -493,9 +493,13 @@ def run_rhythm_sync(config: ScenarioConfig):
     theta_mod = interpolate_phase(analysis.grid, t_mod)
     mod_rows = np.empty((n_mod, 5))
 
+    prev = 0.0  # the last command: where the next feedforward solve starts
+
     def mod_fn(t, phases, i):
+        nonlocal prev
         cmd = modulate(_ring(phases[leg]), _ring(theta_mod[i]), omega_m, mod_cfg,
-                       pair_obs=_ring(phases[pair_leg]))
+                       pair_obs=_ring(phases[pair_leg]), guess=prev)
+        prev = cmd.delta_omega
         mod_rows[i] = (t, omega_m, cmd.delta_omega, cmd.omega_tilde, cmd.phase_error)
         return cmd.omega_tilde
 

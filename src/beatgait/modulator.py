@@ -17,12 +17,15 @@ refinements address this without touching the default law:
   steers the underlying phase ramp, whose 3*pi/2 crossing is the
   stance midpoint, and centers footfalls on beats instead of chasing
   the ripple.
-* feedforward=True replaces the raw law with a one-tick solve: Illinois
-  regula falsi for the command whose model rollout (same Euler step and
-  force hold as the plant, the opposite diagonal pair rolled alongside)
-  lands the end-of-tick phase exactly where the plain law would have
-  put it were the stance feedback absent. The wobble is cancelled at
-  its source and the logged error decays by (1 - k/rate) per tick.
+* feedforward=True replaces the raw law with a one-tick solve for the
+  command whose model rollout (same Euler step and force hold as the
+  plant, the opposite diagonal pair rolled alongside) lands the
+  end-of-tick phase exactly where the plain law would have put it were
+  the stance feedback absent. The wobble is cancelled at its source and
+  the logged error decays by (1 - k/rate) per tick. The solve is a
+  secant search warm-started at the previous command, with Illinois
+  regula falsi as its fallback; where the clamp is wide enough for the
+  end phase to wrap (delta_max*h > pi/4) it runs Illinois alone.
 
 Both refinements use only the modulator's inputs, the known plant
 model and, for the rollout, one more leg of the oscillator bank.
@@ -180,71 +183,45 @@ def rollout_phase(phi_j: float, phi_pair: float, rate: float, horizon_s: float,
     alongside with the surrogate's own load split for diagonal pairs
     whose feet move in step (at unit force scale), which reproduces the
     graded loads of the double-support windows around stance handoffs.
+    The loads are set once per hold window; the two legs do not interact
+    inside one, so each is stepped through it in turn.
     """
     n = max(1, int(round(horizon_s / substep_s)))
-    for s in range(n):
-        if s % hold_steps == 0:  # true at s = 0, so ga and gb are set before use
-            wa = math.sin(phi_j - math.pi) if phi_j >= math.pi else 0.0
-            wb = math.sin(phi_pair - math.pi) if phi_pair >= math.pi else 0.0
-            total = 2.0 * (wa + wb)
-            if total <= 1e-6:
-                ga = gb = 0.0
-            else:
-                ga = wa / total
-                gb = wb / total
-        phi_j = (phi_j + substep_s * (rate - STANCE_SIGMA * ga * math.cos(phi_j))) % TWO_PI
-        phi_pair = (phi_pair + substep_s * (rate - STANCE_SIGMA * gb * math.cos(phi_pair))) % TWO_PI
+    cos = math.cos
+    for start in range(0, n, hold_steps):
+        wa = math.sin(phi_j - math.pi) if phi_j >= math.pi else 0.0
+        wb = math.sin(phi_pair - math.pi) if phi_pair >= math.pi else 0.0
+        total = 2.0 * (wa + wb)
+        # sigma times each leg's load share, grouped as in sigma * G * cos(phi)
+        ka = kb = 0.0
+        if total > 1e-6:
+            ka = STANCE_SIGMA * (wa / total)
+            kb = STANCE_SIGMA * (wb / total)
+        steps = range(min(hold_steps, n - start))
+        for _ in steps:
+            phi_j = (phi_j + substep_s * (rate - ka * cos(phi_j))) % TWO_PI
+        for _ in steps:
+            phi_pair = (phi_pair + substep_s * (rate - kb * cos(phi_pair))) % TWO_PI
     return phi_j
 
 
-def feedforward_command(phi_j: float, phi_pair: float, theta: float, omega_m: float,
-                        gain_k: float, delta_max: float, substep_s: float, hold_steps: int,
-                        rate_hz: float = MODULATOR_RATE_HZ) -> float:
-    """Frequency offset that cancels the stance feedback over one tick.
+def _illinois(gap, lo: float, g_lo: float, hi: float, g_hi: float, width: float,
+              h: float, steps: int) -> float:
+    """Illinois regula falsi on a bracket with g_lo < 0 < g_hi, in at most steps rollouts.
 
-    The proportional law alone leaves the within-cycle stance wobble in
-    the phase: its ripple sits at the stepping frequency, above the
-    20 Hz loop's reach. This instead solves for the constant offset
-    delta whose model rollout lands the end-of-tick phase exactly where
-    the plain law would put it if the feedback were absent, namely
-    theta + omega_m*h plus the decayed error e*(1 - gain_k*h). The
-    end phase grows monotonically with delta (faster command, earlier
-    stance holds), so outside the reachable range the clamp bound is
-    returned, matching the plain law's saturation. Inside it, Illinois
-    regula falsi (Dowell and Jarratt, 1971) takes secant steps, halving
-    the weight of an end kept twice in a row, and the midpoint when the
-    secant point leaves the bracket. The force hold and the load split
-    make the end phase jump at some commands: a step that fails to
-    halve its side's gap, still above what one stopping width moves the
-    phase in free swing, marks a jump, and bisection finishes the solve.
-    The solve stops once the bracket is no wider than SOLVE_STEPS
-    bisection steps would leave it (on a clamp of at least 0.25 rad/s,
-    since below that rounding noise sets the resolution), or after
-    SOLVE_STEPS steps, and returns the end with the smaller gap (or a
-    point of zero gap). substep_s and hold_steps are the rollout's clock.
+    Secant steps halve the weight of an end kept twice in a row, and the
+    midpoint stands in when the secant point leaves the bracket. The
+    force hold and the load split make the end phase jump at some
+    commands: a step that fails to halve its side's gap, still above
+    what one stopping width moves the phase in free swing (h * width),
+    marks a jump, and bisection finishes the solve. Stops once the
+    bracket is no wider than width; returns a point of zero gap or the
+    end with the smaller gap.
     """
-    h = 1.0 / rate_hz
-    e = wrap_signed(phi_j - theta)
-    target = (theta + omega_m * h + e * (1.0 - gain_k * h)) % TWO_PI
-
-    def gap(delta: float) -> float:
-        return wrap_signed(rollout_phase(phi_j, phi_pair, omega_m + delta, h, substep_s,
-                                         hold_steps) - target)
-
-    lo, hi = -delta_max, delta_max
-    g_lo, g_hi = gap(lo), gap(hi)
-    if g_lo >= 0.0:
-        return lo
-    if g_hi <= 0.0:
-        return hi
-    # 2*delta_max*2**-40 (no overflow), floored at the 0.25 rad/s clamp
-    # below which one width moves the end phase less than the rollout's
-    # rounding noise (about 1e-15 rad)
-    width = max(delta_max, 0.25) * 2.0 ** (1 - SOLVE_STEPS)
     w_lo = w_hi = 1.0  # Illinois weights on the end gaps
     moved = 0  # the end the last step moved: +1 hi, -1 lo
     stalled = False
-    for _ in range(SOLVE_STEPS):
+    for _ in range(steps):
         if hi - lo <= width:
             break
         x = hi - w_hi * g_hi * (hi - lo) / (w_hi * g_hi - w_lo * g_lo)
@@ -263,8 +240,106 @@ def feedforward_command(phi_j: float, phi_pair: float, theta: float, omega_m: fl
     return lo if -g_lo <= g_hi else hi
 
 
+def feedforward_command(phi_j: float, phi_pair: float, theta: float, omega_m: float,
+                        gain_k: float, delta_max: float, substep_s: float, hold_steps: int,
+                        rate_hz: float = MODULATOR_RATE_HZ, guess: float = 0.0) -> float:
+    """Frequency offset that cancels the stance feedback over one tick.
+
+    The proportional law alone leaves the within-cycle stance wobble in
+    the phase: its ripple sits at the stepping frequency, above the
+    20 Hz loop's reach. This instead solves for the constant offset
+    delta whose model rollout lands the end-of-tick phase exactly where
+    the plain law would put it if the feedback were absent, namely
+    theta + omega_m*h plus the decayed error e*(1 - gain_k*h). The
+    end phase grows monotonically with delta (faster command, earlier
+    stance holds), so outside the reachable range the clamp bound is
+    returned, matching the plain law's saturation.
+
+    The solve is warm-started: from guess (clamped; in a run, the
+    previous command) it takes secant steps, the first on the free-swing
+    slope h, and stops once the gap is within h*width, what one stopping
+    width moves the phase in free swing; where the root it has found
+    lies within one width of a clamp end, that end's rollout decides
+    saturation, as in the solve from the clamp ends. A step that leaves
+    the clamp range, meets a slope that is not positive or fails to
+    halve the gap hands over to Illinois regula falsi (Dowell and
+    Jarratt, 1971) on the tightest sign-change bracket the secant has
+    seen; when it has seen none, the two clamp-end rollouts first test
+    for saturation and close the bracket. The warm start relies on the
+    gap changing sign only at its root, not where the end phase wraps at
+    +-pi. So it runs only while delta_max*h <= pi/4: the end phase then
+    spans about 2*delta_max*h <= pi/2 over the clamp range, and a range
+    holding the root cannot also hold a wrap. Every default clamp,
+    min(0.5*omega, pi) at 20 Hz, is inside that limit; a wider one (or a
+    slower modulator) runs the Illinois solve from the clamp ends.
+
+    Illinois stops once the bracket is no wider than width, what
+    SOLVE_STEPS bisection steps leave of the clamp range (on a clamp of
+    at least 0.25 rad/s, since below that rounding noise sets the
+    resolution). The solve rolls out each command at most once,
+    2 + SOLVE_STEPS of them in all, so the fallback gets what the secant
+    left: where it has to bisect after k secant rollouts, its bracket
+    may end up to 2**k times wider than width.
+    substep_s and hold_steps are the rollout's clock.
+    """
+    h = 1.0 / rate_hz
+    e = wrap_signed(phi_j - theta)
+    target = (theta + omega_m * h + e * (1.0 - gain_k * h)) % TWO_PI
+
+    seen = {}  # gap by command: each rollout runs at most once per solve
+
+    def gap(delta: float) -> float:
+        if delta not in seen:
+            seen[delta] = wrap_signed(rollout_phase(phi_j, phi_pair, omega_m + delta, h,
+                                                    substep_s, hold_steps) - target)
+        return seen[delta]
+
+    # 2*delta_max*2**-40 (no overflow), floored at the 0.25 rad/s clamp
+    # below which one width moves the end phase less than the rollout's
+    # rounding noise (about 1e-15 rad)
+    width = max(delta_max, 0.25) * 2.0 ** (1 - SOLVE_STEPS)
+    lo = hi = g_lo = g_hi = None  # the tightest bracket seen, g_lo < 0 < g_hi
+    if delta_max * h <= 0.25 * math.pi:
+        x, slope = max(-delta_max, min(float(guess), delta_max)), h
+        x_prev = g_prev = None
+        while len(seen) < SOLVE_STEPS:  # two rollouts stay for the clamp ends
+            g = gap(x)
+            if abs(g) <= h * width:
+                # a root within one width of a clamp end may lie past it:
+                # that end's rollout decides saturation, as it would cold
+                root = x - g / slope
+                if g <= 0.0 and root >= delta_max - width and gap(delta_max) <= 0.0:
+                    return delta_max
+                if g >= 0.0 and root <= width - delta_max and gap(-delta_max) >= 0.0:
+                    return -delta_max
+                return x
+            if g < 0.0:
+                if lo is None or x > lo:
+                    lo, g_lo = x, g
+            elif hi is None or x < hi:
+                hi, g_hi = x, g
+            if x_prev is not None:
+                slope = (g - g_prev) / (x - x_prev)
+                if not (slope > 0.0 and abs(g) <= 0.5 * abs(g_prev)):
+                    break
+            x, x_prev, g_prev = x - g / slope, x, g
+            if not -delta_max <= x <= delta_max:
+                break
+    if lo is None or hi is None:
+        g_a, g_b = gap(-delta_max), gap(delta_max)
+        if g_a >= 0.0:
+            return -delta_max
+        if g_b <= 0.0:
+            return delta_max
+        if lo is None:
+            lo, g_lo = -delta_max, g_a
+        if hi is None:
+            hi, g_hi = delta_max, g_b
+    return _illinois(gap, lo, g_lo, hi, g_hi, width, h, 2 + SOLVE_STEPS - len(seen))
+
+
 def modulate(phi_obs_j, theta_obs, omega_m: float, config: ModulatorConfig,
-             pair_obs=None) -> ModulatorCommand:
+             pair_obs=None, guess: float = 0.0) -> ModulatorCommand:
     """One frequency command from the tracked leg's phase and the music phase.
 
     Default law: delta_omega = clamp(-k * e, +-delta_max) with
@@ -274,6 +349,8 @@ def modulate(phi_obs_j, theta_obs, omega_m: float, config: ModulatorConfig,
     pair_obs, a (cos, sin) observation of a leg from the opposite
     diagonal pair, feeds the feedforward rollout model; feedforward
     without it raises InputError, and the raw and footfall laws ignore it.
+    guess is the command the feedforward solve starts from, in a run the
+    previous one; the other laws ignore it too.
     """
     band = (TWO_PI * FREQ_BAND_HZ[0], TWO_PI * FREQ_BAND_HZ[1])
     if not (band[0] < omega_m <= band[1]):
@@ -301,7 +378,7 @@ def modulate(phi_obs_j, theta_obs, omega_m: float, config: ModulatorConfig,
         oc, os_ = _check_unit("pair_obs", pair_obs)
         delta = feedforward_command(phi_j, math.atan2(os_, oc) % TWO_PI, theta, omega_m,
                                     config.gain_k, delta_max, config.step_s,
-                                    config.hold_steps, rate_hz=config.rate_hz)
+                                    config.hold_steps, rate_hz=config.rate_hz, guess=guess)
     else:
         delta = -config.gain_k * e
     delta = float(min(max(delta, -delta_max), delta_max))

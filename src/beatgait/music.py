@@ -93,17 +93,18 @@ def load_wav(path) -> AudioClip:
         raise FormatError(f"unreadable WAV file {path}: {exc}") from exc
     except OSError as exc:
         raise InputError(f"cannot open WAV file {path}: {exc}") from exc
-    x = np.asarray(data)
+    # normalize by the file's sample type before any downmix (the mean of
+    # integer channels is float and would pass as already normalized),
+    # in place on the one float copy
+    x = data.astype(float, copy=False)
+    if data.dtype.kind == "i":
+        x /= float(np.iinfo(data.dtype).max)
+    elif data.dtype.kind == "u":
+        half = (np.iinfo(data.dtype).max + 1) / 2.0
+        x -= half
+        x /= half
     if x.ndim == 2:
         x = x.mean(axis=1)
-    if x.dtype.kind == "i":
-        x = x.astype(float) / float(np.iinfo(data.dtype).max)
-    elif x.dtype.kind == "u":
-        info = np.iinfo(data.dtype)
-        half = (info.max + 1) / 2.0
-        x = (x.astype(float) - half) / half
-    else:
-        x = x.astype(float)
     return AudioClip(samples=x, sample_rate=int(rate))
 
 

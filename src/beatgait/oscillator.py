@@ -52,11 +52,17 @@ def wrap_phase(phi):
 
 
 def wrap_signed(delta):
-    """Wrap angle differences into (-pi, pi]. Works on scalars and arrays."""
-    out = np.mod(delta + math.pi, TWO_PI) - math.pi
-    return np.where(out <= -math.pi, math.pi, out) if np.ndim(out) else (
-        math.pi if out <= -math.pi else float(out)
-    )
+    """Wrap angle differences into (-pi, pi]. Works on scalars and arrays.
+
+    A scalar (np.float64 included) is wrapped in plain floats and comes
+    back as a float: Python's float % and np.mod share one
+    fmod-and-correct rule, so it gets the bits of the array path.
+    """
+    if isinstance(delta, np.ndarray) and delta.ndim:
+        out = np.mod(delta + math.pi, TWO_PI) - math.pi
+        return np.where(out <= -math.pi, math.pi, out)
+    out = (float(delta) + math.pi) % TWO_PI - math.pi
+    return math.pi if out <= -math.pi else out
 
 
 @dataclass(frozen=True)

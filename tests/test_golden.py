@@ -47,3 +47,23 @@ def test_scenarios_and_manifests_one_to_one():
     assert sorted(set(stored) - set(scenarios)) == [], "manifests without a scenario"
     for name, config in scenarios.items():
         assert stored[name] == {**config, "outdir": None}, f"{name}: config differs"
+
+
+def test_regeneration_prints_drift(tmp_path, monkeypatch, capsys):
+    # a stored manifest, and the one a changed program would write over it
+    stored = {"config": {}, "csv_sha256": {"runlog.csv": "a1", "runlog.mod.csv": "b1"},
+              "report": {"gait": "trot", "metrics": {"dt": [0.5, 0.25], "n": 3}}}
+    rewritten = {"config": {}, "csv_sha256": {"runlog.csv": "a1", "runlog.mod.csv": "b2"},
+                 "report": {"gait": "pace", "metrics": {"dt": [0.5, 0.125], "n": 4}}}
+    (tmp_path / "freq_track.json").write_text(json.dumps(stored))
+    monkeypatch.setattr(regen_goldens, "GOLDEN_DIR", tmp_path)
+    monkeypatch.setattr(regen_goldens, "build_manifest", lambda config: rewritten)
+
+    assert regen_goldens.main(["freq_track", "rhythm_sync"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:3] == ["  report: 3 values changed, largest |change| 1 at metrics.n",
+                          "  streams changed: runlog.mod.csv"]
+    assert lines[4] == "  new manifest"
+    assert json.loads((tmp_path / "freq_track.json").read_text()) == rewritten
+    assert regen_goldens.drift(rewritten, rewritten) == (
+        "  report: 0 values changed\n  streams changed: none")

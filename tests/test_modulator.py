@@ -244,6 +244,49 @@ class TestRollout:
         assert wobble_amplitude(self.OMEGA) == pytest.approx(
             STANCE_SIGMA * TROT_G / self.OMEGA)
 
+    @staticmethod
+    def per_substep_rollout(phi_j, phi_pair, rate, horizon_s, substep_s, hold_steps):
+        """The rollout as one loop over substeps, loads reset every hold_steps."""
+        n = max(1, int(round(horizon_s / substep_s)))
+        for s in range(n):
+            if s % hold_steps == 0:
+                wa = math.sin(phi_j - math.pi) if phi_j >= math.pi else 0.0
+                wb = math.sin(phi_pair - math.pi) if phi_pair >= math.pi else 0.0
+                total = 2.0 * (wa + wb)
+                if total <= 1e-6:
+                    ga = gb = 0.0
+                else:
+                    ga = wa / total
+                    gb = wb / total
+            phi_j = (phi_j + substep_s * (rate - STANCE_SIGMA * ga * math.cos(phi_j))) % TWO_PI
+            phi_pair = (phi_pair + substep_s * (rate - STANCE_SIGMA * gb * math.cos(phi_pair))
+                        ) % TWO_PI
+        return phi_j
+
+    @given(angles, angles, st.floats(min_value=0.0, max_value=40.0),
+           st.sampled_from([1, 2, 7, 10, 20]), st.sampled_from([5e-4, 1e-3, 2e-3]),
+           st.integers(min_value=0, max_value=6), st.integers(min_value=1, max_value=19))
+    @settings(max_examples=500, deadline=None)
+    def test_hold_windows_match_per_substep_loop(self, phi, pair, rate, hold_steps, step_s,
+                                                 windows, extra):
+        # most horizons end inside a hold window, which is cut short
+        n = (windows * hold_steps + extra % hold_steps) or 1
+        got = rollout_phase(phi, pair, rate, n * step_s, step_s, hold_steps)
+        assert got == self.per_substep_rollout(phi, pair, rate, n * step_s, step_s, hold_steps)
+
+    def test_double_support_matches_per_substep_loop(self):
+        # with both legs loaded the load split rounds, and about one draw
+        # in 500 would show a regrouped STANCE_SIGMA * wa / total
+        rng = np.random.default_rng(12)
+        for _ in range(20_000):
+            phi, pair = rng.uniform(math.pi, TWO_PI, 2)
+            rate = rng.uniform(0.0, 40.0)
+            hold_steps = int(rng.choice([1, 2, 7, 10, 20]))
+            step_s = float(rng.choice([5e-4, 1e-3, 2e-3]))
+            horizon_s = int(rng.integers(1, 61)) * step_s
+            args = (float(phi), float(pair), rate, horizon_s, step_s, hold_steps)
+            assert rollout_phase(*args) == self.per_substep_rollout(*args)
+
 
 def bisect_command(phi, pair, theta, omega_m, gain_k, delta_max):
     """The feedforward solve as 40 bisection steps: (delta, saturated)."""
@@ -369,7 +412,7 @@ class TestFeedforward:
         assert max(counts) < 2 + SOLVE_STEPS
         assert max(gaps) <= 1e-12
 
-    def solve_on(self, monkeypatch, end_offset):
+    def solve_on(self, monkeypatch, end_offset, guess=0.0):
         """Solve on a synthetic model whose gap is end_offset(delta); (delta, rollouts)."""
         calls = []
 
@@ -379,8 +422,8 @@ class TestFeedforward:
 
         monkeypatch.setattr(modulator, "rollout_phase", rollout)
         # theta = phi: zero phase error, so the target is the plain ramp
-        return (feedforward_command(0.0, math.pi, 0.0, self.OMEGA, 2.0, math.pi, *CLOCK),
-                len(calls))
+        return (feedforward_command(0.0, math.pi, 0.0, self.OMEGA, 2.0, math.pi, *CLOCK,
+                                    guess=guess), len(calls))
 
     def test_curved_gap_converges_fast(self, monkeypatch):
         # a convex gap holds one end of a plain regula falsi for many
@@ -399,6 +442,90 @@ class TestFeedforward:
             monkeypatch, lambda d: 0.05 * (d - 0.3) + (0.01 if d >= 0.3 else -0.003))
         assert 0.3 - 2 * math.pi * 2.0 ** -SOLVE_STEPS <= delta < 0.3
         assert rollouts <= 2 + SOLVE_STEPS
+
+    @given(angles, angles, st.floats(min_value=-1.0, max_value=1.0),
+           st.floats(min_value=0.0, max_value=40.0, exclude_min=True, exclude_max=True),
+           st.floats(min_value=0.25, max_value=TWO_PI), st.floats(min_value=-1.0, max_value=1.0))
+    @settings(max_examples=300, deadline=None)
+    def test_warm_start_matches_bisection(self, phi, pair, error, gain_k, delta_max, where):
+        # any start inside the clamp range: saturated solves return the
+        # clamp bound exactly, the others agree to test_matches_bisection's
+        # tolerance
+        theta = (phi - error) % TWO_PI
+        ref, saturated = bisect_command(phi, pair, theta, self.OMEGA, gain_k, delta_max)
+        got = feedforward_command(phi, pair, theta, self.OMEGA, gain_k, delta_max, *CLOCK,
+                                  guess=where * delta_max)
+        if saturated:
+            assert got == ref
+        else:
+            assert abs(got - ref) <= 4 * 2 * delta_max * 2.0 ** -SOLVE_STEPS
+
+    @given(angles, angles, st.floats(min_value=-math.pi, max_value=math.pi),
+           st.floats(min_value=0.1, max_value=40.0),
+           st.sampled_from([0.01, 0.1, 1.0, math.pi, 15.0, 100.0, 1e308]),
+           st.floats(min_value=-2.0, max_value=2.0))
+    @settings(max_examples=200, deadline=None)
+    def test_rollouts_capped(self, phi, pair, error, gain_k, delta_max, where):
+        # small, default and wide clamps, starts inside and outside them
+        calls = []
+
+        def counted_rollout(*args):
+            calls.append(args)
+            return rollout_phase(*args)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(modulator, "rollout_phase", counted_rollout)
+            got = feedforward_command(phi, pair, (phi - error) % TWO_PI, self.OMEGA, gain_k,
+                                      delta_max, *CLOCK, guess=where * min(delta_max, 10.0))
+        assert abs(got) <= delta_max
+        assert len(calls) <= 2 + SOLVE_STEPS
+
+    @pytest.mark.parametrize("where", [-1.0, -0.5, 0.0, 0.29, 0.31, 1.0])
+    @pytest.mark.parametrize("end_offset, flat", [
+        (lambda d: 0.05 * (d - 0.3) + (0.01 if d >= 0.3 else -0.003), False),  # a jump at 0.3
+        (lambda d: math.copysign(abs(d - 0.3) ** 0.2, d - 0.3), False),  # steep root, flat sides
+        (lambda d: 1e-3 * (d - 0.3) ** 3 + 1e-9 * (d - 0.3), True),  # flat root
+    ], ids=["jump", "steep", "flat"])
+    def test_rollouts_capped_on_hard_gaps(self, monkeypatch, end_offset, flat, where):
+        # gaps on which the secant stalls or crawls still end within the
+        # rollout cap, at the solve's resolution about the root (or jump)
+        # at 0.3; on the flat root the stop at |gap| <= h*width comes first
+        delta, rollouts = self.solve_on(monkeypatch, end_offset, guess=where * math.pi)
+        assert rollouts <= 2 + SOLVE_STEPS
+        if flat:
+            width = math.pi * 2.0 ** (1 - SOLVE_STEPS)
+            assert abs(end_offset(delta)) <= width / MODULATOR_RATE_HZ
+        else:
+            assert abs(delta - 0.3) <= 2 * math.pi * 2.0 ** -SOLVE_STEPS
+
+    def test_wide_clamp_ignores_guess(self):
+        # delta_max * h > pi/4: the end phase may wrap within the clamp
+        # range, and the solve runs from the clamp ends
+        args = (1.0, 1.0 + math.pi, 0.8, self.OMEGA, 2.0, 20.0, *CLOCK)
+        cold = feedforward_command(*args)
+        assert all(feedforward_command(*args, guess=g) == cold for g in (-20.0, -3.0, 5.0, 20.0))
+
+    def test_warm_start_in_lock_runs(self, monkeypatch):
+        # the C4 lock runs, each command started from the one before
+        counts = []
+        rollout, solve = modulator.rollout_phase, modulator.feedforward_command
+
+        def counted_rollout(*args, **kwargs):
+            counts[-1] += 1
+            return rollout(*args, **kwargs)
+
+        def counted_solve(*args, **kwargs):
+            counts.append(0)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(modulator, "rollout_phase", counted_rollout)
+        monkeypatch.setattr(modulator, "feedforward_command", counted_solve)
+        for gain_k in (1.0, 2.0, 4.0):
+            run_rhythm_sync(ScenarioConfig(mode="rhythm_sync", synth_bpm=120.0, duration=30.0,
+                                           gain_k=gain_k, error_mode="raw", feedforward=True))
+        assert len(counts) == 3 * 600
+        assert sum(counts) / len(counts) <= 4
+        assert max(counts) <= 2 + SOLVE_STEPS
 
     def test_feedforward_via_modulate(self):
         cfg = ModulatorConfig(gain_k=2.0, feedforward=True)

@@ -79,6 +79,21 @@ class TestSynthAndIo:
         # 16-bit quantization bound
         assert np.max(np.abs(back.samples - clip.samples)) < 2e-4
 
+    @pytest.mark.parametrize("dtype, scale, offset", [
+        (np.int16, 32767, 0), (np.int32, 2**31 - 1, 0), (np.uint8, 127, 128)])
+    def test_stereo_integer_wav_normalized(self, tmp_path, dtype, scale, offset):
+        # one click track as mono and as two equal channels: the samples
+        # are normalized by their type before the downmix
+        from scipy.io import wavfile
+
+        clip = synth_click_track(120.0, 1.0)
+        pcm = (clip.samples * scale + offset).astype(dtype)
+        wavfile.write(tmp_path / "mono.wav", clip.sample_rate, pcm)
+        wavfile.write(tmp_path / "stereo.wav", clip.sample_rate, np.column_stack([pcm, pcm]))
+        mono, stereo = load_wav(tmp_path / "mono.wav"), load_wav(tmp_path / "stereo.wav")
+        assert 0.99 < np.abs(stereo.samples).max() <= 1.0
+        assert np.array_equal(stereo.samples, mono.samples)
+
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(InputError):
             load_wav(tmp_path / "nope.wav")

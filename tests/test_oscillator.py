@@ -71,6 +71,21 @@ class TestWrapping:
         assert isinstance(wrap_signed(7.0), float)
         assert wrap_phase(np.array([7.0])).shape == (1,)
 
+    @pytest.mark.parametrize("x", [math.pi, -math.pi, TWO_PI, -TWO_PI, 0.0, -0.0, 1e-16,
+                                   -1e-16, 1e300, -1e300, math.nan, 7.0, -7.0])
+    def test_wrap_signed_scalar_matches_np_mod(self, x):
+        # the plain-float path gives the bits of the array path's np.mod rule
+        ref = np.mod(np.float64(x) + math.pi, TWO_PI) - math.pi
+        ref = math.pi if ref <= -math.pi else float(ref)
+        for arg in (x, np.float64(x)):
+            got = wrap_signed(arg)
+            assert type(got) is float
+            if math.isnan(ref):
+                assert math.isnan(got)
+            else:
+                assert got == ref and math.copysign(1.0, got) == math.copysign(1.0, ref)
+        assert np.array_equal(wrap_signed(np.array([x])), [ref], equal_nan=True)
+
 
 class TestParams:
     def test_stationary_params(self):
