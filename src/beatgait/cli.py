@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 from .errors import BeatGaitError
 from .harness import (
@@ -82,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     rs.add_argument("--gain-k", type=float, dest="gain_k", metavar="K",
                     help="phase error feedback gain (default 2.0)")
     rs.add_argument("--error-mode", choices=ERROR_MODES, dest="error_mode",
-                    help="phase error definition (default footfall)")
+                    help="proportional law's error (default footfall; feedforward steers raw)")
     rs.add_argument("--feedforward", action="store_true", default=None,
                     help="enable the one-tick feedforward solve")
     rs.add_argument("--delta-max", type=float, dest="delta_max", metavar="RAD_S",
@@ -127,7 +127,7 @@ def _scenario_config(args: argparse.Namespace, mode: str) -> ScenarioConfig:
     else:
         cfg = ScenarioConfig.from_json(args.config, mode=mode, **flags)
     if cfg.outdir is None:
-        cfg = replace(cfg, outdir=os.path.join("out", mode))
+        cfg = replace(cfg, outdir=str(Path("out", mode)))
     return cfg
 
 
@@ -172,9 +172,7 @@ def _cmd_curriculum(args: argparse.Namespace) -> int:
 
 def _cmd_synth_click(args: argparse.Namespace) -> int:
     clip = synth_click_track(args.bpm, args.duration)
-    parent = os.path.dirname(args.out)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     save_wav(args.out, clip)
     print(f"wrote {args.out}: {args.bpm:g} bpm, {args.duration:g} s, "
           f"{clip.sample_rate} Hz")
@@ -197,9 +195,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     text = json.dumps(out, sort_keys=True, indent=2)
     print(text)
     if args.out:
-        parent = os.path.dirname(args.out)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     return 0

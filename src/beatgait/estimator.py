@@ -1,14 +1,16 @@
 """Normalized-GRF estimator and its training curriculum.
 
 Learns to predict each leg's normalized load from proprioceptive
-observations only: a binary foot contact indicator I and the leg's
-stance weight s (the joint-information proxy available on the desk).
-Features are [I, I*s] per leg, pooled across legs, fitted by closed
-form least squares. On a steady trot the true normalized load is
-exactly linear in these features, so the fit is exact up to rounding.
+observations only: a binary indicator I, 1 while the leg's phase is in
+stance (p >= pi), and the leg's support share s, its share of the
+supported load (the joint-information proxy available on the desk).
+I is not "loaded": a foot in stance whose diagonal partner swings
+counts 1 and carries 0. Features are [I, I*s] per leg, pooled across
+legs, fitted by closed form least squares. The plant's normalized load
+is exactly linear in these features, so the fit is exact up to rounding.
 
 Training data arrive as one batch: EstimatorInput holds (n, 4) arrays
-of indicators and stance weights, validated once when it is built, and
+of indicators and support shares, validated once when it is built, and
 fit builds the whole feature matrix in one step. predict and mix are
 the closed loop's per-sample calls. They take and return lists of
 plain floats, mix's list is what the oscillators then hold, and
@@ -42,8 +44,8 @@ MIN_FIT_SAMPLES = 100
 class EstimatorInput:
     """A batch of proprioceptive observations, one row per control instant.
 
-    contact_indicators: (n, 4) binary flags, 1 while the foot is loaded
-    stance_weights: (n, 4) stance weights in [0, 1]
+    contact_indicators: (n, 4) binary flags, 1 while the leg's phase is in stance
+    stance_weights: (n, 4) values in [0, 1]; the loop feeds support shares
 
     Validated once for the whole batch; an error names the first bad row.
     """
@@ -100,13 +102,12 @@ def fit(inputs: EstimatorInput, g_sim) -> FittedModel:
     # one row [I, I*s] per leg-sample, observation-major like the loads
     x = np.stack([ind, ind * inputs.stance_weights], axis=-1).reshape(-1, 2)
     y = g.reshape(-1)
-    rank = np.linalg.matrix_rank(x)
+    # lstsq's rank uses matrix_rank's threshold, max(M, N) * eps * sigma_max
+    coeffs, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
     rank_deficient = rank < x.shape[1]
     if rank_deficient:
         xtx = x.T @ x + RIDGE_EPS * np.eye(x.shape[1])
         coeffs = np.linalg.solve(xtx, x.T @ y)
-    else:
-        coeffs, *_ = np.linalg.lstsq(x, y, rcond=None)
     mse = float(np.mean((x @ coeffs - y) ** 2))
     return FittedModel(coeffs=coeffs, mse=mse, rank_deficient=rank_deficient)
 

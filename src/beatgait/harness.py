@@ -65,6 +65,9 @@ MAX_JSON_INT = 2**53 - 1
 FREQ_DEV_MEAN_BOUND_HZ = 0.05
 FREQ_DEV_VAR_BOUND_HZ2 = 0.01
 
+#: The plant every scenario runs.
+_PLANT = PlantConfig()
+
 _MODE_DEFAULTS = {
     # duration_s, plant rate; oscillator and modulator rates are shared
     "freq_track": (5.0, 500),
@@ -83,10 +86,11 @@ class ScenarioConfig:
     nor synth_bpm synthesizes 120 BPM clicks.
 
     error_mode/feedforward/gain_k/delta_max select the modulator
-    variant for rhythm_sync, and target_leg the leg whose footfalls it
-    locks to the beat; perturb_rad draws a uniform initial-phase kick
-    from the run's seeded generator; iterations and estimator_mode
-    shape the curriculum.
+    variant for rhythm_sync (error_mode picks the proportional law's
+    error; feedforward steers the raw one), and target_leg the leg
+    whose footfalls it locks to the beat; perturb_rad draws a uniform
+    initial-phase kick from the run's seeded generator; iterations and
+    estimator_mode shape the curriculum.
 
     v_cmd, f_cmd, duration, warmup_s, gain_k, delta_max, synth_bpm and
     perturb_rad must be finite numbers (bools excluded), seed,
@@ -287,7 +291,7 @@ def scheduler_tick(phases, g, dt: float, om, sg, xi, n_steps: int, log):
     return phases
 
 
-def _initial_state(cfg: ScenarioConfig, f_gait: float, plant_cfg: PlantConfig):
+def _initial_state(cfg: ScenarioConfig, f_gait: float):
     """Moving-gait bank at the stationary-to-moving transition, as float lists.
 
     All four legs carry equal weight while standing, so the low-load
@@ -295,7 +299,7 @@ def _initial_state(cfg: ScenarioConfig, f_gait: float, plant_cfg: PlantConfig):
     Optional uniform phase perturbation is the only consumer of the
     run's random generator.
     """
-    standing = np.full(4, plant_cfg.mass * plant_cfg.g / 4.0)
+    standing = np.full(4, _PLANT.mass * _PLANT.g / 4.0)
     params = select_params(cfg.v_cmd, f_gait, standing)
     phases = make_bank(params).phases
     if cfg.perturb_rad > 0:
@@ -316,8 +320,8 @@ def _diverged(label: str, t: float) -> IntegrationDivergedError:
         f"{label} diverged: oscillator phases non-finite by t={t:.3f} s")
 
 
-def _simulate(cfg: ScenarioConfig, plant_cfg: PlantConfig, f_gait: float,
-              load=None, mod_fn=None, label: str | None = None, log_osc: bool = True):
+def _simulate(cfg: ScenarioConfig, f_gait: float, load=None, mod_fn=None,
+              label: str | None = None, log_osc: bool = True):
     """The closed loop every scenario runs: oscillators, plant, modulator.
 
     The phases, the oscillator parameters and the held loads are lists
@@ -340,9 +344,10 @@ def _simulate(cfg: ScenarioConfig, plant_cfg: PlantConfig, f_gait: float,
     (t, four forces, four normalized loads).
     """
     label = label or cfg.mode
-    phases, om, sg, xi = _initial_state(cfg, f_gait, plant_cfg)
+    phases, om, sg, xi = _initial_state(cfg, f_gait)
     n_ticks, plant_every, mod_every = _tick_counts(cfg)
     dt = 1.0 / cfg.rate_oscillator_hz
+    plant_cfg = _PLANT
     body_weight = plant_cfg.mass * plant_cfg.g
     osc_log = array("d") if log_osc else None
     plant_log = array("d")
@@ -409,9 +414,8 @@ def run_frequency_tracking(config: ScenarioConfig):
     command-range error the oscillator would.
     """
     cfg = config.resolve()
-    plant_cfg = PlantConfig()
     f_cmd = float(cfg.f_cmd)
-    phases, osc_rows, plant_rows = _simulate(cfg, plant_cfg, f_cmd)
+    phases, osc_rows, plant_rows = _simulate(cfg, f_cmd)
 
     timeline = _timeline(plant_rows)
     per_leg = {LEG_ORDER[leg]: _leg_stats(timeline, leg, f_cmd) for leg in range(4)}
@@ -468,7 +472,6 @@ def run_rhythm_sync(config: ScenarioConfig):
     metrics that are not finite raise IntegrationDivergedError.
     """
     cfg = config.resolve()
-    plant_cfg = PlantConfig()
 
     analysis = analyze_clip(_resolve_clip(cfg))
     n_frames = int(round(cfg.duration * FRAME_RATE_HZ))
@@ -503,7 +506,7 @@ def run_rhythm_sync(config: ScenarioConfig):
         mod_rows[i] = (t, omega_m, cmd.delta_omega, cmd.omega_tilde, cmd.phase_error)
         return cmd.omega_tilde
 
-    final_phases, osc_rows, plant_rows = _simulate(cfg, plant_cfg, f_gait, mod_fn=mod_fn)
+    final_phases, osc_rows, plant_rows = _simulate(cfg, f_gait, mod_fn=mod_fn)
 
     timeline = _timeline(plant_rows)
     beats = analysis.grid.beat_times
@@ -626,7 +629,6 @@ def run_estimator_curriculum(config: ScenarioConfig):
     the command.
     """
     cfg = config.resolve()
-    plant_cfg = PlantConfig()
     f_cmd = float(cfg.f_cmd)
 
     header = {"mode": cfg.mode, "seed": cfg.seed, "estimator_mode": cfg.estimator_mode,
@@ -635,7 +637,7 @@ def run_estimator_curriculum(config: ScenarioConfig):
 
     if cfg.estimator_mode == "fallback":
         fallback = [est.FALLBACK_G] * 4
-        _, _, plant_rows = _simulate(cfg, plant_cfg, f_cmd, label="fallback run",
+        _, _, plant_rows = _simulate(cfg, f_cmd, label="fallback run",
                                      load=lambda t, phases, i, g_sim: fallback, log_osc=False)
         stats = _leg_stats(_timeline(plant_rows), 0, f_cmd)
         report = {
@@ -664,7 +666,7 @@ def run_estimator_curriculum(config: ScenarioConfig):
         rho = i / n
         start, end = i * per_episode, (i + 1) * per_episode
         _, _, plant_rows = _simulate(
-            cfg, plant_cfg, f_cmd, label=f"curriculum iteration {i} (rho={rho})",
+            cfg, f_cmd, label=f"curriculum iteration {i} (rho={rho})",
             load=_curriculum_load(rho, model, data[:2, start:end]), log_osc=False)
         data[2, start:end] = plant_rows[:, 5:9]
         model = est.fit(est.EstimatorInput(data[0, :end], data[1, :end]), data[2, :end])
@@ -672,9 +674,8 @@ def run_estimator_curriculum(config: ScenarioConfig):
 
     eval_stats = {}
     for f in FREQ_TRACK_COMMANDS:
-        _, _, plant_rows = _simulate(cfg, plant_cfg, f, label=f"rho=1 evaluation at f_cmd={f}",
-                                     load=_curriculum_load(1.0, model),
-                                     log_osc=False)
+        _, _, plant_rows = _simulate(cfg, f, label=f"rho=1 evaluation at f_cmd={f}",
+                                     load=_curriculum_load(1.0, model), log_osc=False)
         stats = _leg_stats(_timeline(plant_rows), 0, f)
         eval_stats[f"{f:.1f}"] = stats
         if (stats["mean_abs_dev_hz"] >= FREQ_DEV_MEAN_BOUND_HZ
@@ -702,8 +703,7 @@ def _write_artifacts(cfg: ScenarioConfig, runlog: RunLog, report: dict) -> None:
     if cfg.outdir is None:
         return
     outdir = Path(cfg.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    runlog.write(outdir)  # creates outdir
     (outdir / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
     (outdir / "config.echo.json").write_text(
         json.dumps(cfg.to_dict(), sort_keys=True, indent=2) + "\n")
-    runlog.write(outdir)

@@ -10,7 +10,7 @@ bundles whichever of these a scenario produced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -37,17 +37,11 @@ def beat_alignment(kin_beats, music_beats, warmup_s: float = DEFAULT_WARMUP_S):
     if kin.size == 0 or mus.size == 0:
         raise InsufficientDataError("no beats left after discarding warm-up")
     right = np.searchsorted(mus, kin)
-    deltas = np.empty_like(kin)
-    for i, (k, r) in enumerate(zip(kin, right)):
-        lo = mus[r - 1] if r > 0 else None
-        hi = mus[r] if r < mus.size else None
-        if lo is None:
-            deltas[i] = k - hi
-        elif hi is None:
-            deltas[i] = k - lo
-        else:
-            # tie -> later beat, giving the negative offset
-            deltas[i] = (k - lo) if (k - lo) < (hi - k) else (k - hi)
+    # offsets to the beats before and after; past either end, both to the end beat
+    to_lo = kin - mus[np.maximum(right - 1, 0)]
+    to_hi = kin - mus[np.minimum(right, mus.size - 1)]
+    # tie -> later beat, giving the negative offset
+    deltas = np.where(to_lo < -to_hi, to_lo, to_hi)
     return deltas, float(np.abs(deltas).max())
 
 
@@ -86,7 +80,7 @@ def relative_phase_differences(phases) -> np.ndarray:
 
 @dataclass
 class SyncReport:
-    """Scored quantities of one scenario run; unused fields stay None."""
+    """Scored quantities of one scenario run, as plain floats; unused fields stay None."""
 
     delta_t_series: list = field(default_factory=list)
     delta_t_max: float | None = None
@@ -96,11 +90,4 @@ class SyncReport:
     rpd_matrix: list | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "delta_t_series": [float(d) for d in self.delta_t_series],
-            "delta_t_max": None if self.delta_t_max is None else float(self.delta_t_max),
-            "omega_std": None if self.omega_std is None else float(self.omega_std),
-            "freq_dev_mean": None if self.freq_dev_mean is None else float(self.freq_dev_mean),
-            "freq_dev_var": None if self.freq_dev_var is None else float(self.freq_dev_var),
-            "rpd_matrix": self.rpd_matrix,
-        }
+        return asdict(self)

@@ -43,10 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, TempoRangeError
-from .oscillator import FOOTFALL_PHASE, FREQ_BAND_HZ, TWO_PI, wrap_signed
-
-#: Moving-mode stance feedback gain of the oscillators (rad/s).
-STANCE_SIGMA = TWO_PI
+from .oscillator import FOOTFALL_PHASE, FREQ_BAND_HZ, STANCE_SIGMA, TWO_PI, wrap_signed
+from .plant import FLIGHT_THRESHOLD
 
 #: Normalized load per leg on a steady trot (two legs share body weight).
 TROT_G = 0.5
@@ -68,7 +66,8 @@ class ModulatorConfig:
         to min(0.5 * omega_m, pi)
     rate_hz: command rate
     error_mode: "raw" uses phi_j - theta directly; "footfall" corrects
-        the measured phase for the predicted within-cycle wobble
+        the measured phase for the predicted within-cycle wobble. It picks
+        the proportional law's error; feedforward steers the raw one
     feedforward: solve each command by model rollout to cancel the wobble
     step_s, hold_steps: the loop the rollout models, its oscillator Euler
         step in s and its plant update period in steps (defaults: the
@@ -194,7 +193,7 @@ def rollout_phase(phi_j: float, phi_pair: float, rate: float, horizon_s: float,
         total = 2.0 * (wa + wb)
         # sigma times each leg's load share, grouped as in sigma * G * cos(phi)
         ka = kb = 0.0
-        if total > 1e-6:
+        if total > FLIGHT_THRESHOLD:
             ka = STANCE_SIGMA * (wa / total)
             kb = STANCE_SIGMA * (wb / total)
         steps = range(min(hold_steps, n - start))
@@ -362,11 +361,11 @@ def modulate(phi_obs_j, theta_obs, omega_m: float, config: ModulatorConfig,
     tc, ts = _check_unit("theta_obs", theta_obs)
     phi_j = math.atan2(ps, pc) % TWO_PI
     theta = math.atan2(ts, tc) % TWO_PI
-    if config.error_mode == "footfall":
+    if config.error_mode == "footfall" and not config.feedforward:
         # steer the underlying ramp phi - wobble: the ramp crosses
         # 3*pi/2 at the stance midpoint, which is the footfall event
         # the force trace reports, so locking it to theta centers
-        # footfalls on beats
+        # footfalls on beats; the feedforward solve steers the raw error
         a = wobble_amplitude(omega_m)
         e = wrap_signed(phi_j - theta - a * max(0.0, -math.sin(phi_j)))
     else:

@@ -215,6 +215,13 @@ class BeatGrid:
         object.__setattr__(self, "beat_times", bt)
 
 
+def _vertex_offset(y, i: int) -> float:
+    """Vertex of the parabola through y[i-1:i+2] less i, clipped to +-0.5; 0.0 if flat."""
+    y1, y2, y3 = y[i - 1], y[i], y[i + 1]
+    denom = y1 - 2.0 * y2 + y3
+    return 0.0 if denom == 0 else float(min(max(0.5 * (y1 - y3) / denom, -0.5), 0.5))
+
+
 def _autocorr_norm(x: np.ndarray, n_lags: int) -> np.ndarray:
     """Autocorrelation at lags 0..n_lags-1 (fewer for a shorter x), divided
     by overlap length so periodic peaks tie. One dot product per lag makes
@@ -258,10 +265,7 @@ def estimate_tempo(env: OnsetEnvelope) -> tuple[float, float]:
     # fundamental's correlation down to ~0.75 of a same-parity multiple
     peaks = lags[is_peak & (seg >= SUBHARMONIC_GATE * seg.max())]
     best = int(peaks.min())
-    y1, y2, y3 = r[best - 1], r[best], r[best + 1]
-    denom = y1 - 2.0 * y2 + y3
-    shift = 0.0 if denom == 0 else min(max(0.5 * (y1 - y3) / denom, -0.5), 0.5)
-    lag = best + shift
+    lag = best + _vertex_offset(r, best)
     bpm = 60.0 * FRAME_RATE_HZ / lag
     if v.size / FRAME_RATE_HZ < 4.0 * 60.0 / bpm:
         raise InsufficientDataError(
@@ -318,10 +322,7 @@ def detect_beats(env: OnsetEnvelope, tempo_bpm: float) -> BeatGrid:
                 p = lo + int(seg.argmax())
                 frame = float(p)
                 if 0 < p < n - 1:
-                    y1, y2, y3 = v[p - 1], v[p], v[p + 1]
-                    denom = y1 - 2.0 * y2 + y3
-                    if denom != 0:
-                        frame += float(min(max(0.5 * (y1 - y3) / denom, -0.5), 0.5))
+                    frame += _vertex_offset(v, p)
             elif 0 <= center:
                 frame = pos  # in-window dropout: keep the comb position
             else:

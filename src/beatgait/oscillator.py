@@ -41,6 +41,9 @@ FREQ_BAND_HZ = (1.0, 4.0)
 #: Velocity commands with magnitude at or below this keep the bank stationary.
 STATIONARY_SPEED_LIMIT = 0.5
 
+#: Moving-mode stance feedback gain sigma, rad/s.
+STANCE_SIGMA = TWO_PI
+
 
 def wrap_phase(phi):
     """Wrap angles into [0, 2*pi). Works on scalars and arrays."""
@@ -128,7 +131,7 @@ def select_params(v_x_cmd: float, f_cmd: float, forces) -> tuple[OscillatorParam
     out = []
     for leg in range(1, 5):
         phi0 = 0.5 * math.pi if leg in swing_first else FOOTFALL_PHASE
-        out.append(OscillatorParams(omega_tilde=omega, sigma=TWO_PI, xi=0.0, phi0=phi0))
+        out.append(OscillatorParams(omega_tilde=omega, sigma=STANCE_SIGMA, xi=0.0, phi0=phi0))
     return tuple(out)
 
 
@@ -145,7 +148,7 @@ def normalize_grf(forces, mass: float, g: float = 9.81):
 
 @dataclass(frozen=True)
 class OscillatorBank:
-    """State of the four leg oscillators.
+    """State of the four leg oscillators, built by make_bank.
 
     phases: shape (4,), each in [0, 2*pi)
     params: one OscillatorParams per leg
@@ -153,18 +156,6 @@ class OscillatorBank:
 
     phases: np.ndarray
     params: tuple[OscillatorParams, ...]
-
-    def __post_init__(self):
-        phases = np.asarray(self.phases, dtype=float)
-        if phases.shape != (4,):
-            raise InputError(f"phases must have shape (4,), got {phases.shape}")
-        if not np.all(np.isfinite(phases)):
-            raise InputError("phases must be finite")
-        if np.any(phases < 0.0) or np.any(phases >= TWO_PI):
-            raise InputError("phases must lie in [0, 2*pi)")
-        object.__setattr__(self, "phases", phases)
-        if len(self.params) != 4:
-            raise InputError("params must hold one entry per leg")
 
 
 def make_bank(params: tuple[OscillatorParams, ...]) -> OscillatorBank:

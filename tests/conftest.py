@@ -10,14 +10,10 @@ FAIL line per criterion is printed so the gate can be read at a glance.
 """
 
 import json
-import sys
 from pathlib import Path
 
 import pytest
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
-
-import regen_goldens  # noqa: E402
+import regen_goldens
 
 
 @pytest.fixture(scope="session")

@@ -33,6 +33,12 @@ def plant_dataset(n, rng, noise=0.0):
     return inputs, g
 
 
+def features(inputs):
+    """The [I, I*s] design matrix of a batch, one row per leg-sample."""
+    ind = inputs.contact_indicators
+    return np.stack([ind, ind * inputs.stance_weights], axis=-1).reshape(-1, 2)
+
+
 def rows(inputs):
     """The observations of a batch one at a time, as predict takes them."""
     return zip(inputs.contact_indicators, inputs.stance_weights)
@@ -112,6 +118,29 @@ class TestFit:
         model = fit(inputs, g)
         assert model.rank_deficient
         assert np.all(np.isfinite(model.coeffs))
+        # equal rows take the ridge solve
+        x, y = features(inputs), g.reshape(-1)
+        ridge = np.linalg.solve(x.T @ x + 1e-8 * np.eye(2), x.T @ y)
+        assert model.coeffs.tobytes() == ridge.tobytes()
+
+    @pytest.mark.parametrize("design", ["equal rows", "no stance", "constant share",
+                                        "one leg-sample differs", "plant"])
+    def test_rank_matches_matrix_rank(self, design):
+        ind, sw = np.ones((30, 4)), np.full((30, 4), 0.25)
+        if design == "no stance":
+            ind[:] = 0.0
+        elif design == "constant share":
+            ind[::2] = 0.0
+        elif design == "one leg-sample differs":
+            sw[7, 2] = 0.5
+        elif design == "plant":
+            inputs, _ = plant_dataset(30, np.random.default_rng(5))
+            ind, sw = inputs.contact_indicators, inputs.stance_weights
+        inputs = EstimatorInput(ind, sw)
+        model = fit(inputs, np.full((30, 4), 0.25))
+        assert model.rank_deficient == (np.linalg.matrix_rank(features(inputs)) < 2)
+        assert model.rank_deficient == (design in ("equal rows", "no stance",
+                                                   "constant share"))
 
     def test_sample_floor(self):
         inputs, g = plant_dataset(24, np.random.default_rng(2))

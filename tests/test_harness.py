@@ -30,7 +30,6 @@ from beatgait.harness import (
 from beatgait.modulator import ModulatorCommand
 from beatgait.music import MAX_SAMPLES, save_wav, synth_click_track
 from beatgait.oscillator import TWO_PI
-from beatgait.plant import PlantConfig
 
 
 class TestScenarioConfig:
@@ -291,7 +290,7 @@ class TestRunLog:
 def _loop(load=None, mod_fn=None, duration=1.0):
     """The shared loop at 1 kHz, a 100 Hz plant and a 20 Hz modulator, f = 2 Hz."""
     cfg = ScenarioConfig(mode="freq_track", duration=duration, rate_plant_hz=100).resolve()
-    return _simulate(cfg, PlantConfig(), 2.0, load=load, mod_fn=mod_fn)
+    return _simulate(cfg, 2.0, load=load, mod_fn=mod_fn)
 
 
 def _euler(osc, held, omega):
@@ -486,6 +485,19 @@ class TestRhythmSync:
                              rate_plant_hz=200)
         _, mod = run_rhythm_sync(cfg)[0].streams["mod"]
         assert np.abs(mod[mod[:, 0] > 5.0, 4]).max() < 1e-4
+
+    def test_feedforward_logs_the_error_it_steers(self):
+        # the solve steers the raw error, so error_mode changes nothing with
+        # feedforward on; the footfall-corrected log read 0.25 rad after 5 s
+        runs = {mode: run_rhythm_sync(ScenarioConfig(
+                    mode="rhythm_sync", synth_bpm=120.0, duration=12.0,
+                    error_mode=mode, feedforward=True))
+                for mode in ("footfall", "raw")}
+        (cols, footfall), (_, raw) = (runs[m][0].streams["mod"] for m in ("footfall", "raw"))
+        assert cols[-1] == "phase_error"
+        assert footfall.tobytes() == raw.tobytes()
+        assert np.abs(footfall[footfall[:, 0] > 5.0, 4]).max() < 1e-4
+        assert runs["footfall"][1] == runs["raw"][1]
 
     def test_clip_shorter_than_run(self, tmp_path):
         wav = tmp_path / "clicks.wav"

@@ -66,6 +66,60 @@ class TestBeatAlignment:
         assert worst <= 0.5 + 1e-9
 
 
+def _beat_alignment_loop(kin_beats, music_beats, warmup_s):
+    """The per-beat loop beat_alignment once ran, kept as its reference."""
+    kin = np.asarray(kin_beats, dtype=float)
+    mus = np.asarray(music_beats, dtype=float)
+    kin = kin[kin >= warmup_s]
+    mus = mus[mus >= warmup_s]
+    right = np.searchsorted(mus, kin)
+    deltas = np.empty_like(kin)
+    for i, (k, r) in enumerate(zip(kin, right)):
+        lo = mus[r - 1] if r > 0 else None
+        hi = mus[r] if r < mus.size else None
+        if lo is None:
+            deltas[i] = k - hi
+        elif hi is None:
+            deltas[i] = k - lo
+        else:
+            deltas[i] = (k - lo) if (k - lo) < (hi - k) else (k - hi)
+    return deltas
+
+
+# music beats on a quarter-second grid and kinematic beats on an eighth-second
+# one, so ties (a step exactly halfway between two beats) are common
+_MUSIC_TIMES = st.integers(0, 64).map(lambda n: n / 4.0)
+_KIN_TIMES = st.one_of(st.integers(0, 136).map(lambda n: n / 8.0),
+                       st.floats(0.0, 17.0, allow_nan=False))
+
+
+class TestBeatAlignmentReference:
+    @given(kin=st.lists(_KIN_TIMES, min_size=1, max_size=30),
+           mus=st.lists(_MUSIC_TIMES, min_size=1, max_size=20, unique=True),
+           warmup=st.one_of(st.sampled_from([0.0, 5.0]), _MUSIC_TIMES, _KIN_TIMES))
+    @settings(max_examples=1000, deadline=None)
+    def test_matches_per_beat_loop(self, kin, mus, warmup):
+        mus = sorted(mus)
+        if max(kin) < warmup or max(mus) < warmup:
+            with pytest.raises(InsufficientDataError):
+                beat_alignment(kin, mus, warmup_s=warmup)
+            return
+        deltas, worst = beat_alignment(kin, mus, warmup_s=warmup)
+        ref = _beat_alignment_loop(kin, mus, warmup)
+        assert np.array_equal(deltas, ref)
+        assert np.array_equal(np.signbit(deltas), np.signbit(ref))
+        assert worst == float(np.abs(ref).max())
+
+    def test_edges(self):
+        # before the first beat, a tie, on a beat, after the last, on the warm-up edge
+        kin = [5.0, 5.5, 6.25, 7.0, 9.0]
+        mus = [4.0, 6.0, 6.5, 7.0]
+        deltas, _ = beat_alignment(kin, mus, warmup_s=5.0)
+        ref = _beat_alignment_loop(kin, mus, 5.0)
+        assert np.array_equal(deltas, ref)
+        assert deltas.tolist() == [-1.0, -0.5, -0.25, 0.0, 2.0]
+
+
 class TestFrequencyVariance:
     def test_population_std(self):
         w = [2.0, 2.0, 2.4, 1.6]

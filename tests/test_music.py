@@ -23,6 +23,7 @@ from beatgait.music import (
     BeatGrid,
     OnsetEnvelope,
     _autocorr_norm,
+    _vertex_offset,
     analyze_clip,
     detect_beats,
     estimate_tempo,
@@ -223,6 +224,31 @@ class TestTempo:
         env = onset_envelope(synth_click_track(80.0, 10.0))
         bpm, _ = estimate_tempo(env)
         assert abs(bpm - 80.0) <= 1.0
+
+
+class TestVertexOffset:
+    def test_parabola_vertex(self):
+        # y = -(x - 1.3)^2 sampled at 0, 1, 2 peaks 0.3 past index 1
+        y = np.array([-(x - 1.3) ** 2 for x in (0.0, 1.0, 2.0)])
+        assert _vertex_offset(y, 1) == pytest.approx(0.3, abs=1e-12)
+        assert type(_vertex_offset(y, 1)) is float
+
+    def test_flat_peak(self):
+        # denom == 0: three equal points, or three on a line
+        assert _vertex_offset(np.array([2.0, 2.0, 2.0]), 1) == 0.0
+        assert _vertex_offset(np.array([5.0, 0.0, 1.0, 2.0]), 2) == 0.0
+
+    def test_clipped(self):
+        # a vertex outside the middle sample's half-frame is clipped to +-0.5
+        assert _vertex_offset(np.array([0.0, 1.0, 1.9]), 1) == 0.5
+        assert _vertex_offset(np.array([1.9, 1.0, 0.0]), 1) == -0.5
+
+    def test_matches_inline_formula(self):
+        rng = np.random.default_rng(3)
+        for y in rng.normal(size=(500, 3)):
+            denom = y[0] - 2.0 * y[1] + y[2]
+            ref = 0.0 if denom == 0 else min(max(0.5 * (y[0] - y[2]) / denom, -0.5), 0.5)
+            assert _vertex_offset(y, 1) == ref
 
 
 class TestBeatGrid:

@@ -9,7 +9,6 @@ from beatgait.errors import CommandRangeError, InputError
 from beatgait.oscillator import (
     FOOTFALL_PHASE,
     TWO_PI,
-    OscillatorBank,
     OscillatorParams,
     low_load_pair,
     make_bank,
@@ -270,14 +269,10 @@ class TestBank:
         assert np.allclose(bank.phases, [0.5 * math.pi, FOOTFALL_PHASE,
                                          FOOTFALL_PHASE, 0.5 * math.pi])
 
-    def test_bank_validation(self):
-        params = stationary_params()
-        with pytest.raises(InputError):
-            OscillatorBank(phases=np.zeros(3), params=params)
-        with pytest.raises(InputError):
-            OscillatorBank(phases=np.array([0.0, 0.0, 0.0, TWO_PI]), params=params)
-        with pytest.raises(InputError):
-            OscillatorBank(phases=np.array([0.0, 0.0, 0.0, -0.1]), params=params)
-        with pytest.raises(InputError):
-            OscillatorBank(phases=np.zeros(4), params=params[:3])
-
+    @given(st.lists(finite_angles, min_size=4, max_size=4))
+    @settings(max_examples=200)
+    def test_make_bank_wraps_any_start(self, phi0):
+        # make_bank is the bank's one constructor, so it alone keeps the phases valid
+        bank = make_bank(tuple(OscillatorParams(2.0, 1.0, 0.0, p) for p in phi0))
+        assert bank.phases.shape == (4,)
+        assert np.all((bank.phases >= 0.0) & (bank.phases < TWO_PI))
