@@ -45,20 +45,20 @@ class EstimatorInput:
     """A batch of proprioceptive observations, one row per control instant.
 
     contact_indicators: (n, 4) binary flags, 1 while the leg's phase is in stance
-    stance_weights: (n, 4) values in [0, 1]; the loop feeds support shares
+    support_shares: (n, 4) values in [0, 1], each leg's share of the supported load
 
     Validated once for the whole batch; an error names the first bad row.
     """
 
     contact_indicators: np.ndarray
-    stance_weights: np.ndarray
+    support_shares: np.ndarray
 
     def __post_init__(self):
         ind = np.asarray(self.contact_indicators, dtype=float)
-        sw = np.asarray(self.stance_weights, dtype=float)
+        sw = np.asarray(self.support_shares, dtype=float)
         if ind.ndim != 2 or ind.shape[1] != 4 or sw.shape != ind.shape:
             raise InputError(
-                f"indicators and stance weights must both have shape (n, 4), "
+                f"indicators and support shares must both have shape (n, 4), "
                 f"got {ind.shape} and {sw.shape}")
         bad = ((ind != 0.0) & (ind != 1.0)).any(axis=1)
         if bad.any():
@@ -66,9 +66,9 @@ class EstimatorInput:
         # NaN fails both comparisons, so it counts as out of range
         bad = ~((sw >= 0.0) & (sw <= 1.0)).all(axis=1)
         if bad.any():
-            raise InputError(f"stance weights must lie in [0, 1] (row {bad.argmax()})")
+            raise InputError(f"support shares must lie in [0, 1] (row {bad.argmax()})")
         object.__setattr__(self, "contact_indicators", ind)
-        object.__setattr__(self, "stance_weights", sw)
+        object.__setattr__(self, "support_shares", sw)
 
     def __len__(self) -> int:
         return self.contact_indicators.shape[0]
@@ -100,7 +100,7 @@ def fit(inputs: EstimatorInput, g_sim) -> FittedModel:
         )
     ind = inputs.contact_indicators
     # one row [I, I*s] per leg-sample, observation-major like the loads
-    x = np.stack([ind, ind * inputs.stance_weights], axis=-1).reshape(-1, 2)
+    x = np.stack([ind, ind * inputs.support_shares], axis=-1).reshape(-1, 2)
     y = g.reshape(-1)
     # lstsq's rank uses matrix_rank's threshold, max(M, N) * eps * sigma_max
     coeffs, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
@@ -115,7 +115,7 @@ def fit(inputs: EstimatorInput, g_sim) -> FittedModel:
 def predict(obs, model: FittedModel | None) -> list[float]:
     """Predicted normalized load per leg, clipped to [0, 1].
 
-    obs is one observation: a pair (indicators, stance weights) of four
+    obs is one observation: a pair (indicators, support shares) of four
     values each, valid as one row of an EstimatorInput. Applies the
     fitted coefficients to [I, I*s]; a leg with indicator 0 has
     all-zero features and therefore predicts 0. A NaN prediction stays
@@ -124,9 +124,16 @@ def predict(obs, model: FittedModel | None) -> list[float]:
     if model is None:
         raise NotFittedError("no fitted model to predict with")
     c0, c1 = model.coeffs.tolist()
-    raw = [i * c0 + (i * s) * c1 for i, s in zip(*obs)]
+    (i0, i1, i2, i3), (s0, s1, s2, s3) = obs
+    p0 = i0 * c0 + (i0 * s0) * c1
+    p1 = i1 * c0 + (i1 * s1) * c1
+    p2 = i2 * c0 + (i2 * s2) * c1
+    p3 = i3 * c0 + (i3 * s3) * c1
     # <= maps -0.0 to 0.0, as the matrix product [I, I*s] @ coeffs does
-    return [0.0 if p <= 0.0 else 1.0 if p > 1.0 else p for p in raw]
+    return [0.0 if p0 <= 0.0 else 1.0 if p0 > 1.0 else p0,
+            0.0 if p1 <= 0.0 else 1.0 if p1 > 1.0 else p1,
+            0.0 if p2 <= 0.0 else 1.0 if p2 > 1.0 else p2,
+            0.0 if p3 <= 0.0 else 1.0 if p3 > 1.0 else p3]
 
 
 def mix(g_sim: list, g_pred: list, rho: float) -> list[float]:
@@ -136,5 +143,12 @@ def mix(g_sim: list, g_pred: list, rho: float) -> list[float]:
     predict's clip), so nothing here checks them; a NaN passes through
     to the oscillators, whose divergence check names the run.
     """
-    blend = [(1.0 - rho) * a + rho * b for a, b in zip(g_sim, g_pred)]
-    return [1.0 if v > 1.0 else v for v in blend]
+    a0, a1, a2, a3 = g_sim
+    b0, b1, b2, b3 = g_pred
+    k = 1.0 - rho
+    v0 = k * a0 + rho * b0
+    v1 = k * a1 + rho * b1
+    v2 = k * a2 + rho * b2
+    v3 = k * a3 + rho * b3
+    return [1.0 if v0 > 1.0 else v0, 1.0 if v1 > 1.0 else v1,
+            1.0 if v2 > 1.0 else v2, 1.0 if v3 > 1.0 else v3]

@@ -282,12 +282,16 @@ def scheduler_tick(phases, g, dt: float, om, sg, xi, n_steps: int, log):
 
     Every argument but dt, n_steps and log is a list of four floats.
     Appends each tick's phases, before its step, to log unless it is
-    None; returns the phases after the last step.
+    None; returns the phases after the last step. Each tick is one call
+    through the module's step_phases name, which perfbench's tracer
+    counts.
     """
+    step = step_phases
+    extend = None if log is None else log.extend
     for _ in range(n_steps):
-        if log is not None:
-            log.extend(phases)
-        phases = step_phases(phases, g, dt, om, sg, xi)
+        if extend is not None:
+            extend(phases)
+        phases = step(phases, g, dt, om, sg, xi)
     return phases
 
 
@@ -359,7 +363,11 @@ def _simulate(cfg: ScenarioConfig, f_gait: float, load=None, mod_fn=None,
         if not math.isfinite(sum(phases)):
             raise _diverged(label, t)
         forces = grf_from_phases(phases, plant_cfg)
-        g = [min(f / body_weight, 1.0) for f in forces]
+        f0, f1, f2, f3 = forces
+        v0, v1, v2, v3 = f0 / body_weight, f1 / body_weight, f2 / body_weight, f3 / body_weight
+        # min(v, 1.0) on every float, NaN included
+        g = [1.0 if v0 > 1.0 else v0, 1.0 if v1 > 1.0 else v1,
+             1.0 if v2 > 1.0 else v2, 1.0 if v3 > 1.0 else v3]
         plant_log.extend(forces)
         plant_log.extend(g)
         if load is not None:
@@ -584,7 +592,9 @@ def run_rhythm_sync(config: ScenarioConfig):
         "tempo_confidence": float(analysis.confidence),
         "f_gait_hz": float(f_gait),
         "omega_m": float(omega_m),
-        "modulator": {"gain_k": cfg.gain_k, "error_mode": cfg.error_mode,
+        # feedforward steers the raw error whatever error_mode asks for
+        "modulator": {"gain_k": cfg.gain_k,
+                      "error_mode": "raw" if cfg.feedforward else cfg.error_mode,
                       "feedforward": cfg.feedforward, "target_leg": cfg.target_leg},
         "warmup_s": cfg.warmup_s,
         "reward_variant": cfg.reward,
@@ -601,18 +611,22 @@ def _curriculum_load(rho: float, model, log=None):
     The estimator sees each leg's contact flag and its share of the
     supported load, the quantity the plant's load law is exactly linear
     in (the raw sine weight is not, once double-support windows appear
-    around stance handoffs). log, when given, is two (n, 4) arrays
-    (indicators, shares) that receive row i at plant update i, for the
-    next fit; its targets, the simulated loads, are the plant rows' own.
+    around stance handoffs). log, when given, is two array('d')
+    (indicators, shares) that each plant update extends by its four
+    values, for the next fit; its targets, the simulated loads, are the
+    plant rows' own.
     """
     ind_log, share_log = (None, None) if log is None else log
+    pi = math.pi
 
     def load(t, phases, i, g_sim):
         shares = support_shares(stance_weight(phases))
-        indicators = [1.0 if p >= math.pi else 0.0 for p in phases]
+        p0, p1, p2, p3 = phases
+        indicators = [1.0 if p0 >= pi else 0.0, 1.0 if p1 >= pi else 0.0,
+                      1.0 if p2 >= pi else 0.0, 1.0 if p3 >= pi else 0.0]
         if ind_log is not None:
-            ind_log[i] = indicators
-            share_log[i] = shares
+            ind_log.extend(indicators)
+            share_log.extend(shares)
         g_pred = g_sim if model is None else est.predict((indicators, shares), model)
         return est.mix(g_sim, g_pred, rho)
     return load
@@ -665,9 +679,12 @@ def run_estimator_curriculum(config: ScenarioConfig):
     for i in range(n + 1):
         rho = i / n
         start, end = i * per_episode, (i + 1) * per_episode
+        logs = (array("d"), array("d"))
         _, _, plant_rows = _simulate(
             cfg, f_cmd, label=f"curriculum iteration {i} (rho={rho})",
-            load=_curriculum_load(rho, model, data[:2, start:end]), log_osc=False)
+            load=_curriculum_load(rho, model, logs), log_osc=False)
+        data[0, start:end] = np.reshape(logs[0], (-1, 4))
+        data[1, start:end] = np.reshape(logs[1], (-1, 4))
         data[2, start:end] = plant_rows[:, 5:9]
         model = est.fit(est.EstimatorInput(data[0, :end], data[1, :end]), data[2, :end])
         mse_rows.append((float(i), rho, model.mse))

@@ -189,18 +189,30 @@ def step_phases(phases, g_norm, dt: float, om, sg, xi):
     """One forward Euler step per leg; returns wrapped phases.
 
     phi + dt * (omega - sigma * G * (cos(phi) + xi)) mod 2*pi, computed
-    leg by leg on plain floats. A list of phases gives a list; any other
-    input is read as an array, the other arguments broadcast against
-    it, and gives an array of its shape. Unvalidated: a NaN phase stays
-    NaN, and the simulation loop checks for one at every plant update.
+    leg by leg on plain floats. Lists of four floats, the loop's form,
+    give a list, written out leg by leg; any other input is read as an
+    array, the other arguments broadcast against it, and gives an array
+    of its shape. Both paths evaluate the same expression in the same
+    order. Unvalidated: a NaN phase stays NaN, and the simulation loop
+    checks for one at every plant update.
     """
-    shape = None if isinstance(phases, list) else np.shape(phases)
-    if shape is not None:
-        phases, g_norm, om, sg, xi = (_float_list(a, shape)
-                                      for a in (phases, g_norm, om, sg, xi))
-    out = []
-    for p, g, o, s, x in zip(phases, g_norm, om, sg, xi):
-        p = (p + dt * (o - s * g * (math.cos(p) + x))) % TWO_PI
+    if isinstance(phases, list):
+        p0, p1, p2, p3 = phases
+        g0, g1, g2, g3 = g_norm
+        o0, o1, o2, o3 = om
+        s0, s1, s2, s3 = sg
+        x0, x1, x2, x3 = xi
+        cos = math.cos
+        p0 = (p0 + dt * (o0 - s0 * g0 * (cos(p0) + x0))) % TWO_PI
+        p1 = (p1 + dt * (o1 - s1 * g1 * (cos(p1) + x1))) % TWO_PI
+        p2 = (p2 + dt * (o2 - s2 * g2 * (cos(p2) + x2))) % TWO_PI
+        p3 = (p3 + dt * (o3 - s3 * g3 * (cos(p3) + x3))) % TWO_PI
         # % rounds up to the divisor for tiny negative sums
+        return [0.0 if p0 >= TWO_PI else p0, 0.0 if p1 >= TWO_PI else p1,
+                0.0 if p2 >= TWO_PI else p2, 0.0 if p3 >= TWO_PI else p3]
+    shape = np.shape(phases)
+    out = []
+    for p, g, o, s, x in zip(*(_float_list(a, shape) for a in (phases, g_norm, om, sg, xi))):
+        p = (p + dt * (o - s * g * (math.cos(p) + x))) % TWO_PI
         out.append(0.0 if p >= TWO_PI else p)
-    return out if shape is None else np.array(out).reshape(shape)
+    return np.array(out).reshape(shape)

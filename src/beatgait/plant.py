@@ -88,13 +88,6 @@ def stance_weight(phi: list) -> list:
     return w
 
 
-def _pair_weight(p: float, q: float) -> float:
-    """Harmonic mean of a diagonal pair's stance weights (0 if either is 0)."""
-    # equal weights return exactly, so a diagonal-symmetric gait is
-    # shared bit for bit like the plain w / sum(w) split
-    return p if p == q else 2.0 * p * q / (p + q)
-
-
 def support_shares(w: list) -> list:
     """Fraction of the supported load on each foot, from a list of four stance weights w.
 
@@ -121,11 +114,13 @@ def support_shares(w: list) -> list:
     """
     w_rf, w_lf, w_rh, w_lh = w
     # same summation order as numpy's sum over four values
-    total = w_rf + w_lf + w_rh + w_lh
-    h_a = _pair_weight(w_rf, w_lh)
-    h_b = _pair_weight(w_lf, w_rh)
-    if total <= FLIGHT_THRESHOLD:
+    if w_rf + w_lf + w_rh + w_lh <= FLIGHT_THRESHOLD:
         return [0.0] * 4
+    # each diagonal's harmonic mean, 0 if either weight is 0; equal weights
+    # return exactly, so a diagonal-symmetric gait is shared bit for bit
+    # like the plain w / sum(w) split
+    h_a = w_rf if w_rf == w_lh else 2.0 * w_rf * w_lh / (w_rf + w_lh)
+    h_b = w_lf if w_lf == w_rh else 2.0 * w_lf * w_rh / (w_lf + w_rh)
     if h_a + h_b > 0.0:
         total = h_a + h_b + h_b + h_a
         # share ratio first: equal weights then divide to exactly 1/n, which
@@ -150,7 +145,8 @@ def grf_from_phases(phases, config: PlantConfig):
         raise InputError(f"expected 4 phases, got shape {shape}")
     w = stance_weight(phases if as_list else np.asarray(phases, dtype=float).tolist())
     weight = config.force_scale * config.mass * config.g
-    forces = [weight * s for s in support_shares(w)]
+    s0, s1, s2, s3 = support_shares(w)
+    forces = [weight * s0, weight * s1, weight * s2, weight * s3]
     return forces if as_list else np.array(forces)
 
 

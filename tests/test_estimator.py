@@ -26,7 +26,7 @@ def plant_dataset(n, rng, noise=0.0):
     assert len(phases) == n
     shares = w / total[:, None]
     inputs = EstimatorInput(contact_indicators=(phases >= math.pi).astype(float),
-                            stance_weights=shares)
+                            support_shares=shares)
     g = np.minimum(shares, 1.0)
     if noise:
         g = np.clip(g + rng.normal(0.0, noise, g.shape), 0.0, 1.0)
@@ -36,45 +36,45 @@ def plant_dataset(n, rng, noise=0.0):
 def features(inputs):
     """The [I, I*s] design matrix of a batch, one row per leg-sample."""
     ind = inputs.contact_indicators
-    return np.stack([ind, ind * inputs.stance_weights], axis=-1).reshape(-1, 2)
+    return np.stack([ind, ind * inputs.support_shares], axis=-1).reshape(-1, 2)
 
 
 def rows(inputs):
     """The observations of a batch one at a time, as predict takes them."""
-    return zip(inputs.contact_indicators, inputs.stance_weights)
+    return zip(inputs.contact_indicators, inputs.support_shares)
 
 
 class TestInput:
     def test_validation(self):
         ok = EstimatorInput(contact_indicators=np.array([[0, 1, 1, 0]]),
-                            stance_weights=np.array([[0, 0.5, 1.0, 0]]))
-        assert ok.contact_indicators.dtype == float and ok.stance_weights.dtype == float
+                            support_shares=np.array([[0, 0.5, 1.0, 0]]))
+        assert ok.contact_indicators.dtype == float and ok.support_shares.dtype == float
         assert len(ok) == 1
         with pytest.raises(InputError):
             EstimatorInput(contact_indicators=np.array([[0, 1, 2, 0.0]]),
-                           stance_weights=np.zeros((1, 4)))
-        with pytest.raises(InputError):
+                           support_shares=np.zeros((1, 4)))
+        with pytest.raises(InputError, match=r"support shares must lie in \[0, 1\]"):
             EstimatorInput(contact_indicators=np.zeros((1, 4)),
-                           stance_weights=np.array([[0, 0, 0, 1.5]]))
+                           support_shares=np.array([[0, 0, 0, 1.5]]))
         with pytest.raises(InputError):
             EstimatorInput(contact_indicators=np.zeros((1, 3)),
-                           stance_weights=np.zeros((1, 3)))
+                           support_shares=np.zeros((1, 3)))
         # one observation is a batch of one row, not a bare four-vector
         with pytest.raises(InputError):
-            EstimatorInput(contact_indicators=np.zeros(4), stance_weights=np.zeros(4))
+            EstimatorInput(contact_indicators=np.zeros(4), support_shares=np.zeros(4))
 
     @pytest.mark.parametrize("field, value, message", [
         ("contact_indicators", 0.5, "0 or 1"),
         ("contact_indicators", np.nan, "0 or 1"),
-        ("stance_weights", 1.0 + 1e-12, r"\[0, 1\]"),
-        ("stance_weights", -1e-12, r"\[0, 1\]"),
-        ("stance_weights", np.nan, r"\[0, 1\]"),
-        ("stance_weights", np.inf, r"\[0, 1\]"),
+        ("support_shares", 1.0 + 1e-12, r"\[0, 1\]"),
+        ("support_shares", -1e-12, r"\[0, 1\]"),
+        ("support_shares", np.nan, r"\[0, 1\]"),
+        ("support_shares", np.inf, r"\[0, 1\]"),
     ])
     def test_one_bad_row_in_a_large_batch(self, field, value, message):
         inputs, _ = plant_dataset(5000, np.random.default_rng(7))
         arrays = {"contact_indicators": inputs.contact_indicators.copy(),
-                  "stance_weights": inputs.stance_weights.copy()}
+                  "support_shares": inputs.support_shares.copy()}
         arrays[field][3172, 2] = value
         with pytest.raises(InputError, match=rf"{message} \(row 3172\)"):
             EstimatorInput(**arrays)
@@ -82,9 +82,9 @@ class TestInput:
     def test_shape_mismatch_in_a_large_batch(self):
         inputs, _ = plant_dataset(5000, np.random.default_rng(8))
         with pytest.raises(InputError, match="shape"):
-            EstimatorInput(inputs.contact_indicators, inputs.stance_weights[:-1])
+            EstimatorInput(inputs.contact_indicators, inputs.support_shares[:-1])
         with pytest.raises(InputError, match="shape"):
-            EstimatorInput(inputs.contact_indicators[:, :3], inputs.stance_weights[:, :3])
+            EstimatorInput(inputs.contact_indicators[:, :3], inputs.support_shares[:, :3])
 
 
 class TestFit:
@@ -113,7 +113,7 @@ class TestFit:
 
     def test_rank_deficient_flag(self):
         inputs = EstimatorInput(contact_indicators=np.ones((30, 4)),
-                                stance_weights=np.full((30, 4), 0.25))
+                                support_shares=np.full((30, 4), 0.25))
         g = np.full((30, 4), 0.25)
         model = fit(inputs, g)
         assert model.rank_deficient
@@ -135,7 +135,7 @@ class TestFit:
             sw[7, 2] = 0.5
         elif design == "plant":
             inputs, _ = plant_dataset(30, np.random.default_rng(5))
-            ind, sw = inputs.contact_indicators, inputs.stance_weights
+            ind, sw = inputs.contact_indicators, inputs.support_shares
         inputs = EstimatorInput(ind, sw)
         model = fit(inputs, np.full((30, 4), 0.25))
         assert model.rank_deficient == (np.linalg.matrix_rank(features(inputs)) < 2)
@@ -196,6 +196,20 @@ class TestPredict:
                 got = np.array(predict((ind.tolist(), sw.tolist()), model))
                 assert got.tobytes() == want.tobytes()
 
+    def test_negative_zero_becomes_zero(self):
+        # I = 0 with negative coefficients sums -0.0 + -0.0 = -0.0
+        model = FittedModel(coeffs=np.array([-0.5, -0.5]), mse=0.0, rank_deficient=False)
+        pred = predict(([0.0] * 4, [0.3] * 4), model)
+        assert pred == [0.0] * 4
+        assert all(math.copysign(1.0, p) == 1.0 for p in pred)
+
+    def test_nan_passes_through(self):
+        # a NaN must reach the oscillators, whose divergence check names the run
+        model = FittedModel(coeffs=np.array([0.1, 0.9]), mse=0.0, rank_deficient=False)
+        pred = predict(([1.0, 1.0, 0.0, 1.0], [0.5, math.nan, 0.0, 0.5]), model)
+        assert math.isnan(pred[1])
+        assert pred[0] == pred[3] == 0.1 + 0.5 * 0.9 and pred[2] == 0.0
+
 
 class TestMix:
     def test_endpoints(self):
@@ -220,6 +234,13 @@ class TestMix:
                 a, b = rng.uniform(0, 1, 4), rng.uniform(0, 1, 4)
                 want = np.minimum((1.0 - rho) * a + rho * b, 1.0)
                 assert np.array(mix(a.tolist(), b.tolist(), rho)).tobytes() == want.tobytes()
+
+    def test_nan_passes_through(self):
+        for rho in (0.0, 0.5, 1.0):
+            out = mix([0.2, math.nan, 0.4, 0.5], [0.1, 0.3, math.nan, 0.6], rho)
+            assert math.isnan(out[1]) and math.isnan(out[2])
+            assert out[0] == (1.0 - rho) * 0.2 + rho * 0.1
+            assert out[3] == (1.0 - rho) * 0.5 + rho * 0.6
 
     @given(st.lists(st.floats(0, 1), min_size=4, max_size=4),
            st.lists(st.floats(0, 1), min_size=4, max_size=4),

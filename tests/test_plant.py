@@ -79,6 +79,48 @@ class TestStanceWeight:
         assert stance_weight([FOOTFALL_PHASE + TWO_PI]) == pytest.approx([1.0])
 
 
+def _shares_via_pair_weight(w):
+    """support_shares in its earlier form, with a helper per diagonal pair."""
+    def pair_weight(p, q):
+        return p if p == q else 2.0 * p * q / (p + q)
+
+    w_rf, w_lf, w_rh, w_lh = w
+    total = w_rf + w_lf + w_rh + w_lh
+    h_a = pair_weight(w_rf, w_lh)
+    h_b = pair_weight(w_lf, w_rh)
+    if total <= FLIGHT_THRESHOLD:
+        return [0.0] * 4
+    if h_a + h_b > 0.0:
+        total = h_a + h_b + h_b + h_a
+        s_a, s_b = h_a / total, h_b / total
+        return [s_a, s_b, s_b, s_a]
+    grounded = [1.0 if v > 0.0 else 0.0 for v in w]
+    n = sum(grounded)
+    return [v / n for v in grounded]
+
+
+class TestSupportShares:
+    def test_matches_pair_weight_form_bit_for_bit(self):
+        rng = np.random.default_rng(31)
+        w = np.where(rng.random((60_000, 4)) < 0.3, 0.0, rng.uniform(0.0, 1.0, (60_000, 4)))
+        # equal pair weights, one pair's weight zero, both pairs' weights
+        # zero with feet grounded, flight, and tiny weights around its threshold
+        w[:10_000, 3], w[:10_000, 2] = w[:10_000, 0], w[:10_000, 1]
+        w[np.arange(10_000, 20_000), rng.choice([0, 3], 10_000)] = 0.0
+        w[20_000:30_000, 0] = w[20_000:30_000, 1] = 0.0
+        w[30_000:35_000] = 0.0
+        w[35_000:40_000] *= 1e-6
+        for row in w.tolist():
+            want = np.array(_shares_via_pair_weight(row))
+            assert np.array(support_shares(row)).tobytes() == want.tobytes(), row
+
+    def test_one_example_per_branch(self):
+        assert support_shares([0.5, 0.0, 0.0, 0.5]) == [0.5, 0.0, 0.0, 0.5]
+        assert support_shares([0.3, 0.6, 0.0, 0.0]) == [0.5, 0.5, 0.0, 0.0]
+        assert support_shares([0.0, 0.0, 0.7, 0.0]) == [0.0, 0.0, 1.0, 0.0]
+        assert support_shares([1e-7] * 4) == [0.0] * 4
+
+
 class TestGrf:
     def test_trot_split(self):
         n = grf_from_phases([FOOTFALL_PHASE, 0.5 * math.pi,
