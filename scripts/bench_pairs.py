@@ -14,16 +14,16 @@ same on both sides.
 The result file (default BENCH_<n>.json at the root of the repository
 that holds this script) is rewritten after every run. Each workload's
 entry holds its own setup (the command, the host, and per side the git
-commit and a SHA-256 of the checkout's `src/*.py`, see `src_sha256`),
-every run, and per end-to-end metric each side's median and quartiles,
-the pairs the change won and lost, and whether a gain holds by the rule
-of the benchmark: at least ten pairs, the change wins at least nine in
-ten of them, and the medians differ by more than the parent's
-interquartile spread. A pair counts only when both of its runs passed
-perfbench's output checks and exited 0; the entry records how many
-pairs were left out (`pairs_left_out`). Running the script again for
-other workloads adds them to an existing file; a workload run again
-replaces its entry.
+commit, a SHA-256 of the checkout's `src/*.py`, see `src_sha256`, and
+their line count, `src_lines`), every run, and per end-to-end metric
+each side's median and quartiles, the pairs the change won and lost,
+and whether a gain holds by the rule of the benchmark: at least ten
+pairs, the change wins at least nine in ten of them, and the medians
+differ by more than the parent's interquartile spread. A pair counts
+only when both of its runs passed perfbench's output checks and exited
+0; the entry records how many pairs were left out (`pairs_left_out`).
+Running the script again for other workloads adds them to an existing
+file; a workload run again replaces its entry.
 """
 
 from __future__ import annotations
@@ -60,6 +60,11 @@ def src_sha256(checkout: Path) -> str:
         h.update(path.relative_to(checkout).as_posix().encode() + b"\0")
         h.update(path.read_bytes() + b"\0")
     return h.hexdigest()
+
+
+def src_lines(checkout: Path) -> int:
+    """Lines in the checkout's `src/**/*.py` files, counted as `wc -l` does."""
+    return sum(path.read_bytes().count(b"\n") for path in (checkout / "src").rglob("*.py"))
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -150,7 +155,8 @@ def main() -> int:
                    f"--seconds {seconds:g} --trace 0",
         "host": {"python": platform.python_version(), "machine": platform.machine(),
                  "system": platform.system(), "cpu_count": os.cpu_count()},
-        "checkouts": {side: {"git_head": _git_head(path), "src_sha256": src_sha256(path)}
+        "checkouts": {side: {"git_head": _git_head(path), "src_sha256": src_sha256(path),
+                             "src_lines": src_lines(path)}
                       for side, path in checkouts.items()},
         "bounds": {m["name"]: m["bound"] for m in spec["end_to_end"]},
     }

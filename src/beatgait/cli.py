@@ -31,7 +31,7 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
-from .errors import BeatGaitError
+from .errors import BeatGaitError, InputError
 from .harness import (
     ESTIMATOR_MODES,
     REWARD_VARIANTS,
@@ -170,10 +170,18 @@ def _cmd_curriculum(args: argparse.Namespace) -> int:
     return 0
 
 
+def _write(path: str, write) -> None:
+    """Make path's parent directory, then write(path); an OSError becomes InputError."""
+    try:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        write(path)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
 def _cmd_synth_click(args: argparse.Namespace) -> int:
     clip = synth_click_track(args.bpm, args.duration)
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    save_wav(args.out, clip)
+    _write(args.out, lambda path: save_wav(path, clip))
     print(f"wrote {args.out}: {args.bpm:g} bpm, {args.duration:g} s, "
           f"{clip.sample_rate} Hz")
     return 0
@@ -195,9 +203,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     text = json.dumps(out, sort_keys=True, indent=2)
     print(text)
     if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        _write(args.out, lambda path: Path(path).write_text(text + "\n"))
     return 0
 
 

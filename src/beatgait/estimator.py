@@ -92,7 +92,7 @@ def fit(inputs: EstimatorInput, g_sim) -> FittedModel:
     """
     g = np.asarray(g_sim, dtype=float)
     n = len(inputs)
-    if n == 0 or g.shape != (n, 4):
+    if g.shape != (n, 4):
         raise InputError(f"need matching inputs and (n, 4) loads, got {g.shape}")
     if n * 4 < MIN_FIT_SAMPLES:
         raise InsufficientDataError(

@@ -30,8 +30,9 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from array import array
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +61,10 @@ FREQ_TRACK_COMMANDS = (1.5, 2.0, 2.5, 3.0, 3.5, 4.0)
 
 #: Largest integer a JSON number carries exactly (RFC 8259, section 6).
 MAX_JSON_INT = 2**53 - 1
+
+#: ScenarioConfig's field annotations: the accepted types and how a message names them.
+_FIELD_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a finite number"),
+                "bool": (bool, "true or false"), "str": (str, "a string")}
 
 #: Acceptance bounds every frequency-tracking run is graded against.
 FREQ_DEV_MEAN_BOUND_HZ = 0.05
@@ -92,15 +97,13 @@ class ScenarioConfig:
     initial-phase kick from the run's seeded generator; iterations and
     estimator_mode shape the curriculum.
 
-    v_cmd, f_cmd, duration, warmup_s, gain_k, delta_max, synth_bpm and
-    perturb_rad must be finite numbers (bools excluded), seed,
-    iterations, target_leg and the rates integers (not bools),
-    feedforward a bool, and audio_path and outdir strings; f_cmd,
-    duration, delta_max, synth_bpm, audio_path, outdir and
-    rate_plant_hz may also be None. error_mode must be one of
-    ERROR_MODES and delta_max, where set, positive, in every mode.
-    Anything else raises InputError. synth_bpm's range is checked when
-    a rhythm_sync run builds its clip.
+    Each field must match its annotation: a float field takes a finite
+    number, an int field an integer within +-(2**53 - 1), neither a
+    bool; a bool field takes a bool, a str | None field a string, and
+    a plain str field one of its choices; "| None" fields may be None.
+    error_mode must be one of ERROR_MODES and delta_max, where set,
+    positive, in every mode. Anything else raises InputError.
+    synth_bpm's range is checked when a rhythm_sync run builds its clip.
     """
 
     mode: str
@@ -133,31 +136,20 @@ class ScenarioConfig:
         if self.estimator_mode not in ESTIMATOR_MODES:
             raise InputError(
                 f"estimator_mode must be one of {ESTIMATOR_MODES}, got {self.estimator_mode!r}")
-        # JSON configs can carry any type, NaN and Infinity; bool is an int,
-        # and an integer beyond JSON's exact range need not convert to float
-        for name in ("seed", "iterations", "target_leg", "rate_oscillator_hz",
-                     "rate_plant_hz", "rate_modulator_hz"):
-            value = getattr(self, name)
-            if value is None and name == "rate_plant_hz":
-                continue
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise InputError(f"{name} must be an integer, got {value!r}")
-            if abs(value) > MAX_JSON_INT:
-                raise InputError(f"{name} must be an integer within +-(2**53 - 1), got {value}")
-        for name in ("v_cmd", "f_cmd", "duration", "warmup_s", "gain_k", "delta_max",
-                     "synth_bpm", "perturb_rad"):
-            value = getattr(self, name)
-            if value is None and name in ("f_cmd", "duration", "delta_max", "synth_bpm"):
-                continue
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not math.isfinite(value)):
-                raise InputError(f"{name} must be a finite number, got {value!r}")
-        for name in ("audio_path", "outdir"):
-            value = getattr(self, name)
-            if value is not None and not isinstance(value, str):
-                raise InputError(f"{name} must be a string, got {value!r}")
-        if not isinstance(self.feedforward, bool):
-            raise InputError(f"feedforward must be true or false, got {self.feedforward!r}")
+        # JSON configs can carry any type, NaN, Infinity and integers with
+        # no float; bool is an int. Each field is checked by its annotation
+        # (a string, under the __future__ import).
+        for f in fields(self):
+            kind, _, optional = f.type.partition(" | ")
+            value = getattr(self, f.name)
+            if value is None and optional or kind == "str" and not optional:
+                continue  # a plain str field is a choice, checked above
+            types, what = _FIELD_TYPES[kind]
+            if (isinstance(value, bool) and kind != "bool" or not isinstance(value, types)
+                    or kind == "float" and not abs(value) <= sys.float_info.max):
+                raise InputError(f"{f.name} must be {what}, got {value!r}")
+            if kind == "int" and abs(value) > MAX_JSON_INT:
+                raise InputError(f"{f.name} must be an integer within +-(2**53 - 1), got {value}")
         if self.seed < 0:
             raise InputError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.duration is not None and not (self.duration > 0):
@@ -334,12 +326,11 @@ def _simulate(cfg: ScenarioConfig, f_gait: float, load=None, mod_fn=None,
     1. the phases must be finite, else IntegrationDivergedError names
        the run (label, default the mode) and the time;
     2. the plant turns them into forces and normalized loads g, logged
-       as plant row i (i counts plant updates);
-    3. the oscillators hold load(t, phases, i, g) when a load map is
-       given, else g;
+       as the next plant row;
+    3. the oscillators hold load(phases, g) when a load map is given,
+       else g;
     4. on a modulator tick, mod_fn(t, phases, j) returns the next
-       intrinsic frequency, or None to keep it (j counts modulator
-       updates);
+       intrinsic frequency (j counts modulator updates);
     5. scheduler_tick runs the Euler steps up to the next update.
 
     Returns (final phases, osc rows, plant rows). Osc row k is (t, four
@@ -356,7 +347,7 @@ def _simulate(cfg: ScenarioConfig, f_gait: float, load=None, mod_fn=None,
     osc_log = array("d") if log_osc else None
     plant_log = array("d")
     omegas = [om[0]]  # omega_tilde at the start, then after each modulator update
-    for i, tick in enumerate(range(0, n_ticks, plant_every)):
+    for tick in range(0, n_ticks, plant_every):
         t = tick * dt
         # the phases lie in [0, 2*pi) while finite, so their sum is
         # finite exactly when all of them are
@@ -371,11 +362,10 @@ def _simulate(cfg: ScenarioConfig, f_gait: float, load=None, mod_fn=None,
         plant_log.extend(forces)
         plant_log.extend(g)
         if load is not None:
-            g = load(t, phases, i, g)
+            g = load(phases, g)
         if tick % mod_every == 0:
-            omega = None if mod_fn is None else mod_fn(t, phases, tick // mod_every)
-            if omega is not None:
-                om = [float(omega)] * 4
+            if mod_fn is not None:
+                om = [float(mod_fn(t, phases, tick // mod_every))] * 4
             omegas.append(om[0])
         phases = scheduler_tick(phases, g, dt, om, sg, xi,
                                 min(plant_every, n_ticks - tick), osc_log)
@@ -403,7 +393,7 @@ def _timeline(plant_rows) -> GrfTimeline:
 
 def _leg_stats(timeline: GrfTimeline, leg: int, f_cmd: float) -> dict:
     onsets = contact_onsets(timeline, leg)
-    freqs, _, _ = stepping_frequency(onsets)
+    freqs = stepping_frequency(onsets)
     mean_dev, var = frequency_deviation(freqs, f_cmd)
     return {"mean_abs_dev_hz": float(mean_dev), "variance_hz2": float(var),
             "cycles": int(freqs.size), "contacts": int(onsets.size)}
@@ -542,7 +532,7 @@ def run_rhythm_sync(config: ScenarioConfig):
          reward_phase(loads[i], phases[i]))
         for i in range(n_mod)])
 
-    kin = kinematic_beats(timeline, leg, interior_only=True)
+    kin = kinematic_beats(timeline, leg)
     deltas, delta_max = beat_alignment(kin, beats, warmup_s=cfg.warmup_s)
     post = t >= cfg.warmup_s
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite spread raises below
@@ -619,7 +609,7 @@ def _curriculum_load(rho: float, model, log=None):
     ind_log, share_log = (None, None) if log is None else log
     pi = math.pi
 
-    def load(t, phases, i, g_sim):
+    def load(phases, g_sim):
         shares = support_shares(stance_weight(phases))
         p0, p1, p2, p3 = phases
         indicators = [1.0 if p0 >= pi else 0.0, 1.0 if p1 >= pi else 0.0,
@@ -652,7 +642,7 @@ def run_estimator_curriculum(config: ScenarioConfig):
     if cfg.estimator_mode == "fallback":
         fallback = [est.FALLBACK_G] * 4
         _, _, plant_rows = _simulate(cfg, f_cmd, label="fallback run",
-                                     load=lambda t, phases, i, g_sim: fallback, log_osc=False)
+                                     load=lambda phases, g_sim: fallback, log_osc=False)
         stats = _leg_stats(_timeline(plant_rows), 0, f_cmd)
         report = {
             "mode": cfg.mode, "seed": cfg.seed, "estimator_mode": cfg.estimator_mode,
@@ -720,7 +710,10 @@ def _write_artifacts(cfg: ScenarioConfig, runlog: RunLog, report: dict) -> None:
     if cfg.outdir is None:
         return
     outdir = Path(cfg.outdir)
-    runlog.write(outdir)  # creates outdir
-    (outdir / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
-    (outdir / "config.echo.json").write_text(
-        json.dumps(cfg.to_dict(), sort_keys=True, indent=2) + "\n")
+    try:
+        runlog.write(outdir)  # creates outdir
+        (outdir / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        (outdir / "config.echo.json").write_text(
+            json.dumps(cfg.to_dict(), sort_keys=True, indent=2) + "\n")
+    except OSError as exc:
+        raise InputError(f"cannot write artifacts to {outdir}: {exc}") from exc

@@ -17,11 +17,7 @@ import numpy as np
 from .errors import InputError, InsufficientDataError
 from .oscillator import wrap_signed
 
-#: Seconds discarded from the start of a run before scoring alignment.
-DEFAULT_WARMUP_S = 5.0
-
-
-def beat_alignment(kin_beats, music_beats, warmup_s: float = DEFAULT_WARMUP_S):
+def beat_alignment(kin_beats, music_beats, warmup_s: float):
     """Signed offset of each kinematic beat to its nearest music beat.
 
     Both series drop events before warmup_s first. Offsets are

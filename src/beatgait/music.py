@@ -116,20 +116,20 @@ def save_wav(path, clip: AudioClip) -> None:
     wavfile.write(path, clip.sample_rate, (pcm * 32767.0).astype(np.int16))
 
 
-def synth_click_track(bpm: float, duration_s: float,
-                      sample_rate: int = DEFAULT_SYNTH_RATE) -> AudioClip:
+def synth_click_track(bpm: float, duration_s: float) -> AudioClip:
     """Full-scale rectangular clicks, CLICK_S long, at every beat of a constant tempo.
 
     The first click starts at t=0; clicks repeat every 60/bpm seconds for
-    the whole duration. A period shorter than one sample raises
-    InputError: no two clicks could be told apart; so does a track of
-    more than MAX_SAMPLES samples.
+    the whole duration, sampled at DEFAULT_SYNTH_RATE. A period shorter
+    than one sample raises InputError: no two clicks could be told
+    apart; so does a track of more than MAX_SAMPLES samples.
     """
     if not (bpm > 0 and math.isfinite(bpm)):
         raise InputError(f"bpm must be positive, got {bpm!r}")
     if not (duration_s > 0 and math.isfinite(duration_s)):
         raise InputError(f"duration must be positive and finite, got {duration_s!r}")
     period = 60.0 / bpm
+    sample_rate = DEFAULT_SYNTH_RATE
     if period * sample_rate < 1.0:
         raise InputError(
             f"bpm {bpm!r} gives a click period under one sample at {sample_rate} Hz")

@@ -177,24 +177,17 @@ def phase_rate(phases, g_norm, om, sg, xi):
     return om - sg * np.asarray(g_norm, dtype=float) * (np.cos(phases) + xi)
 
 
-def _float_list(a, shape) -> list:
-    """a broadcast to shape, flattened to a list of floats."""
-    a = np.asarray(a, dtype=float)
-    if a.shape != shape:
-        a = np.broadcast_to(a, shape)
-    return a.ravel().tolist()
-
-
 def step_phases(phases, g_norm, dt: float, om, sg, xi):
     """One forward Euler step per leg; returns wrapped phases.
 
     phi + dt * (omega - sigma * G * (cos(phi) + xi)) mod 2*pi, computed
     leg by leg on plain floats. Lists of four floats, the loop's form,
     give a list, written out leg by leg; any other input is read as an
-    array, the other arguments broadcast against it, and gives an array
-    of its shape. Both paths evaluate the same expression in the same
-    order. Unvalidated: a NaN phase stays NaN, and the simulation loop
-    checks for one at every plant update.
+    array and gives an array of its shape, every other argument holding
+    one value per phase (a size mismatch raises ValueError). Both paths
+    evaluate the same expression in the same order. Unvalidated: a NaN
+    phase stays NaN, and the simulation loop checks for one at every
+    plant update.
     """
     if isinstance(phases, list):
         p0, p1, p2, p3 = phases
@@ -210,9 +203,9 @@ def step_phases(phases, g_norm, dt: float, om, sg, xi):
         # % rounds up to the divisor for tiny negative sums
         return [0.0 if p0 >= TWO_PI else p0, 0.0 if p1 >= TWO_PI else p1,
                 0.0 if p2 >= TWO_PI else p2, 0.0 if p3 >= TWO_PI else p3]
-    shape = np.shape(phases)
     out = []
-    for p, g, o, s, x in zip(*(_float_list(a, shape) for a in (phases, g_norm, om, sg, xi))):
+    flat = (np.asarray(a, dtype=float).ravel().tolist() for a in (phases, g_norm, om, sg, xi))
+    for p, g, o, s, x in zip(*flat, strict=True):
         p = (p + dt * (o - s * g * (math.cos(p) + x))) % TWO_PI
         out.append(0.0 if p >= TWO_PI else p)
-    return np.array(out).reshape(shape)
+    return np.array(out).reshape(np.shape(phases))

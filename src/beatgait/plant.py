@@ -12,7 +12,7 @@ weights, shared equally between its feet (see support_shares). Total
 vertical force is exactly mass*g whenever at least one leg is grounded
 and zero during flight. Also hosts the event extractors that turn force
 timelines into contact onsets, per-cycle force peaks (kinematic beats),
-and stepping frequency statistics.
+and stepping frequencies.
 """
 
 from __future__ import annotations
@@ -29,24 +29,17 @@ from .oscillator import TWO_PI
 FLIGHT_THRESHOLD = 1e-6
 
 
-@dataclass(frozen=True)
 class PlantConfig:
-    """Plant constants.
+    """Plant constants, the same for every run.
 
     mass: body mass in kg
     g: gravitational acceleration, m/s^2
     force_scale: scales total supported load (1.0 conserves body weight)
     """
 
-    mass: float = 12.0
-    g: float = 9.81
-    force_scale: float = 1.0
-
-    def __post_init__(self):
-        if not (self.mass > 0 and self.g > 0):
-            raise InputError("mass and g must be positive")
-        if not self.force_scale > 0:
-            raise InputError("force_scale must be positive")
+    mass = 12.0
+    g = 9.81
+    force_scale = 1.0
 
 
 @dataclass(frozen=True)
@@ -175,24 +168,24 @@ def _true_runs(mask: np.ndarray):
     return list(zip(edges[0::2], edges[1::2]))
 
 
-def kinematic_beats(timeline: GrfTimeline, leg: int, interior_only: bool = False) -> np.ndarray:
-    """One timestamp per stance period, at that period's force maximum.
+def kinematic_beats(timeline: GrfTimeline, leg: int) -> np.ndarray:
+    """One timestamp per interior stance period, at that period's force maximum.
 
     When the maximum is a plateau, the midpoint sample of the maximal run
     is used (floor division, so a two-sample plateau resolves to the
     earlier sample). Mid-plateau keeps the event at the stance center,
     where the peak of the underlying stance weight sits.
 
-    interior_only drops stance runs touching either end of the timeline,
-    whose peaks are artifacts of truncation rather than gait events.
-    Stance periods are runs of positive load, so the caveats of
+    Stance runs touching either end of the timeline are dropped: their
+    peaks are artifacts of truncation rather than gait events. Stance
+    periods are runs of positive load, so the caveats of
     contact_onsets apply: a foot that loses its load mid-stance splits
     its stance into two runs and gets two beats.
     """
     f = timeline.forces[:, leg]
     beats = []
     for start, stop in _true_runs(f > 0.0):
-        if interior_only and (start == 0 or stop == f.size):
+        if start == 0 or stop == f.size:
             continue
         seg = f[start:stop]
         # longest run at the peak value, the earliest if several tie
@@ -201,8 +194,8 @@ def kinematic_beats(timeline: GrfTimeline, leg: int, interior_only: bool = False
     return np.asarray(beats, dtype=float)
 
 
-def stepping_frequency(onsets) -> tuple[np.ndarray, float, float]:
-    """Per-interval stepping frequencies with mean and population variance.
+def stepping_frequency(onsets) -> np.ndarray:
+    """Per-interval stepping frequencies.
 
     Needs at least three onsets (two intervals); otherwise raises
     InsufficientDataError. Each frequency is 1 / (t_{k+1} - t_k).
@@ -215,5 +208,4 @@ def stepping_frequency(onsets) -> tuple[np.ndarray, float, float]:
     intervals = np.diff(t)
     if np.any(intervals <= 0):
         raise InputError("onsets must be strictly increasing")
-    freqs = 1.0 / intervals
-    return freqs, float(freqs.mean()), float(freqs.var())
+    return 1.0 / intervals

@@ -86,3 +86,12 @@ def test_all_pairs_wrong_gives_no_summary():
     for p in ps:
         p["change"] = run(0.1, correct=False)
     assert bench_pairs.summarize(ps, WALL) == {}
+
+
+def test_src_lines_counts_python_files_under_src(tmp_path):
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "a.py").write_text("x = 1\ny = 2\n\n")
+    (tmp_path / "src" / "pkg" / "b.py").write_text("z = 3\nw = 4")  # no final newline
+    (tmp_path / "src" / "notes.txt").write_text("not\ncounted\n")
+    (tmp_path / "setup.py").write_text("outside = src\n")
+    assert bench_pairs.src_lines(tmp_path) == 4

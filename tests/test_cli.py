@@ -187,6 +187,27 @@ class TestExitCodes:
         assert "10,000,000" in proc.stderr and "Traceback" not in proc.stderr
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ("freq-track", "--duration", "2", "--out", "{file}"),
+        ("freq-track", "--duration", "2", "--out", "{file}/sub"),
+        ("synth-click", "--duration", "2", "--out", "{dir}"),
+        ("analyze", "{wav}", "--out", "{dir}")],
+        ids=["freq-track-file", "freq-track-under-file", "synth-click-dir", "analyze-dir"])
+    def test_config_error_unwritable_out(self, argv, tmp_path):
+        # a file where a directory must go, or a directory where a file must
+        file, wav = tmp_path / "file", tmp_path / "c.wav"
+        file.write_text("x")
+        assert run_cli("synth-click", "--duration", "6", "--out", str(wav)) == 0
+        proc = run_cli_process(*(a.format(file=file, dir=tmp_path, wav=wav) for a in argv))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: cannot write") and "Traceback" not in proc.stderr
+
+    def test_data_error_curriculum_without_plant_update(self, tmp_path):
+        # a run too short for one plant update has too little data to fit
+        proc = run_cli_process("curriculum", "--duration", "1e-9", "--out", str(tmp_path))
+        assert proc.returncode == 3, proc.stderr
+        assert "leg-samples, got 0" in proc.stderr and "Traceback" not in proc.stderr
+
     def test_curriculum_failure_code(self, tmp_path, capsys, monkeypatch):
         def boom(cfg):
             raise CurriculumError("rho=1 loop failed frequency tracking")

@@ -146,13 +146,14 @@ class TestFit:
         inputs, g = plant_dataset(24, np.random.default_rng(2))
         with pytest.raises(InsufficientDataError):
             fit(inputs, g)
+        # an empty batch is too small, not malformed
+        with pytest.raises(InsufficientDataError, match="got 0"):
+            fit(EstimatorInput(np.zeros((0, 4)), np.zeros((0, 4))), np.zeros((0, 4)))
 
     def test_shape_mismatch(self):
         inputs, g = plant_dataset(30, np.random.default_rng(3))
         with pytest.raises(InputError):
             fit(inputs, g[:-1])
-        with pytest.raises(InputError):
-            fit(EstimatorInput(np.zeros((0, 4)), np.zeros((0, 4))), np.zeros((0, 4)))
 
 
 class TestPredict:

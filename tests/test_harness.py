@@ -1,8 +1,11 @@
 import io
+import itertools
 import json
 import math
+import re
 import warnings
 from array import array
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -27,7 +30,7 @@ from beatgait.harness import (
     run_rhythm_sync,
     scheduler_tick,
 )
-from beatgait.modulator import ModulatorCommand
+from beatgait.modulator import ERROR_MODES, ModulatorCommand
 from beatgait.music import MAX_SAMPLES, save_wav, synth_click_track
 from beatgait.oscillator import TWO_PI
 from beatgait.plant import stance_weight, support_shares
@@ -114,6 +117,33 @@ class TestScenarioConfig:
         # integers past +-(2**53 - 1) are not exact in JSON, and 10**400 has no float
         with pytest.raises(InputError, match=f"{field} must be an integer"):
             ScenarioConfig(mode="estimator_curriculum", **{field: value})
+
+    @pytest.mark.parametrize("field", ["duration", "perturb_rad", "warmup_s", "v_cmd",
+                                       "f_cmd", "gain_k", "delta_max", "synth_bpm"])
+    @pytest.mark.parametrize("value", [10**400, -(10**309)])
+    def test_integer_without_float_rejected(self, field, value):
+        # finite, but past the largest float: refused before anything converts it
+        with pytest.raises(InputError, match=f"{field} must be a finite number"):
+            ScenarioConfig(mode="rhythm_sync", **{field: value})
+
+    def test_every_field_checked_by_its_annotation(self):
+        # __post_init__ reads each annotation as a string (the __future__
+        # import); every kind it knows refuses a list, and every plain str
+        # field is a choice field refused with its allowed tuple
+        choices = {"mode": MODES, "reward": REWARD_VARIANTS, "error_mode": ERROR_MODES,
+                   "estimator_mode": ESTIMATOR_MODES}
+        for f in fields(ScenarioConfig):
+            assert isinstance(f.type, str), f.name
+            kind, _, optional = f.type.partition(" | ")
+            assert kind in ("int", "float", "bool", "str") and optional in ("", "None"), f
+            if f.type == "str":
+                assert f.name in choices
+                message = re.escape(f"{f.name} must be one of {choices[f.name]}, got 'x'")
+            else:
+                message = f"{f.name} must be (an integer|a finite number|true or false|a string)"
+            with pytest.raises(InputError, match=message):
+                ScenarioConfig(**{"mode": "freq_track", f.name: "x" if f.type == "str" else [1]})
+        assert {f.name for f in fields(ScenarioConfig) if f.type == "str"} == set(choices)
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("value", ["bogus", [1], None, 1, "RAW"])
@@ -304,24 +334,28 @@ class TestScheduler:
     def test_update_counts(self):
         plant_calls, mod_calls = [], []
 
-        def load(t, phases, i, g):
-            plant_calls.append((t, i))
+        def load(phases, g):
+            plant_calls.append(list(phases))
             return g
 
         def mod_fn(t, phases, j):
             mod_calls.append((t, j))
+            return 4.0 * np.pi
 
         _, osc, plant = _loop(load, mod_fn)
-        assert [i for _, i in plant_calls] == list(range(100))
+        assert len(plant_calls) == 100
         assert [j for _, j in mod_calls] == list(range(20))
         assert [t for t, _ in mod_calls] == pytest.approx([0.05 * j for j in range(20)])
         assert osc.shape == (1000, 6) and plant.shape == (100, 9)
         assert osc[-1, 0] == pytest.approx(0.999)
-        assert np.array_equal(plant[:, 0], [t for t, _ in plant_calls])
+        assert plant[:, 0] == pytest.approx([0.01 * i for i in range(100)])
+        # plant update i saw the phases of tick 10 * i
+        assert np.array_equal(plant_calls, osc[::10, 1:5])
 
     def test_zero_order_hold(self):
         # update i holds 0.1 * (i % 3) on every leg through its ten ticks
-        _, osc, _ = _loop(lambda t, phases, i, g: [0.1 * (i % 3)] * 4)
+        update = itertools.count()
+        _, osc, _ = _loop(lambda phases, g: [0.1 * (next(update) % 3)] * 4)
         update = np.arange(999) // 10
         held = (0.1 * (update % 3))[:, None]
         assert np.array_equal(_euler(osc, held, 4.0 * np.pi), osc[1:, 1:5])
@@ -334,25 +368,20 @@ class TestScheduler:
         # reads the same phases the loads were just computed from
         events = []
 
-        def load(t, phases, i, g):
-            events.append(("plant", t, list(phases)))
+        def load(phases, g):
+            events.append(("plant", list(phases)))
             return g
 
         def mod_fn(t, phases, j):
-            events.append(("mod", t, list(phases)))
+            events.append(("mod", list(phases)))
+            return 4.0 * np.pi
 
         _loop(load, mod_fn, duration=0.1)
-        kinds = [kind for kind, _, _ in events]
+        kinds = [kind for kind, _ in events]
         assert kinds == ["plant", "mod"] + ["plant"] * 4 + ["plant", "mod"] + ["plant"] * 4
-        for k, (kind, t, phases) in enumerate(events):
+        for k, (kind, phases) in enumerate(events):
             if kind == "mod":
-                assert events[k - 1][1:] == (t, phases)
-
-    def test_none_command_keeps_frequency(self):
-        _, osc, _ = _loop(mod_fn=lambda t, phases, j: None)
-        assert np.all(osc[:, 5] == 4.0 * np.pi)
-        _, free, _ = _loop()
-        assert np.array_equal(osc, free)
+                assert events[k - 1][1] == phases
 
     def test_command_replaces_frequency(self):
         _, osc, plant = _loop(mod_fn=lambda t, phases, j: 3.5)

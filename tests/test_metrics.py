@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from beatgait.errors import InputError, InsufficientDataError
 from beatgait.metrics import (
-    DEFAULT_WARMUP_S,
     SyncReport,
     beat_alignment,
     frequency_deviation,
@@ -21,12 +20,12 @@ class TestBeatAlignment:
     def test_nearest_pairing(self):
         kin = [10.02, 11.01, 11.97]
         mus = [10.0, 11.0, 12.0]
-        deltas, worst = beat_alignment(kin, mus)
+        deltas, worst = beat_alignment(kin, mus, warmup_s=5.0)
         assert deltas == pytest.approx([0.02, 0.01, -0.03])
         assert worst == pytest.approx(0.03)
 
     def test_tie_pairs_with_later_beat(self):
-        deltas, worst = beat_alignment([10.0], [9.9, 10.1])
+        deltas, worst = beat_alignment([10.0], [9.9, 10.1], warmup_s=5.0)
         assert deltas[0] == pytest.approx(-0.1)
         assert worst == pytest.approx(0.1)
 
@@ -34,7 +33,7 @@ class TestBeatAlignment:
         # everything before 5 s drops from both series before pairing
         kin = [1.0, 6.05]
         mus = [1.4, 6.0]
-        deltas, worst = beat_alignment(kin, mus)
+        deltas, worst = beat_alignment(kin, mus, warmup_s=5.0)
         assert deltas.size == 1
         assert deltas[0] == pytest.approx(0.05)
 
@@ -48,19 +47,19 @@ class TestBeatAlignment:
 
     def test_empty_after_warmup(self):
         with pytest.raises(InsufficientDataError):
-            beat_alignment([1.0, 2.0], [6.0, 7.0])
+            beat_alignment([1.0, 2.0], [6.0, 7.0], warmup_s=5.0)
         with pytest.raises(InsufficientDataError):
-            beat_alignment([6.0], [1.0])
+            beat_alignment([6.0], [1.0], warmup_s=5.0)
 
     def test_late_step_is_positive(self):
-        deltas, _ = beat_alignment([10.3], [10.0, 11.0])
+        deltas, _ = beat_alignment([10.3], [10.0, 11.0], warmup_s=5.0)
         assert deltas[0] > 0
 
     @given(st.floats(min_value=7.0, max_value=99.0))
     @settings(max_examples=200)
     def test_offset_matches_nearest_tooth(self, x):
         mus = np.arange(6.0, 101.0, 1.0)
-        deltas, worst = beat_alignment([x], mus)
+        deltas, worst = beat_alignment([x], mus, warmup_s=5.0)
         gaps = np.abs(mus - x)
         assert worst == pytest.approx(float(gaps.min()), abs=1e-12)
         assert worst <= 0.5 + 1e-9
@@ -198,6 +197,3 @@ class TestSyncReport:
         assert isinstance(d["delta_t_max"], float)
         assert isinstance(d["delta_t_series"][0], float)
         json.dumps(d)
-
-    def test_default_warmup_constant(self):
-        assert DEFAULT_WARMUP_S == 5.0

@@ -15,6 +15,7 @@ from beatgait.errors import (
 from beatgait.music import (
     ANALYSIS_HOP,
     ANALYSIS_WINDOW,
+    DEFAULT_SYNTH_RATE,
     FLUX_BLOCK_FRAMES,
     FRAME_RATE_HZ,
     MAX_SAMPLES,
@@ -40,11 +41,11 @@ from beatgait.oscillator import FOOTFALL_PHASE
 
 class TestSynthAndIo:
     def test_click_positions(self):
-        clip = synth_click_track(120.0, 2.0, sample_rate=16000)
-        assert clip.sample_rate == 16000
-        assert clip.samples.size == 32000
+        clip = synth_click_track(120.0, 2.0)
+        assert clip.sample_rate == DEFAULT_SYNTH_RATE == 22050
+        assert clip.samples.size == 44100
         assert clip.samples[0] == 1.0
-        period_n = int(round(0.5 * 16000))
+        period_n = int(round(0.5 * 22050))
         assert clip.samples[period_n] == 1.0
         # silence between the clicks
         assert clip.samples[period_n - 100] == 0.0
@@ -60,15 +61,14 @@ class TestSynthAndIo:
     def test_track_length_capped(self):
         # refused before the samples are allocated
         with pytest.raises(InputError, match="10,000,000 samples"):
-            synth_click_track(120.0, (MAX_SAMPLES + 1) / 16000, sample_rate=16000)
+            synth_click_track(120.0, (MAX_SAMPLES + 1) / DEFAULT_SYNTH_RATE)
 
     def test_sub_sample_period_rejected(self):
         # 60/bpm seconds must span at least one sample
         assert synth_click_track(1e6, 0.01).samples[:3].tolist() == [1.0] * 3
-        with pytest.raises(InputError, match="under one sample"):
+        synth_click_track(60.0 * 22050 * 0.999, 0.01)  # just over one sample
+        with pytest.raises(InputError, match="under one sample at 22050 Hz"):
             synth_click_track(60.0 * 22050 * 1.001, 0.01)
-        with pytest.raises(InputError, match="under one sample"):
-            synth_click_track(60.0 * 16000 * 1.001, 0.01, sample_rate=16000)
 
     def test_wav_round_trip(self, tmp_path):
         clip = synth_click_track(100.0, 1.0)
@@ -157,7 +157,7 @@ class TestBlockwiseEnvelope:
         assert np.array_equal(env.values, _envelope_reference(clip))
 
     def test_memory_bounded(self):
-        clip = synth_click_track(120.0, 60.0, sample_rate=22050)
+        clip = synth_click_track(120.0, 60.0)
         tracemalloc.start()
         try:
             onset_envelope(clip)

@@ -247,6 +247,13 @@ class TestStep:
         assert np.array_equal(np.array(got), want)
         assert np.array_equal(step_phases(phi, g, 1e-3, om, sg, xi), want)
 
+    def test_array_arguments_must_match_phases(self):
+        # no broadcasting: every argument holds one value per phase
+        with pytest.raises(ValueError):
+            step_phases(np.zeros(4), np.zeros(3), 1e-3, np.ones(4), np.ones(4), np.zeros(4))
+        with pytest.raises(ValueError):
+            step_phases(np.zeros((2, 4)), np.zeros((2, 4)), 1e-3, np.ones(4), 1.0, 0.0)
+
     def test_determinism_bitwise(self):
         params = select_params(0.8, 2.0, (1, 1, 1, 1))
         om, sg, xi = param_arrays(params)
