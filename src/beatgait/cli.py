@@ -14,7 +14,9 @@ any flag given on the command line overrides the matching config field,
 and the subcommand always decides the scenario mode. Runs write their
 artifacts (per-stream runlog CSVs, report.json, config.echo.json) to
 --out, defaulting to out/<mode> so every invocation is reproducible
-from its own output directory.
+from its own output directory. The directory is made, and an earlier
+run's artifacts in it removed, once the config resolves: an unwritable
+--out exits 2 before the run starts, and a failed run writes no report.
 
 Exit codes: 0 on success, otherwise the exit_code of the BeatGaitError
 raised: 2 for configuration or input errors, 3 when the input data is
@@ -31,7 +33,7 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
-from .errors import BeatGaitError, InputError
+from .errors import BeatGaitError, writing
 from .harness import (
     ESTIMATOR_MODES,
     REWARD_VARIANTS,
@@ -172,11 +174,9 @@ def _cmd_curriculum(args: argparse.Namespace) -> int:
 
 def _write(path: str, write) -> None:
     """Make path's parent directory, then write(path); an OSError becomes InputError."""
-    try:
+    with writing(path):
         Path(path).parent.mkdir(parents=True, exist_ok=True)
         write(path)
-    except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def _cmd_synth_click(args: argparse.Namespace) -> int:

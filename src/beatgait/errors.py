@@ -6,6 +6,8 @@ errors, 3 when the input data is insufficient, 4 when a curriculum run
 fails or the oscillator state diverges.
 """
 
+from contextlib import contextmanager
+
 
 class BeatGaitError(Exception):
     """Base class for all package errors."""
@@ -55,3 +57,12 @@ class CurriculumError(BeatGaitError):
     """The curriculum's rho = 1 evaluation missed the tracking bounds."""
 
     exit_code = 4
+
+
+@contextmanager
+def writing(path):
+    """Raise an OSError from the block as InputError("cannot write <path>: ...")."""
+    try:
+        yield
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc

@@ -12,14 +12,15 @@ three experiment families:
   estimator predictions by rho = iteration/N, refitting each episode,
   then proves the rho = 1 loop still tracks frequency commands.
 
-All three run through one loop, _simulate; they differ only in the
-load map and the modulator they hand it. The scheduler runs the
-oscillator at 1 kHz and updates the plant and modulator at integer
-subdivisions (100 Hz and 20 Hz by default) with zero-order holds
-between updates. The frequency-tracking scenario
-defaults to a 500 Hz plant so a 5 s run spans 2500 plant samples;
-at 100 Hz the 10 ms contact quantization alone can push the measured
-stepping frequency past the 0.05 Hz acceptance bound at some commands.
+Every run starts in _begin (resolve the config, claim the output
+directory) and ends in _finish (build, then write, the run log and
+report); between them all three run one loop, _simulate, and differ
+only in the load map and modulator they hand it. The oscillator runs
+at 1 kHz, the plant and modulator at integer subdivisions (100 Hz and
+20 Hz by default) with zero-order holds between updates. freq_track
+and the curriculum default to a 500 Hz plant so a 5 s run spans 2500
+plant samples; at 100 Hz the 10 ms contact quantization alone can push
+the measured stepping frequency past the 0.05 Hz bound at some commands.
 
 Offline runs are deterministic: all randomness flows from one seeded
 generator recorded in the run log header, and a fixed config plus seed
@@ -38,7 +39,8 @@ from pathlib import Path
 import numpy as np
 
 from . import estimator as est
-from .errors import CurriculumError, InputError, InsufficientDataError, IntegrationDivergedError
+from .errors import CurriculumError, InputError, InsufficientDataError, \
+    IntegrationDivergedError, writing
 from .metrics import SyncReport, beat_alignment, frequency_deviation, frequency_variance, \
     relative_phase_differences
 from .modulator import ModulatorConfig, modulate, reward_phase, reward_r1, reward_r2, \
@@ -231,9 +233,9 @@ class RunLog:
     """Per-stream records at their native rates plus a header.
 
     Streams are (column names, float array) pairs whose first column is
-    a strictly increasing timestamp. The "osc" stream lands in
-    runlog.csv, every other stream in runlog.<name>.csv, each value as
-    %.17g, which reads back as the same double.
+    a strictly increasing timestamp. write(outdir) needs outdir to exist;
+    the "osc" stream lands in runlog.csv, every other stream in
+    runlog.<name>.csv, each value as %.17g, which reads back as the same double.
     """
 
     def __init__(self, header: dict):
@@ -251,7 +253,6 @@ class RunLog:
 
     def write(self, outdir) -> list[Path]:
         outdir = Path(outdir)
-        outdir.mkdir(parents=True, exist_ok=True)
         head = " ".join(f"{k}={self.header[k]}" for k in sorted(self.header))
         written = []
         for name, (columns, arr) in self.streams.items():
@@ -402,6 +403,37 @@ def _leg_stats(timeline: GrfTimeline, leg: int, f_cmd: float) -> dict:
 _OSC_COLUMNS = ["t", "phi_rf", "phi_lf", "phi_rh", "phi_lh", "omega_tilde"]
 _PLANT_COLUMNS = ["t", "n_rf", "n_lf", "n_rh", "n_lh", "g_rf", "g_lf", "g_rh", "g_lh"]
 
+#: The names a run writes, and all that _begin removes from a reused outdir.
+_ARTIFACTS = ("report.json", "config.echo.json", "runlog.csv", "runlog.*.csv")
+
+
+def _begin(config: ScenarioConfig) -> ScenarioConfig:
+    """Resolve config, then make its outdir, if set, and clear an earlier run's artifacts."""
+    cfg = config.resolve()
+    if cfg.outdir is not None:
+        outdir = Path(cfg.outdir)
+        with writing(outdir):
+            outdir.mkdir(parents=True, exist_ok=True)
+            for pattern in _ARTIFACTS:
+                for path in outdir.glob(pattern):
+                    path.unlink()
+    return cfg
+
+
+def _finish(cfg: ScenarioConfig, header: dict, streams, report: dict):
+    """The run's (RunLog, report), led by mode and seed; written to outdir, if set, report last."""
+    ids = {"mode": cfg.mode, "seed": cfg.seed}
+    runlog = RunLog({**ids, **header})
+    for name, columns, rows in streams:
+        runlog.add_stream(name, columns, rows)
+    report = {**ids, **report}
+    if cfg.outdir is not None:
+        with writing(cfg.outdir):
+            runlog.write(cfg.outdir)
+            for name, obj in (("config.echo.json", cfg.to_dict()), ("report.json", report)):
+                Path(cfg.outdir, name).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    return runlog, report
+
 
 def run_frequency_tracking(config: ScenarioConfig):
     """Fixed-frequency closed loop; modulator disabled.
@@ -411,7 +443,7 @@ def run_frequency_tracking(config: ScenarioConfig):
     the parameter schedule, so an out-of-band f_cmd raises the same
     command-range error the oscillator would.
     """
-    cfg = config.resolve()
+    cfg = _begin(config)
     f_cmd = float(cfg.f_cmd)
     phases, osc_rows, plant_rows = _simulate(cfg, f_cmd)
 
@@ -422,23 +454,17 @@ def run_frequency_tracking(config: ScenarioConfig):
         freq_dev_mean=rf["mean_abs_dev_hz"], freq_dev_var=rf["variance_hz2"],
         rpd_matrix=relative_phase_differences(phases).tolist())
 
-    header = {"mode": cfg.mode, "seed": cfg.seed, "f_cmd": f_cmd,
-              "rate_oscillator_hz": cfg.rate_oscillator_hz,
+    header = {"f_cmd": f_cmd, "rate_oscillator_hz": cfg.rate_oscillator_hz,
               "rate_plant_hz": cfg.rate_plant_hz}
-    runlog = RunLog(header)
-    runlog.add_stream("osc", _OSC_COLUMNS, osc_rows)
-    runlog.add_stream("plant", _PLANT_COLUMNS, plant_rows)
-    report = {
-        "mode": cfg.mode,
-        "seed": cfg.seed,
+    streams = [("osc", _OSC_COLUMNS, osc_rows), ("plant", _PLANT_COLUMNS, plant_rows)]
+    runlog, report = _finish(cfg, header, streams, {
         "f_cmd_hz": f_cmd,
         "v_cmd": cfg.v_cmd,
         "rates_hz": {"oscillator": cfg.rate_oscillator_hz, "plant": cfg.rate_plant_hz,
                      "modulator": cfg.rate_modulator_hz},
         "metrics": report_metrics.to_dict(),
         "per_leg": per_leg,
-    }
-    _write_artifacts(cfg, runlog, report)
+    })
     return runlog, report_metrics, report
 
 
@@ -469,8 +495,7 @@ def run_rhythm_sync(config: ScenarioConfig):
     raises InsufficientDataError before anything is simulated; graded
     metrics that are not finite raise IntegrationDivergedError.
     """
-    cfg = config.resolve()
-
+    cfg = _begin(config)
     analysis = analyze_clip(_resolve_clip(cfg))
     n_frames = int(round(cfg.duration * FRAME_RATE_HZ))
     if analysis.envelope.values.size < n_frames:
@@ -559,24 +584,16 @@ def run_rhythm_sync(config: ScenarioConfig):
         np.full(n_frames, analysis.grid.tempo_bpm),
     ])
 
-    header = {"mode": cfg.mode, "seed": cfg.seed,
-              "tempo_bpm": round(analysis.grid.tempo_bpm, 6),
+    header = {"tempo_bpm": round(analysis.grid.tempo_bpm, 6),
               "f_gait_hz": round(f_gait, 6),
               "rate_oscillator_hz": cfg.rate_oscillator_hz,
               "rate_plant_hz": cfg.rate_plant_hz,
               "rate_modulator_hz": cfg.rate_modulator_hz}
-    runlog = RunLog(header)
-    runlog.add_stream("osc", _OSC_COLUMNS, osc_rows)
-    runlog.add_stream("plant", _PLANT_COLUMNS, plant_rows)
-    runlog.add_stream("mod", ["t", "omega_m", "delta_omega", "omega_tilde", "phase_error"],
-                      mod_rows)
-    runlog.add_stream("music", ["t", "envelope", "beat_curve", "theta", "tempo_bpm"],
-                      music_rows)
-    runlog.add_stream("rewards", ["t", "rhythm", "r1", "r2", "phase"], reward_rows)
-
-    report = {
-        "mode": cfg.mode,
-        "seed": cfg.seed,
+    streams = [("osc", _OSC_COLUMNS, osc_rows), ("plant", _PLANT_COLUMNS, plant_rows),
+               ("mod", ["t", "omega_m", "delta_omega", "omega_tilde", "phase_error"], mod_rows),
+               ("music", ["t", "envelope", "beat_curve", "theta", "tempo_bpm"], music_rows),
+               ("rewards", ["t", "rhythm", "r1", "r2", "phase"], reward_rows)]
+    runlog, report = _finish(cfg, header, streams, {
         "source": cfg.audio_path if cfg.audio_path else f"synth:{cfg.synth_bpm}bpm",
         "tempo_bpm_estimate": float(analysis.grid.tempo_bpm),
         "tempo_confidence": float(analysis.confidence),
@@ -590,8 +607,7 @@ def run_rhythm_sync(config: ScenarioConfig):
         "reward_variant": cfg.reward,
         "reward_means_post_warmup": reward_means,
         "metrics": report_metrics.to_dict(),
-    }
-    _write_artifacts(cfg, runlog, report)
+    })
     return runlog, report_metrics, report
 
 
@@ -632,30 +648,22 @@ def run_estimator_curriculum(config: ScenarioConfig):
     naming the episode; a failed sweep raises a curriculum error naming
     the command.
     """
-    cfg = config.resolve()
+    if config.estimator_mode == "learned" and config.iterations < 10:
+        raise InputError(f"curriculum needs at least 10 iterations, got {config.iterations}")
+    cfg = _begin(config)
     f_cmd = float(cfg.f_cmd)
-
-    header = {"mode": cfg.mode, "seed": cfg.seed, "estimator_mode": cfg.estimator_mode,
-              "iterations": cfg.iterations, "f_cmd": f_cmd}
-    runlog = RunLog(header)
+    header = {"estimator_mode": cfg.estimator_mode, "iterations": cfg.iterations, "f_cmd": f_cmd}
 
     if cfg.estimator_mode == "fallback":
         fallback = [est.FALLBACK_G] * 4
         _, _, plant_rows = _simulate(cfg, f_cmd, label="fallback run",
                                      load=lambda phases, g_sim: fallback, log_osc=False)
-        stats = _leg_stats(_timeline(plant_rows), 0, f_cmd)
-        report = {
-            "mode": cfg.mode, "seed": cfg.seed, "estimator_mode": cfg.estimator_mode,
-            "duration_s": cfg.duration, "finite": True,
-            "rf_stats": stats,
-        }
-        runlog.add_stream("plant", _PLANT_COLUMNS[:5], plant_rows[:, :5])
-        _write_artifacts(cfg, runlog, report)
-        return runlog, report
+        return _finish(cfg, header, [("plant", _PLANT_COLUMNS[:5], plant_rows[:, :5])], {
+            "estimator_mode": cfg.estimator_mode, "duration_s": cfg.duration, "finite": True,
+            "rf_stats": _leg_stats(_timeline(plant_rows), 0, f_cmd),
+        })
 
     n = cfg.iterations
-    if n < 10:
-        raise InputError(f"curriculum needs at least 10 iterations, got {n}")
     n_ticks, plant_every, _ = _tick_counts(cfg)
     per_episode = -(-n_ticks // plant_every)
     # indicators, shares and simulated loads of every plant update of every episode
@@ -690,9 +698,8 @@ def run_estimator_curriculum(config: ScenarioConfig):
             raise CurriculumError(
                 f"rho=1 loop failed frequency tracking at f_cmd={f}: {stats}")
 
-    runlog.add_stream("mse", ["iteration", "rho", "mse"], np.asarray(mse_rows))
-    report = {
-        "mode": cfg.mode, "seed": cfg.seed, "estimator_mode": cfg.estimator_mode,
+    return _finish(cfg, header, [("mse", ["iteration", "rho", "mse"], np.asarray(mse_rows))], {
+        "estimator_mode": cfg.estimator_mode,
         "iterations": n, "episode_duration_s": cfg.duration, "f_cmd_hz": f_cmd,
         "rho_first": float(mse_rows[0][1]), "rho_last": float(mse_rows[-1][1]),
         "mse_curve": [float(r[2]) for r in mse_rows],
@@ -700,20 +707,4 @@ def run_estimator_curriculum(config: ScenarioConfig):
         "rank_deficient": bool(model.rank_deficient),
         "coeffs": [float(c) for c in model.coeffs],
         "eval": eval_stats,
-    }
-    _write_artifacts(cfg, runlog, report)
-    return runlog, report
-
-
-def _write_artifacts(cfg: ScenarioConfig, runlog: RunLog, report: dict) -> None:
-    """Emit report.json, config.echo.json, and the stream CSVs."""
-    if cfg.outdir is None:
-        return
-    outdir = Path(cfg.outdir)
-    try:
-        runlog.write(outdir)  # creates outdir
-        (outdir / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
-        (outdir / "config.echo.json").write_text(
-            json.dumps(cfg.to_dict(), sort_keys=True, indent=2) + "\n")
-    except OSError as exc:
-        raise InputError(f"cannot write artifacts to {outdir}: {exc}") from exc
+    })

@@ -187,14 +187,30 @@ class TestExitCodes:
         assert "10,000,000" in proc.stderr and "Traceback" not in proc.stderr
         assert not (tmp_path / "o").exists()
 
+    def test_config_error_learned_curriculum_too_short(self, tmp_path, capsys):
+        # refused with the config, before the artifact directory is made
+        assert run_cli("curriculum", "--iterations", "5", "--out", str(tmp_path / "o")) == 2
+        assert "at least 10 iterations" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_run_error_leaves_directory_empty(self, tmp_path):
+        # the command band is checked by the run, after the directory is made
+        assert run_cli("freq-track", "--f-cmd", "9", "--out", str(tmp_path / "o")) == 2
+        assert list((tmp_path / "o").iterdir()) == []
+
     @pytest.mark.parametrize("argv", [
         ("freq-track", "--duration", "2", "--out", "{file}"),
         ("freq-track", "--duration", "2", "--out", "{file}/sub"),
+        ("rhythm-sync", "--duration", "2", "--out", "{file}"),
+        ("curriculum", "--duration", "0.5", "--out", "{file}"),
         ("synth-click", "--duration", "2", "--out", "{dir}"),
         ("analyze", "{wav}", "--out", "{dir}")],
-        ids=["freq-track-file", "freq-track-under-file", "synth-click-dir", "analyze-dir"])
+        ids=["freq-track-file", "freq-track-under-file", "rhythm-sync-file", "curriculum-file",
+             "synth-click-dir", "analyze-dir"])
     def test_config_error_unwritable_out(self, argv, tmp_path):
-        # a file where a directory must go, or a directory where a file must
+        # a file where a directory must go, or a directory where a file must;
+        # a 2 s rhythm-sync or a 0.5 s curriculum would fail with too little
+        # data if the run came before the directory
         file, wav = tmp_path / "file", tmp_path / "c.wav"
         file.write_text("x")
         assert run_cli("synth-click", "--duration", "6", "--out", str(wav)) == 0
@@ -257,6 +273,17 @@ class TestConfigPrecedence:
         code = run_cli("freq-track", "--duration", "2")
         assert code == 0
         assert (tmp_path / "out" / "freq_track" / "report.json").exists()
+
+    def test_reused_out_holds_one_run(self, tmp_path):
+        out = tmp_path / "d"
+        assert run_cli("rhythm-sync", "--duration", "8", "--out", str(out)) == 0
+        (out / "notes.txt").write_text("kept")
+        assert run_cli("freq-track", "--duration", "2", "--out", str(out)) == 0
+        # the earlier run's mod, music and rewards streams are gone; other files stay
+        assert sorted(p.name for p in out.iterdir()) == [
+            "config.echo.json", "notes.txt", "report.json", "runlog.csv", "runlog.plant.csv"]
+        assert run_cli("freq-track", "--f-cmd", "9", "--out", str(out)) == 2
+        assert sorted(p.name for p in out.iterdir()) == ["notes.txt"]
 
 
 class TestAudioUtilities:

@@ -589,8 +589,9 @@ class TestCurriculum:
             run_estimator_curriculum(cfg)
 
     def test_fallback_run(self, tmp_path):
+        # the learned curriculum's floor of 10 iterations does not apply
         cfg = ScenarioConfig(mode="estimator_curriculum",
-                             estimator_mode="fallback", duration=3.0,
+                             estimator_mode="fallback", duration=3.0, iterations=1,
                              outdir=str(tmp_path))
         runlog, report = run_estimator_curriculum(cfg)
         assert report["finite"] is True
@@ -629,3 +630,20 @@ class TestCurriculum:
         _, mse = runlog.streams["mse"]
         assert mse.shape == (11, 3)
         json.dumps(report)  # everything must stay JSON-clean
+
+
+@pytest.mark.parametrize("run, kwargs", [
+    (run_frequency_tracking, {"mode": "freq_track"}),
+    (run_rhythm_sync, {"mode": "rhythm_sync"}),
+    (run_estimator_curriculum, {"mode": "estimator_curriculum"}),
+    (run_estimator_curriculum, {"mode": "estimator_curriculum", "estimator_mode": "fallback"})],
+    ids=["freq_track", "rhythm_sync", "learned", "fallback"])
+def test_unwritable_outdir_fails_before_the_run(run, kwargs, tmp_path, monkeypatch):
+    def unreached(*args, **kw):
+        pytest.fail("the run started before its output directory was made")
+
+    monkeypatch.setattr(harness, "_simulate", unreached)
+    monkeypatch.setattr(harness, "analyze_clip", unreached)
+    (tmp_path / "file").write_text("x")
+    with pytest.raises(InputError, match="cannot write"):
+        run(ScenarioConfig(outdir=str(tmp_path / "file" / "run"), **kwargs))
