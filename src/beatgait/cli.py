@@ -201,9 +201,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "beat_interval_s": float(60.0 / analysis.grid.tempo_bpm),
     }
     text = json.dumps(out, sort_keys=True, indent=2)
-    print(text)
+    # write first: an unwritable --out exits 2 with nothing on stdout
     if args.out:
         _write(args.out, lambda path: Path(path).write_text(text + "\n"))
+    print(text)
     return 0
 
 

@@ -10,11 +10,11 @@ legs, fitted by closed form least squares. The plant's normalized load
 is exactly linear in these features, so the fit is exact up to rounding.
 
 Training data arrive as one batch: EstimatorInput holds (n, 4) arrays
-of indicators and support shares, validated once when it is built, and
-fit builds the whole feature matrix in one step. predict and mix are
-the closed loop's per-sample calls. They take and return lists of
-plain floats, mix's list is what the oscillators then hold, and
-neither re-checks the ranges that the loop guarantees by construction.
+of indicators and support shares, and fit builds the whole feature
+matrix in one step. predict and mix are the closed loop's per-sample
+calls. They take and return lists of plain floats, mix's list is what
+the oscillators then hold, and nothing here re-checks the shapes and
+ranges that the curriculum loop guarantees by construction.
 
 The curriculum blends simulated and predicted loads into the feedback
 path with a weight rho = iteration/N that grows from 0 to 1 across
@@ -46,29 +46,10 @@ class EstimatorInput:
 
     contact_indicators: (n, 4) binary flags, 1 while the leg's phase is in stance
     support_shares: (n, 4) values in [0, 1], each leg's share of the supported load
-
-    Validated once for the whole batch; an error names the first bad row.
     """
 
     contact_indicators: np.ndarray
     support_shares: np.ndarray
-
-    def __post_init__(self):
-        ind = np.asarray(self.contact_indicators, dtype=float)
-        sw = np.asarray(self.support_shares, dtype=float)
-        if ind.ndim != 2 or ind.shape[1] != 4 or sw.shape != ind.shape:
-            raise InputError(
-                f"indicators and support shares must both have shape (n, 4), "
-                f"got {ind.shape} and {sw.shape}")
-        bad = ((ind != 0.0) & (ind != 1.0)).any(axis=1)
-        if bad.any():
-            raise InputError(f"contact indicators must be 0 or 1 (row {bad.argmax()})")
-        # NaN fails both comparisons, so it counts as out of range
-        bad = ~((sw >= 0.0) & (sw <= 1.0)).all(axis=1)
-        if bad.any():
-            raise InputError(f"support shares must lie in [0, 1] (row {bad.argmax()})")
-        object.__setattr__(self, "contact_indicators", ind)
-        object.__setattr__(self, "support_shares", sw)
 
     def __len__(self) -> int:
         return self.contact_indicators.shape[0]

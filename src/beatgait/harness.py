@@ -49,8 +49,8 @@ from .music import FRAME_RATE_HZ, MAX_SAMPLES, analyze_clip, fold_tempo, interpo
     load_wav, synth_click_track
 from .oscillator import LEG_ORDER, TWO_PI, make_bank, param_arrays, select_params, \
     step_phases, wrap_phase
-from .plant import GrfTimeline, PlantConfig, contact_onsets, grf_from_phases, \
-    kinematic_beats, stance_weight, stepping_frequency, support_shares
+from .plant import PlantConfig, contact_onsets, grf_from_phases, kinematic_beats, \
+    stance_weight, stepping_frequency, support_shares
 
 MODES = ("freq_track", "rhythm_sync", "estimator_curriculum")
 
@@ -103,9 +103,10 @@ class ScenarioConfig:
     number, an int field an integer within +-(2**53 - 1), neither a
     bool; a bool field takes a bool, a str | None field a string, and
     a plain str field one of its choices; "| None" fields may be None.
-    error_mode must be one of ERROR_MODES and delta_max, where set,
-    positive, in every mode. Anything else raises InputError.
+    error_mode must be one of ERROR_MODES, gain_k positive and delta_max,
+    where set, positive, in every mode. Anything else raises InputError.
     synth_bpm's range is checked when a rhythm_sync run builds its clip.
+    Input is checked here and in resolve, not again inside the run.
     """
 
     mode: str
@@ -156,8 +157,9 @@ class ScenarioConfig:
             raise InputError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.duration is not None and not (self.duration > 0):
             raise InputError(f"duration must be positive, got {self.duration!r}")
-        # error_mode and delta_max's sign by the modulator's own rules
-        ModulatorConfig(delta_max=self.delta_max, error_mode=self.error_mode)
+        # error_mode and the signs of gain_k and delta_max by the modulator's own rules
+        ModulatorConfig(gain_k=self.gain_k, delta_max=self.delta_max,
+                        error_mode=self.error_mode)
         if not (self.warmup_s >= 0):
             raise InputError(f"warmup_s must be non-negative, got {self.warmup_s!r}")
         if self.target_leg not in (1, 2, 3, 4):
@@ -233,7 +235,8 @@ class RunLog:
     """Per-stream records at their native rates plus a header.
 
     Streams are (column names, float array) pairs whose first column is
-    a strictly increasing timestamp. write(outdir) needs outdir to exist;
+    a strictly increasing timestamp; add_stream takes _finish's rows as
+    the loop built them, unchecked. write(outdir) needs outdir to exist;
     the "osc" stream lands in runlog.csv, every other stream in
     runlog.<name>.csv, each value as %.17g, which reads back as the same double.
     """
@@ -243,13 +246,7 @@ class RunLog:
         self.streams: dict[str, tuple[list[str], np.ndarray]] = {}
 
     def add_stream(self, name: str, columns, data) -> None:
-        arr = np.asarray(data, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != len(columns):
-            raise InputError(
-                f"stream {name!r} needs shape (n, {len(columns)}), got {arr.shape}")
-        if arr.shape[0] > 1 and not np.all(np.diff(arr[:, 0]) > 0):
-            raise InputError(f"stream {name!r} timestamps must increase strictly")
-        self.streams[name] = (list(columns), arr)
+        self.streams[name] = (list(columns), np.asarray(data, dtype=float))
 
     def write(self, outdir) -> list[Path]:
         outdir = Path(outdir)
@@ -388,12 +385,8 @@ def _simulate(cfg: ScenarioConfig, f_gait: float, load=None, mod_fn=None,
     return phases, osc_rows, plant_rows
 
 
-def _timeline(plant_rows) -> GrfTimeline:
-    return GrfTimeline(t=plant_rows[:, 0], forces=plant_rows[:, 1:5])
-
-
-def _leg_stats(timeline: GrfTimeline, leg: int, f_cmd: float) -> dict:
-    onsets = contact_onsets(timeline, leg)
+def _leg_stats(plant_rows, leg: int, f_cmd: float) -> dict:
+    onsets = contact_onsets(plant_rows[:, 0], plant_rows[:, 1 + leg])
     freqs = stepping_frequency(onsets)
     mean_dev, var = frequency_deviation(freqs, f_cmd)
     return {"mean_abs_dev_hz": float(mean_dev), "variance_hz2": float(var),
@@ -447,8 +440,7 @@ def run_frequency_tracking(config: ScenarioConfig):
     f_cmd = float(cfg.f_cmd)
     phases, osc_rows, plant_rows = _simulate(cfg, f_cmd)
 
-    timeline = _timeline(plant_rows)
-    per_leg = {LEG_ORDER[leg]: _leg_stats(timeline, leg, f_cmd) for leg in range(4)}
+    per_leg = {LEG_ORDER[leg]: _leg_stats(plant_rows, leg, f_cmd) for leg in range(4)}
     rf = per_leg[LEG_ORDER[0]]
     report_metrics = SyncReport(
         freq_dev_mean=rf["mean_abs_dev_hz"], freq_dev_var=rf["variance_hz2"],
@@ -498,9 +490,9 @@ def run_rhythm_sync(config: ScenarioConfig):
     cfg = _begin(config)
     analysis = analyze_clip(_resolve_clip(cfg))
     n_frames = int(round(cfg.duration * FRAME_RATE_HZ))
-    if analysis.envelope.values.size < n_frames:
+    if analysis.envelope.size < n_frames:
         raise InsufficientDataError(
-            f"clip covers {analysis.envelope.values.size} envelope frames, the "
+            f"clip covers {analysis.envelope.size} envelope frames, the "
             f"{cfg.duration:g} s run needs {n_frames}")
     f_gait = fold_tempo(analysis.tempo_bpm)
     omega_m = TWO_PI * f_gait
@@ -531,7 +523,7 @@ def run_rhythm_sync(config: ScenarioConfig):
 
     final_phases, osc_rows, plant_rows = _simulate(cfg, f_gait, mod_fn=mod_fn)
 
-    timeline = _timeline(plant_rows)
+    t_plant, f_leg = plant_rows[:, 0], plant_rows[:, 1 + leg]
     beats = analysis.grid.beat_times
 
     # rewards from what each modulator update saw: its tick time t, the
@@ -548,7 +540,7 @@ def run_rhythm_sync(config: ScenarioConfig):
     phases = osc_rows[::mod_every, 1:5]
     loads = plant_rows[::mod_every // plant_every, 5:9]
     music_beat = in_tick(beats, t_mod)
-    kin_beat = in_tick(contact_onsets(timeline, leg), t)
+    kin_beat = in_tick(contact_onsets(t_plant, f_leg), t)
     frames = np.minimum(np.round(t * FRAME_RATE_HZ).astype(int), analysis.smoothed.size - 1)
     reward_rows = np.array([
         (t[i], reward_rhythm(_ring(phases[i, leg]), _ring(theta_mod[i])),
@@ -557,7 +549,7 @@ def run_rhythm_sync(config: ScenarioConfig):
          reward_phase(loads[i], phases[i]))
         for i in range(n_mod)])
 
-    kin = kinematic_beats(timeline, leg)
+    kin = kinematic_beats(t_plant, f_leg)
     deltas, delta_max = beat_alignment(kin, beats, warmup_s=cfg.warmup_s)
     post = t >= cfg.warmup_s
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite spread raises below
@@ -578,7 +570,7 @@ def run_rhythm_sync(config: ScenarioConfig):
     t_frames = np.arange(n_frames) / FRAME_RATE_HZ
     music_rows = np.column_stack([
         t_frames,
-        analysis.envelope.values[:n_frames],
+        analysis.envelope[:n_frames],
         analysis.smoothed[:n_frames],
         interpolate_phase(analysis.grid, t_frames),
         np.full(n_frames, analysis.grid.tempo_bpm),
@@ -660,7 +652,7 @@ def run_estimator_curriculum(config: ScenarioConfig):
                                      load=lambda phases, g_sim: fallback, log_osc=False)
         return _finish(cfg, header, [("plant", _PLANT_COLUMNS[:5], plant_rows[:, :5])], {
             "estimator_mode": cfg.estimator_mode, "duration_s": cfg.duration, "finite": True,
-            "rf_stats": _leg_stats(_timeline(plant_rows), 0, f_cmd),
+            "rf_stats": _leg_stats(plant_rows, 0, f_cmd),
         })
 
     n = cfg.iterations
@@ -691,7 +683,7 @@ def run_estimator_curriculum(config: ScenarioConfig):
     for f in FREQ_TRACK_COMMANDS:
         _, _, plant_rows = _simulate(cfg, f, label=f"rho=1 evaluation at f_cmd={f}",
                                      load=_curriculum_load(1.0, model), log_osc=False)
-        stats = _leg_stats(_timeline(plant_rows), 0, f)
+        stats = _leg_stats(plant_rows, 0, f)
         eval_stats[f"{f:.1f}"] = stats
         if (stats["mean_abs_dev_hz"] >= FREQ_DEV_MEAN_BOUND_HZ
                 or stats["variance_hz2"] >= FREQ_DEV_VAR_BOUND_HZ2):

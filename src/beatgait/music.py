@@ -8,7 +8,8 @@ Beats anchor at 3*pi/2 because that is the phase at which a stance
 force peaks, so "step on the beat" becomes plain phase equality.
 
 Use: load or synthesize a clip, call analyze_clip, then sample theta/B
-at control-loop times.
+at control-loop times. AudioClip checks the samples where they enter;
+later stages take the envelope and the grid as built.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ SUBHARMONIC_GATE = 0.5
 
 @dataclass(frozen=True)
 class AudioClip:
-    """Mono PCM audio at one of the supported sample rates."""
+    """Mono PCM audio at one of the supported sample rates, samples within +-2."""
 
     samples: np.ndarray
     sample_rate: int
@@ -71,8 +72,11 @@ class AudioClip:
         x = np.asarray(self.samples, dtype=float)
         if x.ndim != 1:
             raise FormatError(f"expected mono samples, got shape {x.shape}")
-        if not np.all(np.isfinite(x)):
-            raise InputError("samples must be finite")
+        # two full scales pass every integer WAV (int16 -32768 loads as -1.0000305);
+        # a louder clip overflows the tempo autocorrelation. min and max carry a
+        # NaN, need no temporary array, and pass an empty clip to onset_envelope.
+        if not (x.min(initial=0.0) >= -2.0 and x.max(initial=0.0) <= 2.0):
+            raise InputError("samples must be finite and within +-2")
         object.__setattr__(self, "samples", x)
         object.__setattr__(self, "sample_rate", int(self.sample_rate))
 
@@ -149,27 +153,15 @@ def synth_click_track(bpm: float, duration_s: float) -> AudioClip:
     return AudioClip(samples=x, sample_rate=sample_rate)
 
 
-@dataclass(frozen=True)
-class OnsetEnvelope:
-    """Non-negative music intensity per frame at FRAME_RATE_HZ."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or not np.all(np.isfinite(v)) or np.any(v < 0):
-            raise InputError("envelope values must be finite and non-negative")
-        object.__setattr__(self, "values", v)
-
-
-def onset_envelope(clip: AudioClip) -> OnsetEnvelope:
+def onset_envelope(clip: AudioClip) -> np.ndarray:
     """Half-wave-rectified spectral flux, resampled to 100 Hz.
 
-    Frames are centered (the signal is left-padded by half a window), so
-    a click's flux peak lands on the frame nearest the click itself
-    rather than half a window late. The frames are strided views of the
-    padded signal, transformed FLUX_BLOCK_FRAMES at a time with the last
-    magnitude row of a block carried into the next, so working memory
+    One non-negative value per frame, finite because AudioClip bounds
+    the samples. Frames are centered (the signal is left-padded by half a
+    window), so a click's flux peak lands on the frame nearest the click
+    itself rather than half a window late. The frames are strided views
+    of the padded signal, transformed FLUX_BLOCK_FRAMES at a time with the
+    last magnitude row of a block carried into the next, so working memory
     beyond the padded copy stays bounded whatever the clip's length.
     """
     x = clip.samples
@@ -190,8 +182,7 @@ def onset_envelope(clip: AudioClip) -> OnsetEnvelope:
     native_t = np.arange(n_frames) * (ANALYSIS_HOP / clip.sample_rate)
     out_n = int(math.floor(native_t[-1] * FRAME_RATE_HZ)) + 1
     out_t = np.arange(out_n) / FRAME_RATE_HZ
-    values = np.interp(out_t, native_t, flux)
-    return OnsetEnvelope(values=values)
+    return np.interp(out_t, native_t, flux)
 
 
 @dataclass(frozen=True)
@@ -230,8 +221,8 @@ def _autocorr_norm(x: np.ndarray, n_lags: int) -> np.ndarray:
     return np.array([np.dot(x[: n - k], x[k:]) / (n - k) for k in range(min(n_lags, n))])
 
 
-def estimate_tempo(env: OnsetEnvelope) -> tuple[float, float]:
-    """Tempo in BPM from envelope autocorrelation, with a confidence score.
+def estimate_tempo(v: np.ndarray) -> tuple[float, float]:
+    """Tempo in BPM from the onset envelope v's autocorrelation, with a confidence score.
 
     Correlates the whole envelope at the lags for 60-200 BPM only (plus
     lag 0 and one neighbour each side for the interpolation), picks the
@@ -241,7 +232,6 @@ def estimate_tempo(env: OnsetEnvelope) -> tuple[float, float]:
     InsufficientDataError when the envelope spans fewer than four beats
     at the estimated tempo.
     """
-    v = env.values
     if v.size < 2 or np.ptp(v) < 1e-12:
         raise NoTempoError("envelope is flat; no periodicity to estimate")
     x = v - v.mean()
@@ -275,8 +265,8 @@ def estimate_tempo(env: OnsetEnvelope) -> tuple[float, float]:
     return float(bpm), confidence
 
 
-def detect_beats(env: OnsetEnvelope, tempo_bpm: float) -> BeatGrid:
-    """Place a beat grid of the given tempo on the envelope.
+def detect_beats(v: np.ndarray, tempo_bpm: float) -> BeatGrid:
+    """Place a beat grid of the given tempo on the onset envelope v.
 
     A comb of period 60/tempo is scored at every integer frame offset;
     each comb tooth of the winning offset then snaps to the local
@@ -286,7 +276,6 @@ def detect_beats(env: OnsetEnvelope, tempo_bpm: float) -> BeatGrid:
     """
     if not (tempo_bpm > 0 and math.isfinite(tempo_bpm)):
         raise InputError(f"tempo must be positive, got {tempo_bpm!r}")
-    v = env.values
     period = FRAME_RATE_HZ * 60.0 / tempo_bpm
     n = v.size
     if n < 2 * period:
@@ -425,7 +414,7 @@ def fold_tempo(bpm: float) -> float:
 class MusicAnalysis:
     """Offline analysis product: envelope, tempo, grid, and B(t) series."""
 
-    envelope: OnsetEnvelope
+    envelope: np.ndarray
     tempo_bpm: float
     confidence: float
     grid: BeatGrid
@@ -437,7 +426,7 @@ def analyze_clip(clip: AudioClip) -> MusicAnalysis:
     env = onset_envelope(clip)
     tempo, conf = estimate_tempo(env)
     grid = detect_beats(env, tempo)
-    smoothed = smooth_beats(grid, env.values.size)
+    smoothed = smooth_beats(grid, env.size)
     return MusicAnalysis(envelope=env, tempo_bpm=grid.tempo_bpm, confidence=conf,
                          grid=grid, smoothed=smoothed)
 

@@ -10,15 +10,15 @@ centre of mass. That split has a closed form: each diagonal pair
 carries load in proportion to the harmonic mean of its two stance
 weights, shared equally between its feet (see support_shares). Total
 vertical force is exactly mass*g whenever at least one leg is grounded
-and zero during flight. Also hosts the event extractors that turn force
-timelines into contact onsets, per-cycle force peaks (kinematic beats),
-and stepping frequencies.
+and zero during flight. Also hosts the event extractors that turn a
+time column and one leg's force column into contact onsets, per-cycle
+force peaks (kinematic beats), and stepping frequencies; they take the
+loop's columns as built, unchecked.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,32 +40,6 @@ class PlantConfig:
     mass = 12.0
     g = 9.81
     force_scale = 1.0
-
-
-@dataclass(frozen=True)
-class GrfTimeline:
-    """Uniformly sampled force history.
-
-    t: shape (n,), strictly increasing, uniform spacing
-    forces: shape (n, 4)
-    """
-
-    t: np.ndarray
-    forces: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.t, dtype=float)
-        f = np.asarray(self.forces, dtype=float)
-        if t.ndim != 1 or f.shape != (t.size, 4):
-            raise InputError("timeline arrays must be (n,) and (n,4)")
-        if t.size >= 2:
-            dt = np.diff(t)
-            if np.any(dt <= 0):
-                raise InputError("timestamps must be strictly increasing")
-            if not np.allclose(dt, dt[0], rtol=1e-9, atol=1e-12):
-                raise InputError("timestamps must be uniformly spaced")
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "forces", f)
 
 
 def stance_weight(phi: list) -> list:
@@ -143,11 +117,12 @@ def grf_from_phases(phases, config: PlantConfig):
     return forces if as_list else np.array(forces)
 
 
-def contact_onsets(timeline: GrfTimeline, leg: int) -> np.ndarray:
-    """Timestamps where a leg's force switches from zero to positive.
+def contact_onsets(t: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Timestamps where one leg's force column f switches from zero to positive.
 
-    A sample counts as an onset when it is positive and the previous
-    sample is zero; the first sample never counts (no predecessor).
+    t is the matching time column. A sample counts as an onset when it
+    is positive and the previous sample is zero; the first sample never
+    counts (no predecessor).
 
     Onsets mark load, not touchdown. A grounded foot carries zero load
     until its diagonal partner lands (see support_shares), so on a
@@ -156,9 +131,8 @@ def contact_onsets(timeline: GrfTimeline, leg: int) -> np.ndarray:
     lose and regain its load within one stance, and each regain counts
     as another onset.
     """
-    f = timeline.forces[:, leg]
     rising = (f[1:] > 0.0) & (f[:-1] == 0.0)
-    return timeline.t[1:][rising]
+    return t[1:][rising]
 
 
 def _true_runs(mask: np.ndarray):
@@ -168,13 +142,14 @@ def _true_runs(mask: np.ndarray):
     return list(zip(edges[0::2], edges[1::2]))
 
 
-def kinematic_beats(timeline: GrfTimeline, leg: int) -> np.ndarray:
-    """One timestamp per interior stance period, at that period's force maximum.
+def kinematic_beats(t: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """One timestamp per interior stance period of the force column f, at its maximum.
 
-    When the maximum is a plateau, the midpoint sample of the maximal run
-    is used (floor division, so a two-sample plateau resolves to the
-    earlier sample). Mid-plateau keeps the event at the stance center,
-    where the peak of the underlying stance weight sits.
+    t is the matching time column. When the maximum is a plateau, the
+    midpoint sample of the maximal run is used (floor division, so a
+    two-sample plateau resolves to the earlier sample). Mid-plateau keeps
+    the event at the stance center, where the peak of the underlying
+    stance weight sits.
 
     Stance runs touching either end of the timeline are dropped: their
     peaks are artifacts of truncation rather than gait events. Stance
@@ -182,7 +157,6 @@ def kinematic_beats(timeline: GrfTimeline, leg: int) -> np.ndarray:
     contact_onsets apply: a foot that loses its load mid-stance splits
     its stance into two runs and gets two beats.
     """
-    f = timeline.forces[:, leg]
     beats = []
     for start, stop in _true_runs(f > 0.0):
         if start == 0 or stop == f.size:
@@ -190,7 +164,7 @@ def kinematic_beats(timeline: GrfTimeline, leg: int) -> np.ndarray:
         seg = f[start:stop]
         # longest run at the peak value, the earliest if several tie
         lo, hi = max(_true_runs(seg == seg.max()), key=lambda r: r[1] - r[0])
-        beats.append(timeline.t[start + lo + (hi - 1 - lo) // 2])
+        beats.append(t[start + lo + (hi - 1 - lo) // 2])
     return np.asarray(beats, dtype=float)
 
 
@@ -198,14 +172,12 @@ def stepping_frequency(onsets) -> np.ndarray:
     """Per-interval stepping frequencies.
 
     Needs at least three onsets (two intervals); otherwise raises
-    InsufficientDataError. Each frequency is 1 / (t_{k+1} - t_k).
+    InsufficientDataError. Each frequency is 1 / (t_{k+1} - t_k); the
+    onsets come from contact_onsets, so they increase.
     """
     t = np.asarray(onsets, dtype=float)
     if t.size < 3:
         raise InsufficientDataError(
             f"need at least 3 contact onsets, got {t.size}"
         )
-    intervals = np.diff(t)
-    if np.any(intervals <= 0):
-        raise InputError("onsets must be strictly increasing")
-    return 1.0 / intervals
+    return 1.0 / np.diff(t)

@@ -11,7 +11,7 @@ import pytest
 import beatgait.cli as cli
 from beatgait.errors import CurriculumError
 from beatgait.harness import ScenarioConfig
-from beatgait.music import load_wav
+from beatgait.music import load_wav, synth_click_track
 
 
 def run_cli(*argv):
@@ -193,6 +193,30 @@ class TestExitCodes:
         assert "at least 10 iterations" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_config_error_nonpositive_gain(self, tmp_path):
+        # refused with the config, before the directory is made or the clip analysed
+        proc = run_cli_process("rhythm-sync", "--gain-k", "-1", "--duration", "6",
+                               "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2, proc.stderr
+        assert "gain_k must be positive" in proc.stderr and "Traceback" not in proc.stderr
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("analyze", "{wav}"),
+        ("rhythm-sync", "--audio", "{wav}", "--duration", "6", "--out", "{out}")],
+        ids=["analyze", "rhythm-sync"])
+    def test_config_error_wav_too_loud(self, argv, tmp_path):
+        # float clicks at 1e160 would overflow the tempo autocorrelation
+        from scipy.io import wavfile
+
+        wav = tmp_path / "loud.wav"
+        clip = synth_click_track(120.0, 8.0)
+        wavfile.write(wav, clip.sample_rate, clip.samples * 1e160)
+        proc = run_cli_process(*(a.format(wav=wav, out=tmp_path / "o") for a in argv))
+        assert proc.returncode == 2, proc.stderr
+        assert "within +-2" in proc.stderr and "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
     def test_run_error_leaves_directory_empty(self, tmp_path):
         # the command band is checked by the run, after the directory is made
         assert run_cli("freq-track", "--f-cmd", "9", "--out", str(tmp_path / "o")) == 2
@@ -217,6 +241,7 @@ class TestExitCodes:
         proc = run_cli_process(*(a.format(file=file, dir=tmp_path, wav=wav) for a in argv))
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error: cannot write") and "Traceback" not in proc.stderr
+        assert proc.stdout == ""
 
     def test_data_error_curriculum_without_plant_update(self, tmp_path):
         # a run too short for one plant update has too little data to fit

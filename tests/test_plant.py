@@ -1,5 +1,4 @@
 import math
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from beatgait.errors import InputError, InsufficientDataError
+from beatgait.errors import InsufficientDataError
 from beatgait.oscillator import FOOTFALL_PHASE, TWO_PI, normalize_grf
 from beatgait.plant import (
     FLIGHT_THRESHOLD,
-    GrfTimeline,
     PlantConfig,
     contact_onsets,
     grf_from_phases,
@@ -58,11 +56,9 @@ def grounded_diagonal_vectors(draw, diagonal_legs, other_legs):
 
 
 def timeline_from_force(force_column, rate=100.0):
-    """Single-leg force series into a 4-leg timeline (other legs zero)."""
-    f = np.zeros((len(force_column), 4))
-    f[:, 0] = force_column
-    t = np.arange(len(force_column)) / rate
-    return GrfTimeline(t=t, forces=f)
+    """A single-leg force series as (t, f) columns sampled at rate."""
+    f = np.asarray(force_column, dtype=float)
+    return np.arange(f.size) / rate, f
 
 
 class TestStanceWeight:
@@ -236,72 +232,51 @@ class TestGrf:
             PlantConfig(force_scale=0.5)
 
 
-class TestTimeline:
-    def test_validation(self):
-        t = np.array([0.0, 0.01, 0.03])  # non-uniform
-        z = np.zeros((3, 4))
-        with pytest.raises(InputError):
-            GrfTimeline(t=t, forces=z)
-        with pytest.raises(InputError):
-            GrfTimeline(t=np.array([0.0, 0.0, 0.01]), forces=z)
-        with pytest.raises(InputError):
-            GrfTimeline(t=np.zeros(2), forces=z)
-        with pytest.raises(InputError):
-            GrfTimeline(t=np.arange(3.0), forces=np.zeros((3, 3)))
-        assert [f.name for f in fields(GrfTimeline)] == ["t", "forces"]
-
-
 class TestContactOnsets:
     def test_example(self):
-        tl = timeline_from_force([0, 0, 5, 8, 0, 0, 6])
-        onsets = contact_onsets(tl, 0)
+        onsets = contact_onsets(*timeline_from_force([0, 0, 5, 8, 0, 0, 6]))
         assert np.allclose(onsets, [0.02, 0.06])
 
     def test_constant_series(self):
-        assert contact_onsets(timeline_from_force([0, 0, 0, 0]), 0).size == 0
-        assert contact_onsets(timeline_from_force([3, 3, 3, 3]), 0).size == 0
+        assert contact_onsets(*timeline_from_force([0, 0, 0, 0])).size == 0
+        assert contact_onsets(*timeline_from_force([3, 3, 3, 3])).size == 0
 
     def test_first_sample_never_counts(self):
-        tl = timeline_from_force([5, 0, 5])
-        assert np.allclose(contact_onsets(tl, 0), [0.02])
+        assert np.allclose(contact_onsets(*timeline_from_force([5, 0, 5])), [0.02])
 
 
 class TestKinematicBeats:
     def test_unique_peak(self):
         phi = np.linspace(math.pi, TWO_PI, 21, endpoint=False)
         force = MG * np.array(stance_weight(phi.tolist()))
-        tl = timeline_from_force(np.concatenate([[0.0], force, [0.0]]))
-        beats = kinematic_beats(tl, 0)
+        t, f = timeline_from_force(np.concatenate([[0.0], force, [0.0]]))
+        beats = kinematic_beats(t, f)
         # half-sine peak sits mid-stance
         peak_index = 1 + int(np.argmax(force))
-        assert np.allclose(beats, [tl.t[peak_index]])
+        assert np.allclose(beats, [t[peak_index]])
 
     def test_two_periods_two_beats(self):
         bump = [0, 2, 5, 2, 0]
-        tl = timeline_from_force(bump + bump[1:])
-        assert kinematic_beats(tl, 0).size == 2
+        assert kinematic_beats(*timeline_from_force(bump + bump[1:])).size == 2
 
     def test_plateau_midpoint_floor(self):
         # two-sample plateau resolves to the earlier sample
-        tl = timeline_from_force([0, 1, 2, 2, 1, 0])
-        assert np.allclose(kinematic_beats(tl, 0), [0.02])
+        assert np.allclose(kinematic_beats(*timeline_from_force([0, 1, 2, 2, 1, 0])), [0.02])
 
     def test_three_sample_plateau_center(self):
-        tl = timeline_from_force([0, 1, 2, 2, 2, 1, 0])
-        assert np.allclose(kinematic_beats(tl, 0), [0.03])
+        assert np.allclose(kinematic_beats(*timeline_from_force([0, 1, 2, 2, 2, 1, 0])), [0.03])
 
     def test_longest_peak_run_wins(self):
         # peak value 2 appears as a pair and as a singleton: pair wins
-        tl = timeline_from_force([0, 1, 2, 2, 1, 2, 0])
-        assert np.allclose(kinematic_beats(tl, 0), [0.02])
+        assert np.allclose(kinematic_beats(*timeline_from_force([0, 1, 2, 2, 1, 2, 0])), [0.02])
 
     def test_truncated_runs_dropped(self):
         # the runs cut off at the start and at the end give no beat
-        tl = timeline_from_force([3, 1, 0, 0, 1, 2, 1, 0, 0, 2, 5])
-        assert np.allclose(kinematic_beats(tl, 0), [0.05])
-        assert kinematic_beats(timeline_from_force([0, 1, 2, 1]), 0).size == 0
-        assert kinematic_beats(timeline_from_force([1, 2, 1, 0]), 0).size == 0
-        assert kinematic_beats(timeline_from_force([1, 2, 2, 1]), 0).size == 0
+        t, f = timeline_from_force([3, 1, 0, 0, 1, 2, 1, 0, 0, 2, 5])
+        assert np.allclose(kinematic_beats(t, f), [0.05])
+        assert kinematic_beats(*timeline_from_force([0, 1, 2, 1])).size == 0
+        assert kinematic_beats(*timeline_from_force([1, 2, 1, 0])).size == 0
+        assert kinematic_beats(*timeline_from_force([1, 2, 2, 1])).size == 0
 
 
 class TestSteppingFrequency:
@@ -314,7 +289,3 @@ class TestSteppingFrequency:
     def test_too_few(self):
         with pytest.raises(InsufficientDataError):
             stepping_frequency([0.0, 0.5])
-
-    def test_non_increasing(self):
-        with pytest.raises(InputError):
-            stepping_frequency([0.0, 0.5, 0.5])
