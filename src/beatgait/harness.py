@@ -13,14 +13,15 @@ three experiment families:
   then proves the rho = 1 loop still tracks frequency commands.
 
 Every run starts in _begin (resolve the config, claim the output
-directory) and ends in _finish (build, then write, the run log and
-report); between them all three run one loop, _simulate, and differ
-only in the load map and modulator they hand it. The oscillator runs
-at 1 kHz, the plant and modulator at integer subdivisions (100 Hz and
-20 Hz by default) with zero-order holds between updates. freq_track
-and the curriculum default to a 500 Hz plant so a 5 s run spans 2500
-plant samples; at 100 Hz the 10 ms contact quantization alone can push
-the measured stepping frequency past the 0.05 Hz bound at some commands.
+directory; rhythm_sync reads its clip first) and ends in _finish
+(build, then write, the run log and report); between them all three
+run one loop, _simulate, and differ only in the load map and modulator
+they hand it. The oscillator runs at 1 kHz, the plant and modulator at
+integer subdivisions (100 Hz and 20 Hz by default) with zero-order
+holds between updates. freq_track and the curriculum default to a
+500 Hz plant so a 5 s run spans 2500 plant samples; at 100 Hz the
+10 ms contact quantization alone can push the measured stepping
+frequency past the 0.05 Hz bound at some commands.
 
 Offline runs are deterministic: all randomness flows from one seeded
 generator recorded in the run log header, and a fixed config plus seed
@@ -226,9 +227,37 @@ class ScenarioConfig:
         return cls.from_dict({**data, **overrides} if isinstance(data, dict) else data)
 
 
-#: Rows per `%` in RunLog.write. Larger blocks are no faster, and they
-#: raised the peak RSS of a process that writes run after run.
-_WRITE_BLOCK_ROWS = 64
+#: Rows per block in RunLog.write. A block spans many runs of a 20 Hz
+#: hold at 1 kHz (50 rows each), so few runs are cut at its edges and
+#: formatted twice; its strings peak near 2 MB for the 60 s osc stream,
+#: where the whole stream's at once would peak near 31 MB.
+_WRITE_BLOCK_ROWS = 4096
+
+
+def _block_text(block: np.ndarray) -> str:
+    """The rows of a non-empty block as np.savetxt(fmt="%.17g", delimiter=",") writes them.
+
+    Values are grouped by their 64-bit patterns, never by float ==,
+    under which -0.0 and 0.0 are equal though they print apart. A
+    column bit-equal to an earlier one reuses its strings; in any other
+    column each run of bit-equal values is formatted once.
+    """
+    n = block.shape[0]
+    bits = block.view(np.int64)
+    cols = []
+    for j in range(block.shape[1]):
+        c = bits[:, j]
+        same = next((k for k in range(j) if np.array_equal(c, bits[:, k])), None)
+        if same is not None:
+            cols.append(cols[same])
+            continue
+        head = np.concatenate(([True], c[1:] != c[:-1]))
+        vals = block[head, j].tolist()
+        strs = ("%.17g\n" * len(vals) % tuple(vals)).split("\n")[:-1]
+        if len(vals) < n:
+            strs = np.array(strs, dtype=object)[np.cumsum(head) - 1].tolist()
+        cols.append(strs)
+    return "\n".join(map(",".join, zip(*cols))) + "\n"
 
 
 class RunLog:
@@ -239,6 +268,9 @@ class RunLog:
     the loop built them, unchecked. write(outdir) needs outdir to exist;
     the "osc" stream lands in runlog.csv, every other stream in
     runlog.<name>.csv, each value as %.17g, which reads back as the same double.
+    The bytes are those np.savetxt(fmt="%.17g", delimiter=",") writes, but
+    a run of bit-equal values in a column, or a column bit-equal to an
+    earlier one, is formatted once per block of _WRITE_BLOCK_ROWS rows.
     """
 
     def __init__(self, header: dict):
@@ -254,15 +286,11 @@ class RunLog:
         written = []
         for name, (columns, arr) in self.streams.items():
             path = outdir / ("runlog.csv" if name == "osc" else f"runlog.{name}.csv")
-            # the bytes np.savetxt(fmt="%.17g", delimiter=",") writes, one
-            # `%` per block of rows instead of one per row
-            row = ",".join(["%.17g"] * len(columns)) + "\n"
             with open(path, "w") as fh:
                 fh.write(f"# {head}\n")
                 fh.write(",".join(columns) + "\n")
                 for i in range(0, arr.shape[0], _WRITE_BLOCK_ROWS):
-                    rows = arr[i:i + _WRITE_BLOCK_ROWS]
-                    fh.write((row * rows.shape[0]) % tuple(rows.ravel().tolist()))
+                    fh.write(_block_text(arr[i:i + _WRITE_BLOCK_ROWS]))
             written.append(path)
         return written
 
@@ -487,8 +515,10 @@ def run_rhythm_sync(config: ScenarioConfig):
     raises InsufficientDataError before anything is simulated; graded
     metrics that are not finite raise IntegrationDivergedError.
     """
-    cfg = _begin(config)
-    analysis = analyze_clip(_resolve_clip(cfg))
+    cfg = config.resolve()
+    clip = _resolve_clip(cfg)  # read first, so a WAV it cannot use leaves no outdir
+    _begin(cfg)
+    analysis = analyze_clip(clip)
     n_frames = int(round(cfg.duration * FRAME_RATE_HZ))
     if analysis.envelope.size < n_frames:
         raise InsufficientDataError(

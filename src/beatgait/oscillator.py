@@ -151,17 +151,15 @@ class OscillatorBank:
     """State of the four leg oscillators, built by make_bank.
 
     phases: shape (4,), each in [0, 2*pi)
-    params: one OscillatorParams per leg
     """
 
     phases: np.ndarray
-    params: tuple[OscillatorParams, ...]
 
 
 def make_bank(params: tuple[OscillatorParams, ...]) -> OscillatorBank:
     """Build a bank at the parameters' initial phases (mode transitions only)."""
     phases = wrap_phase(np.array([p.phi0 for p in params], dtype=float))
-    return OscillatorBank(phases=phases, params=tuple(params))
+    return OscillatorBank(phases=phases)
 
 
 def param_arrays(params: tuple[OscillatorParams, ...]):

@@ -97,6 +97,14 @@ class TestExitCodes:
         code = run_cli("analyze", str(tmp_path / "missing.wav"))
         assert code == 2
 
+    def test_config_error_missing_audio_leaves_no_outdir(self, tmp_path, capsys):
+        # the WAV is read before the artifact directory is made
+        code = run_cli("rhythm-sync", "--audio", str(tmp_path / "missing.wav"),
+                       "--duration", "6", "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "cannot open WAV file" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_data_error_short_clip(self, tmp_path, capsys):
         wav = tmp_path / "short.wav"
         assert run_cli("synth-click", "--bpm", "120", "--duration", "0.8",
@@ -206,7 +214,8 @@ class TestExitCodes:
         ("rhythm-sync", "--audio", "{wav}", "--duration", "6", "--out", "{out}")],
         ids=["analyze", "rhythm-sync"])
     def test_config_error_wav_too_loud(self, argv, tmp_path):
-        # float clicks at 1e160 would overflow the tempo autocorrelation
+        # float clicks at 1e160 would overflow the tempo autocorrelation;
+        # refused before rhythm-sync makes its artifact directory
         from scipy.io import wavfile
 
         wav = tmp_path / "loud.wav"
@@ -216,6 +225,7 @@ class TestExitCodes:
         assert proc.returncode == 2, proc.stderr
         assert "within +-2" in proc.stderr and "Traceback" not in proc.stderr
         assert proc.stdout == ""
+        assert not (tmp_path / "o").exists()
 
     def test_run_error_leaves_directory_empty(self, tmp_path):
         # the command band is checked by the run, after the directory is made

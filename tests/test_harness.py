@@ -6,9 +6,12 @@ import re
 import warnings
 from array import array
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from beatgait import estimator, harness
 from beatgait.errors import (
@@ -286,8 +289,8 @@ class TestRunLog:
     @pytest.mark.parametrize("n_rows", [1, 63, 64, 65, 200])
     @pytest.mark.parametrize("n_cols", range(2, 10))
     def test_write_matches_savetxt(self, tmp_path, n_rows, n_cols):
-        # rows are formatted in blocks; the bytes are those of np.savetxt
-        # under the same two header lines, across the block edges at 64
+        # the bytes are those of np.savetxt under the same two header lines,
+        # here with few repeats; the next two tests cover dense ones
         special = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e308, 0.1,
                    float(2**53 + 2), float(2**60 + 2**8), -1.0 / 3.0]
         rng = np.random.default_rng(n_rows * 10 + n_cols)
@@ -297,14 +300,60 @@ class TestRunLog:
         data[mask] = rng.choice(special, size=mask.sum())
         data[:, 0] = np.arange(n_rows) * 1e-3  # timestamps increase
         data[0, 1:] = special[:n_cols - 1]
-        columns = [f"c{j}" for j in range(n_cols)]
-        log = RunLog({"seed": 5, "mode": "rhythm_sync"})
-        log.add_stream("mod", columns, data)
-        log.write(tmp_path)
-        ref = io.BytesIO()
-        ref.write(b"# mode=rhythm_sync seed=5\n" + ",".join(columns).encode() + b"\n")
-        np.savetxt(ref, data, fmt="%.17g", delimiter=",")
-        assert (tmp_path / "runlog.mod.csv").read_bytes() == ref.getvalue()
+        _assert_writes_savetxt(tmp_path, data)
+
+    @pytest.mark.parametrize("n_rows", [0, 1, harness._WRITE_BLOCK_ROWS - 1,
+                                        harness._WRITE_BLOCK_ROWS, harness._WRITE_BLOCK_ROWS + 1])
+    def test_write_matches_savetxt_with_repeats(self, tmp_path, n_rows):
+        # runs of bit-equal values and columns bit-equal to earlier ones are
+        # formatted once; 0.0 and -0.0 compare equal as floats but must not
+        # share a string, and NaNs of three payloads, never equal as floats,
+        # still form runs
+        nan_a, nan_b = np.array([0x7FF8000000000001, -0x0008000000000000]).view(float)
+        rng = np.random.default_rng(n_rows)
+
+        def held(pool):  # runs of 1 to 80 rows, each value drawn from pool
+            vals = rng.choice(np.array(pool), size=n_rows)
+            return np.repeat(vals, rng.integers(1, 81, size=n_rows))[:n_rows]
+
+        signed = held([0.0, -0.0, math.inf, -math.inf, 0.1, 1.0 / 3.0, 5e-324])
+        signed[:2] = (0.0, -0.0)[:n_rows]  # a run head 0.0 followed by -0.0
+        flipped = np.where(signed.view(np.int64) == 0, -0.0, signed)  # only 0.0 -> -0.0
+        nans = held([math.nan, nan_a, nan_b, 1.5])
+        data = np.column_stack([np.arange(n_rows) * 1e-3, signed, signed.copy(), flipped,
+                                nans, nans.copy(), np.full(n_rows, 120.0)])
+        _assert_writes_savetxt(tmp_path, data)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_write_matches_savetxt_drawn_repeats(self, tmp_path, data):
+        # values from a small pool, so runs and equal columns are dense, with
+        # blocks of a few rows so that runs cross block edges
+        pool = [0.0, -0.0, math.nan, np.array([-0x0008000000000000]).view(float)[0], math.inf, 2.5]
+        n_rows = data.draw(st.integers(0, 40), label="n_rows")
+        n_cols = data.draw(st.integers(1, 6), label="n_cols")
+        cells = data.draw(st.lists(st.sampled_from(pool), min_size=n_rows * n_cols,
+                                   max_size=n_rows * n_cols), label="cells")
+        arr = np.array(cells, dtype=float).reshape(n_rows, n_cols)
+        copies = data.draw(st.lists(st.integers(0, n_cols - 1), min_size=n_cols,
+                                    max_size=n_cols), label="copies")
+        arr = arr[:, [min(j, c) for j, c in enumerate(copies)]]  # some columns repeat earlier ones
+        block_rows = data.draw(st.integers(1, 9), label="block_rows")
+        with mock.patch.object(harness, "_WRITE_BLOCK_ROWS", block_rows):
+            _assert_writes_savetxt(tmp_path, arr)
+
+
+def _assert_writes_savetxt(outdir, data):
+    """RunLog.write's bytes for data equal np.savetxt's under the same two header lines."""
+    columns = [f"c{j}" for j in range(data.shape[1])]
+    log = RunLog({"seed": 5, "mode": "rhythm_sync"})
+    log.add_stream("mod", columns, data)
+    log.write(outdir)
+    ref = io.BytesIO()
+    ref.write(b"# mode=rhythm_sync seed=5\n" + ",".join(columns).encode() + b"\n")
+    np.savetxt(ref, data, fmt="%.17g", delimiter=",")
+    assert (outdir / "runlog.mod.csv").read_bytes() == ref.getvalue()
 
 
 def _loop(load=None, mod_fn=None, duration=1.0):
