@@ -8,8 +8,14 @@ and the change in odd ones, so a drift of the host spreads over both.
 The run length is the `run_seconds` that BENCHMARK.json declares, the
 same on both sides.
 
-    python3 scripts/bench_pairs.py --parent ../parent --change . --number 6 \\
+    python3 scripts/bench_pairs.py --parent ../parent --change ../change --number 6 \\
         --workload curriculum --pairs 10 --first-seed 101
+
+Make both checkouts the same way, for example each with
+`git archive <commit> | tar -x -C <dir>`. How a checkout was made moves
+`peak_rss_mb` by itself: a `cp -r` copy of an extracted checkout has
+read 0.3-0.4 MB more than the extraction it was copied from, as much as
+a real change in memory.
 
 The result file (default BENCH_<n>.json at the root of the repository
 that holds this script) is rewritten after every run. Each workload's

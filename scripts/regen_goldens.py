@@ -64,6 +64,11 @@ GOLDEN_SCENARIOS = {
     "estimator_curriculum_fallback": {"mode": "estimator_curriculum",
                                       "estimator_mode": "fallback", "duration": 30.0,
                                       "seed": 0},
+    # a kicked curriculum: the two diagonals get unequal support shares,
+    # so the estimator's features tell the legs apart
+    "estimator_curriculum_kick_1": {"mode": "estimator_curriculum", "estimator_mode": "learned",
+                                    "iterations": 10, "duration": 2.0, "seed": 1,
+                                    "perturb_rad": 1.0},
 }
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "tests" / "goldens"

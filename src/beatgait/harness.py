@@ -51,7 +51,7 @@ from .music import FRAME_RATE_HZ, MAX_SAMPLES, analyze_clip, fold_tempo, interpo
 from .oscillator import LEG_ORDER, TWO_PI, make_bank, param_arrays, select_params, \
     step_phases, wrap_phase
 from .plant import PlantConfig, contact_onsets, grf_from_phases, kinematic_beats, \
-    stance_weight, stepping_frequency, support_shares
+    stepping_frequency
 
 MODES = ("freq_track", "rhythm_sync", "estimator_curriculum")
 
@@ -351,10 +351,11 @@ def _simulate(cfg: ScenarioConfig, f_gait: float, load=None, mod_fn=None,
 
     1. the phases must be finite, else IntegrationDivergedError names
        the run (label, default the mode) and the time;
-    2. the plant turns them into forces and normalized loads g, logged
-       as the next plant row;
-    3. the oscillators hold load(phases, g) when a load map is given,
-       else g;
+    2. the plant turns them, in one grf_from_phases call, into forces
+       and the support shares it split them by; the forces and the
+       normalized loads g are logged as the next plant row;
+    3. the oscillators hold load(phases, g, shares) when a load map is
+       given, else g;
     4. on a modulator tick, mod_fn(t, phases, j) returns the next
        intrinsic frequency (j counts modulator updates);
     5. scheduler_tick runs the Euler steps up to the next update.
@@ -379,7 +380,7 @@ def _simulate(cfg: ScenarioConfig, f_gait: float, load=None, mod_fn=None,
         # finite exactly when all of them are
         if not math.isfinite(sum(phases)):
             raise _diverged(label, t)
-        forces = grf_from_phases(phases, plant_cfg)
+        forces, shares = grf_from_phases(phases, plant_cfg)
         f0, f1, f2, f3 = forces
         v0, v1, v2, v3 = f0 / body_weight, f1 / body_weight, f2 / body_weight, f3 / body_weight
         # min(v, 1.0) on every float, NaN included
@@ -388,7 +389,7 @@ def _simulate(cfg: ScenarioConfig, f_gait: float, load=None, mod_fn=None,
         plant_log.extend(forces)
         plant_log.extend(g)
         if load is not None:
-            g = load(phases, g)
+            g = load(phases, g, shares)
         if tick % mod_every == 0:
             if mod_fn is not None:
                 om = [float(mod_fn(t, phases, tick // mod_every))] * 4
@@ -639,7 +640,9 @@ def _curriculum_load(rho: float, model, log=None):
     The estimator sees each leg's contact flag and its share of the
     supported load, the quantity the plant's load law is exactly linear
     in (the raw sine weight is not, once double-support windows appear
-    around stance handoffs). log, when given, is two array('d')
+    around stance handoffs). The shares are the ones the plant update
+    just split its forces by, which _simulate hands over, so no plant
+    update computes them twice. log, when given, is two array('d')
     (indicators, shares) that each plant update extends by its four
     values, for the next fit; its targets, the simulated loads, are the
     plant rows' own.
@@ -647,8 +650,7 @@ def _curriculum_load(rho: float, model, log=None):
     ind_log, share_log = (None, None) if log is None else log
     pi = math.pi
 
-    def load(phases, g_sim):
-        shares = support_shares(stance_weight(phases))
+    def load(phases, g_sim, shares):
         p0, p1, p2, p3 = phases
         indicators = [1.0 if p0 >= pi else 0.0, 1.0 if p1 >= pi else 0.0,
                       1.0 if p2 >= pi else 0.0, 1.0 if p3 >= pi else 0.0]
@@ -679,7 +681,7 @@ def run_estimator_curriculum(config: ScenarioConfig):
     if cfg.estimator_mode == "fallback":
         fallback = [est.FALLBACK_G] * 4
         _, _, plant_rows = _simulate(cfg, f_cmd, label="fallback run",
-                                     load=lambda phases, g_sim: fallback, log_osc=False)
+                                     load=lambda phases, g_sim, shares: fallback, log_osc=False)
         return _finish(cfg, header, [("plant", _PLANT_COLUMNS[:5], plant_rows[:, :5])], {
             "estimator_mode": cfg.estimator_mode, "duration_s": cfg.duration, "finite": True,
             "rf_stats": _leg_stats(plant_rows, 0, f_cmd),

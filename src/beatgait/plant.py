@@ -102,9 +102,11 @@ def support_shares(w: list) -> list:
 def grf_from_phases(phases, config: PlantConfig):
     """Split supported body weight across grounded legs.
 
-    N_i = force_scale * mass * g * support_shares(w)_i with w the stance
-    weights; all zeros during flight. A list of four phases gives a
-    list; any other input is read as an array and gives an array.
+    N_i = force_scale * mass * g * s_i with s = support_shares(w) and w
+    the stance weights; all zeros during flight. A list of four phases
+    gives (forces, s), two lists, so a caller that needs the shares too
+    reuses them instead of recomputing; any other input is read as an
+    array and gives the forces alone, as an array.
     """
     as_list = isinstance(phases, list)
     shape = (len(phases),) if as_list else np.shape(phases)
@@ -112,9 +114,10 @@ def grf_from_phases(phases, config: PlantConfig):
         raise InputError(f"expected 4 phases, got shape {shape}")
     w = stance_weight(phases if as_list else np.asarray(phases, dtype=float).tolist())
     weight = config.force_scale * config.mass * config.g
-    s0, s1, s2, s3 = support_shares(w)
+    shares = support_shares(w)
+    s0, s1, s2, s3 = shares
     forces = [weight * s0, weight * s1, weight * s2, weight * s3]
-    return forces if as_list else np.array(forces)
+    return (forces, shares) if as_list else np.array(forces)
 
 
 def contact_onsets(t: np.ndarray, f: np.ndarray) -> np.ndarray:

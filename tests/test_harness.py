@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from beatgait import estimator, harness
+from beatgait import estimator, harness, plant
 from beatgait.errors import (
     CommandRangeError,
     InputError,
@@ -372,7 +372,7 @@ class TestScheduler:
     def test_update_counts(self):
         plant_calls, mod_calls = [], []
 
-        def load(phases, g):
+        def load(phases, g, shares):
             plant_calls.append(list(phases))
             return g
 
@@ -393,7 +393,7 @@ class TestScheduler:
     def test_zero_order_hold(self):
         # update i holds 0.1 * (i % 3) on every leg through its ten ticks
         update = itertools.count()
-        _, osc, _ = _loop(lambda phases, g: [0.1 * (next(update) % 3)] * 4)
+        _, osc, _ = _loop(lambda phases, g, shares: [0.1 * (next(update) % 3)] * 4)
         update = np.arange(999) // 10
         held = (0.1 * (update % 3))[:, None]
         assert np.array_equal(_euler(osc, held, 4.0 * np.pi), osc[1:, 1:5])
@@ -406,7 +406,7 @@ class TestScheduler:
         # reads the same phases the loads were just computed from
         events = []
 
-        def load(phases, g):
+        def load(phases, g, shares):
             events.append(("plant", list(phases)))
             return g
 
@@ -656,6 +656,22 @@ class TestCurriculum:
         shares = np.array([support_shares(stance_weight(row)) for row in phases.tolist()])
         assert np.reshape(logs[0], (-1, 4)).tobytes() == indicators.tobytes()
         assert np.reshape(logs[1], (-1, 4)).tobytes() == shares.tobytes()
+
+    def test_one_stance_pass_per_plant_update(self, monkeypatch):
+        # 11 episodes and 6 evaluation runs of 1000 plant updates each; the
+        # load map takes its shares from the plant update, so every update
+        # computes its stance weights and shares once, through any name
+        counts = {"stance_weight": 0, "support_shares": 0}
+        for name in counts:
+            def counted(*args, _fn=getattr(plant, name), _name=name):
+                counts[_name] += 1
+                return _fn(*args)
+            for module in (plant, harness):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted)
+        run_estimator_curriculum(ScenarioConfig(mode="estimator_curriculum", duration=2.0,
+                                                iterations=10))
+        assert counts == {"stance_weight": 17_000, "support_shares": 17_000}
 
     def test_learned_short(self):
         cfg = ScenarioConfig(mode="estimator_curriculum", duration=2.0,

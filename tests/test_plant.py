@@ -119,25 +119,26 @@ class TestSupportShares:
 
 class TestGrf:
     def test_trot_split(self):
-        n = grf_from_phases([FOOTFALL_PHASE, 0.5 * math.pi,
-                             0.5 * math.pi, FOOTFALL_PHASE], CFG)
+        n, _ = grf_from_phases([FOOTFALL_PHASE, 0.5 * math.pi,
+                                0.5 * math.pi, FOOTFALL_PHASE], CFG)
         assert n[0] == pytest.approx(MG / 2)
         assert n[3] == pytest.approx(MG / 2)
         assert n[1] == 0.0 and n[2] == 0.0
 
     def test_flight(self):
+        assert grf_from_phases([0.5 * math.pi] * 4, CFG) == ([0.0] * 4, [0.0] * 4)
         assert np.array_equal(
-            grf_from_phases([0.5 * math.pi] * 4, CFG), np.zeros(4))
+            grf_from_phases(np.full(4, 0.5 * math.pi), CFG), np.zeros(4))
 
     def test_single_stance_full_weight(self):
-        n = grf_from_phases([FOOTFALL_PHASE, 0.1, 0.2, 0.3], CFG)
+        n, _ = grf_from_phases([FOOTFALL_PHASE, 0.1, 0.2, 0.3], CFG)
         assert n[0] == pytest.approx(MG)
         g = normalize_grf(n, CFG.mass, CFG.g)
         assert g[0] == 1.0  # the only case where the clamp boundary is hit
 
     def test_equal_share_bit_uniform(self):
         # ratio-first sharing: equal weights give four bit-identical forces
-        n = grf_from_phases([FOOTFALL_PHASE] * 4, CFG)
+        n, _ = grf_from_phases([FOOTFALL_PHASE] * 4, CFG)
         assert n[0] == n[1] == n[2] == n[3]
         assert sum(n) == pytest.approx(MG)
 
@@ -158,7 +159,7 @@ class TestGrf:
     @given(stance_phases, stance_phases, swing_phases, swing_phases)
     def test_trot_support_diagonal_equal(self, rf, lh, lf, rh):
         # stance weights differ, loads do not
-        n = grf_from_phases([rf, lf, rh, lh], CFG)
+        n, _ = grf_from_phases([rf, lf, rh, lh], CFG)
         assert n[0] == n[3] == pytest.approx(MG / 2)
         assert n[1] == 0.0 and n[2] == 0.0
 
@@ -193,26 +194,28 @@ class TestGrf:
         phases = [p, q, q, p]
         w = np.array(stance_weight(phases))
         expected = MG * (w / w.sum()) if w.sum() > 1e-6 else np.zeros(4)
-        assert np.array_equal(grf_from_phases(phases, CFG), expected)
+        assert np.array_equal(grf_from_phases(phases, CFG)[0], expected)
 
     def test_list_forces_match_array_formula_bit_for_bit(self):
         # the simulation loop passes lists of four phases; the goldens were
-        # made with the array formula, so every force must match it exactly
+        # made with the array formula, so every force must match it exactly,
+        # and the shares handed back must be the ones the forces came from
         rng = np.random.default_rng(23)
         phases = rng.uniform(0.0, TWO_PI, (200_000, 4))
         # diagonal-symmetric and flight states take the other branches
         phases[:20_000, 2:] = phases[:20_000, 1::-1]
         phases[20_000:25_000] = rng.uniform(0.0, math.pi, (5_000, 4))
         w = np.where(phases >= math.pi, np.sin(phases - math.pi), 0.0)
-        want = MG * np.array([support_shares(row) for row in w.tolist()])
-        got = [grf_from_phases(p, CFG) for p in phases.tolist()]
-        assert isinstance(got[0], list)
-        assert np.array_equal(np.array(got), want)
+        shares = np.array([support_shares(row) for row in w.tolist()])
+        forces, got_shares = zip(*[grf_from_phases(p, CFG) for p in phases.tolist()])
+        assert isinstance(forces[0], list) and isinstance(got_shares[0], list)
+        assert np.array_equal(np.array(forces), MG * shares)
+        assert np.array(got_shares).tobytes() == shares.tobytes()
 
     def test_odd_foot_of_three_unloaded(self):
         # RF landed early: LF+RH still balance the body, LH in swing
-        n = grf_from_phases([1.05 * math.pi, FOOTFALL_PHASE,
-                             FOOTFALL_PHASE, 0.9 * math.pi], CFG)
+        n, _ = grf_from_phases([1.05 * math.pi, FOOTFALL_PHASE,
+                                FOOTFALL_PHASE, 0.9 * math.pi], CFG)
         assert n[0] == 0.0 and n[3] == 0.0
         assert n[1] == n[2] == pytest.approx(MG / 2)
 
