@@ -29,10 +29,6 @@ class IntegrationDivergedError(BeatGaitError):
     exit_code = 4
 
 
-class NotFittedError(BeatGaitError):
-    """Prediction requested from an estimator that was never fitted."""
-
-
 class InsufficientDataError(BeatGaitError):
     """Too few samples or events to compute the requested statistic."""
 

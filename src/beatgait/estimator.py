@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, InsufficientDataError, NotFittedError
+from .errors import InsufficientDataError
 
 #: Per-leg prediction of the constant-fallback estimator.
 FALLBACK_G = 0.25
@@ -68,13 +68,12 @@ def fit(inputs: EstimatorInput, g_sim) -> FittedModel:
     """Closed-form least squares of normalized load onto [I, I*s] features.
 
     inputs: a batch of n observations; g_sim: the matching (n, 4) array
-    of simulated normalized loads. Legs pool into one shared model. Falls
-    back to a ridge solve (eps 1e-8) when the design is rank deficient.
+    of simulated normalized loads, taken as given. Legs pool into one
+    shared model. Falls back to a ridge solve (eps 1e-8) when the design
+    is rank deficient.
     """
     g = np.asarray(g_sim, dtype=float)
     n = len(inputs)
-    if g.shape != (n, 4):
-        raise InputError(f"need matching inputs and (n, 4) loads, got {g.shape}")
     if n * 4 < MIN_FIT_SAMPLES:
         raise InsufficientDataError(
             f"need at least {MIN_FIT_SAMPLES} leg-samples, got {n * 4}"
@@ -93,7 +92,7 @@ def fit(inputs: EstimatorInput, g_sim) -> FittedModel:
     return FittedModel(coeffs=coeffs, mse=mse, rank_deficient=rank_deficient)
 
 
-def predict(obs, model: FittedModel | None) -> list[float]:
+def predict(obs, model: FittedModel) -> list[float]:
     """Predicted normalized load per leg, clipped to [0, 1].
 
     obs is one observation: a pair (indicators, support shares) of four
@@ -102,8 +101,6 @@ def predict(obs, model: FittedModel | None) -> list[float]:
     all-zero features and therefore predicts 0. A NaN prediction stays
     NaN, as under np.clip.
     """
-    if model is None:
-        raise NotFittedError("no fitted model to predict with")
     c0, c1 = model.coeffs.tolist()
     (i0, i1, i2, i3), (s0, s1, s2, s3) = obs
     p0 = i0 * c0 + (i0 * s0) * c1

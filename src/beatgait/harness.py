@@ -44,8 +44,8 @@ from .errors import CurriculumError, InputError, InsufficientDataError, \
     IntegrationDivergedError, writing
 from .metrics import SyncReport, beat_alignment, frequency_deviation, frequency_variance, \
     relative_phase_differences
-from .modulator import ModulatorConfig, modulate, reward_phase, reward_r1, reward_r2, \
-    reward_rhythm
+from .modulator import ERROR_MODES, ModulatorConfig, modulate, reward_phase, reward_r1, \
+    reward_r2, reward_rhythm
 from .music import FRAME_RATE_HZ, MAX_SAMPLES, analyze_clip, fold_tempo, interpolate_phase, \
     load_wav, synth_click_track
 from .oscillator import LEG_ORDER, TWO_PI, make_bank, param_arrays, select_params, \
@@ -105,9 +105,11 @@ class ScenarioConfig:
     bool; a bool field takes a bool, a str | None field a string, and
     a plain str field one of its choices; "| None" fields may be None.
     error_mode must be one of ERROR_MODES, gain_k positive and delta_max,
-    where set, positive, in every mode. Anything else raises InputError.
-    synth_bpm's range is checked when a rhythm_sync run builds its clip.
-    Input is checked here and in resolve, not again inside the run.
+    where set, positive, in every mode; ModulatorConfig does not check
+    them again. A learned curriculum needs at least 10 iterations.
+    Anything else raises InputError. synth_bpm's range is checked when a
+    rhythm_sync run builds its clip. Input is checked here and in
+    resolve, not again inside the run.
     """
 
     mode: str
@@ -140,6 +142,8 @@ class ScenarioConfig:
         if self.estimator_mode not in ESTIMATOR_MODES:
             raise InputError(
                 f"estimator_mode must be one of {ESTIMATOR_MODES}, got {self.estimator_mode!r}")
+        if self.error_mode not in ERROR_MODES:
+            raise InputError(f"error_mode must be one of {ERROR_MODES}, got {self.error_mode!r}")
         # JSON configs can carry any type, NaN, Infinity and integers with
         # no float; bool is an int. Each field is checked by its annotation
         # (a string, under the __future__ import).
@@ -158,9 +162,10 @@ class ScenarioConfig:
             raise InputError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.duration is not None and not (self.duration > 0):
             raise InputError(f"duration must be positive, got {self.duration!r}")
-        # error_mode and the signs of gain_k and delta_max by the modulator's own rules
-        ModulatorConfig(gain_k=self.gain_k, delta_max=self.delta_max,
-                        error_mode=self.error_mode)
+        if not (self.gain_k > 0):
+            raise InputError(f"gain_k must be positive, got {self.gain_k!r}")
+        if self.delta_max is not None and not (self.delta_max > 0):
+            raise InputError(f"delta_max must be positive, got {self.delta_max!r}")
         if not (self.warmup_s >= 0):
             raise InputError(f"warmup_s must be non-negative, got {self.warmup_s!r}")
         if self.target_leg not in (1, 2, 3, 4):
@@ -172,6 +177,9 @@ class ScenarioConfig:
                 f"got {self.perturb_rad!r}")
         if self.iterations < 1:
             raise InputError(f"iterations must be positive, got {self.iterations!r}")
+        if (self.mode == "estimator_curriculum" and self.estimator_mode == "learned"
+                and self.iterations < 10):
+            raise InputError(f"curriculum needs at least 10 iterations, got {self.iterations}")
 
     def resolve(self) -> "ScenarioConfig":
         """Fill mode defaults and validate the rate ladder and the run's length in ticks."""
@@ -672,8 +680,6 @@ def run_estimator_curriculum(config: ScenarioConfig):
     naming the episode; a failed sweep raises a curriculum error naming
     the command.
     """
-    if config.estimator_mode == "learned" and config.iterations < 10:
-        raise InputError(f"curriculum needs at least 10 iterations, got {config.iterations}")
     cfg = _begin(config)
     f_cmd = float(cfg.f_cmd)
     header = {"estimator_mode": cfg.estimator_mode, "iterations": cfg.iterations, "f_cmd": f_cmd}

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import InputError, InsufficientDataError
+from .errors import InsufficientDataError
 from .oscillator import wrap_signed
 
 def beat_alignment(kin_beats, music_beats, warmup_s: float):
@@ -42,23 +42,20 @@ def beat_alignment(kin_beats, music_beats, warmup_s: float):
 
 
 def frequency_variance(omega_series) -> float:
-    """Population standard deviation of a frequency command log."""
+    """Population standard deviation of a frequency command log: the run's clamped commands."""
     w = np.asarray(omega_series, dtype=float)
     if w.size < 2:
         raise InsufficientDataError(f"need at least 2 samples, got {w.size}")
-    if not np.all(np.isfinite(w)):
-        raise InputError("omega series must be finite")
     return float(w.std())
 
 
 def frequency_deviation(freqs, f_cmd: float) -> tuple[float, float]:
     """Mean absolute deviation from the command, and population variance.
 
-    freqs is the per-interval stepping frequency series (1/interval).
+    freqs is the per-interval stepping frequency series (1/interval),
+    never empty: stepping_frequency refuses fewer than 3 onsets.
     """
     f = np.asarray(freqs, dtype=float)
-    if f.size == 0:
-        raise InsufficientDataError("empty frequency series")
     return float(np.abs(f - f_cmd).mean()), float(f.var())
 
 
@@ -66,11 +63,9 @@ def relative_phase_differences(phases) -> np.ndarray:
     """Matrix of wrapped differences: entry (i, k) = wrap(phi_i - phi_k).
 
     Wrapping is to (-pi, pi], so the matrix is antisymmetric except
-    that pi is its own negative on the ring.
+    that pi is its own negative on the ring. Takes the four final phases.
     """
     p = np.asarray(phases, dtype=float)
-    if p.shape != (4,):
-        raise InputError(f"expected 4 phases, got shape {p.shape}")
     return wrap_signed(p[:, None] - p[None, :])
 
 

@@ -42,8 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, TempoRangeError
-from .oscillator import FOOTFALL_PHASE, FREQ_BAND_HZ, STANCE_SIGMA, TWO_PI, wrap_signed
+from .oscillator import FOOTFALL_PHASE, STANCE_SIGMA, TWO_PI, wrap_signed
 from .plant import FLIGHT_THRESHOLD
 
 #: Normalized load per leg on a steady trot (two legs share body weight).
@@ -72,6 +71,9 @@ class ModulatorConfig:
     step_s, hold_steps: the loop the rollout models, its oscillator Euler
         step in s and its plant update period in steps (defaults: the
         1 kHz oscillator and 100 Hz plant of the default rate ladder)
+
+    Taken as given: a run builds it from a ScenarioConfig, which checks
+    gain_k, delta_max and error_mode, and from its resolved rate ladder.
     """
 
     gain_k: float = 2.0
@@ -81,19 +83,6 @@ class ModulatorConfig:
     feedforward: bool = False
     step_s: float = 1e-3
     hold_steps: int = 10
-
-    def __post_init__(self):
-        if not (self.gain_k > 0):
-            raise InputError(f"gain_k must be positive, got {self.gain_k!r}")
-        if self.delta_max is not None and not (self.delta_max > 0):
-            raise InputError(f"delta_max must be positive, got {self.delta_max!r}")
-        if self.rate_hz <= 0:
-            raise InputError(f"rate_hz must be positive, got {self.rate_hz!r}")
-        if self.error_mode not in ERROR_MODES:
-            raise InputError(f"error_mode must be one of {ERROR_MODES}, got {self.error_mode!r}")
-        if not (self.step_s > 0 and self.hold_steps >= 1):
-            raise InputError(f"step_s and hold_steps must be positive, got "
-                             f"{self.step_s!r} and {self.hold_steps!r}")
 
 
 @dataclass(frozen=True)
@@ -105,29 +94,15 @@ class ModulatorCommand:
     phase_error: float
 
 
-def _check_unit(name: str, obs) -> tuple[float, float]:
-    """The (cos, sin) pair obs as two floats, checked finite and unit norm."""
-    try:
-        c, s = obs
-        c, s = float(c), float(s)
-    except (TypeError, ValueError):
-        raise InputError(f"{name} must be a finite (cos, sin) pair") from None
-    if not (math.isfinite(c) and math.isfinite(s)):
-        raise InputError(f"{name} must be a finite (cos, sin) pair")
-    if abs(c * c + s * s - 1.0) > 1e-6:
-        raise InputError(f"{name} must be unit norm, got {np.array([c, s])}")
-    return c, s
-
-
 def ring_distance_sq(phi_obs, theta_obs) -> float:
     """Squared Euclidean distance between two unit-ring points, in [0, 4].
 
     Equals 2 - 2*cos(phi - theta); computed literally from the 2-D
     embeddings so the identity stays a checkable property rather than
-    an assumption.
+    an assumption. Each observation is a (cos, sin) pair, taken as given.
     """
-    pc, ps = _check_unit("phi_obs", phi_obs)
-    tc, ts = _check_unit("theta_obs", theta_obs)
+    pc, ps = phi_obs
+    tc, ts = theta_obs
     return (pc - tc) ** 2 + (ps - ts) ** 2
 
 
@@ -141,8 +116,6 @@ def reward_rhythm(phi_obs, theta_obs, sigma_r: float = 1.0) -> float:
 
 def reward_r1(b_t: float, phi_osc: float) -> float:
     """Smoothed-beat reward B(t) * exp(-(phi - 3*pi/2)^2), wrapped difference."""
-    if b_t < 0:
-        raise InputError(f"B(t) must be non-negative, got {b_t!r}")
     d = wrap_signed(phi_osc - FOOTFALL_PHASE)
     return b_t * math.exp(-(d * d))
 
@@ -158,12 +131,10 @@ def reward_phase(g_norm, phases) -> float:
     """Phase-force shaping reward -sum(G_i * sin(phi_i)).
 
     Positive when loaded legs sit in stance (sin < 0), negative when
-    force appears during swing.
+    force appears during swing. Takes four loads and four phases.
     """
     g = np.asarray(g_norm, dtype=float)
     p = np.asarray(phases, dtype=float)
-    if g.shape != (4,) or p.shape != (4,):
-        raise InputError("g_norm and phases must have shape (4,)")
     return float(-(g * np.sin(p)).sum())
 
 
@@ -346,19 +317,14 @@ def modulate(phi_obs_j, theta_obs, omega_m: float, config: ModulatorConfig,
     optional error correction and feedforward modes are described in
     the module docstring; the clamp always applies to the command.
     pair_obs, a (cos, sin) observation of a leg from the opposite
-    diagonal pair, feeds the feedforward rollout model; feedforward
-    without it raises InputError, and the raw and footfall laws ignore it.
-    guess is the command the feedforward solve starts from, in a run the
-    previous one; the other laws ignore it too.
+    diagonal pair, feeds the feedforward rollout model; the raw and
+    footfall laws ignore it. guess is the command the feedforward solve
+    starts from, in a run the previous one; the other laws ignore it too.
+    The observations are unit (cos, sin) pairs and omega_m lies in the
+    gait band, where fold_tempo puts it; none of them is checked here.
     """
-    band = (TWO_PI * FREQ_BAND_HZ[0], TWO_PI * FREQ_BAND_HZ[1])
-    if not (band[0] < omega_m <= band[1]):
-        raise TempoRangeError(
-            f"omega_m={omega_m!r} rad/s outside 2*pi*({FREQ_BAND_HZ[0]}, {FREQ_BAND_HZ[1]}] "
-            "after folding"
-        )
-    pc, ps = _check_unit("phi_obs_j", phi_obs_j)
-    tc, ts = _check_unit("theta_obs", theta_obs)
+    pc, ps = phi_obs_j
+    tc, ts = theta_obs
     phi_j = math.atan2(ps, pc) % TWO_PI
     theta = math.atan2(ts, tc) % TWO_PI
     if config.error_mode == "footfall" and not config.feedforward:
@@ -374,7 +340,7 @@ def modulate(phi_obs_j, theta_obs, omega_m: float, config: ModulatorConfig,
     if delta_max is None:
         delta_max = min(0.5 * omega_m, math.pi)
     if config.feedforward:
-        oc, os_ = _check_unit("pair_obs", pair_obs)
+        oc, os_ = pair_obs
         delta = feedforward_command(phi_j, math.atan2(os_, oc) % TWO_PI, theta, omega_m,
                                     config.gain_k, delta_max, config.step_s,
                                     config.hold_steps, rate_hz=config.rate_hz, guess=guess)

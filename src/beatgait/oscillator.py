@@ -94,12 +94,9 @@ def low_load_pair(forces) -> frozenset[int]:
     """Return the diagonal pair carrying less load, as leg numbers 1..4.
 
     Legs are numbered in LEG_ORDER, so {1, 4} is RF+LH and {2, 3} is
-    LF+RH. Ties go to {2, 3}.
+    LF+RH. Ties go to {2, 3}. Takes four finite forces, unchecked.
     """
-    f = np.asarray(forces, dtype=float)
-    if f.shape != (4,) or not np.all(np.isfinite(f)):
-        raise InputError(f"expected 4 finite forces, got {forces!r}")
-    if f[0] + f[3] < f[1] + f[2]:
+    if forces[0] + forces[3] < forces[1] + forces[2]:
         return frozenset({1, 4})
     return frozenset({2, 3})
 

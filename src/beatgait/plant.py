@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .errors import InputError, InsufficientDataError
+from .errors import InsufficientDataError
 from .oscillator import TWO_PI
 
 #: Total stance weight below which the plant reports flight.
@@ -105,13 +105,10 @@ def grf_from_phases(phases, config: PlantConfig):
     N_i = force_scale * mass * g * s_i with s = support_shares(w) and w
     the stance weights; all zeros during flight. A list of four phases
     gives (forces, s), two lists, so a caller that needs the shares too
-    reuses them instead of recomputing; any other input is read as an
-    array and gives the forces alone, as an array.
+    reuses them instead of recomputing; four phases in any other form
+    are read as an array and give the forces alone, as an array.
     """
     as_list = isinstance(phases, list)
-    shape = (len(phases),) if as_list else np.shape(phases)
-    if shape != (4,):
-        raise InputError(f"expected 4 phases, got shape {shape}")
     w = stance_weight(phases if as_list else np.asarray(phases, dtype=float).tolist())
     weight = config.force_scale * config.mass * config.g
     shares = support_shares(w)

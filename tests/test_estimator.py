@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beatgait.errors import InputError, InsufficientDataError, NotFittedError
+from beatgait.errors import InsufficientDataError
 from beatgait.estimator import (
     EstimatorInput,
     FittedModel,
@@ -114,11 +114,6 @@ class TestFit:
         with pytest.raises(InsufficientDataError, match="got 0"):
             fit(EstimatorInput(np.zeros((0, 4)), np.zeros((0, 4))), np.zeros((0, 4)))
 
-    def test_shape_mismatch(self):
-        inputs, g = plant_dataset(30, np.random.default_rng(3))
-        with pytest.raises(InputError):
-            fit(inputs, g[:-1])
-
 
 class TestPredict:
     def model(self):
@@ -136,11 +131,6 @@ class TestPredict:
         obs = ([0.0, 1.0, 1.0, 0.0], [0.9, 0.5, 0.5, 0.9])
         pred = predict(obs, model)
         assert pred[0] == 0.0 and pred[3] == 0.0
-
-    def test_not_fitted(self):
-        obs = ([1.0] * 4, [0.0] * 4)
-        with pytest.raises(NotFittedError):
-            predict(obs, None)
 
     def test_clipped(self):
         model = FittedModel(coeffs=np.array([5.0, 5.0]), mse=0.0,

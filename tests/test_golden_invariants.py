@@ -5,7 +5,9 @@ those runs must satisfy whatever the bytes, so that a regenerated
 golden cannot carry a broken row:
 
 * oscillator phases lie in [0, 2*pi);
-* on rhythm_sync runs, omega_tilde stays within omega_m +- delta_max;
+* on rhythm_sync runs, omega_tilde stays within omega_m +- delta_max,
+  the beat curve B(t) is non-negative and the music phase theta lies
+  in [0, 2*pi);
 * every timestamp is exact: row k of a stream updated every `every`
   oscillator ticks sits at (k * every) * (1 / rate_oscillator_hz), and
   music frame k at k / FRAME_RATE_HZ;
@@ -62,6 +64,16 @@ def test_omega_tilde_within_clamp(run):
     lo, hi = omega_m - delta_max, omega_m + delta_max
     for omega_tilde in (mod[:, 3], streams["osc"][:, 5]):
         assert np.all((omega_tilde >= lo) & (omega_tilde <= hi))
+
+
+def test_music_stream_in_range(run):
+    config, streams = run
+    if config["mode"] != "rhythm_sync":
+        return
+    music = streams["music"]
+    beat_curve, theta = music[:, 2], music[:, 3]
+    assert np.all(beat_curve >= 0.0)
+    assert np.all((theta >= 0.0) & (theta < TWO_PI))
 
 
 def test_timestamps_exact(run):

@@ -614,10 +614,16 @@ class TestRhythmSync:
 
 class TestCurriculum:
     def test_too_few_iterations(self):
-        cfg = ScenarioConfig(mode="estimator_curriculum", iterations=5,
-                             duration=1.0)
         with pytest.raises(InputError, match="at least 10"):
-            run_estimator_curriculum(cfg)
+            ScenarioConfig(mode="estimator_curriculum", iterations=5, duration=1.0)
+
+    def test_floor_at_ten_checked_by_the_config(self, tmp_path):
+        # 9 is refused before the run claims its outdir; 10 is taken
+        out = tmp_path / "o"
+        with pytest.raises(InputError, match="at least 10 iterations, got 9"):
+            ScenarioConfig(mode="estimator_curriculum", iterations=9, outdir=str(out))
+        assert not out.exists()
+        assert ScenarioConfig(mode="estimator_curriculum", iterations=10).iterations == 10
 
     def test_divergence_names_episode(self, monkeypatch):
         # a model that predicts NaN loads first acts in iteration 1

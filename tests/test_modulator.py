@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beatgait import modulator
-from beatgait.errors import InputError, TempoRangeError
 from beatgait.harness import ScenarioConfig, run_rhythm_sync
 from beatgait.modulator import (
     MODULATOR_RATE_HZ,
@@ -51,23 +50,10 @@ class TestRingDistance:
         assert d2 == pytest.approx(2.0 - 2.0 * math.cos(a - b), abs=1e-9)
         assert 0.0 <= d2 <= 4.0 + 1e-12
 
-    def test_non_unit_rejected(self):
-        with pytest.raises(InputError):
-            ring_distance_sq((0.5, 0.5), unit(0.0))
-        with pytest.raises(InputError):
-            ring_distance_sq(unit(0.0), (float("nan"), 0.0))
-
     @pytest.mark.parametrize("obs", [(0.6, 0.8), [0.6, 0.8], np.array([0.6, 0.8]),
                                      (np.float64(0.6), np.float64(0.8)), (1, 0)])
     def test_pairs_of_two_accepted(self, obs):
         assert ring_distance_sq(obs, (float(obs[0]), float(obs[1]))) == 0.0
-
-    @pytest.mark.parametrize("obs", [None, 1.0, (1.0,), (1.0, 0.0, 0.0), [], "ab",
-                                     (None, 1.0), (1.0, math.inf), [math.nan, 1.0],
-                                     np.array([1.0, 0.0, 0.0]), (1j, 0.0)])
-    def test_not_a_finite_pair_rejected(self, obs):
-        with pytest.raises(InputError, match="phi_obs must be a finite"):
-            ring_distance_sq(obs, unit(0.0))
 
 
 class TestRewards:
@@ -95,10 +81,6 @@ class TestRewards:
         near = reward_r1(1.0, FOOTFALL_PHASE - TWO_PI + 0.1)
         assert near == pytest.approx(math.exp(-0.01), abs=1e-12)
 
-    def test_r1_validation(self):
-        with pytest.raises(InputError):
-            reward_r1(-0.5, 0.0)
-
     def test_r2_table(self):
         assert reward_r2(True, False) == -1.0
         assert reward_r2(True, True) == 1.0
@@ -114,10 +96,6 @@ class TestRewards:
             -0.5, abs=1e-12)
         assert reward_phase(np.zeros(4), np.full(4, 1.0)) == 0.0
 
-    def test_phase_validation(self):
-        with pytest.raises(InputError):
-            reward_phase(np.zeros(3), np.zeros(4))
-
 
 class TestConfig:
     def test_defaults(self):
@@ -129,28 +107,17 @@ class TestConfig:
             "gain_k", "delta_max", "rate_hz", "error_mode", "feedforward", "step_s",
             "hold_steps"]
 
-    def test_validation(self):
-        with pytest.raises(InputError):
-            ModulatorConfig(gain_k=0.0)
-        with pytest.raises(InputError):
-            ModulatorConfig(delta_max=-1.0)
-        with pytest.raises(InputError):
-            ModulatorConfig(rate_hz=0.0)
-        with pytest.raises(InputError):
-            ModulatorConfig(error_mode="fancy")
-        with pytest.raises(InputError):
-            ModulatorConfig(step_s=0.0)
-        with pytest.raises(InputError):
-            ModulatorConfig(hold_steps=0)
-
 
 class TestModulate:
     OMEGA = TWO_PI * 2.0  # 120 BPM folded
 
-    def test_lock_point(self):
-        cmd = modulate(unit(1.0), unit(1.0), self.OMEGA, ModulatorConfig())
+    # 4 Hz, the band's closed upper edge, is commandable
+    @pytest.mark.parametrize("f_hz", [2.0, 4.0])
+    def test_lock_point(self, f_hz):
+        omega = TWO_PI * f_hz
+        cmd = modulate(unit(1.0), unit(1.0), omega, ModulatorConfig())
         assert cmd.delta_omega == 0.0
-        assert cmd.omega_tilde == self.OMEGA
+        assert cmd.omega_tilde == omega
 
     def test_proportional_example(self):
         cfg = ModulatorConfig(gain_k=2.0, delta_max=3.0)
@@ -168,18 +135,6 @@ class TestModulate:
         lead = modulate(unit(0.4), unit(0.1), self.OMEGA, cfg)
         lag = modulate(unit(0.1), unit(0.4), self.OMEGA, cfg)
         assert lead.delta_omega < 0 < lag.delta_omega
-
-    def test_band_check(self):
-        cfg = ModulatorConfig()
-        with pytest.raises(TempoRangeError):
-            modulate(unit(0.0), unit(0.0), TWO_PI * 0.9, cfg)
-        with pytest.raises(TempoRangeError):
-            modulate(unit(0.0), unit(0.0), TWO_PI * 1.0, cfg)
-        with pytest.raises(TempoRangeError):
-            modulate(unit(0.0), unit(0.0), TWO_PI * 4.3, cfg)
-        # closed upper edge is commandable
-        cmd = modulate(unit(0.0), unit(0.0), TWO_PI * 4.0, cfg)
-        assert cmd.delta_omega == 0.0
 
     def test_default_clamp_resolution(self):
         # default clamp min(0.5 * omega_m, pi) keeps omega_tilde positive
@@ -534,8 +489,3 @@ class TestFeedforward:
                        pair_obs=unit(phi + math.pi))
         assert abs(cmd.delta_omega) <= 0.5 * self.OMEGA
         assert cmd.phase_error == pytest.approx(wrap_signed(phi - theta), abs=1e-9)
-
-    def test_feedforward_needs_pair(self):
-        cfg = ModulatorConfig(feedforward=True)
-        with pytest.raises(InputError, match="pair_obs"):
-            modulate(unit(2.0), unit(1.9), self.OMEGA, cfg)

@@ -35,7 +35,7 @@ from beatgait.music import (
     smooth_beats,
     synth_click_track,
 )
-from beatgait.oscillator import FOOTFALL_PHASE
+from beatgait.oscillator import FOOTFALL_PHASE, FREQ_BAND_HZ
 
 
 class TestSynthAndIo:
@@ -282,19 +282,16 @@ class TestBeatGrid:
         truth = np.arange(0, 10.0, 0.6)
         for b in grid.beat_times:
             assert np.min(np.abs(truth - b)) <= 0.010
-
-    def test_grid_uniform(self):
-        env = onset_envelope(synth_click_track(140.0, 10.0))
-        grid = detect_beats(env, 140.0)
-        iv = np.diff(grid.beat_times)
-        assert np.std(iv) < 1e-9  # refit line is exactly uniform
-
-    def test_grid_validation(self):
-        with pytest.raises(InputError):
-            BeatGrid(beat_times=np.zeros(0), tempo_bpm=120.0)
-        with pytest.raises(InputError):
-            BeatGrid(beat_times=np.array([0.0, 0.1, 0.1]), tempo_bpm=120.0)
         assert [f.name for f in fields(BeatGrid)] == ["beat_times", "tempo_bpm"]
+
+    @pytest.mark.parametrize("bpm", [60.0, 89.6, 120.0, 181.8, 200.0])
+    def test_grid_uniform(self, bpm):
+        # the refit line is uniform by construction; BeatGrid takes it unchecked
+        env = onset_envelope(synth_click_track(bpm, 10.0))
+        grid = detect_beats(env, estimate_tempo(env)[0])
+        iv = np.diff(grid.beat_times)
+        assert np.all(iv > 0)
+        np.testing.assert_allclose(iv, 60.0 / grid.tempo_bpm, rtol=1e-9, atol=0)
 
     def test_detect_requires_two_periods(self):
         env = onset_envelope(synth_click_track(60.0, 1.2))
@@ -383,6 +380,16 @@ class TestFolding:
 
     def test_band_edges(self):
         assert fold_tempo(240.0) == pytest.approx(4.0)
+
+    @pytest.mark.parametrize("bpm", [1e-300, 0.5, 59.9, 60.0, 60.0001, 89.6, 239.99,
+                                     240.0, 240.01, 1e6, 1e308])
+    def test_every_positive_tempo_lands_in_band(self, bpm):
+        # modulate takes the folded tempo unchecked: every positive finite
+        # tempo lands in (1, 4] Hz, a whole number of octaves from bpm/60
+        f = fold_tempo(bpm)
+        assert FREQ_BAND_HZ[0] < f <= FREQ_BAND_HZ[1]
+        octaves = math.log2(f / (bpm / 60.0))
+        assert octaves == round(octaves)
 
     def test_invalid(self):
         with pytest.raises(TempoRangeError):

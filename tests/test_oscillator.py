@@ -100,12 +100,6 @@ class TestParams:
         # tie falls to the lateral pair
         assert low_load_pair((100, 100, 100, 100)) == frozenset({2, 3})
 
-    def test_low_load_pair_validation(self):
-        with pytest.raises(InputError):
-            low_load_pair((1.0, 2.0, 3.0))
-        with pytest.raises(InputError):
-            low_load_pair((1.0, np.nan, 3.0, 4.0))
-
     def test_select_params_stationary_gate(self):
         assert select_params(0.0, 2.0, (1, 1, 1, 1)) == stationary_params()
         assert select_params(0.5, 99.0, (1, 1, 1, 1)) == stationary_params()
