@@ -15,6 +15,7 @@ later stages take the envelope and the grid as built.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,17 +87,24 @@ class AudioClip:
 
 
 def load_wav(path) -> AudioClip:
-    """Read a WAV file (PCM16/24/32, float32/64, mono or downmixed stereo)."""
+    """Read a WAV file (PCM16/24/32, float32/64, mono or downmixed stereo).
+
+    A file that cannot be opened raises InputError. Any other failure to
+    parse it raises FormatError, and so does a file that ends before its
+    RIFF header says, which scipy would read in part with a warning.
+    """
     # imported here, not at module load, so that runs without WAV files
     # (and every CLI start) skip the cost of loading scipy.io
     from scipy.io import wavfile
 
     try:
-        rate, data = wavfile.read(path)
-    except ValueError as exc:
-        raise FormatError(f"unreadable WAV file {path}: {exc}") from exc
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", "Reached EOF prematurely", wavfile.WavFileWarning)
+            rate, data = wavfile.read(path)
     except OSError as exc:
         raise InputError(f"cannot open WAV file {path}: {exc}") from exc
+    except Exception as exc:  # damaged headers fail in scipy with many exception types
+        raise FormatError(f"unreadable WAV file {path}: {exc}") from exc
     # normalize by the file's sample type before any downmix (the mean of
     # integer channels is float and would pass as already normalized),
     # in place on the one float copy
@@ -157,29 +165,44 @@ def onset_envelope(clip: AudioClip) -> np.ndarray:
     """Half-wave-rectified spectral flux, resampled to 100 Hz.
 
     One non-negative value per frame, finite because AudioClip bounds
-    the samples. Frames are centered (the signal is left-padded by half a
-    window), so a click's flux peak lands on the frame nearest the click
-    itself rather than half a window late. The frames are strided views
-    of the padded signal, transformed FLUX_BLOCK_FRAMES at a time with the
-    last magnitude row of a block carried into the next, so working memory
-    beyond the padded copy stays bounded whatever the clip's length.
+    the samples. Frames are centered: frame k spans the window starting
+    half a window before sample k * ANALYSIS_HOP, zero beyond either end
+    of the clip, so a click's flux peak lands on the frame nearest the
+    click itself rather than half a window late. The frames are
+    transformed FLUX_BLOCK_FRAMES at a time, with the last magnitude row
+    of a block carried into the next. A block inside the clip takes its
+    frames as strided views of the samples; only a block that reaches
+    past either end copies its own samples into a zero-padded piece. So
+    working memory stays bounded by one block whatever the clip's length,
+    and no copy of the whole clip is made.
     """
     x = clip.samples
     if x.size == 0:
         raise InputError("empty clip")
-    pad = ANALYSIS_WINDOW // 2
-    x = np.concatenate([np.zeros(pad), x, np.zeros(ANALYSIS_WINDOW)])
-    frames = sliding_window_view(x, ANALYSIS_WINDOW)[::ANALYSIS_HOP]
-    n_frames = frames.shape[0]
-    window = np.hanning(ANALYSIS_WINDOW + 1)[:-1]
+    hop, size = ANALYSIS_HOP, ANALYSIS_WINDOW
+    pad = size // 2
+    # the frames of the clip padded by half a window before and a whole one after
+    n_frames = (x.size + pad) // hop + 1
+    window = np.hanning(size + 1)[:-1]
     flux = np.empty(n_frames)
-    prev = np.zeros((1, ANALYSIS_WINDOW // 2 + 1))
+    prev = np.zeros((1, size // 2 + 1))
     for i in range(0, n_frames, FLUX_BLOCK_FRAMES):
-        mags = np.abs(np.fft.rfft(frames[i : i + FLUX_BLOCK_FRAMES] * window, axis=1))
+        m = min(FLUX_BLOCK_FRAMES, n_frames - i)
+        lo = i * hop - pad
+        hi = lo + (m - 1) * hop + size
+        if lo >= 0 and hi <= x.size:
+            piece = x[lo:hi]
+        else:
+            piece = np.zeros(hi - lo)
+            inside = x[max(lo, 0):hi]
+            start = max(-lo, 0)
+            piece[start : start + inside.size] = inside
+        frames = sliding_window_view(piece, size)[::hop]
+        mags = np.abs(np.fft.rfft(frames * window, axis=1))
         rise = np.maximum(np.diff(mags, axis=0, prepend=prev), 0.0)
-        flux[i : i + mags.shape[0]] = rise.sum(axis=1)
+        flux[i : i + m] = rise.sum(axis=1)
         prev = mags[-1:]
-    native_t = np.arange(n_frames) * (ANALYSIS_HOP / clip.sample_rate)
+    native_t = np.arange(n_frames) * (hop / clip.sample_rate)
     out_n = int(math.floor(native_t[-1] * FRAME_RATE_HZ)) + 1
     out_t = np.arange(out_n) / FRAME_RATE_HZ
     return np.interp(out_t, native_t, flux)

@@ -10,18 +10,26 @@ short value for every field (at most 1 s of simulated time, 10 or 11
 curriculum iterations) and then replace up to two fields with wrong
 values. A huge duration, such as 1e12 s, asks for more oscillator
 ticks than a run may hold (MAX_SAMPLES), so validation rejects it too.
+
+The WAV bytes are part of the contract as well: a damaged copy of a
+valid file, cut short, with header bits flipped or with its format
+fields rewritten, exits 0, 2 or 3 from `analyze` and from
+`rhythm-sync --audio`, and a file cut short always exits 2.
 """
 
 import contextlib
 import io
 import json
 import math
+import struct
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.io.wavfile import WavFileWarning
 
 from beatgait import cli
 from beatgait.errors import BeatGaitError
@@ -160,3 +168,64 @@ def test_cli_exit_code_is_documented(wav, data):
         else:
             report = json.loads(Path(tmp, "run", "report.json").read_text())
             assert _all_finite(report), report
+
+
+#: Byte offset of the fmt chunk's fields (format tag, channels, rate,
+#: byte rate, block align, bits) in a WAV that save_wav writes, and the
+#: length of its header.
+_FMT_FIELDS = 20
+_HEADER_BYTES = 44
+
+#: One damage to a valid WAV: ("truncate", length kept), ("flip", header
+#: bit indices) or ("fields", the fmt fields written over the originals).
+#: The fields cover 0 and 3 channels, widths and rates that the reader or
+#: AudioClip refuses, PCM, IEEE float and a compressed tag, and byte rates
+#: that agree with rate and block align or not.
+_DAMAGE = (
+    st.tuples(st.just("truncate"), st.integers(0, 10**6))
+    | st.tuples(st.just("flip"), st.lists(st.integers(0, 8 * _HEADER_BYTES - 1),
+                                          min_size=1, max_size=3))
+    | st.tuples(st.just("fields"), st.tuples(
+        st.sampled_from([1, 3, 2]), st.sampled_from([0, 1, 2, 3]),
+        st.sampled_from([0, 8, 12, 16, 20, 24, 32, 40, 64, 65]),
+        st.sampled_from([0, 8000, 16000, 22050, 96000, 2**32 - 1]), st.booleans()))
+)
+
+
+def _damaged(valid: bytes, damage) -> bytes:
+    kind, arg = damage
+    data = bytearray(valid)
+    if kind == "truncate":
+        return bytes(data[:arg % len(data)])
+    if kind == "flip":
+        for bit in arg:
+            data[bit // 8] ^= 1 << bit % 8
+    else:
+        tag, channels, bits, rate, consistent = arg
+        align = channels * -(-bits // 8) % 2**16
+        byte_rate = rate * align % 2**32 if consistent else rate
+        struct.pack_into("<HHIIHH", data, _FMT_FIELDS, tag, channels, rate, byte_rate,
+                         align, bits)
+    return bytes(data)
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(damage=_DAMAGE, command=st.sampled_from(["analyze", "rhythm-sync"]))
+def test_damaged_wav_exit_code_is_documented(wav, damage, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "damaged.wav")
+        path.write_bytes(_damaged(Path(wav).read_bytes(), damage))
+        argv = (["analyze", str(path)] if command == "analyze" else
+                ["rhythm-sync", "--audio", str(path), "--duration", "1", "--warmup", "0.5",
+                 "--out", str(Path(tmp, "run"))])
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            # scipy warns of a chunk it skips; the exit code tells the outcome
+            warnings.simplefilter("ignore", WavFileWarning)
+            code = cli.main(argv)
+    assert code in (0, 2, 3), (code, err.getvalue())
+    if damage[0] == "truncate":  # every cut drops bytes the RIFF header counts
+        assert code == 2, err.getvalue()
+    if code:
+        assert err.getvalue().startswith("error: "), err.getvalue()

@@ -48,7 +48,7 @@ class TestScenarioConfig:
         assert rs.duration == 30.0 and rs.rate_plant_hz == 100
         assert rs.synth_bpm == 120.0 and rs.f_cmd is None
         cu = ScenarioConfig(mode="estimator_curriculum").resolve()
-        assert cu.duration == 5.0 and cu.rate_plant_hz == 500
+        assert cu.duration == 5.0 and cu.rate_plant_hz == 200
 
     def test_explicit_values_survive_resolve(self):
         cfg = ScenarioConfig(mode="freq_track", duration=2.0, f_cmd=3.5,
@@ -657,16 +657,17 @@ class TestCurriculum:
         logs = (array("d"), array("d"))
         _, osc, plant = _simulate(cfg, 2.0, load=harness._curriculum_load(0.5, model, logs))
         phases = osc[::cfg.rate_oscillator_hz // cfg.rate_plant_hz, 1:5]
-        assert len(phases) == len(plant) == 500
+        assert len(phases) == len(plant) == cfg.duration * cfg.rate_plant_hz
         indicators = np.where(phases >= math.pi, 1.0, 0.0)
         shares = np.array([support_shares(stance_weight(row)) for row in phases.tolist()])
         assert np.reshape(logs[0], (-1, 4)).tobytes() == indicators.tobytes()
         assert np.reshape(logs[1], (-1, 4)).tobytes() == shares.tobytes()
 
     def test_one_stance_pass_per_plant_update(self, monkeypatch):
-        # 11 episodes and 6 evaluation runs of 1000 plant updates each; the
-        # load map takes its shares from the plant update, so every update
-        # computes its stance weights and shares once, through any name
+        # 11 episodes and 6 evaluation runs of 2 s at 200 Hz, 400 plant
+        # updates each; the load map takes its shares from the plant update,
+        # so every update computes its stance weights and shares once,
+        # through any name
         counts = {"stance_weight": 0, "support_shares": 0}
         for name in counts:
             def counted(*args, _fn=getattr(plant, name), _name=name):
@@ -677,7 +678,7 @@ class TestCurriculum:
                     monkeypatch.setattr(module, name, counted)
         run_estimator_curriculum(ScenarioConfig(mode="estimator_curriculum", duration=2.0,
                                                 iterations=10))
-        assert counts == {"stance_weight": 17_000, "support_shares": 17_000}
+        assert counts == {"stance_weight": 6_800, "support_shares": 6_800}
 
     def test_learned_short(self):
         cfg = ScenarioConfig(mode="estimator_curriculum", duration=2.0,

@@ -177,16 +177,28 @@ class TestBlockwiseEnvelope:
         env = onset_envelope(clip)
         assert np.array_equal(env, _envelope_reference(clip))
 
+    # clip lengths at a hop, a window and a block's span: one block that
+    # reaches past both ends of the clip, or a last block of one or two frames
+    @pytest.mark.parametrize("n", [1, ANALYSIS_HOP - 1, ANALYSIS_WINDOW - 1, ANALYSIS_WINDOW,
+                                   3 * ANALYSIS_HOP, FLUX_BLOCK_FRAMES * ANALYSIS_HOP - 1,
+                                   FLUX_BLOCK_FRAMES * ANALYSIS_HOP,
+                                   FLUX_BLOCK_FRAMES * ANALYSIS_HOP + 1])
+    def test_matches_padded_copy_at_clip_lengths(self, n):
+        rng = np.random.default_rng(n)
+        clip = AudioClip(samples=rng.uniform(-1.0, 1.0, n), sample_rate=22050)
+        assert np.array_equal(onset_envelope(clip), _envelope_reference(clip))
+
     def test_memory_bounded(self):
-        clip = synth_click_track(120.0, 60.0)
+        # 240 s at 22.05 kHz: the clip alone holds 42 MB
+        clip = synth_click_track(120.0, 240.0)
         tracemalloc.start()
         try:
             onset_envelope(clip)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # one padded copy of the clip plus one block's arrays
-        assert peak < 3 * clip.samples.nbytes
+        # one block's arrays, and no copy of the clip
+        assert peak < clip.samples.nbytes / 4
 
 
 #: The tempo lags at 100 Hz; estimate_tempo reads lags 0..LAG_MAX + 1.
