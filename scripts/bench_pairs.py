@@ -20,7 +20,7 @@ a real change in memory.
 The result file (default BENCH_<n>.json at the root of the repository
 that holds this script) is rewritten after every run. Each workload's
 entry holds its own setup (the command, the host, and per side the git
-commit, a SHA-256 of the checkout's `src/*.py`, see `src_sha256`, and
+commit, a SHA-256 of the checkout's `src/**/*.py`, see `src_sha256`, and
 their line count, `src_lines`), every run, and per end-to-end metric
 each side's median and quartiles, the pairs the change won and lost,
 and whether a gain holds by the rule of the benchmark: at least ten

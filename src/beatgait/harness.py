@@ -244,9 +244,122 @@ class ScenarioConfig:
 
 #: Rows per block in RunLog.write. A block spans many runs of a 20 Hz
 #: hold at 1 kHz (50 rows each), so few runs are cut at its edges and
-#: formatted twice; its strings peak near 2 MB for the 60 s osc stream,
-#: where the whole stream's at once would peak near 31 MB.
+#: formatted twice; its working arrays peak near 2.3 MB for the osc
+#: stream, where the whole 60 s stream's at once would peak near 33 MB.
 _WRITE_BLOCK_ROWS = 4096
+
+#: 10**k for k = 0..22, every power of ten that a double holds exactly.
+_POW10 = np.array([float(10 ** k) for k in range(23)])
+
+#: Bytes per CSV cell: the longest %.17g text (24, as in
+#: -2.2250738585072014e-308) and the separator after it.
+_CELL = 25
+
+
+def _two_product(a, b):
+    """a * b exactly, as hi + lo with hi = fl(a * b) (Dekker's two-product).
+
+    numpy has no fused multiply-add, so each factor is cut in halves of
+    26 bits by Veltkamp's split, and every partial product is exact.
+    """
+    hi = a * b
+    c = a * 134217729.0  # 2**27 + 1
+    ah = c - (c - a)
+    c = b * 134217729.0
+    bh = c - (c - b)
+    al, bl = a - ah, b - bh
+    return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+
+
+def _digits17(a):
+    """(N, e): a = N * 10**(e - 16) to 17 significant digits, for each a in (1e-6, 1e16).
+
+    N in [1e16, 1e17) is a * 10**(16 - e) rounded half to even, as
+    CPython's dtoa rounds for %.17g. The power is exact for e in
+    [-6, 15], and the product is formed exactly as hi + lo, so exact
+    comparisons on the pair correct log10's estimate of e; hi is then an
+    even integer, so rint(lo) settles ties. No double in the range is
+    within a half unit of the 17th digit below a power of ten, so N
+    never rounds up to 1e17.
+    """
+    e = np.clip(np.floor(np.log10(a)), -6, 15).astype(np.int64)
+    hi, lo = _two_product(a, _POW10[16 - e])
+    below = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    above = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    off = np.flatnonzero(below | above)
+    if off.size:
+        e[off] += above[off].astype(np.int64) - below[off]
+        hi[off], lo[off] = _two_product(a[off], _POW10[16 - e[off]])
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64), e
+
+
+def _cells(x):
+    """Each value's %.17g text, left-aligned in a row of _CELL bytes.
+
+    Returns (cells, lens, at): value i reads cells[at[i], :lens[at[i]]].
+    Values of magnitude in (1e-6, 1e16) take their digits from
+    _digits17 and are laid out with column slices, one group of cells
+    per (exponent, sign): fixed notation for exponents -4 to 15, trailing
+    zeros and a bare point dropped, else d.ddd...e-0k. Every other value
+    (zeros, subnormals, NaN, inf, and magnitudes outside the range) is
+    formatted by Python's %, once per 64-bit pattern.
+    """
+    a = np.abs(x)
+    fast = (a > 1e-6) & (a < 1e16)
+    idx, rest = np.flatnonzero(fast), np.flatnonzero(~fast)
+    n, e = _digits17(a[idx])
+    group = ((e + 6) * 2 + np.signbit(x[idx])).astype(np.int8)  # (exponent, sign)
+    order = np.argsort(group, kind="stable")
+    n = n[order].view(np.uint64)
+    digits = np.empty((17, idx.size), np.uint8)
+    zeros = np.zeros(idx.size, np.uint8)  # trailing zero digits
+    trailing = np.ones(idx.size, bool)
+    for j in range(16, -1, -1):
+        q = n // 10
+        digits[j] = n - q * 10
+        n = q
+        trailing &= digits[j] == 0
+        zeros += trailing
+    digits = digits.T + np.uint8(ord("0"))
+    pattern, inverse = np.unique(x[rest].view(np.int64), return_inverse=True)
+    cells = np.empty((idx.size + pattern.size, _CELL), np.uint8)
+    lens = np.empty(idx.size + pattern.size, np.uint8)
+    at = np.empty(x.size, np.int64)
+    at[idx[order]] = np.arange(idx.size)
+    at[rest] = idx.size + inverse
+    stop = 0
+    for g, count in enumerate(np.bincount(group)):
+        if not count:
+            continue
+        start, stop = stop, stop + count
+        c, d, z = cells[start:stop], digits[start:stop], zeros[start:stop]
+        x10, s = g // 2 - 6, g % 2
+        if s:
+            c[:, 0] = ord("-")
+        if x10 >= 0:  # d.d...d with x10 + 1 digits before the point
+            c[:, s:s + x10 + 1] = d[:, :x10 + 1]
+            c[:, s + x10 + 1] = ord(".")
+            c[:, s + x10 + 2:s + 18] = d[:, x10 + 1:]
+            cut = np.minimum(z, 16 - x10)
+            lens[start:stop] = s + 18 - cut - (cut == 16 - x10)
+        elif x10 >= -4:  # 0.00...0d...d
+            lead = 1 - x10
+            c[:, s:s + lead] = np.frombuffer(b"0." + b"0" * (lead - 2), np.uint8)
+            c[:, s + lead:s + lead + 17] = d
+            lens[start:stop] = s + lead + 17 - z
+        else:  # d.d...de-0k, the point dropped with all 16 fraction digits
+            c[:, s] = d[:, 0]
+            c[:, s + 1] = ord(".")
+            c[:, s + 2:s + 18] = d[:, 1:]
+            end = s + 18 - z - (z == 16)
+            c[np.arange(count)[:, None], end[:, None] + np.arange(4)] = \
+                np.frombuffer(b"e-0%d" % -x10, np.uint8)
+            lens[start:stop] = end + 4
+    texts = ("%.17g\n" * pattern.size % tuple(pattern.view(float).tolist())).split("\n")[:-1]
+    cells[idx.size:, :_CELL - 1] = np.array(texts, dtype=f"S{_CELL - 1}").view(np.uint8) \
+        .reshape(-1, _CELL - 1)
+    lens[idx.size:] = [len(t) for t in texts]
+    return cells, lens, at
 
 
 def _block_text(block: np.ndarray) -> str:
@@ -254,25 +367,29 @@ def _block_text(block: np.ndarray) -> str:
 
     Values are grouped by their 64-bit patterns, never by float ==,
     under which -0.0 and 0.0 are equal though they print apart. A
-    column bit-equal to an earlier one reuses its strings; in any other
-    column each run of bit-equal values is formatted once.
+    column bit-equal to an earlier one reuses its cells; in any other
+    column each run of bit-equal values is formatted once, by _cells.
+    Each cell's separator is put after its text, and one masked
+    compress of the (rows, columns, _CELL) bytes joins them.
     """
-    n = block.shape[0]
+    n, m = block.shape
     bits = block.view(np.int64)
-    cols = []
-    for j in range(block.shape[1]):
+    values, source = [], []
+    for j in range(m):
         c = bits[:, j]
         same = next((k for k in range(j) if np.array_equal(c, bits[:, k])), None)
         if same is not None:
-            cols.append(cols[same])
+            source.append(source[same])
             continue
         head = np.concatenate(([True], c[1:] != c[:-1]))
-        vals = block[head, j].tolist()
-        strs = ("%.17g\n" * len(vals) % tuple(vals)).split("\n")[:-1]
-        if len(vals) < n:
-            strs = np.array(strs, dtype=object)[np.cumsum(head) - 1].tolist()
-        cols.append(strs)
-    return "\n".join(map(",".join, zip(*cols))) + "\n"
+        source.append(sum(v.size for v in values) + np.cumsum(head) - 1)
+        values.append(block[head, j])
+    cells, lens, at = _cells(np.concatenate(values))
+    pick = at[np.stack(source, axis=1)]
+    cells, lens = cells[pick], lens[pick]
+    seps = np.tile(np.frombuffer(b"," * (m - 1) + b"\n", np.uint8), n)
+    cells.reshape(-1)[np.arange(0, n * m * _CELL, _CELL) + lens.reshape(-1)] = seps
+    return str(memoryview(cells[np.arange(_CELL, dtype=np.uint8) <= lens[..., None]]), "ascii")
 
 
 class RunLog:
@@ -283,9 +400,11 @@ class RunLog:
     the loop built them, unchecked. write(outdir) needs outdir to exist;
     the "osc" stream lands in runlog.csv, every other stream in
     runlog.<name>.csv, each value as %.17g, which reads back as the same double.
-    The bytes are those np.savetxt(fmt="%.17g", delimiter=",") writes, but
-    a run of bit-equal values in a column, or a column bit-equal to an
-    earlier one, is formatted once per block of _WRITE_BLOCK_ROWS rows.
+    The bytes are those np.savetxt(fmt="%.17g", delimiter=",") writes,
+    built by _block_text in numpy a block of _WRITE_BLOCK_ROWS rows at a
+    time: digits from an exact product where the range allows, Python's
+    % for the rest, and a run of bit-equal values in a column, or a
+    column bit-equal to an earlier one, formatted once per block.
     """
 
     def __init__(self, header: dict):

@@ -86,18 +86,52 @@ class AudioClip:
         return self.samples.size / self.sample_rate
 
 
+def _check_chunks(path) -> None:
+    """Raise ValueError unless a RIFF (or RIFX) file's chunks tile it.
+
+    Reads the 8-byte chunk headers, no samples. Each chunk ID must be four
+    printable ASCII characters, and the file and the end its RIFF size
+    gives must both end where the last chunk does, or one byte short of
+    it when that chunk's size is odd and its pad byte is missing. So a
+    size field that understates its chunk fails here, where scipy would
+    read what follows as more chunks and load a shorter clip. Other
+    signatures (RF64, or none) are left to wavfile.read.
+    """
+    with open(path, "rb") as fh:
+        head = fh.read(12)
+        order = {b"RIFF": "little", b"RIFX": "big"}.get(head[:4])
+        if order is None or len(head) < 12:
+            return
+        length = fh.seek(0, 2)
+        riff_end = 8 + int.from_bytes(head[4:8], order)
+        pos, pad = 12, 0
+        while pos < min(length, riff_end):
+            fh.seek(pos)
+            chunk = fh.read(8)
+            if len(chunk) < 8 or not all(32 <= c < 127 for c in chunk[:4]):
+                raise ValueError(f"no chunk header at byte {pos}")
+            size = int.from_bytes(chunk[4:], order)
+            pad = size % 2
+            pos += 8 + size + pad
+    for what, end in (("the file", length), ("its RIFF size", riff_end)):
+        if end not in (pos, pos - pad):
+            raise ValueError(f"{what} ends at byte {end}, its chunks at byte {pos}")
+
+
 def load_wav(path) -> AudioClip:
     """Read a WAV file (PCM16/24/32, float32/64, mono or downmixed stereo).
 
     A file that cannot be opened raises InputError. Any other failure to
     parse it raises FormatError, and so does a file that ends before its
-    RIFF header says, which scipy would read in part with a warning.
+    RIFF header says, which scipy would read in part with a warning, or
+    one whose chunks do not tile it (see _check_chunks).
     """
     # imported here, not at module load, so that runs without WAV files
     # (and every CLI start) skip the cost of loading scipy.io
     from scipy.io import wavfile
 
     try:
+        _check_chunks(path)
         with warnings.catch_warnings():
             warnings.filterwarnings("error", "Reached EOF prematurely", wavfile.WavFileWarning)
             rate, data = wavfile.read(path)

@@ -209,6 +209,21 @@ def _damaged(valid: bytes, damage) -> bytes:
     return bytes(data)
 
 
+@pytest.mark.parametrize("bits", [(323, 326), (323, 38)])
+def test_understated_wav_size_exits_2(wav, tmp_path, bits):
+    # bits 3 and 6 of the data size's low byte cut it by 72 bytes, which
+    # scipy read as nine more chunks; bit 3 with bit 6 of the RIFF size's
+    # low byte cut the two by 8 and 64 bytes, which it read as a shorter
+    # clip without a warning
+    path = tmp_path / "damaged.wav"
+    path.write_bytes(_damaged(Path(wav).read_bytes(), ("flip", list(bits))))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["analyze", str(path)])
+    assert code == 2, err.getvalue()
+    assert err.getvalue().startswith(f"error: unreadable WAV file {path}: "), err.getvalue()
+
+
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(damage=_DAMAGE, command=st.sampled_from(["analyze", "rhythm-sync"]))
 def test_damaged_wav_exit_code_is_documented(wav, damage, command):

@@ -6,6 +6,7 @@ import re
 import warnings
 from array import array
 from dataclasses import fields
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -342,6 +343,88 @@ class TestRunLog:
         block_rows = data.draw(st.integers(1, 9), label="block_rows")
         with mock.patch.object(harness, "_WRITE_BLOCK_ROWS", block_rows):
             _assert_writes_savetxt(tmp_path, arr)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_block_text_matches_percent_on_drawn_floats(self, data):
+        # any double, NaN, both infinities, subnormals and both zeros included
+        n_cols = data.draw(st.integers(1, 6), label="n_cols")
+        n_rows = data.draw(st.integers(1, 30), label="n_rows")
+        cells = data.draw(st.lists(st.floats(), min_size=n_rows * n_cols,
+                                   max_size=n_rows * n_cols), label="cells")
+        _assert_formats_as_percent(np.array(cells, dtype=float).reshape(n_rows, n_cols))
+
+    def test_block_text_matches_percent_at_powers_of_ten(self):
+        # each power of ten and its neighbours a unit in the last place away,
+        # where log10's estimate of the decimal exponent is most often off
+        tens = np.array([float(f"1e{k}") for k in range(-7, 18)])
+        values = np.concatenate([np.nextafter(tens, 0.0), tens, np.nextafter(tens, np.inf)])
+        _assert_formats_as_percent(np.column_stack([values, -values]))
+
+    def test_block_text_matches_percent_at_range_edges(self):
+        # four units in the last place on each side of the ends of the
+        # digit kernel's range and of the switch to exponent notation
+        edges = []
+        for edge in (1e-6, 1e-5, 1e-4, 1e16):
+            down = up = edge
+            for _ in range(4):
+                down, up = np.nextafter(down, 0.0), np.nextafter(up, np.inf)
+                edges += [down, up]
+            edges.append(edge)
+        values = np.array(edges)
+        _assert_formats_as_percent(np.column_stack([values, -values]))
+        assert "%.17g" % 1e-6 == "9.9999999999999995e-07"
+
+    def test_block_text_rounds_ties_to_even(self):
+        # x = odd / 2**(d + 1) in [1e(16 - d), 1e(17 - d)) lies exactly halfway
+        # between two 17-digit decimals, since x * 10**d = odd * 5**d / 2
+        rng = np.random.default_rng(7)
+        ties = [1000000000000000.25, 1000000000000000.75]
+        for d in range(1, 23):
+            lo = math.ceil(Fraction(10) ** (16 - d) * 2 ** (d + 1))
+            hi = min(math.ceil(Fraction(10) ** (17 - d) * 2 ** (d + 1)), 2 ** 53)
+            odd = rng.integers(lo // 2, hi // 2, 300) * 2 + 1
+            ties.extend(odd[odd >= lo] / 2.0 ** (d + 1))
+        values = np.array(ties)
+        assert all(Fraction(x) * 10 ** (16 - math.floor(math.log10(x))) % 1 == Fraction(1, 2)
+                   for x in values[::50])
+        _assert_formats_as_percent(np.column_stack([values, -values]))
+
+    def test_block_text_matches_percent_on_random_bit_patterns(self):
+        # 10**6 patterns; half keep their drawn binary exponent, half get one
+        # between 2**-20 and 2**54, where the digit kernel runs
+        rng = np.random.default_rng(11)
+        bits = rng.integers(0, 2**64, size=10**6, dtype=np.uint64)
+        exponent = rng.integers(1023 - 20, 1023 + 54, size=bits.size // 2, dtype=np.uint64)
+        bits[::2] = (bits[::2] & np.uint64(0x800FFFFFFFFFFFFF)) | exponent << np.uint64(52)
+        _assert_formats_as_percent(bits.view(float).reshape(-1, 4))
+
+    def test_rhythm_sync_run_writes_savetxt_bytes(self, tmp_path):
+        # the golden rhythm_sync config; its 12,000 osc rows cross the
+        # 4096-row block edges, and each file reads back bit for bit
+        cfg = ScenarioConfig(mode="rhythm_sync", duration=12.0, seed=0, synth_bpm=120.0,
+                             outdir=str(tmp_path))
+        runlog = run_rhythm_sync(cfg)[0]
+        head = " ".join(f"{k}={runlog.header[k]}" for k in sorted(runlog.header))
+        assert runlog.streams["osc"][1].shape[0] == 12000 > 2 * harness._WRITE_BLOCK_ROWS
+        assert len(runlog.streams) == 5
+        for name, (columns, data) in runlog.streams.items():
+            path = tmp_path / ("runlog.csv" if name == "osc" else f"runlog.{name}.csv")
+            ref = io.BytesIO()
+            ref.write(f"# {head}\n{','.join(columns)}\n".encode())
+            np.savetxt(ref, data, fmt="%.17g", delimiter=",")
+            assert path.read_bytes() == ref.getvalue(), name
+            back = np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)
+            assert np.array_equal(back.view(np.int64), data.view(np.int64)), name
+
+
+def _assert_formats_as_percent(data):
+    """Each block's _block_text is '%.17g' % each value, joined as np.savetxt joins them."""
+    row = ",".join(["%.17g"] * data.shape[1])
+    for i in range(0, data.shape[0], harness._WRITE_BLOCK_ROWS):
+        block = data[i:i + harness._WRITE_BLOCK_ROWS]
+        lines = [row % tuple(values) for values in block.tolist()]
+        assert harness._block_text(block).split("\n") == lines + [""]
 
 
 def _assert_writes_savetxt(outdir, data):

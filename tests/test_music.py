@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import wave
 from dataclasses import fields
 
 import numpy as np
@@ -103,6 +104,76 @@ class TestSynthAndIo:
         path.write_bytes(b"not a wav at all")
         with pytest.raises(FormatError):
             load_wav(path)
+
+    def test_trailing_list_chunk_loads(self, tmp_path):
+        # a LIST chunk after the samples, odd-sized with its pad byte, as
+        # tagging tools append one
+        save_wav(tmp_path / "plain.wav", synth_click_track(120.0, 1.0))
+        raw = bytearray((tmp_path / "plain.wav").read_bytes())
+        raw += b"LIST" + (5).to_bytes(4, "little") + b"INFOx\0"
+        raw[4:8] = (len(raw) - 8).to_bytes(4, "little")
+        (tmp_path / "tagged.wav").write_bytes(raw)
+        assert np.array_equal(load_wav(tmp_path / "tagged.wav").samples,
+                              load_wav(tmp_path / "plain.wav").samples)
+
+    @pytest.mark.parametrize("width, frames", [(2, 22050), (1, 101)])
+    def test_wave_module_file_loads(self, tmp_path, width, frames):
+        # written as perfbench writes its clips; 101 one-byte frames end
+        # the file without the pad byte an odd chunk calls for
+        path = tmp_path / "w.wav"
+        with wave.open(str(path), "wb") as fh:
+            fh.setnchannels(1)
+            fh.setsampwidth(width)
+            fh.setframerate(22050)
+            fh.writeframes(bytes(frames * width))
+        assert load_wav(path).samples.size == frames
+
+    @pytest.mark.parametrize("riff_counts_pad", [True, False])
+    def test_missing_pad_byte_after_odd_last_chunk_loads(self, tmp_path, riff_counts_pad):
+        # scipy writes odd-sized data with no pad byte after it, and a RIFF
+        # size that does not count one; other writers count it
+        from scipy.io import wavfile
+
+        wavfile.write(tmp_path / "odd.wav", 22050, np.arange(101, dtype=np.uint8))
+        raw = bytearray((tmp_path / "odd.wav").read_bytes())
+        assert len(raw) == 44 + 101 == 8 + int.from_bytes(raw[4:8], "little")
+        if riff_counts_pad:
+            raw[4:8] = (len(raw) + 1 - 8).to_bytes(4, "little")
+        (tmp_path / "odd.wav").write_bytes(raw)
+        assert load_wav(tmp_path / "odd.wav").samples.size == 101
+
+    def test_big_endian_rifx_loads(self, tmp_path):
+        # a RIFX file's sizes are big-endian; 100 int16 samples, mono, 22050 Hz
+        def be(value, width=4):
+            return value.to_bytes(width, "big")
+
+        fmt = be(1, 2) + be(1, 2) + be(22050) + be(44100) + be(2, 2) + be(16, 2)
+        body = (b"WAVEfmt " + be(16) + fmt + b"data" + be(200)
+                + np.arange(100, dtype=">i2").tobytes())
+        (tmp_path / "x.wav").write_bytes(b"RIFX" + be(len(body)) + body)
+        assert np.array_equal(load_wav(tmp_path / "x.wav").samples, np.arange(100) / 32767)
+
+    @pytest.mark.parametrize("damage, message", [
+        ("data size", "no chunk header at byte 22086"),
+        ("riff size", "its RIFF size ends at byte 22086, its chunks at byte 22094"),
+        ("trailing bytes", "the file ends at byte 22098, its chunks at byte 22094"),
+        ("unprintable id", "no chunk header at byte 12"),
+    ])
+    def test_chunks_that_do_not_tile_the_file_rejected(self, tmp_path, damage, message):
+        save_wav(tmp_path / "c.wav", synth_click_track(120.0, 0.5))
+        raw = bytearray((tmp_path / "c.wav").read_bytes())
+        size = int.from_bytes(raw[40:44], "little")
+        if damage == "data size":  # 8 bytes fewer; scipy reads them as a chunk
+            raw[40:44] = (size - 8).to_bytes(4, "little")
+        elif damage == "riff size":
+            raw[4:8] = (len(raw) - 16).to_bytes(4, "little")
+        elif damage == "trailing bytes":
+            raw += b"\0" * 4
+        else:
+            raw[12:16] = b"fm\x00 "
+        (tmp_path / "c.wav").write_bytes(raw)
+        with pytest.raises(FormatError, match=message):
+            load_wav(tmp_path / "c.wav")
 
     @pytest.mark.parametrize("peak", [1e160, 1e308])
     def test_float_wav_too_loud_rejected(self, tmp_path, peak):
