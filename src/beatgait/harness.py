@@ -51,8 +51,7 @@ from .errors import CurriculumError, InputError, InsufficientDataError, \
     IntegrationDivergedError, writing
 from .metrics import SyncReport, beat_alignment, frequency_deviation, frequency_variance, \
     relative_phase_differences
-from .modulator import ERROR_MODES, ModulatorConfig, modulate, reward_phase, reward_r1, \
-    reward_r2, reward_rhythm
+from .modulator import ERROR_MODES, modulate, reward_phase, reward_r1, reward_r2, reward_rhythm
 from .music import FRAME_RATE_HZ, MAX_SAMPLES, analyze_clip, fold_tempo, interpolate_phase, \
     load_wav, synth_click_track
 from .oscillator import LEG_ORDER, TWO_PI, make_bank, param_arrays, select_params, \
@@ -112,8 +111,8 @@ class ScenarioConfig:
     bool; a bool field takes a bool, a str | None field a string, and
     a plain str field one of its choices; "| None" fields may be None.
     error_mode must be one of ERROR_MODES, gain_k positive and delta_max,
-    where set, positive, in every mode; ModulatorConfig does not check
-    them again. A learned curriculum needs at least 10 iterations.
+    where set, positive, in every mode; the modulator reads them
+    unchecked. A learned curriculum needs at least 10 iterations.
     Anything else raises InputError. synth_bpm's range is checked when a
     rhythm_sync run builds its clip. Input is checked here and in
     resolve, not again inside the run.
@@ -213,6 +212,12 @@ class ScenarioConfig:
             raise InputError(f"duration {out.duration!r} s at {osc_hz} Hz is more than the "
                              f"{MAX_SAMPLES:,} oscillator ticks a run may hold")
         return out
+
+    def ticks(self) -> tuple[int, int, int]:
+        """(oscillator ticks, ticks per plant update, ticks per modulator update) once resolved."""
+        osc_hz = self.rate_oscillator_hz
+        return (int(round(self.duration * osc_hz)), osc_hz // self.rate_plant_hz,
+                osc_hz // self.rate_modulator_hz)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -464,13 +469,6 @@ def _initial_state(cfg: ScenarioConfig, f_gait: float):
     return [phases.tolist()] + [a.tolist() for a in param_arrays(params)]
 
 
-def _tick_counts(cfg: ScenarioConfig) -> tuple[int, int, int]:
-    """(oscillator ticks, ticks per plant update, ticks per modulator update)."""
-    osc_hz = cfg.rate_oscillator_hz
-    return (int(round(cfg.duration * osc_hz)), osc_hz // cfg.rate_plant_hz,
-            osc_hz // cfg.rate_modulator_hz)
-
-
 def _diverged(label: str, t: float) -> IntegrationDivergedError:
     return IntegrationDivergedError(
         f"{label} diverged: oscillator phases non-finite by t={t:.3f} s")
@@ -501,7 +499,7 @@ def _simulate(cfg: ScenarioConfig, f_gait: float, load=None, mod_fn=None,
     """
     label = label or cfg.mode
     phases, om, sg, xi = _initial_state(cfg, f_gait)
-    n_ticks, plant_every, mod_every = _tick_counts(cfg)
+    n_ticks, plant_every, mod_every = cfg.ticks()
     dt = 1.0 / cfg.rate_oscillator_hz
     plant_cfg = _PLANT
     body_weight = plant_cfg.mass * plant_cfg.g
@@ -662,12 +660,7 @@ def run_rhythm_sync(config: ScenarioConfig):
     f_gait = fold_tempo(analysis.tempo_bpm)
     omega_m = TWO_PI * f_gait
 
-    n_ticks, plant_every, mod_every = _tick_counts(cfg)
-    # the feedforward rollout steps and holds its loads on the loop's own clock
-    mod_cfg = ModulatorConfig(gain_k=cfg.gain_k, delta_max=cfg.delta_max,
-                              rate_hz=float(cfg.rate_modulator_hz),
-                              error_mode=cfg.error_mode, feedforward=cfg.feedforward,
-                              step_s=1.0 / cfg.rate_oscillator_hz, hold_steps=plant_every)
+    n_ticks, plant_every, mod_every = cfg.ticks()
     leg = cfg.target_leg - 1
     pair_leg = 1 if leg in (0, 3) else 0  # one leg of the opposite diagonal
 
@@ -676,13 +669,10 @@ def run_rhythm_sync(config: ScenarioConfig):
     theta_mod = interpolate_phase(analysis.grid, t_mod)
     mod_rows = np.empty((n_mod, 5))
 
-    prev = 0.0  # the last command: where the next feedforward solve starts
-
     def mod_fn(t, phases, i):
-        nonlocal prev
-        cmd = modulate(_ring(phases[leg]), _ring(theta_mod[i]), omega_m, mod_cfg,
-                       pair_obs=_ring(phases[pair_leg]), guess=prev)
-        prev = cmd.delta_omega
+        # the feedforward solve starts from the last command
+        cmd = modulate(_ring(phases[leg]), _ring(theta_mod[i]), omega_m, cfg,
+                       pair_obs=_ring(phases[pair_leg]), guess=mod_rows[i - 1, 2] if i else 0.0)
         mod_rows[i] = (t, omega_m, cmd.delta_omega, cmd.omega_tilde, cmd.phase_error)
         return cmd.omega_tilde
 
@@ -820,7 +810,7 @@ def run_estimator_curriculum(config: ScenarioConfig):
         })
 
     n = cfg.iterations
-    n_ticks, plant_every, _ = _tick_counts(cfg)
+    n_ticks, plant_every, _ = cfg.ticks()
     per_episode = -(-n_ticks // plant_every)
     # indicators, shares and simulated loads of every plant update of every episode
     try:

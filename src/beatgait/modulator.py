@@ -39,50 +39,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .oscillator import FOOTFALL_PHASE, STANCE_SIGMA, TWO_PI, wrap_signed
 from .plant import FLIGHT_THRESHOLD
 
+if TYPE_CHECKING:
+    from .harness import ScenarioConfig
+
 #: Normalized load per leg on a steady trot (two legs share body weight).
 TROT_G = 0.5
-
-MODULATOR_RATE_HZ = 20.0
 
 ERROR_MODES = ("raw", "footfall")
 
 #: Bisection steps whose resolution the feedforward solve reaches; also its step cap.
 SOLVE_STEPS = 40
-
-
-@dataclass(frozen=True)
-class ModulatorConfig:
-    """Modulator gains and law selection.
-
-    gain_k: proportional gain on the phase error, 1/s
-    delta_max: clamp on |delta_omega| in rad/s; None resolves per call
-        to min(0.5 * omega_m, pi)
-    rate_hz: command rate
-    error_mode: "raw" uses phi_j - theta directly; "footfall" corrects
-        the measured phase for the predicted within-cycle wobble. It picks
-        the proportional law's error; feedforward steers the raw one
-    feedforward: solve each command by model rollout to cancel the wobble
-    step_s, hold_steps: the loop the rollout models, its oscillator Euler
-        step in s and its plant update period in steps (defaults: the
-        1 kHz oscillator and 100 Hz plant of the default rate ladder)
-
-    Taken as given: a run builds it from a ScenarioConfig, which checks
-    gain_k, delta_max and error_mode, and from its resolved rate ladder.
-    """
-
-    gain_k: float = 2.0
-    delta_max: float | None = None
-    rate_hz: float = MODULATOR_RATE_HZ
-    error_mode: str = "raw"
-    feedforward: bool = False
-    step_s: float = 1e-3
-    hold_steps: int = 10
 
 
 @dataclass(frozen=True)
@@ -212,7 +185,7 @@ def _illinois(gap, lo: float, g_lo: float, hi: float, g_hi: float, width: float,
 
 def feedforward_command(phi_j: float, phi_pair: float, theta: float, omega_m: float,
                         gain_k: float, delta_max: float, substep_s: float, hold_steps: int,
-                        rate_hz: float = MODULATOR_RATE_HZ, guess: float = 0.0) -> float:
+                        rate_hz: float, guess: float = 0.0) -> float:
     """Frequency offset that cancels the stance feedback over one tick.
 
     The proportional law alone leaves the within-cycle stance wobble in
@@ -250,7 +223,7 @@ def feedforward_command(phi_j: float, phi_pair: float, theta: float, omega_m: fl
     2 + SOLVE_STEPS of them in all, so the fallback gets what the secant
     left: where it has to bisect after k secant rollouts, its bracket
     may end up to 2**k times wider than width.
-    substep_s and hold_steps are the rollout's clock.
+    substep_s, hold_steps and the command rate rate_hz are the rollout's clock.
     """
     h = 1.0 / rate_hz
     e = wrap_signed(phi_j - theta)
@@ -308,7 +281,7 @@ def feedforward_command(phi_j: float, phi_pair: float, theta: float, omega_m: fl
     return _illinois(gap, lo, g_lo, hi, g_hi, width, h, 2 + SOLVE_STEPS - len(seen))
 
 
-def modulate(phi_obs_j, theta_obs, omega_m: float, config: ModulatorConfig,
+def modulate(phi_obs_j, theta_obs, omega_m: float, cfg: ScenarioConfig,
              pair_obs=None, guess: float = 0.0) -> ModulatorCommand:
     """One frequency command from the tracked leg's phase and the music phase.
 
@@ -316,6 +289,9 @@ def modulate(phi_obs_j, theta_obs, omega_m: float, config: ModulatorConfig,
     e = wrap(phi_j - theta), so a leading oscillator slows down. The
     optional error correction and feedforward modes are described in
     the module docstring; the clamp always applies to the command.
+    cfg, the run's resolved ScenarioConfig, sets gain_k, delta_max,
+    error_mode and feedforward; the feedforward rollout runs on its rate
+    ladder.
     pair_obs, a (cos, sin) observation of a leg from the opposite
     diagonal pair, feeds the feedforward rollout model; the raw and
     footfall laws ignore it. guess is the command the feedforward solve
@@ -327,7 +303,7 @@ def modulate(phi_obs_j, theta_obs, omega_m: float, config: ModulatorConfig,
     tc, ts = theta_obs
     phi_j = math.atan2(ps, pc) % TWO_PI
     theta = math.atan2(ts, tc) % TWO_PI
-    if config.error_mode == "footfall" and not config.feedforward:
+    if cfg.error_mode == "footfall" and not cfg.feedforward:
         # steer the underlying ramp phi - wobble: the ramp crosses
         # 3*pi/2 at the stance midpoint, which is the footfall event
         # the force trace reports, so locking it to theta centers
@@ -336,16 +312,17 @@ def modulate(phi_obs_j, theta_obs, omega_m: float, config: ModulatorConfig,
         e = wrap_signed(phi_j - theta - a * max(0.0, -math.sin(phi_j)))
     else:
         e = wrap_signed(phi_j - theta)
-    delta_max = config.delta_max
+    delta_max = cfg.delta_max
     if delta_max is None:
         delta_max = min(0.5 * omega_m, math.pi)
-    if config.feedforward:
+    if cfg.feedforward:
         oc, os_ = pair_obs
+        _, hold_steps, _ = cfg.ticks()
         delta = feedforward_command(phi_j, math.atan2(os_, oc) % TWO_PI, theta, omega_m,
-                                    config.gain_k, delta_max, config.step_s,
-                                    config.hold_steps, rate_hz=config.rate_hz, guess=guess)
+                                    cfg.gain_k, delta_max, 1.0 / cfg.rate_oscillator_hz,
+                                    hold_steps, cfg.rate_modulator_hz, guess=guess)
     else:
-        delta = -config.gain_k * e
+        delta = -cfg.gain_k * e
     delta = float(min(max(delta, -delta_max), delta_max))
     return ModulatorCommand(delta_omega=delta, omega_tilde=omega_m + delta,
                             phase_error=float(e))

@@ -441,15 +441,14 @@ def fold_tempo(bpm: float) -> float:
     bpm/60 Hz is doubled while at or below 1.0 Hz and halved while above
     4.0 Hz; the result lands in (1.0, 4.0].
     """
-    if not (bpm > 0 and math.isfinite(bpm)):
-        raise TempoRangeError(f"tempo {bpm!r} BPM cannot be folded")
     f = bpm / 60.0
+    # bpm / 60 underflows to 0.0 on the smallest subnormal tempi, and doubling keeps 0.0
+    if not (f > 0 and math.isfinite(bpm)):
+        raise TempoRangeError(f"tempo {bpm!r} BPM cannot be folded")
     while f <= FREQ_BAND_HZ[0]:
         f *= 2.0
     while f > FREQ_BAND_HZ[1]:
         f *= 0.5
-    if not (FREQ_BAND_HZ[0] < f <= FREQ_BAND_HZ[1]):
-        raise TempoRangeError(f"tempo {bpm} BPM folds to {f} Hz, outside the band")
     return f
 
 

@@ -1,5 +1,4 @@
 import math
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,11 +8,9 @@ from hypothesis import strategies as st
 from beatgait import modulator
 from beatgait.harness import ScenarioConfig, run_rhythm_sync
 from beatgait.modulator import (
-    MODULATOR_RATE_HZ,
     SOLVE_STEPS,
     STANCE_SIGMA,
     TROT_G,
-    ModulatorConfig,
     feedforward_command,
     modulate,
     reward_phase,
@@ -29,12 +26,18 @@ from beatgait.oscillator import FOOTFALL_PHASE, TWO_PI, wrap_signed
 angles = st.floats(min_value=0.0, max_value=TWO_PI - 1e-9)
 
 #: The rollout clock of the default loop: a 1 ms oscillator step, loads
-#: held for 10 steps (a 100 Hz plant).
+#: held for 10 steps (a 100 Hz plant); feedforward_command takes the
+#: 20 Hz command rate after it.
 CLOCK = (1e-3, 10)
 
 
 def unit(phi):
     return (math.cos(phi), math.sin(phi))
+
+
+def run_cfg(**fields):
+    """The resolved config of a rhythm_sync run on the raw error law, as modulate reads it."""
+    return ScenarioConfig(**{"mode": "rhythm_sync", "error_mode": "raw", **fields}).resolve()
 
 
 class TestRingDistance:
@@ -97,17 +100,6 @@ class TestRewards:
         assert reward_phase(np.zeros(4), np.full(4, 1.0)) == 0.0
 
 
-class TestConfig:
-    def test_defaults(self):
-        cfg = ModulatorConfig()
-        assert cfg.gain_k == 2.0 and cfg.rate_hz == MODULATOR_RATE_HZ
-        assert cfg.delta_max is None and cfg.error_mode == "raw"
-        assert (cfg.step_s, cfg.hold_steps) == CLOCK
-        assert [f.name for f in fields(ModulatorConfig)] == [
-            "gain_k", "delta_max", "rate_hz", "error_mode", "feedforward", "step_s",
-            "hold_steps"]
-
-
 class TestModulate:
     OMEGA = TWO_PI * 2.0  # 120 BPM folded
 
@@ -115,36 +107,36 @@ class TestModulate:
     @pytest.mark.parametrize("f_hz", [2.0, 4.0])
     def test_lock_point(self, f_hz):
         omega = TWO_PI * f_hz
-        cmd = modulate(unit(1.0), unit(1.0), omega, ModulatorConfig())
+        cmd = modulate(unit(1.0), unit(1.0), omega, run_cfg())
         assert cmd.delta_omega == 0.0
         assert cmd.omega_tilde == omega
 
     def test_proportional_example(self):
-        cfg = ModulatorConfig(gain_k=2.0, delta_max=3.0)
+        cfg = run_cfg(gain_k=2.0, delta_max=3.0)
         cmd = modulate(unit(0.1), unit(0.0), self.OMEGA, cfg)
         assert cmd.delta_omega == pytest.approx(-0.2, abs=1e-9)
         assert cmd.phase_error == pytest.approx(0.1, abs=1e-9)
 
     def test_clamp_example(self):
-        cfg = ModulatorConfig(gain_k=10.0, delta_max=2.0)
+        cfg = run_cfg(gain_k=10.0, delta_max=2.0)
         cmd = modulate(unit(math.pi - 1e-9), unit(0.0), self.OMEGA, cfg)
         assert cmd.delta_omega == pytest.approx(-2.0)
 
     def test_sign_correctness(self):
-        cfg = ModulatorConfig()
+        cfg = run_cfg()
         lead = modulate(unit(0.4), unit(0.1), self.OMEGA, cfg)
         lag = modulate(unit(0.1), unit(0.4), self.OMEGA, cfg)
         assert lead.delta_omega < 0 < lag.delta_omega
 
     def test_default_clamp_resolution(self):
         # default clamp min(0.5 * omega_m, pi) keeps omega_tilde positive
-        cfg = ModulatorConfig(gain_k=100.0)
+        cfg = run_cfg(gain_k=100.0)
         cmd = modulate(unit(3.0), unit(0.0), self.OMEGA, cfg)
         assert abs(cmd.delta_omega) <= 0.5 * self.OMEGA
         assert cmd.omega_tilde > 0
 
     def test_footfall_correction_in_stance(self):
-        cfg = ModulatorConfig(error_mode="footfall")
+        cfg = run_cfg(error_mode="footfall")
         phi = FOOTFALL_PHASE
         theta = 0.3
         cmd = modulate(unit(phi), unit(theta), self.OMEGA, cfg)
@@ -153,15 +145,14 @@ class TestModulate:
         assert cmd.phase_error == pytest.approx(expected, abs=1e-9)
 
     def test_footfall_matches_raw_in_swing(self):
-        raw = modulate(unit(0.8), unit(0.3), self.OMEGA, ModulatorConfig())
-        foot = modulate(unit(0.8), unit(0.3), self.OMEGA,
-                        ModulatorConfig(error_mode="footfall"))
+        raw = modulate(unit(0.8), unit(0.3), self.OMEGA, run_cfg())
+        foot = modulate(unit(0.8), unit(0.3), self.OMEGA, run_cfg(error_mode="footfall"))
         assert foot.phase_error == pytest.approx(raw.phase_error, abs=1e-12)
 
     @given(angles, angles)
     @settings(max_examples=300)
     def test_anti_windup_property(self, a, b):
-        cfg = ModulatorConfig(gain_k=4.0)
+        cfg = run_cfg(gain_k=4.0)
         cmd = modulate(unit(a), unit(b), self.OMEGA, cfg)
         assert abs(cmd.delta_omega) <= 0.5 * self.OMEGA + 1e-12
         assert cmd.omega_tilde > 0
@@ -245,7 +236,7 @@ class TestRollout:
 
 def bisect_command(phi, pair, theta, omega_m, gain_k, delta_max):
     """The feedforward solve as 40 bisection steps: (delta, saturated)."""
-    h = 1.0 / MODULATOR_RATE_HZ
+    h = 1.0 / 20
     e = wrap_signed(phi - theta)
     target = (theta + omega_m * h + e * (1.0 - gain_k * h)) % TWO_PI
 
@@ -279,18 +270,18 @@ class TestFeedforward:
         return (theta + self.OMEGA * h + e * (1.0 - gain_k * h)) % TWO_PI
 
     def test_hits_proportional_target(self):
-        h = 1.0 / MODULATOR_RATE_HZ
+        h = 1.0 / 20
         for phi in (0.3, 1.0, 2.5, 4.0, 5.5):
             theta, pair = phi - 0.15, (phi + math.pi) % TWO_PI
             delta = feedforward_command(phi, pair, theta, self.OMEGA, 2.0,
-                                        0.5 * self.OMEGA, *CLOCK)
+                                        0.5 * self.OMEGA, *CLOCK, 20)
             landed = rollout_phase(phi, pair, self.OMEGA + delta, h, *CLOCK)
             target = self.p_target(phi, theta, 2.0, h)
             assert abs(wrap_signed(landed - target)) <= 1e-9
 
     def test_saturates(self):
         # lagging theta by pi - 0.2 asks for more speed-up than the clamp allows
-        delta = feedforward_command(0.0, math.pi, math.pi - 0.2, self.OMEGA, 4.0, 1.0, *CLOCK)
+        delta = feedforward_command(0.0, math.pi, math.pi - 0.2, self.OMEGA, 4.0, 1.0, *CLOCK, 20)
         assert delta == 1.0
 
     # below delta_max = 0.25 the rollout's rounding noise (about 1e-15 rad
@@ -305,7 +296,7 @@ class TestFeedforward:
         # saturated ones
         theta = (phi - error) % TWO_PI
         ref, saturated = bisect_command(phi, pair, theta, self.OMEGA, gain_k, delta_max)
-        got = feedforward_command(phi, pair, theta, self.OMEGA, gain_k, delta_max, *CLOCK)
+        got = feedforward_command(phi, pair, theta, self.OMEGA, gain_k, delta_max, *CLOCK, 20)
         if saturated:
             assert got == ref
         else:
@@ -336,7 +327,7 @@ class TestFeedforward:
         # below a 0.25 rad/s clamp the stopping width stays that of 0.25,
         # so the solve does not chase the rollout's rounding noise; 150
         # interior solves at each clamp, phase errors of 5% of the clamp
-        h = 1.0 / MODULATOR_RATE_HZ
+        h = 1.0 / 20
         rng = np.random.default_rng(20)
         rollout, counts, gaps = modulator.rollout_phase, [], []
 
@@ -361,7 +352,7 @@ class TestFeedforward:
                 with monkeypatch.context() as m:
                     m.setattr(modulator, "rollout_phase", counted_rollout)
                     delta = feedforward_command(phi, pair, theta, self.OMEGA, gain_k, delta_max,
-                                                *CLOCK)
+                                                *CLOCK, 20)
                 gaps.append(abs(gap(delta)))
         assert sum(counts) / len(counts) <= 8
         assert max(counts) < 2 + SOLVE_STEPS
@@ -377,7 +368,7 @@ class TestFeedforward:
 
         monkeypatch.setattr(modulator, "rollout_phase", rollout)
         # theta = phi: zero phase error, so the target is the plain ramp
-        return (feedforward_command(0.0, math.pi, 0.0, self.OMEGA, 2.0, math.pi, *CLOCK,
+        return (feedforward_command(0.0, math.pi, 0.0, self.OMEGA, 2.0, math.pi, *CLOCK, 20,
                                     guess=guess), len(calls))
 
     def test_curved_gap_converges_fast(self, monkeypatch):
@@ -408,7 +399,7 @@ class TestFeedforward:
         # tolerance
         theta = (phi - error) % TWO_PI
         ref, saturated = bisect_command(phi, pair, theta, self.OMEGA, gain_k, delta_max)
-        got = feedforward_command(phi, pair, theta, self.OMEGA, gain_k, delta_max, *CLOCK,
+        got = feedforward_command(phi, pair, theta, self.OMEGA, gain_k, delta_max, *CLOCK, 20,
                                   guess=where * delta_max)
         if saturated:
             assert got == ref
@@ -431,7 +422,7 @@ class TestFeedforward:
         with pytest.MonkeyPatch.context() as m:
             m.setattr(modulator, "rollout_phase", counted_rollout)
             got = feedforward_command(phi, pair, (phi - error) % TWO_PI, self.OMEGA, gain_k,
-                                      delta_max, *CLOCK, guess=where * min(delta_max, 10.0))
+                                      delta_max, *CLOCK, 20, guess=where * min(delta_max, 10.0))
         assert abs(got) <= delta_max
         assert len(calls) <= 2 + SOLVE_STEPS
 
@@ -449,14 +440,14 @@ class TestFeedforward:
         assert rollouts <= 2 + SOLVE_STEPS
         if flat:
             width = math.pi * 2.0 ** (1 - SOLVE_STEPS)
-            assert abs(end_offset(delta)) <= width / MODULATOR_RATE_HZ
+            assert abs(end_offset(delta)) <= width / 20
         else:
             assert abs(delta - 0.3) <= 2 * math.pi * 2.0 ** -SOLVE_STEPS
 
     def test_wide_clamp_ignores_guess(self):
         # delta_max * h > pi/4: the end phase may wrap within the clamp
         # range, and the solve runs from the clamp ends
-        args = (1.0, 1.0 + math.pi, 0.8, self.OMEGA, 2.0, 20.0, *CLOCK)
+        args = (1.0, 1.0 + math.pi, 0.8, self.OMEGA, 2.0, 20.0, *CLOCK, 20)
         cold = feedforward_command(*args)
         assert all(feedforward_command(*args, guess=g) == cold for g in (-20.0, -3.0, 5.0, 20.0))
 
@@ -482,8 +473,25 @@ class TestFeedforward:
         assert sum(counts) / len(counts) <= 4
         assert max(counts) <= 2 + SOLVE_STEPS
 
+    def test_rollout_on_run_clock(self, monkeypatch):
+        # a 2 kHz oscillator, 200 Hz plant and 40 Hz modulator: every
+        # rollout spans one 25 ms command tick in 0.5 ms steps, each load
+        # held for 10 of them
+        clocks = set()
+        rollout = modulator.rollout_phase
+
+        def recorded_rollout(phi, pair, rate, horizon_s, substep_s, hold_steps):
+            clocks.add((horizon_s, substep_s, hold_steps))
+            return rollout(phi, pair, rate, horizon_s, substep_s, hold_steps)
+
+        monkeypatch.setattr(modulator, "rollout_phase", recorded_rollout)
+        run_rhythm_sync(ScenarioConfig(mode="rhythm_sync", synth_bpm=120.0, duration=2.0,
+                                       warmup_s=0.0, feedforward=True, rate_oscillator_hz=2000,
+                                       rate_plant_hz=200, rate_modulator_hz=40))
+        assert clocks == {(1.0 / 40, 1.0 / 2000, 10)}
+
     def test_feedforward_via_modulate(self):
-        cfg = ModulatorConfig(gain_k=2.0, feedforward=True)
+        cfg = run_cfg(gain_k=2.0, feedforward=True)
         phi, theta = 2.0, 1.9
         cmd = modulate(unit(phi), unit(theta), self.OMEGA, cfg,
                        pair_obs=unit(phi + math.pi))

@@ -481,6 +481,10 @@ class TestFolding:
             fold_tempo(-120.0)
         with pytest.raises(TempoRangeError):
             fold_tempo(float("inf"))
+        # positive tempi whose bpm / 60 underflows to 0.0
+        for bpm in (5e-324, 1e-322):
+            with pytest.raises(TempoRangeError):
+                fold_tempo(bpm)
 
 
 class TestAnalyzeClip:
