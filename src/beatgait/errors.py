@@ -1,9 +1,10 @@
 """Exception hierarchy shared across the package.
 
-Each error class maps to one failure family, and its exit_code is the
-command line's exit status for it: 2 for configuration or input
-errors, 3 when the input data is insufficient, 4 when a curriculum run
-fails or the oscillator state diverges.
+One error class per exit code; its exit_code is the command line's exit
+status for it: InputError (2) for configuration or input errors,
+InsufficientDataError (3) when the input data is insufficient,
+RunFailedError (4) when a run fails its own checks. The message names
+the cause.
 """
 
 from contextlib import contextmanager
@@ -16,41 +17,17 @@ class BeatGaitError(Exception):
 
 
 class InputError(BeatGaitError):
-    """Rejected input: non-finite, negative, or malformed values."""
-
-
-class CommandRangeError(BeatGaitError):
-    """Commanded gait frequency outside the trackable band."""
-
-
-class IntegrationDivergedError(BeatGaitError):
-    """Oscillator state became non-finite during integration."""
-
-    exit_code = 4
+    """Rejected input: bad values, commands, WAV files or tempi."""
 
 
 class InsufficientDataError(BeatGaitError):
-    """Too few samples or events to compute the requested statistic."""
+    """Too few samples, events or periodicity to compute the requested statistic."""
 
     exit_code = 3
 
 
-class NoTempoError(BeatGaitError):
-    """Onset envelope carries no periodicity to estimate a tempo from."""
-
-    exit_code = 3
-
-
-class FormatError(BeatGaitError):
-    """Unsupported audio container, encoding, or sample rate."""
-
-
-class TempoRangeError(BeatGaitError):
-    """Tempo cannot be octave-folded into the trackable gait band."""
-
-
-class CurriculumError(BeatGaitError):
-    """The curriculum's rho = 1 evaluation missed the tracking bounds."""
+class RunFailedError(BeatGaitError):
+    """A run failed its own checks: non-finite state, or a missed curriculum bound."""
 
     exit_code = 4
 

@@ -47,8 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from . import estimator as est
-from .errors import CurriculumError, InputError, InsufficientDataError, \
-    IntegrationDivergedError, writing
+from .errors import InputError, InsufficientDataError, RunFailedError, writing
 from .metrics import SyncReport, beat_alignment, frequency_deviation, frequency_variance, \
     relative_phase_differences
 from .modulator import ERROR_MODES, modulate, reward_phase, reward_r1, reward_r2, reward_rhythm
@@ -469,8 +468,8 @@ def _initial_state(cfg: ScenarioConfig, f_gait: float):
     return [phases.tolist()] + [a.tolist() for a in param_arrays(params)]
 
 
-def _diverged(label: str, t: float) -> IntegrationDivergedError:
-    return IntegrationDivergedError(
+def _diverged(label: str, t: float) -> RunFailedError:
+    return RunFailedError(
         f"{label} diverged: oscillator phases non-finite by t={t:.3f} s")
 
 
@@ -481,7 +480,7 @@ def _simulate(cfg: ScenarioConfig, f_gait: float, load=None, mod_fn=None,
     The phases, the oscillator parameters and the held loads are lists
     of four floats. Once per plant update, at time t of its tick:
 
-    1. the phases must be finite, else IntegrationDivergedError names
+    1. the phases must be finite, else RunFailedError names
        the run (label, default the mode) and the time;
     2. the plant turns them, in one grf_from_phases call, into forces
        and the support shares it split them by; the forces and the
@@ -646,7 +645,7 @@ def run_rhythm_sync(config: ScenarioConfig):
     spread, and all four reward traces regardless of which variant the
     config emphasizes. A clip whose envelope is shorter than the run
     raises InsufficientDataError before anything is simulated; graded
-    metrics that are not finite raise IntegrationDivergedError.
+    metrics that are not finite raise RunFailedError.
     """
     cfg = config.resolve()
     clip = _resolve_clip(cfg)  # read first, so a WAV it cannot use leaves no outdir
@@ -714,7 +713,7 @@ def run_rhythm_sync(config: ScenarioConfig):
         for j, name in enumerate(("rhythm", "r1", "r2", "phase"))
     }
     if not all(map(math.isfinite, (delta_max, omega_std, *reward_means.values()))):
-        raise IntegrationDivergedError(f"{cfg.mode} diverged: graded metrics not finite")
+        raise RunFailedError(f"{cfg.mode} diverged: graded metrics not finite")
 
     report_metrics = SyncReport(
         delta_t_series=[float(d) for d in deltas],
@@ -792,9 +791,8 @@ def run_estimator_curriculum(config: ScenarioConfig):
     Learned mode: episodes i = 0..N run at rho = i/N, each refitting on
     all data collected so far; the final model must then carry the
     rho = 1 loop through the full frequency-command sweep inside the
-    tracking bounds. A non-finite phase raises IntegrationDivergedError
-    naming the episode; a failed sweep raises a curriculum error naming
-    the command.
+    tracking bounds. A non-finite phase raises RunFailedError naming the
+    episode; a failed sweep raises RunFailedError naming the command.
     """
     cfg = _begin(config)
     f_cmd = float(cfg.f_cmd)
@@ -841,7 +839,7 @@ def run_estimator_curriculum(config: ScenarioConfig):
         eval_stats[f"{f:.1f}"] = stats
         if (stats["mean_abs_dev_hz"] >= FREQ_DEV_MEAN_BOUND_HZ
                 or stats["variance_hz2"] >= FREQ_DEV_VAR_BOUND_HZ2):
-            raise CurriculumError(
+            raise RunFailedError(
                 f"rho=1 loop failed frequency tracking at f_cmd={f}: {stats}")
 
     return _finish(cfg, header, [("mse", ["iteration", "rho", "mse"], np.asarray(mse_rows))], {

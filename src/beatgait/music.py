@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import FormatError, InputError, InsufficientDataError, NoTempoError, TempoRangeError
+from .errors import InputError, InsufficientDataError
 from .oscillator import FOOTFALL_PHASE, FREQ_BAND_HZ, TWO_PI, wrap_phase
 
 SUPPORTED_RATES = (16000, 22050, 44100, 48000)
@@ -66,13 +66,12 @@ class AudioClip:
     sample_rate: int
 
     def __post_init__(self):
-        if int(self.sample_rate) not in SUPPORTED_RATES:
-            raise FormatError(
-                f"sample rate {self.sample_rate} not in {SUPPORTED_RATES}"
-            )
+        # the value itself, not int() of it: 22050.7 and "22050" are refused
+        if self.sample_rate not in SUPPORTED_RATES:
+            raise InputError(f"sample rate {self.sample_rate} not in {SUPPORTED_RATES}")
         x = np.asarray(self.samples, dtype=float)
         if x.ndim != 1:
-            raise FormatError(f"expected mono samples, got shape {x.shape}")
+            raise InputError(f"expected mono samples, got shape {x.shape}")
         # two full scales pass every integer WAV (int16 -32768 loads as -1.0000305);
         # a louder clip overflows the tempo autocorrelation. min and max carry a
         # NaN, need no temporary array, and pass an empty clip to onset_envelope.
@@ -121,10 +120,10 @@ def _check_chunks(path) -> None:
 def load_wav(path) -> AudioClip:
     """Read a WAV file (PCM16/24/32, float32/64, mono or downmixed stereo).
 
-    A file that cannot be opened raises InputError. Any other failure to
-    parse it raises FormatError, and so does a file that ends before its
-    RIFF header says, which scipy would read in part with a warning, or
-    one whose chunks do not tile it (see _check_chunks).
+    A file that cannot be opened raises InputError ("cannot open"), and
+    so does any other failure to parse it ("unreadable"): a file that
+    ends before its RIFF header says, which scipy would read in part
+    with a warning, or one whose chunks do not tile it (see _check_chunks).
     """
     # imported here, not at module load, so that runs without WAV files
     # (and every CLI start) skip the cost of loading scipy.io
@@ -138,7 +137,7 @@ def load_wav(path) -> AudioClip:
     except OSError as exc:
         raise InputError(f"cannot open WAV file {path}: {exc}") from exc
     except Exception as exc:  # damaged headers fail in scipy with many exception types
-        raise FormatError(f"unreadable WAV file {path}: {exc}") from exc
+        raise InputError(f"unreadable WAV file {path}: {exc}") from exc
     # normalize by the file's sample type before any downmix (the mean of
     # integer channels is float and would pass as already normalized),
     # in place on the one float copy
@@ -168,7 +167,8 @@ def synth_click_track(bpm: float, duration_s: float) -> AudioClip:
     The first click starts at t=0; clicks repeat every 60/bpm seconds for
     the whole duration, sampled at DEFAULT_SYNTH_RATE. A period shorter
     than one sample raises InputError: no two clicks could be told
-    apart; so does a track of more than MAX_SAMPLES samples.
+    apart; so does a period too long to represent in samples, and a
+    track of more than MAX_SAMPLES samples.
     """
     if not (bpm > 0 and math.isfinite(bpm)):
         raise InputError(f"bpm must be positive, got {bpm!r}")
@@ -179,6 +179,9 @@ def synth_click_track(bpm: float, duration_s: float) -> AudioClip:
     if period * sample_rate < 1.0:
         raise InputError(
             f"bpm {bpm!r} gives a click period under one sample at {sample_rate} Hz")
+    if not math.isfinite(period * sample_rate):  # else the first click starts at 0 * inf
+        raise InputError(
+            f"bpm {bpm!r} gives a click period too long to represent at {sample_rate} Hz")
     if duration_s * sample_rate > MAX_SAMPLES:
         raise InputError(f"a {duration_s!r} s click track at {sample_rate} Hz is more than "
                          f"the {MAX_SAMPLES:,} samples one may hold")
@@ -272,12 +275,12 @@ def estimate_tempo(v: np.ndarray) -> tuple[float, float]:
     lag 0 and one neighbour each side for the interpolation), picks the
     shortest lag among near-maximal peaks so subharmonics do not halve
     the tempo, and parabolic-interpolates the peak to sub-frame
-    resolution. Raises NoTempoError on a flat envelope and
-    InsufficientDataError when the envelope spans fewer than four beats
-    at the estimated tempo.
+    resolution. Raises InsufficientDataError on a flat envelope, on one
+    with no positive autocorrelation peak in the tempo range, and when
+    the envelope spans fewer than four beats at the estimated tempo.
     """
     if v.size < 2 or np.ptp(v) < 1e-12:
-        raise NoTempoError("envelope is flat; no periodicity to estimate")
+        raise InsufficientDataError("envelope is flat; no periodicity to estimate")
     x = v - v.mean()
     lag_min = int(round(FRAME_RATE_HZ * 60.0 / TEMPO_RANGE_BPM[1]))
     lag_max = int(round(FRAME_RATE_HZ * 60.0 / TEMPO_RANGE_BPM[0]))
@@ -288,7 +291,7 @@ def estimate_tempo(v: np.ndarray) -> tuple[float, float]:
     lags = np.arange(lag_min, hi + 1)
     seg = r[lag_min : hi + 1]
     if seg.size == 0 or seg.max() <= 0:
-        raise NoTempoError("no positive autocorrelation peak in tempo range")
+        raise InsufficientDataError("no positive autocorrelation peak in tempo range")
     # local maxima only; endpoints allowed so 60/200 BPM stay reachable
     is_peak = np.ones(seg.size, dtype=bool)
     is_peak[1:] &= seg[1:] >= seg[:-1]
@@ -444,7 +447,7 @@ def fold_tempo(bpm: float) -> float:
     f = bpm / 60.0
     # bpm / 60 underflows to 0.0 on the smallest subnormal tempi, and doubling keeps 0.0
     if not (f > 0 and math.isfinite(bpm)):
-        raise TempoRangeError(f"tempo {bpm!r} BPM cannot be folded")
+        raise InputError(f"tempo {bpm!r} BPM cannot be folded")
     while f <= FREQ_BAND_HZ[0]:
         f *= 2.0
     while f > FREQ_BAND_HZ[1]:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CommandRangeError, InputError
+from .errors import InputError
 
 TWO_PI = 2.0 * math.pi
 
@@ -113,14 +113,14 @@ def select_params(v_x_cmd: float, f_cmd: float, forces) -> tuple[OscillatorParam
     pair is at mid-stance, so this start lies that far off the cycle and
     the bank settles onto it over the first seconds.
 
-    f_cmd must lie in (1.0, 4.0] Hz when moving, else CommandRangeError.
+    f_cmd must lie in (1.0, 4.0] Hz when moving, else InputError.
     phi0 only takes effect when a bank is built from the result; stepping
     never resets phases.
     """
     if abs(v_x_cmd) <= STATIONARY_SPEED_LIMIT:
         return stationary_params()
     if not (math.isfinite(f_cmd) and FREQ_BAND_HZ[0] < f_cmd <= FREQ_BAND_HZ[1]):
-        raise CommandRangeError(
+        raise InputError(
             f"f_cmd={f_cmd!r} outside ({FREQ_BAND_HZ[0]}, {FREQ_BAND_HZ[1]}] Hz"
         )
     swing_first = low_load_pair(forces)

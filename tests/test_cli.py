@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import beatgait.cli as cli
-from beatgait.errors import CurriculumError
+from beatgait.errors import BeatGaitError, RunFailedError
 from beatgait.harness import ScenarioConfig
 from beatgait.music import load_wav, synth_click_track
 
@@ -194,6 +194,16 @@ class TestExitCodes:
         assert "under one sample" in proc.stderr and "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("command", ["rhythm-sync", "synth-click"])
+    def test_config_error_click_period_too_long(self, command, tmp_path):
+        # 60/bpm seconds at 22050 Hz overflows to inf
+        out = tmp_path / "o"
+        proc = run_cli_process(command, "--bpm", "1e-310", "--duration", "1", "--out", str(out),
+                               timeout=30)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: bpm 1e-310 gives a click period too long")
+        assert "Traceback" not in proc.stderr and not out.exists()
+
+    @pytest.mark.parametrize("command", ["rhythm-sync", "synth-click"])
     def test_config_error_run_too_long(self, command, tmp_path):
         # refused by the length cap, not by numpy failing to allocate the run
         proc = run_cli_process(command, "--duration", "1e12", "--out", str(tmp_path / "o"),
@@ -268,12 +278,18 @@ class TestExitCodes:
 
     def test_curriculum_failure_code(self, tmp_path, capsys, monkeypatch):
         def boom(cfg):
-            raise CurriculumError("rho=1 loop failed frequency tracking")
+            raise RunFailedError("rho=1 loop failed frequency tracking")
 
         monkeypatch.setattr(cli, "run_estimator_curriculum", boom)
         code = run_cli("curriculum", "--out", str(tmp_path))
         assert code == 4
         assert "rho=1" in capsys.readouterr().err
+
+    def test_one_error_class_per_exit_code(self):
+        # the message names the cause; the class only picks the exit code
+        classes = BeatGaitError.__subclasses__()
+        assert sorted(c.exit_code for c in classes) == [2, 3, 4]
+        assert [c.__subclasses__() for c in classes] == [[]] * 3
 
 
 class TestConfigPrecedence:
@@ -346,6 +362,13 @@ class TestAudioUtilities:
         assert printed == saved
         assert abs(saved["tempo_bpm"] - 96.0) < 1.0
         assert saved["n_beats"] > 10
+
+    def test_synth_click_slowest_representable_tempo(self, tmp_path):
+        # one click at t = 0; a slower tempo's period overflows (exit 2)
+        wav = tmp_path / "c.wav"
+        assert run_cli("synth-click", "--bpm", "1e-300", "--duration", "1",
+                       "--out", str(wav)) == 0
+        assert load_wav(wav).samples[0] > 0.99
 
     def test_synth_click_makes_parent_dirs(self, tmp_path):
         wav = tmp_path / "deep" / "dir" / "c.wav"

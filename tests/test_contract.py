@@ -81,9 +81,10 @@ def _valid(wav: str) -> dict:
 
 
 #: Wrong values a JSON config can carry: other types, bools, non-finite,
-#: huge, zero and negative numbers.
+#: huge, tiny positive, zero and negative numbers.
 _WRONG = [None, True, False, "", "x", "2.0", [], [2.0], {}, {"a": 1},
-          math.nan, math.inf, -math.inf, 1e308, -1e308, 10**30, -(10**30), 0, 0.0, -1, -0.5]
+          math.nan, math.inf, -math.inf, 1e308, -1e308, 10**30, -(10**30), 5e-324, 1e-305,
+          0, 0.0, -1, -0.5]
 
 #: Extra wrong values of some fields: runs too long to hold, integers too
 #: large for JSON to carry exactly.

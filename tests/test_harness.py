@@ -15,12 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from beatgait import estimator, harness, plant
-from beatgait.errors import (
-    CommandRangeError,
-    InputError,
-    InsufficientDataError,
-    IntegrationDivergedError,
-)
+from beatgait.errors import InputError, InsufficientDataError, RunFailedError
 from beatgait.harness import (
     ESTIMATOR_MODES,
     FREQ_TRACK_COMMANDS,
@@ -586,7 +581,7 @@ class TestFrequencyTracking:
 
     def test_out_of_band_command(self):
         cfg = ScenarioConfig(mode="freq_track", f_cmd=0.5, duration=1.0)
-        with pytest.raises(CommandRangeError):
+        with pytest.raises(InputError, match=r"f_cmd=0\.5 outside \(1\.0, 4\.0\] Hz"):
             run_frequency_tracking(cfg)
 
     def test_no_outdir_writes_nothing(self, tmp_path):
@@ -632,7 +627,7 @@ class TestRhythmSync:
 
         monkeypatch.setattr(harness, "modulate", runaway)
         cfg = ScenarioConfig(mode="rhythm_sync", synth_bpm=120.0, duration=2.0)
-        with pytest.raises(IntegrationDivergedError,
+        with pytest.raises(RunFailedError,
                            match="rhythm_sync diverged: oscillator phases non-finite"):
             run_rhythm_sync(cfg)
 
@@ -644,7 +639,7 @@ class TestRhythmSync:
                              delta_max=1e308)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(IntegrationDivergedError, match="graded metrics not finite"):
+            with pytest.raises(RunFailedError, match="graded metrics not finite"):
                 run_rhythm_sync(cfg)
 
     def test_feedforward_model_runs_on_the_loop_clock(self):
@@ -712,7 +707,7 @@ class TestCurriculum:
         # a model that predicts NaN loads first acts in iteration 1
         monkeypatch.setattr(estimator, "predict", lambda obs, model: np.full(4, np.nan))
         cfg = ScenarioConfig(mode="estimator_curriculum", duration=1.0, iterations=10)
-        with pytest.raises(IntegrationDivergedError, match=r"iteration 1 \(rho=0\.1\)"):
+        with pytest.raises(RunFailedError, match=r"iteration 1 \(rho=0\.1\)"):
             run_estimator_curriculum(cfg)
 
     def test_fallback_run(self, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beatgait.errors import CommandRangeError, InputError
+from beatgait.errors import InputError
 from beatgait.oscillator import (
     FOOTFALL_PHASE,
     TWO_PI,
@@ -115,11 +115,11 @@ class TestParams:
             assert p.phi0 == expected
 
     def test_select_params_band(self):
-        with pytest.raises(CommandRangeError):
+        with pytest.raises(InputError, match=r"f_cmd=.* outside \(1\.0, 4\.0\] Hz"):
             select_params(0.8, 5.0, (1, 1, 1, 1))
-        with pytest.raises(CommandRangeError):
+        with pytest.raises(InputError, match=r"f_cmd=.* outside \(1\.0, 4\.0\] Hz"):
             select_params(0.8, 1.0, (1, 1, 1, 1))
-        with pytest.raises(CommandRangeError):
+        with pytest.raises(InputError, match=r"f_cmd=.* outside \(1\.0, 4\.0\] Hz"):
             select_params(0.8, float("nan"), (1, 1, 1, 1))
         # upper bound closed: 4.0 Hz is commandable
         params = select_params(0.8, 4.0, (1, 1, 1, 1))
