@@ -13,11 +13,11 @@ three experiment families:
   then proves the rho = 1 loop still tracks frequency commands.
 
 Every run starts in _begin (resolve the config, claim the output
-directory; rhythm_sync reads its clip first) and ends in _finish
-(build, then write, the run log and report); between them all three
-run one loop, _simulate, and differ only in the load map and modulator
-they hand it. The oscillator runs at 1 kHz, the plant and modulator at
-integer subdivisions (100 Hz and 20 Hz by default) with zero-order
+directory; rhythm_sync reads its clip first) and ends in _finish (build,
+then write, the run log and report); between them all three run one
+loop, _simulate, and differ only in the load map and modulator they hand
+it. The clock is fixed: oscillator at 1 kHz, modulator at 20 Hz, and a
+plant rate that divides 1000 and is a multiple of 20, with zero-order
 holds between updates. Contact onsets fall on plant samples, so the
 plant rate sets how finely a stepping frequency is measured. freq_track
 defaults to a 500 Hz plant: the frequency-tracking and gait-structure
@@ -70,6 +70,10 @@ FREQ_TRACK_COMMANDS = (1.5, 2.0, 2.5, 3.0, 3.5, 4.0)
 #: Largest integer a JSON number carries exactly (RFC 8259, section 6).
 MAX_JSON_INT = 2**53 - 1
 
+#: The choices of each plain str field of ScenarioConfig.
+_CHOICES = {"mode": MODES, "reward": REWARD_VARIANTS, "error_mode": ERROR_MODES,
+            "estimator_mode": ESTIMATOR_MODES}
+
 #: ScenarioConfig's field annotations: the accepted types and how a message names them.
 _FIELD_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a finite number"),
                 "bool": (bool, "true or false"), "str": (str, "a string")}
@@ -82,7 +86,7 @@ FREQ_DEV_VAR_BOUND_HZ2 = 0.01
 _PLANT = PlantConfig()
 
 _MODE_DEFAULTS = {
-    # duration_s, plant rate; oscillator and modulator rates are shared
+    # duration_s, plant rate; the oscillator and modulator rates are fixed
     "freq_track": (5.0, 500),
     "rhythm_sync": (30.0, 100),
     "estimator_curriculum": (5.0, 200),
@@ -96,7 +100,9 @@ class ScenarioConfig:
     None means "resolve the per-mode default": duration and the plant
     rate differ across modes (see _MODE_DEFAULTS), f_cmd defaults to
     2.0 Hz where used, and a rhythm_sync run with neither audio_path
-    nor synth_bpm synthesizes 120 BPM clicks.
+    nor synth_bpm synthesizes 120 BPM clicks. The oscillator (1 kHz)
+    and modulator (20 Hz) rates are the same in every run, so they are
+    not fields: a config cannot set them, and the echo omits them.
 
     error_mode/feedforward/gain_k/delta_max select the modulator
     variant for rhythm_sync (error_mode picks the proportional law's
@@ -108,8 +114,8 @@ class ScenarioConfig:
     Each field must match its annotation: a float field takes a finite
     number, an int field an integer within +-(2**53 - 1), neither a
     bool; a bool field takes a bool, a str | None field a string, and
-    a plain str field one of its choices; "| None" fields may be None.
-    error_mode must be one of ERROR_MODES, gain_k positive and delta_max,
+    a plain str field one of its choices (see _CHOICES); "| None"
+    fields may be None. gain_k must be positive and delta_max,
     where set, positive, in every mode; the modulator reads them
     unchecked. A learned curriculum needs at least 10 iterations.
     Anything else raises InputError. synth_bpm's range is checked when a
@@ -125,9 +131,7 @@ class ScenarioConfig:
     duration: float | None = None
     reward: str = "rhythm"
     seed: int = 0
-    rate_oscillator_hz: int = 1000
     rate_plant_hz: int | None = None
-    rate_modulator_hz: int = 20
     outdir: str | None = None
     warmup_s: float = 5.0
     target_leg: int = 1
@@ -139,24 +143,22 @@ class ScenarioConfig:
     iterations: int = 10
     estimator_mode: str = "learned"
 
+    rate_oscillator_hz = 1000  # the run clock: class attributes, not fields
+    rate_modulator_hz = 20
+
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise InputError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.reward not in REWARD_VARIANTS:
-            raise InputError(f"reward must be one of {REWARD_VARIANTS}, got {self.reward!r}")
-        if self.estimator_mode not in ESTIMATOR_MODES:
-            raise InputError(
-                f"estimator_mode must be one of {ESTIMATOR_MODES}, got {self.estimator_mode!r}")
-        if self.error_mode not in ERROR_MODES:
-            raise InputError(f"error_mode must be one of {ERROR_MODES}, got {self.error_mode!r}")
         # JSON configs can carry any type, NaN, Infinity and integers with
         # no float; bool is an int. Each field is checked by its annotation
-        # (a string, under the __future__ import).
+        # (a string, under the __future__ import); a plain str field is a choice.
         for f in fields(self):
             kind, _, optional = f.type.partition(" | ")
             value = getattr(self, f.name)
-            if value is None and optional or kind == "str" and not optional:
-                continue  # a plain str field is a choice, checked above
+            if value is None and optional:
+                continue
+            if kind == "str" and not optional:
+                if value not in _CHOICES[f.name]:
+                    raise InputError(f"{f.name} must be one of {_CHOICES[f.name]}, got {value!r}")
+                continue
             types, what = _FIELD_TYPES[kind]
             if (isinstance(value, bool) and kind != "bool" or not isinstance(value, types)
                     or kind == "float" and not abs(value) <= sys.float_info.max):
@@ -187,7 +189,7 @@ class ScenarioConfig:
             raise InputError(f"curriculum needs at least 10 iterations, got {self.iterations}")
 
     def resolve(self) -> "ScenarioConfig":
-        """Fill mode defaults and validate the rate ladder and the run's length in ticks."""
+        """Fill mode defaults; check the plant rate on the fixed clock and the run's length."""
         duration_default, plant_default = _MODE_DEFAULTS[self.mode]
         out = replace(
             self,
@@ -197,16 +199,11 @@ class ScenarioConfig:
             synth_bpm=(self.synth_bpm if self.synth_bpm is not None or
                        self.audio_path is not None or self.mode != "rhythm_sync" else 120.0),
         )
-        osc_hz, plant_hz, mod_hz = (out.rate_oscillator_hz, out.rate_plant_hz,
-                                    out.rate_modulator_hz)
-        for name, r in (("oscillator", osc_hz), ("plant", plant_hz), ("modulator", mod_hz)):
-            if r <= 0:
-                raise InputError(f"rate_{name}_hz must be a positive integer, got {r!r}")
-        # rate ladder must divide evenly so zero-order holds line up
-        if osc_hz % plant_hz != 0 or plant_hz % mod_hz != 0:
-            raise InputError(
-                f"rates must divide evenly: oscillator {osc_hz} / plant {plant_hz} "
-                f"/ modulator {mod_hz}")
+        osc_hz, mod_hz = self.rate_oscillator_hz, self.rate_modulator_hz
+        plant_rates = [r for r in range(mod_hz, osc_hz + 1, mod_hz) if osc_hz % r == 0]
+        if out.rate_plant_hz not in plant_rates:  # else the zero-order holds would not line up
+            raise InputError(f"rate_plant_hz must divide {osc_hz} and be a multiple of {mod_hz}, "
+                             f"one of {plant_rates}, got {out.rate_plant_hz!r}")
         if out.duration * osc_hz > MAX_SAMPLES:
             raise InputError(f"duration {out.duration!r} s at {osc_hz} Hz is more than the "
                              f"{MAX_SAMPLES:,} oscillator ticks a run may hold")

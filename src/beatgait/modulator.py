@@ -213,8 +213,8 @@ def feedforward_command(phi_j: float, phi_pair: float, theta: float, omega_m: fl
     +-pi. So it runs only while delta_max*h <= pi/4: the end phase then
     spans about 2*delta_max*h <= pi/2 over the clamp range, and a range
     holding the root cannot also hold a wrap. Every default clamp,
-    min(0.5*omega, pi) at 20 Hz, is inside that limit; a wider one (or a
-    slower modulator) runs the Illinois solve from the clamp ends.
+    min(0.5*omega, pi) at the run's 20 Hz, is inside that limit; a clamp
+    above 5*pi rad/s there runs the Illinois solve from the clamp ends.
 
     Illinois stops once the bracket is no wider than width, what
     SOLVE_STEPS bisection steps leave of the clamp range (on a clamp of
@@ -290,8 +290,8 @@ def modulate(phi_obs_j, theta_obs, omega_m: float, cfg: ScenarioConfig,
     optional error correction and feedforward modes are described in
     the module docstring; the clamp always applies to the command.
     cfg, the run's resolved ScenarioConfig, sets gain_k, delta_max,
-    error_mode and feedforward; the feedforward rollout runs on its rate
-    ladder.
+    error_mode and feedforward; the feedforward rollout runs on the run's
+    fixed clock and its plant rate.
     pair_obs, a (cos, sin) observation of a leg from the opposite
     diagonal pair, feeds the feedforward rollout model; the raw and
     footfall laws ignore it. guess is the command the feedforward solve

@@ -168,7 +168,7 @@ def synth_click_track(bpm: float, duration_s: float) -> AudioClip:
     the whole duration, sampled at DEFAULT_SYNTH_RATE. A period shorter
     than one sample raises InputError: no two clicks could be told
     apart; so does a period too long to represent in samples, and a
-    track of more than MAX_SAMPLES samples.
+    track of more than MAX_SAMPLES samples or of none.
     """
     if not (bpm > 0 and math.isfinite(bpm)):
         raise InputError(f"bpm must be positive, got {bpm!r}")
@@ -186,6 +186,8 @@ def synth_click_track(bpm: float, duration_s: float) -> AudioClip:
         raise InputError(f"a {duration_s!r} s click track at {sample_rate} Hz is more than "
                          f"the {MAX_SAMPLES:,} samples one may hold")
     n = int(round(duration_s * sample_rate))
+    if n == 0:
+        raise InputError(f"a {duration_s!r} s click track at {sample_rate} Hz holds no sample")
     x = np.zeros(n)
     click_n = max(1, int(round(CLICK_S * sample_rate)))
     k = 0
@@ -215,7 +217,7 @@ def onset_envelope(clip: AudioClip) -> np.ndarray:
     """
     x = clip.samples
     if x.size == 0:
-        raise InputError("empty clip")
+        raise InsufficientDataError("empty clip")
     hop, size = ANALYSIS_HOP, ANALYSIS_WINDOW
     pad = size // 2
     # the frames of the clip padded by half a window before and a whole one after

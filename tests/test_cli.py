@@ -6,12 +6,13 @@ import warnings
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import beatgait.cli as cli
 from beatgait.errors import BeatGaitError, RunFailedError
 from beatgait.harness import ScenarioConfig
-from beatgait.music import load_wav, synth_click_track
+from beatgait.music import AudioClip, load_wav, save_wav, synth_click_track
 
 
 def run_cli(*argv):
@@ -113,6 +114,33 @@ class TestExitCodes:
         assert code == 3
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["analyze"], ["rhythm-sync", "--audio"]])
+    def test_data_error_empty_clip(self, command, tmp_path, capsys):
+        # a clip with no sample is too short to analyse, as a one-sample clip is
+        wav = tmp_path / "e.wav"
+        save_wav(wav, AudioClip(samples=np.zeros(0), sample_rate=22050))
+        code = run_cli(*command, str(wav), "--out", str(tmp_path / "o"))
+        assert code == 3
+        assert "error: empty clip" in capsys.readouterr().err
+
+    def test_config_error_empty_click_track(self, tmp_path, capsys):
+        # round(1e-9 s * 22050 Hz) = 0 samples
+        wav = tmp_path / "e.wav"
+        assert run_cli("synth-click", "--duration", "1e-9", "--out", str(wav)) == 2
+        assert "holds no sample" in capsys.readouterr().err
+        assert not wav.exists()
+
+    @pytest.mark.parametrize("key, value", [("rate_oscillator_hz", 1000),
+                                            ("rate_modulator_hz", 20)])
+    def test_config_error_clock_key(self, key, value, tmp_path, capsys):
+        # the clock is fixed, so a config cannot name it, even at its own rate
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"mode": "freq_track", key: value}))
+        code = run_cli("freq-track", "--config", str(p), "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_data_error_standing_freq_track(self, tmp_path, capsys):
         # |v_cmd| <= 0.5 selects the standing bank: every leg holds
         # mid-stance, so no foot lifts and no contact onset comes
@@ -137,7 +165,7 @@ class TestExitCodes:
             assert "must be a finite number" in capsys.readouterr().err
 
     def test_config_error_bool_for_integer(self, tmp_path, capsys):
-        for field in ("target_leg", "rate_plant_hz", "rate_modulator_hz"):
+        for field in ("target_leg", "rate_plant_hz", "seed"):
             p = tmp_path / "cfg.json"
             p.write_text(json.dumps({"mode": "rhythm_sync", field: True}))
             code = run_cli("rhythm-sync", "--config", str(p), "--out", str(tmp_path / "rs"))

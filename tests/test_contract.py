@@ -64,9 +64,7 @@ def _valid(wav: str) -> dict:
         "duration": st.just(1.0) | st.floats(0.05, 1.0),
         "reward": st.sampled_from(REWARD_VARIANTS),
         "seed": st.integers(0, 2**32),
-        "rate_oscillator_hz": st.sampled_from([500, 1000, 2000]),
-        "rate_plant_hz": st.sampled_from([None, 100, 250, 500]),
-        "rate_modulator_hz": st.sampled_from([10, 20, 50]),
+        "rate_plant_hz": st.sampled_from([None, 100, 200, 500]),
         "outdir": st.sampled_from([None, "run"]),
         "warmup_s": st.floats(0.0, 0.5),
         "target_leg": st.integers(1, 4),
@@ -87,10 +85,10 @@ _WRONG = [None, True, False, "", "x", "2.0", [], [2.0], {}, {"a": 1},
           0, 0.0, -1, -0.5]
 
 #: Extra wrong values of some fields: runs too long to hold, integers too
-#: large for JSON to carry exactly.
+#: large for JSON to carry exactly, plant rates off the fixed clock.
 _WRONG_FOR = {
     "duration": _WRONG + [1e12, 2e7],
-    "rate_oscillator_hz": _WRONG + [2**53, 10**400],
+    "rate_plant_hz": _WRONG + [2**53, 10**400, 30, 50, 250, 300, 2000],
     "iterations": _WRONG + [10**15, 10**400],
 }
 

@@ -13,7 +13,18 @@ from pathlib import Path
 import pytest
 import regen_goldens
 
+import beatgait.cli as cli
+
 GOLDEN_DIR = Path(__file__).parent / "goldens"
+
+#: Goldens replayed from their config echo: a kicked run, the feedforward
+#: modulator, a plant off its mode's default rate, a WAV, and both
+#: estimator modes.
+_REPLAYED = ("freq_track_kick_3", "rhythm_sync_feedforward", "rhythm_sync_plant_200hz",
+             "rhythm_sync_wav", "estimator_curriculum_kick_1", "estimator_curriculum_fallback")
+
+_SUBCOMMANDS = {"freq_track": "freq-track", "rhythm_sync": "rhythm-sync",
+                "estimator_curriculum": "curriculum"}
 
 
 def _manifests():
@@ -32,6 +43,25 @@ def test_golden_run(path, golden_run):
 
     assert regen_goldens.digests(outdir) == manifest["csv_sha256"], (
         f"{path.stem}: runlog stream bytes drifted from the stored golden")
+
+
+@pytest.mark.parametrize("name", _REPLAYED)
+def test_run_replays_from_config_echo(name, golden_run, tmp_path, monkeypatch):
+    # config.echo.json fed back through --config reproduces the run byte
+    # for byte, though it does not name the fixed clock. A WAV is named
+    # relative to the golden's work directory, so the replay runs there.
+    outdir = golden_run(regen_goldens.GOLDEN_SCENARIOS[name])
+    echo = outdir / "config.echo.json"
+    config = json.loads(echo.read_text())
+    assert "rate_oscillator_hz" not in config and "rate_modulator_hz" not in config
+    monkeypatch.chdir(outdir.parent)
+    replay = tmp_path / "replay"
+    assert cli.main([_SUBCOMMANDS[config["mode"]], "--config", str(echo),
+                     "--out", str(replay)]) == 0
+    logs = sorted(p.name for p in outdir.glob("runlog*.csv"))
+    assert logs and sorted(p.name for p in replay.glob("runlog*.csv")) == logs
+    for file in ["report.json", *logs]:
+        assert (replay / file).read_bytes() == (outdir / file).read_bytes(), file
 
 
 def test_goldens_exist():

@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 import regen_goldens
 
+from beatgait.harness import ScenarioConfig
 from beatgait.music import FRAME_RATE_HZ
 from beatgait.oscillator import TWO_PI
 from beatgait.plant import PlantConfig
@@ -78,10 +79,10 @@ def test_music_stream_in_range(run):
 
 def test_timestamps_exact(run):
     config, streams = run
-    osc_hz = config["rate_oscillator_hz"]
+    # the clock is fixed; only the plant rate is the run's own
+    osc_hz, mod_hz = ScenarioConfig.rate_oscillator_hz, ScenarioConfig.rate_modulator_hz
     every = {"osc": 1, "plant": osc_hz // config["rate_plant_hz"],
-             "mod": osc_hz // config["rate_modulator_hz"],
-             "rewards": osc_hz // config["rate_modulator_hz"]}
+             "mod": osc_hz // mod_hz, "rewards": osc_hz // mod_hz}
     for name, rows in streams.items():
         k = np.arange(rows.shape[0])
         if name == "music":

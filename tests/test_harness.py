@@ -109,8 +109,7 @@ class TestScenarioConfig:
         with pytest.raises(InputError, match=f"{field} must be a string"):
             ScenarioConfig(mode="rhythm_sync", **{field: value})
 
-    @pytest.mark.parametrize("field", ["iterations", "seed", "target_leg", "rate_oscillator_hz",
-                                       "rate_plant_hz", "rate_modulator_hz"])
+    @pytest.mark.parametrize("field", ["iterations", "seed", "target_leg", "rate_plant_hz"])
     @pytest.mark.parametrize("value", [10.5, 10.0, True, "10", 2**53, -(10**400)])
     def test_non_integer_count_rejected(self, field, value):
         # integers past +-(2**53 - 1) are not exact in JSON, and 10**400 has no float
@@ -185,8 +184,7 @@ class TestScenarioConfig:
             with pytest.raises(InputError):
                 ScenarioConfig.from_json(p)
 
-    @pytest.mark.parametrize("field", ["target_leg", "rate_oscillator_hz", "rate_plant_hz",
-                                       "rate_modulator_hz", "seed", "iterations"])
+    @pytest.mark.parametrize("field", ["target_leg", "rate_plant_hz", "seed", "iterations"])
     def test_json_true_for_integer_rejected(self, field, tmp_path):
         # true == 1 in Python: target_leg would run as leg 1, a rate as 1 Hz
         p = tmp_path / "cfg.json"
@@ -195,19 +193,34 @@ class TestScenarioConfig:
             ScenarioConfig.from_json(p)
 
     def test_rate_ladder_must_divide(self):
-        with pytest.raises(InputError):
-            ScenarioConfig(mode="freq_track", rate_plant_hz=300).resolve()
-        with pytest.raises(InputError):
-            ScenarioConfig(mode="freq_track", rate_plant_hz=100,
-                           rate_modulator_hz=30).resolve()
-        with pytest.raises(InputError):
-            ScenarioConfig(mode="freq_track", rate_plant_hz=0).resolve()
+        # the plant rate must divide the 1 kHz oscillator clock and be a
+        # multiple of the 20 Hz modulator clock, so that every modulator
+        # update falls on a plant update: 50 and 250 Hz divide 1000 but
+        # would put one every 2.5 and 12.5 plant updates
+        for rate in (0, -100, 30, 50, 250, 300, 1001, 2000):
+            message = re.escape("rate_plant_hz must divide 1000 and be a multiple of 20, one of "
+                                f"[20, 40, 100, 200, 500, 1000], got {rate}")
+            with pytest.raises(InputError, match=message):
+                ScenarioConfig(mode="freq_track", rate_plant_hz=rate).resolve()
+        for rate in (20, 200, 1000):
+            cfg = ScenarioConfig(mode="freq_track", rate_plant_hz=rate).resolve()
+            assert cfg.ticks() == (5000, 1000 // rate, 50)
+
+    def test_clock_is_fixed(self):
+        # the oscillator and modulator rates are class attributes, not fields
+        names = {f.name for f in fields(ScenarioConfig)}
+        assert len(names) == 19
+        assert "rate_oscillator_hz" not in names and "rate_modulator_hz" not in names
+        assert ScenarioConfig.rate_oscillator_hz == 1000
+        assert ScenarioConfig.rate_modulator_hz == 20
+        cfg = ScenarioConfig(mode="rhythm_sync").resolve()
+        assert (cfg.rate_oscillator_hz, cfg.rate_modulator_hz) == (1000, 20)
+        assert not {"rate_oscillator_hz", "rate_modulator_hz"} & set(cfg.to_dict())
 
     def test_run_length_capped(self):
-        # MAX_SAMPLES oscillator ticks at most, checked before anything is allocated
-        at_cap = ScenarioConfig(mode="freq_track", duration=MAX_SAMPLES / 2000,
-                                rate_oscillator_hz=2000)
-        assert at_cap.resolve().duration == MAX_SAMPLES / 2000
+        # MAX_SAMPLES oscillator ticks at 1 kHz at most, checked before anything is allocated
+        at_cap = ScenarioConfig(mode="freq_track", duration=MAX_SAMPLES / 1000)
+        assert at_cap.resolve().ticks()[0] == MAX_SAMPLES
         with pytest.raises(InputError, match="10,000,000 oscillator ticks"):
             ScenarioConfig(mode="rhythm_sync", duration=MAX_SAMPLES / 1000 + 0.001).resolve()
 

@@ -474,9 +474,9 @@ class TestFeedforward:
         assert max(counts) <= 2 + SOLVE_STEPS
 
     def test_rollout_on_run_clock(self, monkeypatch):
-        # a 2 kHz oscillator, 200 Hz plant and 40 Hz modulator: every
-        # rollout spans one 25 ms command tick in 0.5 ms steps, each load
-        # held for 10 of them
+        # a 200 Hz plant on the 1 kHz oscillator and 20 Hz modulator
+        # clock: every rollout spans one 50 ms command tick in 1 ms
+        # steps, each load held for 5 of them (10 at the default 100 Hz)
         clocks = set()
         rollout = modulator.rollout_phase
 
@@ -486,9 +486,8 @@ class TestFeedforward:
 
         monkeypatch.setattr(modulator, "rollout_phase", recorded_rollout)
         run_rhythm_sync(ScenarioConfig(mode="rhythm_sync", synth_bpm=120.0, duration=2.0,
-                                       warmup_s=0.0, feedforward=True, rate_oscillator_hz=2000,
-                                       rate_plant_hz=200, rate_modulator_hz=40))
-        assert clocks == {(1.0 / 40, 1.0 / 2000, 10)}
+                                       warmup_s=0.0, feedforward=True, rate_plant_hz=200))
+        assert clocks == {(1.0 / 20, 1.0 / 1000, 5)}
 
     def test_feedforward_via_modulate(self):
         cfg = run_cfg(gain_k=2.0, feedforward=True)

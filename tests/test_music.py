@@ -71,6 +71,15 @@ class TestSynthAndIo:
         with pytest.raises(InputError, match="too long to represent at 22050 Hz"):
             synth_click_track(bpm, 1.0)
 
+    @pytest.mark.parametrize("duration", [1e-9, 0.5 / 22050])
+    def test_track_without_samples_rejected(self, duration):
+        # round(duration * 22050) = 0: no sample to write
+        with pytest.raises(InputError, match="holds no sample"):
+            synth_click_track(120.0, duration)
+
+    def test_one_sample_track_is_one_click(self):
+        assert synth_click_track(120.0, 1.0 / 22050).samples.tolist() == [1.0]
+
     def test_slowest_representable_period_gives_one_click(self):
         samples = synth_click_track(1e-300, 1.0).samples
         assert samples.size == 22050
@@ -228,7 +237,8 @@ class TestEnvelope:
             assert abs(int(np.argmax(window)) - 3) <= 1
 
     def test_empty_clip_rejected(self):
-        with pytest.raises(InputError):
+        # too short to analyse, as a one-sample clip is
+        with pytest.raises(InsufficientDataError, match="empty clip"):
             onset_envelope(AudioClip(samples=np.zeros(0), sample_rate=22050))
 
     def test_envelope_nonnegative(self):
