@@ -12,23 +12,23 @@ three experiment families:
   estimator predictions by rho = iteration/N, refitting each episode,
   then proves the rho = 1 loop still tracks frequency commands.
 
-Every run starts in _begin (resolve the config, claim the output
-directory; rhythm_sync reads its clip first) and ends in _finish (build,
-then write, the run log and report); between them all three run one
-loop, _simulate, and differ only in the load map and modulator they hand
-it. The clock is fixed: oscillator at 1 kHz, modulator at 20 Hz, and a
-plant rate that divides 1000 and is a multiple of 20, with zero-order
-holds between updates. Contact onsets fall on plant samples, so the
-plant rate sets how finely a stepping frequency is measured. freq_track
-defaults to a 500 Hz plant: the frequency-tracking and gait-structure
-criteria grade its runs, and at 100 Hz a 0.5 rad kick leaves the trot
-out of band after 5 s on 16 of 50 seeds, against 12 at 500 Hz. The
-curriculum defaults to 200 Hz: its cost follows its plant updates, and
-it makes 0.4 as many as at 500 Hz. Its rho = 1 sweep then reads a worst
-mean deviation of 0.0401 Hz (0.0373 at 500 Hz) and a worst variance of
-0.0012 Hz^2 (0.00025) against bounds of 0.05 and 0.01; at 100 Hz the
-10 ms onset quantization pushes the deviation at 3.5 Hz to 0.0554, past
-the bound.
+Every run starts in _resolve (refuse another mode's config, resolve it)
+and _begin (claim the output directory; rhythm_sync reads its clip in
+between) and ends in _finish (build, then write, the run log and
+report); between them all three run one loop, _simulate, and differ only
+in the load map and modulator they hand it. The clock is fixed:
+oscillator at 1 kHz, modulator at 20 Hz, and a plant rate that divides
+1000 and is a multiple of 20, with zero-order holds between updates.
+Contact onsets fall on plant samples, so the plant rate sets how finely
+a stepping frequency is measured. freq_track defaults to a 500 Hz plant:
+the frequency-tracking and gait-structure criteria grade its runs, and
+at 100 Hz a 0.5 rad kick leaves the trot out of band after 5 s on 16 of
+50 seeds, against 12 at 500 Hz. The curriculum defaults to 200 Hz: its
+cost follows its plant updates, and it makes 0.4 as many as at 500 Hz.
+Its rho = 1 sweep then reads a worst mean deviation of 0.0401 Hz (0.0373
+at 500 Hz) and a worst variance of 0.0012 Hz^2 (0.00025) against bounds
+of 0.05 and 0.01; at 100 Hz the 10 ms onset quantization pushes the
+deviation at 3.5 Hz to 0.0554, past the bound.
 
 Offline runs are deterministic: all randomness flows from one seeded
 generator recorded in the run log header, and a fixed config plus seed
@@ -470,12 +470,12 @@ def _diverged(label: str, t: float) -> RunFailedError:
         f"{label} diverged: oscillator phases non-finite by t={t:.3f} s")
 
 
-def _simulate(cfg: ScenarioConfig, f_gait: float, load=None, mod_fn=None,
+def _simulate(cfg: ScenarioConfig, state, load=None, mod_fn=None,
               label: str | None = None, log_osc: bool = True):
     """The closed loop every scenario runs: oscillators, plant, modulator.
 
-    The phases, the oscillator parameters and the held loads are lists
-    of four floats. Once per plant update, at time t of its tick:
+    state is _initial_state's bank: phases and oscillator parameters,
+    lists of four floats like the held loads. Once per plant update, at time t of its tick:
 
     1. the phases must be finite, else RunFailedError names
        the run (label, default the mode) and the time;
@@ -494,7 +494,7 @@ def _simulate(cfg: ScenarioConfig, f_gait: float, load=None, mod_fn=None,
     (t, four forces, four normalized loads).
     """
     label = label or cfg.mode
-    phases, om, sg, xi = _initial_state(cfg, f_gait)
+    phases, om, sg, xi = state
     n_ticks, plant_every, mod_every = cfg.ticks()
     dt = 1.0 / cfg.rate_oscillator_hz
     plant_cfg = _PLANT
@@ -557,9 +557,15 @@ _PLANT_COLUMNS = ["t", "n_rf", "n_lf", "n_rh", "n_lh", "g_rf", "g_lf", "g_rh", "
 _ARTIFACTS = ("report.json", "config.echo.json", "runlog.csv", "runlog.*.csv")
 
 
-def _begin(config: ScenarioConfig) -> ScenarioConfig:
-    """Resolve config, then make its outdir, if set, and clear an earlier run's artifacts."""
-    cfg = config.resolve()
+def _resolve(config: ScenarioConfig, mode: str) -> ScenarioConfig:
+    """config resolved for the runner of mode; another mode's config raises InputError."""
+    if config.mode != mode:
+        raise InputError(f"the {mode} runner was given a {config.mode} config")
+    return config.resolve()
+
+
+def _begin(cfg: ScenarioConfig) -> ScenarioConfig:
+    """Make the resolved cfg's outdir, if set, and clear an earlier run's artifacts."""
     if cfg.outdir is not None:
         outdir = Path(cfg.outdir)
         with writing(outdir):
@@ -593,9 +599,9 @@ def run_frequency_tracking(config: ScenarioConfig):
     the parameter schedule, so an out-of-band f_cmd raises the same
     command-range error the oscillator would.
     """
-    cfg = _begin(config)
+    cfg = _begin(_resolve(config, "freq_track"))
     f_cmd = float(cfg.f_cmd)
-    phases, osc_rows, plant_rows = _simulate(cfg, f_cmd)
+    phases, osc_rows, plant_rows = _simulate(cfg, _initial_state(cfg, f_cmd))
 
     per_leg = {LEG_ORDER[leg]: _leg_stats(plant_rows, leg, f_cmd) for leg in range(4)}
     rf = per_leg[LEG_ORDER[0]]
@@ -644,7 +650,7 @@ def run_rhythm_sync(config: ScenarioConfig):
     raises InsufficientDataError before anything is simulated; graded
     metrics that are not finite raise RunFailedError.
     """
-    cfg = config.resolve()
+    cfg = _resolve(config, "rhythm_sync")
     clip = _resolve_clip(cfg)  # read first, so a WAV it cannot use leaves no outdir
     _begin(cfg)
     analysis = analyze_clip(clip)
@@ -657,7 +663,9 @@ def run_rhythm_sync(config: ScenarioConfig):
     omega_m = TWO_PI * f_gait
 
     n_ticks, plant_every, mod_every = cfg.ticks()
+    state = _initial_state(cfg, f_gait)
     leg = cfg.target_leg - 1
+    sigma = state[2][leg]  # the model's stance gain is the bank's own
     pair_leg = 1 if leg in (0, 3) else 0  # one leg of the opposite diagonal
 
     n_mod = -(-n_ticks // mod_every)
@@ -667,12 +675,12 @@ def run_rhythm_sync(config: ScenarioConfig):
 
     def mod_fn(t, phases, i):
         # the feedforward solve starts from the last command
-        cmd = modulate(_ring(phases[leg]), _ring(theta_mod[i]), omega_m, cfg,
+        cmd = modulate(_ring(phases[leg]), _ring(theta_mod[i]), omega_m, sigma, cfg,
                        pair_obs=_ring(phases[pair_leg]), guess=mod_rows[i - 1, 2] if i else 0.0)
         mod_rows[i] = (t, omega_m, cmd.delta_omega, cmd.omega_tilde, cmd.phase_error)
         return cmd.omega_tilde
 
-    final_phases, osc_rows, plant_rows = _simulate(cfg, f_gait, mod_fn=mod_fn)
+    final_phases, osc_rows, plant_rows = _simulate(cfg, state, mod_fn=mod_fn)
 
     t_plant, f_leg = plant_rows[:, 0], plant_rows[:, 1 + leg]
     beats = analysis.grid.beat_times
@@ -791,13 +799,13 @@ def run_estimator_curriculum(config: ScenarioConfig):
     tracking bounds. A non-finite phase raises RunFailedError naming the
     episode; a failed sweep raises RunFailedError naming the command.
     """
-    cfg = _begin(config)
+    cfg = _begin(_resolve(config, "estimator_curriculum"))
     f_cmd = float(cfg.f_cmd)
     header = {"estimator_mode": cfg.estimator_mode, "iterations": cfg.iterations, "f_cmd": f_cmd}
 
     if cfg.estimator_mode == "fallback":
         fallback = [est.FALLBACK_G] * 4
-        _, _, plant_rows = _simulate(cfg, f_cmd, label="fallback run",
+        _, _, plant_rows = _simulate(cfg, _initial_state(cfg, f_cmd), label="fallback run",
                                      load=lambda phases, g_sim, shares: fallback, log_osc=False)
         return _finish(cfg, header, [("plant", _PLANT_COLUMNS[:5], plant_rows[:, :5])], {
             "estimator_mode": cfg.estimator_mode, "duration_s": cfg.duration, "finite": True,
@@ -820,7 +828,7 @@ def run_estimator_curriculum(config: ScenarioConfig):
         start, end = i * per_episode, (i + 1) * per_episode
         logs = (array("d"), array("d"))
         _, _, plant_rows = _simulate(
-            cfg, f_cmd, label=f"curriculum iteration {i} (rho={rho})",
+            cfg, _initial_state(cfg, f_cmd), label=f"curriculum iteration {i} (rho={rho})",
             load=_curriculum_load(rho, model, logs), log_osc=False)
         data[0, start:end] = np.reshape(logs[0], (-1, 4))
         data[1, start:end] = np.reshape(logs[1], (-1, 4))
@@ -830,8 +838,8 @@ def run_estimator_curriculum(config: ScenarioConfig):
 
     eval_stats = {}
     for f in FREQ_TRACK_COMMANDS:
-        _, _, plant_rows = _simulate(cfg, f, label=f"rho=1 evaluation at f_cmd={f}",
-                                     load=_curriculum_load(1.0, model), log_osc=False)
+        _, _, plant_rows = _simulate(cfg, _initial_state(cfg, f), _curriculum_load(1.0, model),
+                                     label=f"rho=1 evaluation at f_cmd={f}", log_osc=False)
         stats = _leg_stats(plant_rows, 0, f)
         eval_stats[f"{f:.1f}"] = stats
         if (stats["mean_abs_dev_hz"] >= FREQ_DEV_MEAN_BOUND_HZ

@@ -27,8 +27,9 @@ refinements address this without touching the default law:
   regula falsi as its fallback; where the clamp is wide enough for the
   end phase to wrap (delta_max*h > pi/4) it runs Illinois alone.
 
-Both refinements use only the modulator's inputs, the known plant
-model and, for the rollout, one more leg of the oscillator bank.
+Both refinements use only the modulator's inputs, the plant's load law,
+the stance gain sigma of the run's oscillator bank (passed in; the model
+keeps xi = 0) and, for the rollout, one more leg of that bank.
 
 Also here: the four reward scores (phase-force shaping, rhythm
 consistency on the unit ring, smoothed-beat windowing, and the binary
@@ -43,7 +44,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .oscillator import FOOTFALL_PHASE, STANCE_SIGMA, TWO_PI, wrap_signed
+from .oscillator import FOOTFALL_PHASE, TWO_PI, wrap_signed
 from .plant import FLIGHT_THRESHOLD
 
 if TYPE_CHECKING:
@@ -111,14 +112,14 @@ def reward_phase(g_norm, phases) -> float:
     return float(-(g * np.sin(p)).sum())
 
 
-def wobble_amplitude(omega_m: float) -> float:
+def wobble_amplitude(omega_m: float, sigma: float) -> float:
     """Predicted within-cycle phase wobble sigma*G/omega on a steady trot."""
-    return STANCE_SIGMA * TROT_G / omega_m
+    return sigma * TROT_G / omega_m
 
 
-def rollout_phase(phi_j: float, phi_pair: float, rate: float, horizon_s: float,
+def rollout_phase(phi_j: float, phi_pair: float, rate: float, sigma: float, horizon_s: float,
                   substep_s: float, hold_steps: int) -> float:
-    """Phase the trot model reaches after horizon_s at a fixed command.
+    """Phase the trot model with stance gain sigma reaches after horizon_s at a fixed rate.
 
     Forward Euler at the loop's oscillator step substep_s, with the load
     held for hold_steps substeps like the plant's zero-order hold.
@@ -138,8 +139,8 @@ def rollout_phase(phi_j: float, phi_pair: float, rate: float, horizon_s: float,
         # sigma times each leg's load share, grouped as in sigma * G * cos(phi)
         ka = kb = 0.0
         if total > FLIGHT_THRESHOLD:
-            ka = STANCE_SIGMA * (wa / total)
-            kb = STANCE_SIGMA * (wb / total)
+            ka = sigma * (wa / total)
+            kb = sigma * (wb / total)
         steps = range(min(hold_steps, n - start))
         for _ in steps:
             phi_j = (phi_j + substep_s * (rate - ka * cos(phi_j))) % TWO_PI
@@ -184,8 +185,8 @@ def _illinois(gap, lo: float, g_lo: float, hi: float, g_hi: float, width: float,
 
 
 def feedforward_command(phi_j: float, phi_pair: float, theta: float, omega_m: float,
-                        gain_k: float, delta_max: float, substep_s: float, hold_steps: int,
-                        rate_hz: float, guess: float = 0.0) -> float:
+                        sigma: float, gain_k: float, delta_max: float, substep_s: float,
+                        hold_steps: int, rate_hz: float, guess: float = 0.0) -> float:
     """Frequency offset that cancels the stance feedback over one tick.
 
     The proportional law alone leaves the within-cycle stance wobble in
@@ -223,7 +224,7 @@ def feedforward_command(phi_j: float, phi_pair: float, theta: float, omega_m: fl
     2 + SOLVE_STEPS of them in all, so the fallback gets what the secant
     left: where it has to bisect after k secant rollouts, its bracket
     may end up to 2**k times wider than width.
-    substep_s, hold_steps and the command rate rate_hz are the rollout's clock.
+    substep_s, hold_steps and rate_hz are the rollout's clock, sigma its stance gain.
     """
     h = 1.0 / rate_hz
     e = wrap_signed(phi_j - theta)
@@ -233,7 +234,7 @@ def feedforward_command(phi_j: float, phi_pair: float, theta: float, omega_m: fl
 
     def gap(delta: float) -> float:
         if delta not in seen:
-            seen[delta] = wrap_signed(rollout_phase(phi_j, phi_pair, omega_m + delta, h,
+            seen[delta] = wrap_signed(rollout_phase(phi_j, phi_pair, omega_m + delta, sigma, h,
                                                     substep_s, hold_steps) - target)
         return seen[delta]
 
@@ -281,7 +282,7 @@ def feedforward_command(phi_j: float, phi_pair: float, theta: float, omega_m: fl
     return _illinois(gap, lo, g_lo, hi, g_hi, width, h, 2 + SOLVE_STEPS - len(seen))
 
 
-def modulate(phi_obs_j, theta_obs, omega_m: float, cfg: ScenarioConfig,
+def modulate(phi_obs_j, theta_obs, omega_m: float, sigma: float, cfg: ScenarioConfig,
              pair_obs=None, guess: float = 0.0) -> ModulatorCommand:
     """One frequency command from the tracked leg's phase and the music phase.
 
@@ -291,7 +292,8 @@ def modulate(phi_obs_j, theta_obs, omega_m: float, cfg: ScenarioConfig,
     the module docstring; the clamp always applies to the command.
     cfg, the run's resolved ScenarioConfig, sets gain_k, delta_max,
     error_mode and feedforward; the feedforward rollout runs on the run's
-    fixed clock and its plant rate.
+    fixed clock and its plant rate, with sigma, the tracked leg's stance
+    gain in the run's bank, which also sets the footfall law's wobble.
     pair_obs, a (cos, sin) observation of a leg from the opposite
     diagonal pair, feeds the feedforward rollout model; the raw and
     footfall laws ignore it. guess is the command the feedforward solve
@@ -308,7 +310,7 @@ def modulate(phi_obs_j, theta_obs, omega_m: float, cfg: ScenarioConfig,
         # 3*pi/2 at the stance midpoint, which is the footfall event
         # the force trace reports, so locking it to theta centers
         # footfalls on beats; the feedforward solve steers the raw error
-        a = wobble_amplitude(omega_m)
+        a = wobble_amplitude(omega_m, sigma)
         e = wrap_signed(phi_j - theta - a * max(0.0, -math.sin(phi_j)))
     else:
         e = wrap_signed(phi_j - theta)
@@ -318,7 +320,7 @@ def modulate(phi_obs_j, theta_obs, omega_m: float, cfg: ScenarioConfig,
     if cfg.feedforward:
         oc, os_ = pair_obs
         _, hold_steps, _ = cfg.ticks()
-        delta = feedforward_command(phi_j, math.atan2(os_, oc) % TWO_PI, theta, omega_m,
+        delta = feedforward_command(phi_j, math.atan2(os_, oc) % TWO_PI, theta, omega_m, sigma,
                                     cfg.gain_k, delta_max, 1.0 / cfg.rate_oscillator_hz,
                                     hold_steps, cfg.rate_modulator_hz, guess=guess)
     else:

@@ -22,7 +22,9 @@ def golden_run(tmp_path_factory):
     runs = {}
 
     def run(config: dict) -> Path:
-        key = json.dumps(config, sort_keys=True)
+        # run_scenario sets the outdir, so a manifest's "outdir": null
+        # and a GOLDEN_SCENARIOS entry without one name the same run
+        key = json.dumps({k: v for k, v in config.items() if k != "outdir"}, sort_keys=True)
         if key not in runs:
             runs[key] = regen_goldens.run_scenario(config, tmp_path_factory.mktemp("golden"))
         return runs[key]

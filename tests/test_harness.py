@@ -23,6 +23,7 @@ from beatgait.harness import (
     REWARD_VARIANTS,
     RunLog,
     ScenarioConfig,
+    _initial_state,
     _simulate,
     run_estimator_curriculum,
     run_frequency_tracking,
@@ -450,7 +451,7 @@ def _assert_writes_savetxt(outdir, data):
 def _loop(load=None, mod_fn=None, duration=1.0):
     """The shared loop at 1 kHz, a 100 Hz plant and a 20 Hz modulator, f = 2 Hz."""
     cfg = ScenarioConfig(mode="freq_track", duration=duration, rate_plant_hz=100).resolve()
-    return _simulate(cfg, 2.0, load=load, mod_fn=mod_fn)
+    return _simulate(cfg, _initial_state(cfg, 2.0), load=load, mod_fn=mod_fn)
 
 
 def _euler(osc, held, omega):
@@ -741,12 +742,13 @@ class TestCurriculum:
         cfg = ScenarioConfig(mode="estimator_curriculum", duration=1.0,
                              perturb_rad=1.0).resolve()
         first = (array("d"), array("d"))
-        _, _, plant = _simulate(cfg, 2.0, load=harness._curriculum_load(0.0, None, first),
-                                log_osc=False)
+        _, _, plant = _simulate(cfg, _initial_state(cfg, 2.0),
+                                load=harness._curriculum_load(0.0, None, first), log_osc=False)
         model = estimator.fit(estimator.EstimatorInput(
             np.reshape(first[0], (-1, 4)), np.reshape(first[1], (-1, 4))), plant[:, 5:9])
         logs = (array("d"), array("d"))
-        _, osc, plant = _simulate(cfg, 2.0, load=harness._curriculum_load(0.5, model, logs))
+        _, osc, plant = _simulate(cfg, _initial_state(cfg, 2.0),
+                                  load=harness._curriculum_load(0.5, model, logs))
         phases = osc[::cfg.rate_oscillator_hz // cfg.rate_plant_hz, 1:5]
         assert len(phases) == len(plant) == cfg.duration * cfg.rate_plant_hz
         indicators = np.where(phases >= math.pi, 1.0, 0.0)
@@ -782,6 +784,21 @@ class TestCurriculum:
         _, mse = runlog.streams["mse"]
         assert mse.shape == (11, 3)
         json.dumps(report)  # everything must stay JSON-clean
+
+
+_RUNNERS = {"freq_track": run_frequency_tracking, "rhythm_sync": run_rhythm_sync,
+            "estimator_curriculum": run_estimator_curriculum}
+
+
+@pytest.mark.parametrize("own, foreign", [(own, foreign) for own in _RUNNERS
+                                          for foreign in MODES if foreign != own])
+def test_other_modes_config_rejected(own, foreign, tmp_path):
+    # unchecked, a foreign config crashes in float(None) or writes its
+    # report under the wrong mode
+    outdir = tmp_path / "run"
+    with pytest.raises(InputError, match=f"the {own} runner was given a {foreign} config"):
+        _RUNNERS[own](ScenarioConfig(mode=foreign, outdir=str(outdir)))
+    assert not outdir.exists()
 
 
 @pytest.mark.parametrize("run, kwargs", [
