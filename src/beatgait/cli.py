@@ -36,7 +36,6 @@ from pathlib import Path
 from .errors import BeatGaitError, writing
 from .harness import (
     ESTIMATOR_MODES,
-    REWARD_VARIANTS,
     ScenarioConfig,
     run_estimator_curriculum,
     run_frequency_tracking,
@@ -79,8 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="input clip; omit to synthesize a click track")
     rs.add_argument("--bpm", type=float, dest="synth_bpm", metavar="BPM",
                     help="click track tempo when no --audio is given")
-    rs.add_argument("--reward", choices=REWARD_VARIANTS,
-                    help="headline reward variant for the report")
     rs.add_argument("--gain-k", type=float, dest="gain_k", metavar="K",
                     help="phase error feedback gain (default 2.0)")
     rs.add_argument("--error-mode", choices=ERROR_MODES, dest="error_mode",
@@ -151,9 +148,9 @@ def _cmd_rhythm_sync(args: argparse.Namespace) -> int:
           f"tempo={report['tempo_bpm_estimate']:.3f} bpm  "
           f"f_gait={report['f_gait_hz']:.4f} Hz")
     print(f"delta_t_max={dt_max * 1e3:.2f} ms  "
-          f"omega_std={metrics.omega_std:.4f} rad/s  "
-          f"reward[{report['reward_variant']}]="
-          f"{report['reward_means_post_warmup'][report['reward_variant']]:.4f}")
+          f"omega_std={metrics.omega_std:.4f} rad/s")
+    print("rewards: " + "  ".join(
+        f"{name}={mean:.4f}" for name, mean in report["reward_means_post_warmup"].items()))
     print(f"artifacts: {cfg.outdir}")
     return 0
 

@@ -60,8 +60,6 @@ from .plant import PlantConfig, contact_onsets, grf_from_phases, kinematic_beats
 
 MODES = ("freq_track", "rhythm_sync", "estimator_curriculum")
 
-REWARD_VARIANTS = ("rhythm", "r1", "r2")
-
 ESTIMATOR_MODES = ("learned", "fallback")
 
 #: Nominal command sweep of the frequency-tracking experiment, Hz.
@@ -71,8 +69,7 @@ FREQ_TRACK_COMMANDS = (1.5, 2.0, 2.5, 3.0, 3.5, 4.0)
 MAX_JSON_INT = 2**53 - 1
 
 #: The choices of each plain str field of ScenarioConfig.
-_CHOICES = {"mode": MODES, "reward": REWARD_VARIANTS, "error_mode": ERROR_MODES,
-            "estimator_mode": ESTIMATOR_MODES}
+_CHOICES = {"mode": MODES, "error_mode": ERROR_MODES, "estimator_mode": ESTIMATOR_MODES}
 
 #: ScenarioConfig's field annotations: the accepted types and how a message names them.
 _FIELD_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a finite number"),
@@ -129,7 +126,6 @@ class ScenarioConfig:
     audio_path: str | None = None
     synth_bpm: float | None = None
     duration: float | None = None
-    reward: str = "rhythm"
     seed: int = 0
     rate_plant_hz: int | None = None
     outdir: str | None = None
@@ -645,10 +641,9 @@ def run_rhythm_sync(config: ScenarioConfig):
     frequency by octave folding, then run the multi-rate loop with the
     configured modulator variant. Scores beat alignment (interior
     footfalls vs the beat grid after warm-up), the 20 Hz command
-    spread, and all four reward traces regardless of which variant the
-    config emphasizes. A clip whose envelope is shorter than the run
-    raises InsufficientDataError before anything is simulated; graded
-    metrics that are not finite raise RunFailedError.
+    spread, and all four reward traces. A clip whose envelope is shorter
+    than the run raises InsufficientDataError before anything is
+    simulated; graded metrics that are not finite raise RunFailedError.
     """
     cfg = _resolve(config, "rhythm_sync")
     clip = _resolve_clip(cfg)  # read first, so a WAV it cannot use leaves no outdir
@@ -665,50 +660,48 @@ def run_rhythm_sync(config: ScenarioConfig):
     n_ticks, plant_every, mod_every = cfg.ticks()
     state = _initial_state(cfg, f_gait)
     leg = cfg.target_leg - 1
-    sigma = state[2][leg]  # the model's stance gain is the bank's own
+    sigma, xi = state[2][leg], state[3][leg]  # the model's stance gain and bias: the bank's
     pair_leg = 1 if leg in (0, 3) else 0  # one leg of the opposite diagonal
 
-    n_mod = -(-n_ticks // mod_every)
-    t_mod = np.arange(n_mod) / cfg.rate_modulator_hz
-    theta_mod = interpolate_phase(analysis.grid, t_mod)
-    mod_rows = np.empty((n_mod, 5))
+    # the modulator's ticks, as _simulate times them: bit-equal to tick * dt
+    t = np.arange(0, n_ticks, mod_every) * (1.0 / cfg.rate_oscillator_hz)
+    theta_mod = interpolate_phase(analysis.grid, t)
+    mod_rows = np.empty((t.size, 5))
 
-    def mod_fn(t, phases, i):
+    def mod_fn(_, phases, i):
         # the feedforward solve starts from the last command
-        cmd = modulate(_ring(phases[leg]), _ring(theta_mod[i]), omega_m, sigma, cfg,
+        cmd = modulate(_ring(phases[leg]), _ring(theta_mod[i]), omega_m, sigma, xi, cfg,
                        pair_obs=_ring(phases[pair_leg]), guess=mod_rows[i - 1, 2] if i else 0.0)
-        mod_rows[i] = (t, omega_m, cmd.delta_omega, cmd.omega_tilde, cmd.phase_error)
+        mod_rows[i] = (t[i], omega_m, cmd.delta_omega, cmd.omega_tilde, cmd.phase_error)
         return cmd.omega_tilde
 
     final_phases, osc_rows, plant_rows = _simulate(cfg, state, mod_fn=mod_fn)
 
-    t_plant, f_leg = plant_rows[:, 0], plant_rows[:, 1 + leg]
     beats = analysis.grid.beat_times
+    kin = kinematic_beats(plant_rows[:, 0], plant_rows[:, 1 + leg])
 
     # rewards from what each modulator update saw: its tick time t, the
     # music phase, the phases and the held loads. r2 counts a music beat
-    # (on the modulator's time grid) or a contact onset (on the tick
-    # times) when it falls in the tick that ends at the update.
+    # or a kinematic beat, the event beat_alignment grades, when it falls
+    # in the tick that ends at the update.
     tick_s = 1.0 / cfg.rate_modulator_hz
 
     def in_tick(events, ends):
         return (np.searchsorted(events, ends, side="right")
                 > np.searchsorted(events, ends - tick_s, side="right"))
 
-    t = mod_rows[:, 0]
     phases = osc_rows[::mod_every, 1:5]
     loads = plant_rows[::mod_every // plant_every, 5:9]
-    music_beat = in_tick(beats, t_mod)
-    kin_beat = in_tick(contact_onsets(t_plant, f_leg), t)
+    music_beat = in_tick(beats, t)
+    kin_beat = in_tick(kin, t)
     frames = np.minimum(np.round(t * FRAME_RATE_HZ).astype(int), analysis.smoothed.size - 1)
     reward_rows = np.array([
         (t[i], reward_rhythm(_ring(phases[i, leg]), _ring(theta_mod[i])),
          reward_r1(analysis.smoothed[frames[i]], phases[i, leg]),
          reward_r2(bool(music_beat[i]), bool(kin_beat[i])),
          reward_phase(loads[i], phases[i]))
-        for i in range(n_mod)])
+        for i in range(t.size)])
 
-    kin = kinematic_beats(t_plant, f_leg)
     deltas, delta_max = beat_alignment(kin, beats, warmup_s=cfg.warmup_s)
     post = t >= cfg.warmup_s
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite spread raises below
@@ -755,7 +748,6 @@ def run_rhythm_sync(config: ScenarioConfig):
                       "error_mode": "raw" if cfg.feedforward else cfg.error_mode,
                       "feedforward": cfg.feedforward, "target_leg": cfg.target_leg},
         "warmup_s": cfg.warmup_s,
-        "reward_variant": cfg.reward,
         "reward_means_post_warmup": reward_means,
         "metrics": report_metrics.to_dict(),
     })

@@ -28,8 +28,9 @@ refinements address this without touching the default law:
   end phase to wrap (delta_max*h > pi/4) it runs Illinois alone.
 
 Both refinements use only the modulator's inputs, the plant's load law,
-the stance gain sigma of the run's oscillator bank (passed in; the model
-keeps xi = 0) and, for the rollout, one more leg of that bank.
+the stance gain sigma of the run's oscillator bank and, for the rollout,
+its feedback bias xi and one more leg of that bank (both passed in; the
+footfall law's wobble model keeps xi = 0).
 
 Also here: the four reward scores (phase-force shaping, rhythm
 consistency on the unit ring, smoothed-beat windowing, and the binary
@@ -117,9 +118,9 @@ def wobble_amplitude(omega_m: float, sigma: float) -> float:
     return sigma * TROT_G / omega_m
 
 
-def rollout_phase(phi_j: float, phi_pair: float, rate: float, sigma: float, horizon_s: float,
-                  substep_s: float, hold_steps: int) -> float:
-    """Phase the trot model with stance gain sigma reaches after horizon_s at a fixed rate.
+def rollout_phase(phi_j: float, phi_pair: float, rate: float, sigma: float, xi: float,
+                  horizon_s: float, substep_s: float, hold_steps: int) -> float:
+    """Phase the trot model (stance gain sigma, bias xi) reaches after horizon_s at a fixed rate.
 
     Forward Euler at the loop's oscillator step substep_s, with the load
     held for hold_steps substeps like the plant's zero-order hold.
@@ -128,7 +129,8 @@ def rollout_phase(phi_j: float, phi_pair: float, rate: float, sigma: float, hori
     whose feet move in step (at unit force scale), which reproduces the
     graded loads of the double-support windows around stance handoffs.
     The loads are set once per hold window; the two legs do not interact
-    inside one, so each is stepped through it in turn.
+    inside one, so each is stepped through it in turn, and the bias term
+    sigma * G * xi, constant over the window, is folded into its rate.
     """
     n = max(1, int(round(horizon_s / substep_s)))
     cos = math.cos
@@ -141,11 +143,12 @@ def rollout_phase(phi_j: float, phi_pair: float, rate: float, sigma: float, hori
         if total > FLIGHT_THRESHOLD:
             ka = sigma * (wa / total)
             kb = sigma * (wb / total)
+        ra, rb = rate - ka * xi, rate - kb * xi
         steps = range(min(hold_steps, n - start))
         for _ in steps:
-            phi_j = (phi_j + substep_s * (rate - ka * cos(phi_j))) % TWO_PI
+            phi_j = (phi_j + substep_s * (ra - ka * cos(phi_j))) % TWO_PI
         for _ in steps:
-            phi_pair = (phi_pair + substep_s * (rate - kb * cos(phi_pair))) % TWO_PI
+            phi_pair = (phi_pair + substep_s * (rb - kb * cos(phi_pair))) % TWO_PI
     return phi_j
 
 
@@ -185,7 +188,7 @@ def _illinois(gap, lo: float, g_lo: float, hi: float, g_hi: float, width: float,
 
 
 def feedforward_command(phi_j: float, phi_pair: float, theta: float, omega_m: float,
-                        sigma: float, gain_k: float, delta_max: float, substep_s: float,
+                        sigma: float, xi: float, gain_k: float, delta_max: float, substep_s: float,
                         hold_steps: int, rate_hz: float, guess: float = 0.0) -> float:
     """Frequency offset that cancels the stance feedback over one tick.
 
@@ -224,7 +227,8 @@ def feedforward_command(phi_j: float, phi_pair: float, theta: float, omega_m: fl
     2 + SOLVE_STEPS of them in all, so the fallback gets what the secant
     left: where it has to bisect after k secant rollouts, its bracket
     may end up to 2**k times wider than width.
-    substep_s, hold_steps and rate_hz are the rollout's clock, sigma its stance gain.
+    substep_s, hold_steps and rate_hz are the rollout's clock, sigma and xi
+    its stance gain and feedback bias.
     """
     h = 1.0 / rate_hz
     e = wrap_signed(phi_j - theta)
@@ -234,8 +238,8 @@ def feedforward_command(phi_j: float, phi_pair: float, theta: float, omega_m: fl
 
     def gap(delta: float) -> float:
         if delta not in seen:
-            seen[delta] = wrap_signed(rollout_phase(phi_j, phi_pair, omega_m + delta, sigma, h,
-                                                    substep_s, hold_steps) - target)
+            seen[delta] = wrap_signed(rollout_phase(phi_j, phi_pair, omega_m + delta, sigma, xi,
+                                                    h, substep_s, hold_steps) - target)
         return seen[delta]
 
     # 2*delta_max*2**-40 (no overflow), floored at the 0.25 rad/s clamp
@@ -282,8 +286,8 @@ def feedforward_command(phi_j: float, phi_pair: float, theta: float, omega_m: fl
     return _illinois(gap, lo, g_lo, hi, g_hi, width, h, 2 + SOLVE_STEPS - len(seen))
 
 
-def modulate(phi_obs_j, theta_obs, omega_m: float, sigma: float, cfg: ScenarioConfig,
-             pair_obs=None, guess: float = 0.0) -> ModulatorCommand:
+def modulate(phi_obs_j, theta_obs, omega_m: float, sigma: float, xi: float,
+             cfg: ScenarioConfig, pair_obs=None, guess: float = 0.0) -> ModulatorCommand:
     """One frequency command from the tracked leg's phase and the music phase.
 
     Default law: delta_omega = clamp(-k * e, +-delta_max) with
@@ -292,8 +296,9 @@ def modulate(phi_obs_j, theta_obs, omega_m: float, sigma: float, cfg: ScenarioCo
     the module docstring; the clamp always applies to the command.
     cfg, the run's resolved ScenarioConfig, sets gain_k, delta_max,
     error_mode and feedforward; the feedforward rollout runs on the run's
-    fixed clock and its plant rate, with sigma, the tracked leg's stance
-    gain in the run's bank, which also sets the footfall law's wobble.
+    fixed clock and its plant rate, with sigma and xi, the tracked leg's
+    stance gain and feedback bias in the run's bank; sigma also sets the
+    footfall law's wobble, whose model keeps xi = 0.
     pair_obs, a (cos, sin) observation of a leg from the opposite
     diagonal pair, feeds the feedforward rollout model; the raw and
     footfall laws ignore it. guess is the command the feedforward solve
@@ -321,7 +326,7 @@ def modulate(phi_obs_j, theta_obs, omega_m: float, sigma: float, cfg: ScenarioCo
         oc, os_ = pair_obs
         _, hold_steps, _ = cfg.ticks()
         delta = feedforward_command(phi_j, math.atan2(os_, oc) % TWO_PI, theta, omega_m, sigma,
-                                    cfg.gain_k, delta_max, 1.0 / cfg.rate_oscillator_hz,
+                                    xi, cfg.gain_k, delta_max, 1.0 / cfg.rate_oscillator_hz,
                                     hold_steps, cfg.rate_modulator_hz, guess=guess)
     else:
         delta = -cfg.gain_k * e

@@ -129,7 +129,9 @@ def contact_onsets(t: np.ndarray, f: np.ndarray) -> np.ndarray:
     perturbed trot the onset lags the phase crossing pi. Far from a
     trot, in a walk-like pattern with three-foot supports, a foot can
     lose and regain its load within one stance, and each regain counts
-    as another onset.
+    as another onset. Onsets time stepping frequencies (stepping_frequency);
+    a run times beats by kinematic_beats, which falls about a quarter
+    cycle later, at the stance's force peak.
     """
     rising = (f[1:] > 0.0) & (f[:-1] == 0.0)
     return t[1:][rising]

@@ -141,6 +141,19 @@ class TestExitCodes:
         assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_config_error_reward_key(self, tmp_path, capsys):
+        # every run reports all four reward means, so nothing picks one
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"mode": "rhythm_sync", "reward": "rhythm"}))
+        code = run_cli("rhythm-sync", "--config", str(p), "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "unknown config keys: ['reward']" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            run_cli("rhythm-sync", "--reward", "rhythm", "--out", str(tmp_path / "o"))
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --reward rhythm" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_data_error_standing_freq_track(self, tmp_path, capsys):
         # |v_cmd| <= 0.5 selects the standing bank: every leg holds
         # mid-stance, so no foot lifts and no contact onset comes

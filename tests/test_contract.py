@@ -36,7 +36,6 @@ from beatgait.errors import BeatGaitError
 from beatgait.harness import (
     ESTIMATOR_MODES,
     MODES,
-    REWARD_VARIANTS,
     ScenarioConfig,
     run_estimator_curriculum,
     run_frequency_tracking,
@@ -62,7 +61,6 @@ def _valid(wav: str) -> dict:
         "audio_path": st.sampled_from([None, None, wav, str(Path(wav).with_name("none.wav"))]),
         "synth_bpm": st.none() | st.floats(20.0, 400.0),
         "duration": st.just(1.0) | st.floats(0.05, 1.0),
-        "reward": st.sampled_from(REWARD_VARIANTS),
         "seed": st.integers(0, 2**32),
         "rate_plant_hz": st.sampled_from([None, 100, 200, 500]),
         "outdir": st.sampled_from([None, "run"]),

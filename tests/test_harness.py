@@ -20,7 +20,6 @@ from beatgait.harness import (
     ESTIMATOR_MODES,
     FREQ_TRACK_COMMANDS,
     MODES,
-    REWARD_VARIANTS,
     RunLog,
     ScenarioConfig,
     _initial_state,
@@ -30,8 +29,9 @@ from beatgait.harness import (
     run_rhythm_sync,
     scheduler_tick,
 )
-from beatgait.modulator import ERROR_MODES, ModulatorCommand
-from beatgait.music import MAX_SAMPLES, save_wav, synth_click_track
+from beatgait.modulator import ERROR_MODES, ModulatorCommand, reward_rhythm
+from beatgait.music import MAX_SAMPLES, analyze_clip, interpolate_phase, save_wav, \
+    synth_click_track
 from beatgait.oscillator import TWO_PI
 from beatgait.plant import stance_weight, support_shares
 
@@ -67,13 +67,12 @@ class TestScenarioConfig:
 
     def test_variant_tuples(self):
         assert MODES == ("freq_track", "rhythm_sync", "estimator_curriculum")
-        assert REWARD_VARIANTS == ("rhythm", "r1", "r2")
         assert ESTIMATOR_MODES == ("learned", "fallback")
         assert FREQ_TRACK_COMMANDS == (1.5, 2.0, 2.5, 3.0, 3.5, 4.0)
 
     @pytest.mark.parametrize("kwargs", [
         {"mode": "dance"},
-        {"mode": "freq_track", "reward": "r9"},
+        {"mode": "freq_track", "target_leg": 5},
         {"mode": "freq_track", "seed": -1},
         {"mode": "freq_track", "seed": 1.5},
         {"mode": "freq_track", "duration": 0.0},
@@ -129,8 +128,7 @@ class TestScenarioConfig:
         # __post_init__ reads each annotation as a string (the __future__
         # import); every kind it knows refuses a list, and every plain str
         # field is a choice field refused with its allowed tuple
-        choices = {"mode": MODES, "reward": REWARD_VARIANTS, "error_mode": ERROR_MODES,
-                   "estimator_mode": ESTIMATOR_MODES}
+        choices = {"mode": MODES, "error_mode": ERROR_MODES, "estimator_mode": ESTIMATOR_MODES}
         for f in fields(ScenarioConfig):
             assert isinstance(f.type, str), f.name
             kind, _, optional = f.type.partition(" | ")
@@ -210,7 +208,7 @@ class TestScenarioConfig:
     def test_clock_is_fixed(self):
         # the oscillator and modulator rates are class attributes, not fields
         names = {f.name for f in fields(ScenarioConfig)}
-        assert len(names) == 19
+        assert len(names) == 18 and "reward" not in names
         assert "rate_oscillator_hz" not in names and "rate_modulator_hz" not in names
         assert ScenarioConfig.rate_oscillator_hz == 1000
         assert ScenarioConfig.rate_modulator_hz == 20
@@ -702,6 +700,31 @@ class TestRhythmSync:
         _, rows = runlog.streams["rewards"]
         assert np.all(rows[:, 1] >= 0) and np.all(rows[:, 1] <= 1)  # rhythm
         assert np.all(np.isin(rows[:, 3], (-1.0, 1.0)))  # r2
+
+    def test_r2_answers_beats_with_kinematic_beats(self, short_run):
+        # r2 reads the footfalls beat_alignment grades; a load onset comes
+        # a quarter cycle before one and never shares a beat's tick, which
+        # left every beat after warm-up unanswered (14 here, 50 in 30 s)
+        runlog, _, _ = short_run
+        _, rows = runlog.streams["rewards"]
+        assert np.count_nonzero(rows[rows[:, 0] >= 5.0, 3] == -1.0) <= 4
+        _, _, report = run_rhythm_sync(
+            ScenarioConfig(mode="rhythm_sync", synth_bpm=120.0, duration=30.0))
+        assert report["reward_means_post_warmup"]["r2"] == 1.0
+
+    def test_rhythm_reward_on_the_loop_clock(self, short_run):
+        # the music phase is read at each modulator tick's own time, the
+        # osc rows' clock; a clock of i / 20 differed from it in the last
+        # bit on 43 of these 240 ticks and moved the reward on 41
+        runlog, _, _ = short_run
+        _, osc = runlog.streams["osc"]
+        _, rows = runlog.streams["rewards"]
+        t, phi = osc[::50, 0], osc[::50, 1]  # target leg 1
+        theta = interpolate_phase(analyze_clip(synth_click_track(120.0, 14.0)).grid, t)
+        expected = [reward_rhythm((math.cos(p), math.sin(p)), (math.cos(q), math.sin(q)))
+                    for p, q in zip(phi, theta)]
+        assert np.array_equal(rows[:, 0], t)
+        assert rows[:, 1].tolist() == expected
 
 
 class TestCurriculum:

@@ -29,8 +29,8 @@ angles = st.floats(min_value=0.0, max_value=TWO_PI - 1e-9)
 #: 20 Hz command rate after it.
 CLOCK = (1e-3, 10)
 
-#: The stance gain of a moving bank, which every model here is given.
-SIGMA = STANCE_SIGMA
+#: The stance gain and feedback bias of a moving bank, which every model here is given.
+SIGMA, XI = STANCE_SIGMA, 0.0
 
 
 def unit(phi):
@@ -109,31 +109,31 @@ class TestModulate:
     @pytest.mark.parametrize("f_hz", [2.0, 4.0])
     def test_lock_point(self, f_hz):
         omega = TWO_PI * f_hz
-        cmd = modulate(unit(1.0), unit(1.0), omega, SIGMA, run_cfg())
+        cmd = modulate(unit(1.0), unit(1.0), omega, SIGMA, XI, run_cfg())
         assert cmd.delta_omega == 0.0
         assert cmd.omega_tilde == omega
 
     def test_proportional_example(self):
         cfg = run_cfg(gain_k=2.0, delta_max=3.0)
-        cmd = modulate(unit(0.1), unit(0.0), self.OMEGA, SIGMA, cfg)
+        cmd = modulate(unit(0.1), unit(0.0), self.OMEGA, SIGMA, XI, cfg)
         assert cmd.delta_omega == pytest.approx(-0.2, abs=1e-9)
         assert cmd.phase_error == pytest.approx(0.1, abs=1e-9)
 
     def test_clamp_example(self):
         cfg = run_cfg(gain_k=10.0, delta_max=2.0)
-        cmd = modulate(unit(math.pi - 1e-9), unit(0.0), self.OMEGA, SIGMA, cfg)
+        cmd = modulate(unit(math.pi - 1e-9), unit(0.0), self.OMEGA, SIGMA, XI, cfg)
         assert cmd.delta_omega == pytest.approx(-2.0)
 
     def test_sign_correctness(self):
         cfg = run_cfg()
-        lead = modulate(unit(0.4), unit(0.1), self.OMEGA, SIGMA, cfg)
-        lag = modulate(unit(0.1), unit(0.4), self.OMEGA, SIGMA, cfg)
+        lead = modulate(unit(0.4), unit(0.1), self.OMEGA, SIGMA, XI, cfg)
+        lag = modulate(unit(0.1), unit(0.4), self.OMEGA, SIGMA, XI, cfg)
         assert lead.delta_omega < 0 < lag.delta_omega
 
     def test_default_clamp_resolution(self):
         # default clamp min(0.5 * omega_m, pi) keeps omega_tilde positive
         cfg = run_cfg(gain_k=100.0)
-        cmd = modulate(unit(3.0), unit(0.0), self.OMEGA, SIGMA, cfg)
+        cmd = modulate(unit(3.0), unit(0.0), self.OMEGA, SIGMA, XI, cfg)
         assert abs(cmd.delta_omega) <= 0.5 * self.OMEGA
         assert cmd.omega_tilde > 0
 
@@ -141,7 +141,7 @@ class TestModulate:
         cfg = run_cfg(error_mode="footfall")
         phi = FOOTFALL_PHASE
         theta = 0.3
-        cmd = modulate(unit(phi), unit(theta), self.OMEGA, SIGMA, cfg)
+        cmd = modulate(unit(phi), unit(theta), self.OMEGA, SIGMA, XI, cfg)
         a = wobble_amplitude(self.OMEGA, SIGMA)
         expected = wrap_signed(phi - theta - a * 1.0)  # -sin(3*pi/2) = 1
         assert cmd.phase_error == pytest.approx(expected, abs=1e-9)
@@ -150,21 +150,22 @@ class TestModulate:
         # the standing bank's gain 4 and a raised one, not the module's 2*pi
         theta = 0.3
         for sigma in (4.0, 1.2 * SIGMA):
-            cmd = modulate(unit(FOOTFALL_PHASE), unit(theta), self.OMEGA, sigma,
+            cmd = modulate(unit(FOOTFALL_PHASE), unit(theta), self.OMEGA, sigma, XI,
                            run_cfg(error_mode="footfall"))
             expected = wrap_signed(FOOTFALL_PHASE - theta - sigma * TROT_G / self.OMEGA)
             assert cmd.phase_error == pytest.approx(expected, abs=1e-12)
 
     def test_footfall_matches_raw_in_swing(self):
-        raw = modulate(unit(0.8), unit(0.3), self.OMEGA, SIGMA, run_cfg())
-        foot = modulate(unit(0.8), unit(0.3), self.OMEGA, SIGMA, run_cfg(error_mode="footfall"))
+        raw = modulate(unit(0.8), unit(0.3), self.OMEGA, SIGMA, XI, run_cfg())
+        foot = modulate(unit(0.8), unit(0.3), self.OMEGA, SIGMA, XI,
+                        run_cfg(error_mode="footfall"))
         assert foot.phase_error == pytest.approx(raw.phase_error, abs=1e-12)
 
     @given(angles, angles)
     @settings(max_examples=300)
     def test_anti_windup_property(self, a, b):
         cfg = run_cfg(gain_k=4.0)
-        cmd = modulate(unit(a), unit(b), self.OMEGA, SIGMA, cfg)
+        cmd = modulate(unit(a), unit(b), self.OMEGA, SIGMA, XI, cfg)
         assert abs(cmd.delta_omega) <= 0.5 * self.OMEGA + 1e-12
         assert cmd.omega_tilde > 0
 
@@ -174,14 +175,14 @@ class TestRollout:
 
     def test_swing_is_pure_ramp(self):
         # both pairs in swing carry no load: advance is exactly rate * horizon
-        out = rollout_phase(0.5, 0.5, self.OMEGA, SIGMA, 0.02, *CLOCK)
+        out = rollout_phase(0.5, 0.5, self.OMEGA, SIGMA, XI, 0.02, *CLOCK)
         assert out == pytest.approx((0.5 + self.OMEGA * 0.02) % TWO_PI, abs=1e-12)
 
     def test_stance_slows_single(self):
         # a lone stance leg (pair in swing) carries G = 0.5 exactly; in
         # late stance (cos > 0) that retards the phase
         phi, h = 1.7 * math.pi, 0.05
-        out = rollout_phase(phi, 0.3 * math.pi, self.OMEGA, SIGMA, h, *CLOCK)
+        out = rollout_phase(phi, 0.3 * math.pi, self.OMEGA, SIGMA, XI, h, *CLOCK)
         ramp = (phi + self.OMEGA * h) % TWO_PI
         assert wrap_signed(out - ramp) < 0
         # the ideal-trot model: G = 0.5 through the whole stance
@@ -192,8 +193,8 @@ class TestRollout:
 
     def test_pair_rollout_shares_load(self):
         phi = 1.2 * math.pi
-        lone = rollout_phase(phi, phi - math.pi, self.OMEGA, SIGMA, 0.05, *CLOCK)
-        shared = rollout_phase(phi, phi, self.OMEGA, SIGMA, 0.05, *CLOCK)
+        lone = rollout_phase(phi, phi - math.pi, self.OMEGA, SIGMA, XI, 0.05, *CLOCK)
+        shared = rollout_phase(phi, phi, self.OMEGA, SIGMA, XI, 0.05, *CLOCK)
         # an equal-phase pair halves each leg's share relative to TROT_G
         assert lone != pytest.approx(shared, abs=1e-6)
 
@@ -203,8 +204,11 @@ class TestRollout:
                 sigma * TROT_G / self.OMEGA)
 
     @staticmethod
-    def per_substep_rollout(phi_j, phi_pair, rate, sigma, horizon_s, substep_s, hold_steps):
-        """The rollout as one loop over substeps, loads reset every hold_steps."""
+    def per_substep_rollout(phi_j, phi_pair, rate, sigma, xi, horizon_s, substep_s, hold_steps):
+        """The rollout as one loop over substeps, loads reset every hold_steps.
+
+        The bias term sigma * G * xi is formed anew at every substep.
+        """
         n = max(1, int(round(horizon_s / substep_s)))
         for s in range(n):
             if s % hold_steps == 0:
@@ -216,21 +220,24 @@ class TestRollout:
                 else:
                     ga = wa / total
                     gb = wb / total
-            phi_j = (phi_j + substep_s * (rate - sigma * ga * math.cos(phi_j))) % TWO_PI
-            phi_pair = (phi_pair + substep_s * (rate - sigma * gb * math.cos(phi_pair))) % TWO_PI
+            phi_j = (phi_j + substep_s * (rate - sigma * ga * xi - sigma * ga * math.cos(phi_j))) \
+                % TWO_PI
+            phi_pair = (phi_pair + substep_s
+                        * (rate - sigma * gb * xi - sigma * gb * math.cos(phi_pair))) % TWO_PI
         return phi_j
 
     @given(angles, angles, st.floats(min_value=0.0, max_value=40.0),
            st.sampled_from([1, 2, 7, 10, 20]), st.sampled_from([5e-4, 1e-3, 2e-3]),
            st.integers(min_value=0, max_value=6), st.integers(min_value=1, max_value=19),
-           st.sampled_from([SIGMA, 4.0, 1.2 * SIGMA]))
+           st.sampled_from([SIGMA, 4.0, 1.2 * SIGMA]), st.sampled_from([0.0, 1.0]))
     @settings(max_examples=500, deadline=None)
     def test_hold_windows_match_per_substep_loop(self, phi, pair, rate, hold_steps, step_s,
-                                                 windows, extra, sigma):
+                                                 windows, extra, sigma, xi):
         # most horizons end inside a hold window, which is cut short; the
-        # moving, standing and a raised stance gain
+        # moving, standing and a raised stance gain, and the moving and
+        # standing bias
         n = (windows * hold_steps + extra % hold_steps) or 1
-        args = (phi, pair, rate, sigma, n * step_s, step_s, hold_steps)
+        args = (phi, pair, rate, sigma, xi, n * step_s, step_s, hold_steps)
         assert rollout_phase(*args) == self.per_substep_rollout(*args)
 
     def test_double_support_matches_per_substep_loop(self):
@@ -243,7 +250,7 @@ class TestRollout:
             hold_steps = int(rng.choice([1, 2, 7, 10, 20]))
             step_s = float(rng.choice([5e-4, 1e-3, 2e-3]))
             horizon_s = int(rng.integers(1, 61)) * step_s
-            args = (float(phi), float(pair), rate, SIGMA, horizon_s, step_s, hold_steps)
+            args = (float(phi), float(pair), rate, SIGMA, XI, horizon_s, step_s, hold_steps)
             assert rollout_phase(*args) == self.per_substep_rollout(*args)
 
 
@@ -254,7 +261,7 @@ def bisect_command(phi, pair, theta, omega_m, gain_k, delta_max):
     target = (theta + omega_m * h + e * (1.0 - gain_k * h)) % TWO_PI
 
     def gap(delta):
-        return wrap_signed(rollout_phase(phi, pair, omega_m + delta, SIGMA, h, *CLOCK) - target)
+        return wrap_signed(rollout_phase(phi, pair, omega_m + delta, SIGMA, XI, h, *CLOCK) - target)
 
     lo, hi = -delta_max, delta_max
     g_lo, g_hi = gap(lo), gap(hi)
@@ -286,15 +293,15 @@ class TestFeedforward:
         h = 1.0 / 20
         for phi in (0.3, 1.0, 2.5, 4.0, 5.5):
             theta, pair = phi - 0.15, (phi + math.pi) % TWO_PI
-            delta = feedforward_command(phi, pair, theta, self.OMEGA, SIGMA, 2.0,
+            delta = feedforward_command(phi, pair, theta, self.OMEGA, SIGMA, XI, 2.0,
                                         0.5 * self.OMEGA, *CLOCK, 20)
-            landed = rollout_phase(phi, pair, self.OMEGA + delta, SIGMA, h, *CLOCK)
+            landed = rollout_phase(phi, pair, self.OMEGA + delta, SIGMA, XI, h, *CLOCK)
             target = self.p_target(phi, theta, 2.0, h)
             assert abs(wrap_signed(landed - target)) <= 1e-9
 
     def test_saturates(self):
         # lagging theta by pi - 0.2 asks for more speed-up than the clamp allows
-        delta = feedforward_command(0.0, math.pi, math.pi - 0.2, self.OMEGA, SIGMA, 4.0, 1.0,
+        delta = feedforward_command(0.0, math.pi, math.pi - 0.2, self.OMEGA, SIGMA, XI, 4.0, 1.0,
                                     *CLOCK, 20)
         assert delta == 1.0
 
@@ -310,7 +317,7 @@ class TestFeedforward:
         # saturated ones
         theta = (phi - error) % TWO_PI
         ref, saturated = bisect_command(phi, pair, theta, self.OMEGA, gain_k, delta_max)
-        got = feedforward_command(phi, pair, theta, self.OMEGA, SIGMA, gain_k, delta_max,
+        got = feedforward_command(phi, pair, theta, self.OMEGA, SIGMA, XI, gain_k, delta_max,
                                   *CLOCK, 20)
         if saturated:
             assert got == ref
@@ -359,7 +366,7 @@ class TestFeedforward:
                 target = self.p_target(phi, theta, gain_k, h)
 
                 def gap(delta):
-                    end = rollout(phi, pair, self.OMEGA + delta, SIGMA, h, *CLOCK)
+                    end = rollout(phi, pair, self.OMEGA + delta, SIGMA, XI, h, *CLOCK)
                     return wrap_signed(end - target)
 
                 if not gap(-delta_max) < 0.0 < gap(delta_max):
@@ -367,7 +374,7 @@ class TestFeedforward:
                 counts.append(0)
                 with monkeypatch.context() as m:
                     m.setattr(modulator, "rollout_phase", counted_rollout)
-                    delta = feedforward_command(phi, pair, theta, self.OMEGA, SIGMA, gain_k,
+                    delta = feedforward_command(phi, pair, theta, self.OMEGA, SIGMA, XI, gain_k,
                                                 delta_max, *CLOCK, 20)
                 gaps.append(abs(gap(delta)))
         assert sum(counts) / len(counts) <= 8
@@ -378,14 +385,14 @@ class TestFeedforward:
         """Solve on a synthetic model whose gap is end_offset(delta); (delta, rollouts)."""
         calls = []
 
-        def rollout(phi, pair, rate, sigma, horizon_s, substep_s, hold_steps):
+        def rollout(phi, pair, rate, sigma, xi, horizon_s, substep_s, hold_steps):
             calls.append(rate)
             return (self.OMEGA * horizon_s + end_offset(rate - self.OMEGA)) % TWO_PI
 
         monkeypatch.setattr(modulator, "rollout_phase", rollout)
         # theta = phi: zero phase error, so the target is the plain ramp
-        return (feedforward_command(0.0, math.pi, 0.0, self.OMEGA, SIGMA, 2.0, math.pi, *CLOCK, 20,
-                                    guess=guess), len(calls))
+        return (feedforward_command(0.0, math.pi, 0.0, self.OMEGA, SIGMA, XI, 2.0, math.pi,
+                                    *CLOCK, 20, guess=guess), len(calls))
 
     def test_curved_gap_converges_fast(self, monkeypatch):
         # a convex gap holds one end of a plain regula falsi for many
@@ -415,7 +422,7 @@ class TestFeedforward:
         # tolerance
         theta = (phi - error) % TWO_PI
         ref, saturated = bisect_command(phi, pair, theta, self.OMEGA, gain_k, delta_max)
-        got = feedforward_command(phi, pair, theta, self.OMEGA, SIGMA, gain_k, delta_max,
+        got = feedforward_command(phi, pair, theta, self.OMEGA, SIGMA, XI, gain_k, delta_max,
                                   *CLOCK, 20, guess=where * delta_max)
         if saturated:
             assert got == ref
@@ -437,8 +444,9 @@ class TestFeedforward:
 
         with pytest.MonkeyPatch.context() as m:
             m.setattr(modulator, "rollout_phase", counted_rollout)
-            got = feedforward_command(phi, pair, (phi - error) % TWO_PI, self.OMEGA, SIGMA, gain_k,
-                                      delta_max, *CLOCK, 20, guess=where * min(delta_max, 10.0))
+            got = feedforward_command(phi, pair, (phi - error) % TWO_PI, self.OMEGA, SIGMA, XI,
+                                      gain_k, delta_max, *CLOCK, 20,
+                                      guess=where * min(delta_max, 10.0))
         assert abs(got) <= delta_max
         assert len(calls) <= 2 + SOLVE_STEPS
 
@@ -463,7 +471,7 @@ class TestFeedforward:
     def test_wide_clamp_ignores_guess(self):
         # delta_max * h > pi/4: the end phase may wrap within the clamp
         # range, and the solve runs from the clamp ends
-        args = (1.0, 1.0 + math.pi, 0.8, self.OMEGA, SIGMA, 2.0, 20.0, *CLOCK, 20)
+        args = (1.0, 1.0 + math.pi, 0.8, self.OMEGA, SIGMA, XI, 2.0, 20.0, *CLOCK, 20)
         cold = feedforward_command(*args)
         assert all(feedforward_command(*args, guess=g) == cold for g in (-20.0, -3.0, 5.0, 20.0))
 
@@ -502,6 +510,16 @@ class TestFeedforward:
         _, mod = runlog.streams["mod"]
         assert np.abs(mod[mod[:, 0] > 5.0, 4]).max() < 0.05
 
+    def test_model_takes_the_standing_bias(self):
+        # |v_cmd| <= 0.5 selects the standing bank, sigma = 4 and xi = 1:
+        # the rollout takes xi from it too, so the lock holds (a model that
+        # kept xi = 0 read 0.3155 rad after 5 s)
+        runlog, _, _ = run_rhythm_sync(ScenarioConfig(
+            mode="rhythm_sync", synth_bpm=120.0, duration=12.0, v_cmd=0.3,
+            error_mode="raw", feedforward=True))
+        _, mod = runlog.streams["mod"]
+        assert np.abs(mod[mod[:, 0] > 5.0, 4]).max() < 0.05
+
     def test_rollout_on_run_clock(self, monkeypatch):
         # a 200 Hz plant on the 1 kHz oscillator and 20 Hz modulator
         # clock: every rollout spans one 50 ms command tick in 1 ms
@@ -509,9 +527,9 @@ class TestFeedforward:
         clocks = set()
         rollout = modulator.rollout_phase
 
-        def recorded_rollout(phi, pair, rate, sigma, horizon_s, substep_s, hold_steps):
+        def recorded_rollout(phi, pair, rate, sigma, xi, horizon_s, substep_s, hold_steps):
             clocks.add((horizon_s, substep_s, hold_steps))
-            return rollout(phi, pair, rate, sigma, horizon_s, substep_s, hold_steps)
+            return rollout(phi, pair, rate, sigma, xi, horizon_s, substep_s, hold_steps)
 
         monkeypatch.setattr(modulator, "rollout_phase", recorded_rollout)
         run_rhythm_sync(ScenarioConfig(mode="rhythm_sync", synth_bpm=120.0, duration=2.0,
@@ -521,7 +539,7 @@ class TestFeedforward:
     def test_feedforward_via_modulate(self):
         cfg = run_cfg(gain_k=2.0, feedforward=True)
         phi, theta = 2.0, 1.9
-        cmd = modulate(unit(phi), unit(theta), self.OMEGA, SIGMA, cfg,
+        cmd = modulate(unit(phi), unit(theta), self.OMEGA, SIGMA, XI, cfg,
                        pair_obs=unit(phi + math.pi))
         assert abs(cmd.delta_omega) <= 0.5 * self.OMEGA
         assert cmd.phase_error == pytest.approx(wrap_signed(phi - theta), abs=1e-9)
