@@ -45,6 +45,10 @@ GOLDEN_SCENARIOS = {
     "freq_track": {"mode": "freq_track", "f_cmd": 2.0, "seed": 0},
     "rhythm_sync": _RHYTHM,
     "rhythm_sync_feedforward": {**_RHYTHM, "error_mode": "raw", "feedforward": True},
+    # the proportional law on the raw error, without the feedforward solve
+    "rhythm_sync_raw": {**_RHYTHM, "error_mode": "raw"},
+    # clicks past the tempo range: the estimator reads 150 BPM, a 2.5 Hz gait
+    "rhythm_sync_300bpm": {**_RHYTHM, "synth_bpm": 300.0},
     "estimator_curriculum": {"mode": "estimator_curriculum", "estimator_mode": "learned",
                              "iterations": 10, "duration": 2.0, "seed": 0},
     # the benchmark's curriculum scenario, at the default 5 s episodes
@@ -55,12 +59,8 @@ GOLDEN_SCENARIOS = {
     "freq_track_kick_0.5": {**_KICKED, "perturb_rad": 0.5},
     "freq_track_kick_3": {**_KICKED, "perturb_rad": 3.0},
     "rhythm_sync_plant_200hz": {**_RHYTHM, "rate_plant_hz": 200},
-    "rhythm_sync_target_leg_3": {**_RHYTHM, "target_leg": 3},
     "rhythm_sync_wav": {"mode": "rhythm_sync", "audio_path": "clicks_120bpm.wav",
                         "duration": 12.0, "seed": 0},
-    # a clamp below the 0.25 rad/s floor of the feedforward solve's width
-    "rhythm_sync_feedforward_delta_0.1": {**_RHYTHM, "error_mode": "raw", "feedforward": True,
-                                          "delta_max": 0.1},
     "estimator_curriculum_fallback": {"mode": "estimator_curriculum",
                                       "estimator_mode": "fallback", "duration": 30.0,
                                       "seed": 0},

@@ -84,8 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="proportional law's error (default footfall; feedforward steers raw)")
     rs.add_argument("--feedforward", action="store_true", default=None,
                     help="enable the one-tick feedforward solve")
-    rs.add_argument("--delta-max", type=float, dest="delta_max", metavar="RAD_S",
-                    help="command clamp (default min(0.5*omega_m, pi))")
     rs.add_argument("--perturb-rad", type=float, dest="perturb_rad", metavar="RAD",
                     help="random initial phase offset amplitude")
     rs.add_argument("--warmup", type=float, dest="warmup_s", metavar="S",

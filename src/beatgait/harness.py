@@ -97,14 +97,15 @@ class ScenarioConfig:
     None means "resolve the per-mode default": duration and the plant
     rate differ across modes (see _MODE_DEFAULTS), f_cmd defaults to
     2.0 Hz where used, and a rhythm_sync run with neither audio_path
-    nor synth_bpm synthesizes 120 BPM clicks. The oscillator (1 kHz)
-    and modulator (20 Hz) rates are the same in every run, so they are
-    not fields: a config cannot set them, and the echo omits them.
+    nor synth_bpm synthesizes 120 BPM clicks; a config may not name
+    both. The oscillator (1 kHz) and modulator (20 Hz) rates are the
+    same in every run, and so is target_leg, the leg whose footfalls
+    the modulator locks to the beat (1, RF), so they are not fields: a
+    config cannot set them, and the echo omits them.
 
-    error_mode/feedforward/gain_k/delta_max select the modulator
-    variant for rhythm_sync (error_mode picks the proportional law's
-    error; feedforward steers the raw one), and target_leg the leg
-    whose footfalls it locks to the beat; perturb_rad draws a uniform
+    error_mode/feedforward/gain_k select the modulator variant for
+    rhythm_sync (error_mode picks the proportional law's error;
+    feedforward steers the raw one); perturb_rad draws a uniform
     initial-phase kick from the run's seeded generator; iterations and
     estimator_mode shape the curriculum.
 
@@ -112,9 +113,9 @@ class ScenarioConfig:
     number, an int field an integer within +-(2**53 - 1), neither a
     bool; a bool field takes a bool, a str | None field a string, and
     a plain str field one of its choices (see _CHOICES); "| None"
-    fields may be None. gain_k must be positive and delta_max,
-    where set, positive, in every mode; the modulator reads them
-    unchecked. A learned curriculum needs at least 10 iterations.
+    fields may be None. gain_k must be positive in every mode; the
+    modulator reads it unchecked. A learned curriculum needs at least
+    10 iterations.
     Anything else raises InputError. synth_bpm's range is checked when a
     rhythm_sync run builds its clip. Input is checked here and in
     resolve, not again inside the run.
@@ -130,17 +131,16 @@ class ScenarioConfig:
     rate_plant_hz: int | None = None
     outdir: str | None = None
     warmup_s: float = 5.0
-    target_leg: int = 1
     gain_k: float = 2.0
     error_mode: str = "footfall"
     feedforward: bool = False
-    delta_max: float | None = None
     perturb_rad: float = 0.0
     iterations: int = 10
     estimator_mode: str = "learned"
 
-    rate_oscillator_hz = 1000  # the run clock: class attributes, not fields
+    rate_oscillator_hz = 1000  # the run clock and the tracked leg: class attributes, not fields
     rate_modulator_hz = 20
+    target_leg = 1
 
     def __post_init__(self):
         # JSON configs can carry any type, NaN, Infinity and integers with
@@ -163,16 +163,15 @@ class ScenarioConfig:
                 raise InputError(f"{f.name} must be an integer within +-(2**53 - 1), got {value}")
         if self.seed < 0:
             raise InputError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if self.audio_path is not None and self.synth_bpm is not None:
+            raise InputError(f"a config names audio_path or synth_bpm, not both; got "
+                             f"{self.audio_path!r} and {self.synth_bpm!r}")
         if self.duration is not None and not (self.duration > 0):
             raise InputError(f"duration must be positive, got {self.duration!r}")
         if not (self.gain_k > 0):
             raise InputError(f"gain_k must be positive, got {self.gain_k!r}")
-        if self.delta_max is not None and not (self.delta_max > 0):
-            raise InputError(f"delta_max must be positive, got {self.delta_max!r}")
         if not (self.warmup_s >= 0):
             raise InputError(f"warmup_s must be non-negative, got {self.warmup_s!r}")
-        if self.target_leg not in (1, 2, 3, 4):
-            raise InputError(f"target_leg must be 1..4, got {self.target_leg!r}")
         # the kick is drawn from [-perturb_rad, perturb_rad), a range that must be finite
         if not (self.perturb_rad >= 0 and math.isfinite(2.0 * self.perturb_rad)):
             raise InputError(
@@ -681,9 +680,10 @@ def run_rhythm_sync(config: ScenarioConfig):
     kin = kinematic_beats(plant_rows[:, 0], plant_rows[:, 1 + leg])
 
     # rewards from what each modulator update saw: its tick time t, the
-    # music phase, the phases and the held loads. r2 counts a music beat
-    # or a kinematic beat, the event beat_alignment grades, when it falls
-    # in the tick that ends at the update.
+    # music phase, the phases and the held loads. r2 scores the music
+    # beats that fall in the tick that ends at the update: a beat is
+    # answered by a kinematic beat, the event beat_alignment grades,
+    # within half a tick of it, whichever tick that footfall falls in.
     tick_s = 1.0 / cfg.rate_modulator_hz
 
     def in_tick(events, ends):
@@ -692,13 +692,15 @@ def run_rhythm_sync(config: ScenarioConfig):
 
     phases = osc_rows[::mod_every, 1:5]
     loads = plant_rows[::mod_every // plant_every, 5:9]
+    answered = (np.searchsorted(kin, beats + 0.5 * tick_s, side="right")
+                > np.searchsorted(kin, beats - 0.5 * tick_s, side="left"))
     music_beat = in_tick(beats, t)
-    kin_beat = in_tick(kin, t)
+    missed = in_tick(beats[~answered], t)
     frames = np.minimum(np.round(t * FRAME_RATE_HZ).astype(int), analysis.smoothed.size - 1)
     reward_rows = np.array([
         (t[i], reward_rhythm(_ring(phases[i, leg]), _ring(theta_mod[i])),
          reward_r1(analysis.smoothed[frames[i]], phases[i, leg]),
-         reward_r2(bool(music_beat[i]), bool(kin_beat[i])),
+         reward_r2(bool(music_beat[i]), not missed[i]),
          reward_phase(loads[i], phases[i]))
         for i in range(t.size)])
 

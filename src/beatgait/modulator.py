@@ -24,8 +24,7 @@ refinements address this without touching the default law:
   the stance feedback absent. The wobble is cancelled at its source and
   the logged error decays by (1 - k/rate) per tick. The solve is a
   secant search warm-started at the previous command, with Illinois
-  regula falsi as its fallback; where the clamp is wide enough for the
-  end phase to wrap (delta_max*h > pi/4) it runs Illinois alone.
+  regula falsi as its fallback.
 
 Both refinements use only the modulator's inputs, the plant's load law,
 the stance gain sigma of the run's oscillator bank and, for the rollout,
@@ -58,6 +57,9 @@ ERROR_MODES = ("raw", "footfall")
 
 #: Bisection steps whose resolution the feedforward solve reaches; also its step cap.
 SOLVE_STEPS = 40
+
+#: Command clamp, rad/s: min(0.5*omega_m, pi) for every folded tempo, since omega_m > 2*pi.
+DELTA_MAX = math.pi
 
 
 @dataclass(frozen=True)
@@ -95,9 +97,9 @@ def reward_r1(b_t: float, phi_osc: float) -> float:
     return b_t * math.exp(-(d * d))
 
 
-def reward_r2(music_beat_in_tick: bool, kinematic_beat_in_tick: bool) -> float:
-    """Beat coincidence over one tick: -1 when a music beat goes unanswered."""
-    if music_beat_in_tick and not kinematic_beat_in_tick:
+def reward_r2(music_beat_in_tick: bool, beats_answered: bool) -> float:
+    """Beat coincidence over one tick: -1 when a music beat in it goes unanswered."""
+    if music_beat_in_tick and not beats_answered:
         return -1.0
     return 1.0
 
@@ -188,7 +190,7 @@ def _illinois(gap, lo: float, g_lo: float, hi: float, g_hi: float, width: float,
 
 
 def feedforward_command(phi_j: float, phi_pair: float, theta: float, omega_m: float,
-                        sigma: float, xi: float, gain_k: float, delta_max: float, substep_s: float,
+                        sigma: float, xi: float, gain_k: float, substep_s: float,
                         hold_steps: int, rate_hz: float, guess: float = 0.0) -> float:
     """Frequency offset that cancels the stance feedback over one tick.
 
@@ -199,8 +201,8 @@ def feedforward_command(phi_j: float, phi_pair: float, theta: float, omega_m: fl
     the plain law would put it if the feedback were absent, namely
     theta + omega_m*h plus the decayed error e*(1 - gain_k*h). The
     end phase grows monotonically with delta (faster command, earlier
-    stance holds), so outside the reachable range the clamp bound is
-    returned, matching the plain law's saturation.
+    stance holds), so outside the reachable range the clamp bound
+    +-DELTA_MAX is returned, matching the plain law's saturation.
 
     The solve is warm-started: from guess (clamped; in a run, the
     previous command) it takes secant steps, the first on the free-swing
@@ -214,16 +216,14 @@ def feedforward_command(phi_j: float, phi_pair: float, theta: float, omega_m: fl
     seen; when it has seen none, the two clamp-end rollouts first test
     for saturation and close the bracket. The warm start relies on the
     gap changing sign only at its root, not where the end phase wraps at
-    +-pi. So it runs only while delta_max*h <= pi/4: the end phase then
-    spans about 2*delta_max*h <= pi/2 over the clamp range, and a range
-    holding the root cannot also hold a wrap. Every default clamp,
-    min(0.5*omega, pi) at the run's 20 Hz, is inside that limit; a clamp
-    above 5*pi rad/s there runs the Illinois solve from the clamp ends.
+    +-pi. That needs DELTA_MAX*h <= pi/4, true at any command rate of at
+    least 4 Hz (the run's is 20 Hz): the end phase then spans about
+    2*DELTA_MAX*h <= pi/2 over the clamp range, and a range holding the
+    root cannot also hold a wrap.
 
     Illinois stops once the bracket is no wider than width, what
-    SOLVE_STEPS bisection steps leave of the clamp range (on a clamp of
-    at least 0.25 rad/s, since below that rounding noise sets the
-    resolution). The solve rolls out each command at most once,
+    SOLVE_STEPS bisection steps leave of the clamp range. The solve
+    rolls out each command at most once,
     2 + SOLVE_STEPS of them in all, so the fallback gets what the secant
     left: where it has to bisect after k secant rollouts, its bracket
     may end up to 2**k times wider than width.
@@ -242,47 +242,43 @@ def feedforward_command(phi_j: float, phi_pair: float, theta: float, omega_m: fl
                                                     h, substep_s, hold_steps) - target)
         return seen[delta]
 
-    # 2*delta_max*2**-40 (no overflow), floored at the 0.25 rad/s clamp
-    # below which one width moves the end phase less than the rollout's
-    # rounding noise (about 1e-15 rad)
-    width = max(delta_max, 0.25) * 2.0 ** (1 - SOLVE_STEPS)
+    width = DELTA_MAX * 2.0 ** (1 - SOLVE_STEPS)
     lo = hi = g_lo = g_hi = None  # the tightest bracket seen, g_lo < 0 < g_hi
-    if delta_max * h <= 0.25 * math.pi:
-        x, slope = max(-delta_max, min(float(guess), delta_max)), h
-        x_prev = g_prev = None
-        while len(seen) < SOLVE_STEPS:  # two rollouts stay for the clamp ends
-            g = gap(x)
-            if abs(g) <= h * width:
-                # a root within one width of a clamp end may lie past it:
-                # that end's rollout decides saturation, as it would cold
-                root = x - g / slope
-                if g <= 0.0 and root >= delta_max - width and gap(delta_max) <= 0.0:
-                    return delta_max
-                if g >= 0.0 and root <= width - delta_max and gap(-delta_max) >= 0.0:
-                    return -delta_max
-                return x
-            if g < 0.0:
-                if lo is None or x > lo:
-                    lo, g_lo = x, g
-            elif hi is None or x < hi:
-                hi, g_hi = x, g
-            if x_prev is not None:
-                slope = (g - g_prev) / (x - x_prev)
-                if not (slope > 0.0 and abs(g) <= 0.5 * abs(g_prev)):
-                    break
-            x, x_prev, g_prev = x - g / slope, x, g
-            if not -delta_max <= x <= delta_max:
+    x, slope = max(-DELTA_MAX, min(float(guess), DELTA_MAX)), h
+    x_prev = g_prev = None
+    while len(seen) < SOLVE_STEPS:  # two rollouts stay for the clamp ends
+        g = gap(x)
+        if abs(g) <= h * width:
+            # a root within one width of a clamp end may lie past it:
+            # that end's rollout decides saturation, as it would cold
+            root = x - g / slope
+            if g <= 0.0 and root >= DELTA_MAX - width and gap(DELTA_MAX) <= 0.0:
+                return DELTA_MAX
+            if g >= 0.0 and root <= width - DELTA_MAX and gap(-DELTA_MAX) >= 0.0:
+                return -DELTA_MAX
+            return x
+        if g < 0.0:
+            if lo is None or x > lo:
+                lo, g_lo = x, g
+        elif hi is None or x < hi:
+            hi, g_hi = x, g
+        if x_prev is not None:
+            slope = (g - g_prev) / (x - x_prev)
+            if not (slope > 0.0 and abs(g) <= 0.5 * abs(g_prev)):
                 break
+        x, x_prev, g_prev = x - g / slope, x, g
+        if not -DELTA_MAX <= x <= DELTA_MAX:
+            break
     if lo is None or hi is None:
-        g_a, g_b = gap(-delta_max), gap(delta_max)
+        g_a, g_b = gap(-DELTA_MAX), gap(DELTA_MAX)
         if g_a >= 0.0:
-            return -delta_max
+            return -DELTA_MAX
         if g_b <= 0.0:
-            return delta_max
+            return DELTA_MAX
         if lo is None:
-            lo, g_lo = -delta_max, g_a
+            lo, g_lo = -DELTA_MAX, g_a
         if hi is None:
-            hi, g_hi = delta_max, g_b
+            hi, g_hi = DELTA_MAX, g_b
     return _illinois(gap, lo, g_lo, hi, g_hi, width, h, 2 + SOLVE_STEPS - len(seen))
 
 
@@ -290,15 +286,15 @@ def modulate(phi_obs_j, theta_obs, omega_m: float, sigma: float, xi: float,
              cfg: ScenarioConfig, pair_obs=None, guess: float = 0.0) -> ModulatorCommand:
     """One frequency command from the tracked leg's phase and the music phase.
 
-    Default law: delta_omega = clamp(-k * e, +-delta_max) with
+    Default law: delta_omega = clamp(-k * e, +-DELTA_MAX) with
     e = wrap(phi_j - theta), so a leading oscillator slows down. The
     optional error correction and feedforward modes are described in
     the module docstring; the clamp always applies to the command.
-    cfg, the run's resolved ScenarioConfig, sets gain_k, delta_max,
-    error_mode and feedforward; the feedforward rollout runs on the run's
-    fixed clock and its plant rate, with sigma and xi, the tracked leg's
-    stance gain and feedback bias in the run's bank; sigma also sets the
-    footfall law's wobble, whose model keeps xi = 0.
+    cfg, the run's resolved ScenarioConfig, sets gain_k, error_mode and
+    feedforward; the feedforward rollout runs on the run's fixed clock
+    and its plant rate, with sigma and xi, the tracked leg's stance gain
+    and feedback bias in the run's bank; sigma also sets the footfall
+    law's wobble, whose model keeps xi = 0.
     pair_obs, a (cos, sin) observation of a leg from the opposite
     diagonal pair, feeds the feedforward rollout model; the raw and
     footfall laws ignore it. guess is the command the feedforward solve
@@ -319,17 +315,14 @@ def modulate(phi_obs_j, theta_obs, omega_m: float, sigma: float, xi: float,
         e = wrap_signed(phi_j - theta - a * max(0.0, -math.sin(phi_j)))
     else:
         e = wrap_signed(phi_j - theta)
-    delta_max = cfg.delta_max
-    if delta_max is None:
-        delta_max = min(0.5 * omega_m, math.pi)
     if cfg.feedforward:
         oc, os_ = pair_obs
         _, hold_steps, _ = cfg.ticks()
         delta = feedforward_command(phi_j, math.atan2(os_, oc) % TWO_PI, theta, omega_m, sigma,
-                                    xi, cfg.gain_k, delta_max, 1.0 / cfg.rate_oscillator_hz,
+                                    xi, cfg.gain_k, 1.0 / cfg.rate_oscillator_hz,
                                     hold_steps, cfg.rate_modulator_hz, guess=guess)
     else:
         delta = -cfg.gain_k * e
-    delta = float(min(max(delta, -delta_max), delta_max))
+    delta = float(min(max(delta, -DELTA_MAX), DELTA_MAX))
     return ModulatorCommand(delta_omega=delta, omega_tilde=omega_m + delta,
                             phase_error=float(e))

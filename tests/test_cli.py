@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,8 +12,10 @@ import numpy as np
 import pytest
 
 import beatgait.cli as cli
+from beatgait import harness
 from beatgait.errors import BeatGaitError, RunFailedError
 from beatgait.harness import ScenarioConfig
+from beatgait.modulator import ModulatorCommand
 from beatgait.music import AudioClip, load_wav, save_wav, synth_click_track
 
 
@@ -171,14 +175,13 @@ class TestExitCodes:
         assert "error:" in capsys.readouterr().err
 
     def test_config_error_non_finite_flags(self, tmp_path, capsys):
-        for flag in ("--gain-k", "--perturb-rad", "--duration", "--delta-max", "--bpm",
-                     "--warmup"):
+        for flag in ("--gain-k", "--perturb-rad", "--duration", "--bpm", "--warmup"):
             code = run_cli("rhythm-sync", flag, "inf", "--out", str(tmp_path))
             assert code == 2, flag
             assert "must be a finite number" in capsys.readouterr().err
 
     def test_config_error_bool_for_integer(self, tmp_path, capsys):
-        for field in ("target_leg", "rate_plant_hz", "seed"):
+        for field in ("rate_plant_hz", "seed"):
             p = tmp_path / "cfg.json"
             p.write_text(json.dumps({"mode": "rhythm_sync", field: True}))
             code = run_cli("rhythm-sync", "--config", str(p), "--out", str(tmp_path / "rs"))
@@ -186,35 +189,59 @@ class TestExitCodes:
             assert f"{field} must be an integer" in capsys.readouterr().err
         assert not (tmp_path / "rs").exists()
 
-    def test_divergence_code(self, tmp_path, capsys):
-        # finite flags only (an infinite clamp exits 2): a gain and a clamp
-        # near the float maximum give raw commands whose spread overflows
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = run_cli("rhythm-sync", "--gain-k", "1e308", "--delta-max", "1e308",
-                           "--error-mode", "raw", "--duration", "8", "--out", str(tmp_path))
-        assert code == 4
-        err = capsys.readouterr().err
-        assert "diverged" in err
-        assert "RuntimeWarning" not in err
-        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    @pytest.mark.parametrize("omega, message", [
+        (math.inf, "diverged: oscillator phases non-finite"),
+        (1e308, "diverged: graded metrics not finite"),  # finite, but the spread overflows
+    ])
+    def test_divergence_code(self, omega, message, tmp_path, capsys, monkeypatch):
+        # the clamp keeps every config's commands finite and small, so a
+        # modulator whose commands alternate between +-omega stands in
+        signs = itertools.cycle((1.0, -1.0))
 
-    def test_overflowing_spread_code(self, tmp_path, capsys):
-        # finite commands near the float maximum overflow their spread omega_std
+        def runaway(*args, **kwargs):
+            cmd = next(signs) * omega
+            return ModulatorCommand(delta_omega=cmd, omega_tilde=cmd, phase_error=0.0)
+
+        monkeypatch.setattr(harness, "modulate", runaway)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code = run_cli("rhythm-sync", "--gain-k", "1e308", "--delta-max", "1e308",
-                           "--error-mode", "raw", "--feedforward", "--duration", "8",
-                           "--out", str(tmp_path))
+            code = run_cli("rhythm-sync", "--duration", "8", "--out", str(tmp_path))
         assert code == 4
         err = capsys.readouterr().err
-        assert "diverged: graded metrics not finite" in err
+        assert message in err
+        assert "RuntimeWarning" not in err
         assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("key", ["delta_max", "target_leg"])
+    def test_config_error_removed_knob(self, key, tmp_path, capsys):
+        # the clamp is DELTA_MAX and the tracked leg RF in every run: an
+        # older config echo replays once the line naming either is deleted
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"mode": "rhythm_sync", key: 1}))
+        code = run_cli("rhythm-sync", "--config", str(p), "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            run_cli("rhythm-sync", "--delta-max", "1", "--out", str(tmp_path / "o"))
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --delta-max 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_config_error_audio_and_bpm(self, tmp_path, capsys):
+        # the WAV would run and --bpm go unread
+        wav = tmp_path / "clicks.wav"
+        assert run_cli("synth-click", "--bpm", "100", "--duration", "4", "--out", str(wav)) == 0
+        capsys.readouterr()
+        code = run_cli("rhythm-sync", "--audio", str(wav), "--bpm", "150", "--duration", "2",
+                       "--out", str(tmp_path / "rs"))
+        assert code == 2
+        assert "audio_path or synth_bpm, not both" in capsys.readouterr().err
+        assert not (tmp_path / "rs").exists()
+
     @pytest.mark.parametrize("entry", [
-        '"delta_max": "x"', '"synth_bpm": "abc"', '"outdir": 5', '"audio_path": ["a"]',
-        '"audio_path": 0', '"delta_max": true', '"synth_bpm": true'],
+        '"gain_k": "x"', '"synth_bpm": "abc"', '"outdir": 5', '"audio_path": ["a"]',
+        '"audio_path": 0', '"gain_k": true', '"synth_bpm": true'],
         ids=lambda entry: entry.replace('"', "").replace(": ", "="))
     def test_config_error_wrong_type(self, entry, tmp_path):
         p = tmp_path / "cfg.json"

@@ -65,11 +65,9 @@ def _valid(wav: str) -> dict:
         "rate_plant_hz": st.sampled_from([None, 100, 200, 500]),
         "outdir": st.sampled_from([None, "run"]),
         "warmup_s": st.floats(0.0, 0.5),
-        "target_leg": st.integers(1, 4),
         "gain_k": st.floats(0.1, 50.0),
         "error_mode": st.sampled_from(ERROR_MODES),
         "feedforward": st.booleans(),
-        "delta_max": st.none() | st.floats(0.01, 10.0),
         "perturb_rad": st.floats(0.0, 4.0),
         "iterations": st.integers(10, 11),
         "estimator_mode": st.sampled_from(ESTIMATOR_MODES),

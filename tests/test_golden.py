@@ -14,6 +14,7 @@ import pytest
 import regen_goldens
 
 import beatgait.cli as cli
+from beatgait.harness import ScenarioConfig
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -62,6 +63,25 @@ def test_run_replays_from_config_echo(name, golden_run, tmp_path, monkeypatch):
     assert logs and sorted(p.name for p in replay.glob("runlog*.csv")) == logs
     for file in ["report.json", *logs]:
         assert (replay / file).read_bytes() == (outdir / file).read_bytes(), file
+
+
+@pytest.mark.parametrize("name", sorted(regen_goldens.GOLDEN_SCENARIOS))
+def test_older_echo_refused_until_knobs_deleted(name, tmp_path, capsys):
+    # an echo written before the clamp and the tracked leg became fixed
+    # also names delta_max (null: min(0.5*omega_m, pi), which is pi) and
+    # target_leg (1): it exits 2, and loads as the run's config once
+    # those two lines are deleted
+    config = regen_goldens.GOLDEN_SCENARIOS[name]
+    current = ScenarioConfig.from_dict(config).to_dict()
+    echo = tmp_path / "config.echo.json"
+    echo.write_text(json.dumps({**current, "delta_max": None, "target_leg": 1}, indent=2))
+    out = tmp_path / "out"
+    assert cli.main([_SUBCOMMANDS[config["mode"]], "--config", str(echo),
+                     "--out", str(out)]) == 2
+    assert "unknown config keys: ['delta_max', 'target_leg']" in capsys.readouterr().err
+    assert not out.exists()
+    echo.write_text(json.dumps(current, indent=2))
+    assert ScenarioConfig.from_json(echo) == ScenarioConfig.from_dict(config)
 
 
 def test_goldens_exist():

@@ -5,7 +5,7 @@ those runs must satisfy whatever the bytes, so that a regenerated
 golden cannot carry a broken row:
 
 * oscillator phases lie in [0, 2*pi);
-* on rhythm_sync runs, omega_tilde stays within omega_m +- delta_max,
+* on rhythm_sync runs, omega_tilde stays within omega_m +- DELTA_MAX,
   the beat curve B(t) is non-negative and the music phase theta lies
   in [0, 2*pi);
 * every timestamp is exact: row k of a stream updated every `every`
@@ -17,13 +17,13 @@ golden cannot carry a broken row:
 """
 
 import json
-import math
 
 import numpy as np
 import pytest
 import regen_goldens
 
 from beatgait.harness import ScenarioConfig
+from beatgait.modulator import DELTA_MAX
 from beatgait.music import FRAME_RATE_HZ
 from beatgait.oscillator import TWO_PI
 from beatgait.plant import PlantConfig
@@ -59,10 +59,7 @@ def test_omega_tilde_within_clamp(run):
     mod = streams["mod"]
     omega_m = mod[0, 1]
     assert np.all(mod[:, 1] == omega_m)
-    delta_max = config["delta_max"]
-    if delta_max is None:
-        delta_max = min(0.5 * omega_m, math.pi)
-    lo, hi = omega_m - delta_max, omega_m + delta_max
+    lo, hi = omega_m - DELTA_MAX, omega_m + DELTA_MAX
     for omega_tilde in (mod[:, 3], streams["osc"][:, 5]):
         assert np.all((omega_tilde >= lo) & (omega_tilde <= hi))
 

@@ -72,33 +72,33 @@ class TestScenarioConfig:
 
     @pytest.mark.parametrize("kwargs", [
         {"mode": "dance"},
-        {"mode": "freq_track", "target_leg": 5},
         {"mode": "freq_track", "seed": -1},
         {"mode": "freq_track", "seed": 1.5},
         {"mode": "freq_track", "duration": 0.0},
         {"mode": "freq_track", "warmup_s": -1.0},
-        {"mode": "freq_track", "target_leg": 0},
         {"mode": "freq_track", "perturb_rad": -0.1},
         {"mode": "freq_track", "perturb_rad": 1e308},
         {"mode": "freq_track", "iterations": 0},
         {"mode": "freq_track", "estimator_mode": "psychic"},
+        # a named clip would run and the tempo go unread
+        {"mode": "rhythm_sync", "audio_path": "clicks.wav", "synth_bpm": 150.0},
     ])
     def test_field_validation(self, kwargs):
         with pytest.raises(InputError):
             ScenarioConfig(**kwargs)
 
     @pytest.mark.parametrize("field", ["duration", "perturb_rad", "warmup_s", "v_cmd",
-                                       "f_cmd", "gain_k", "delta_max", "synth_bpm"])
+                                       "f_cmd", "gain_k", "synth_bpm"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_rejected(self, field, value):
         with pytest.raises(InputError, match=f"{field} must be a finite number"):
             ScenarioConfig(mode="freq_track", **{field: value})
 
     @pytest.mark.parametrize("field", ["duration", "perturb_rad", "warmup_s", "v_cmd",
-                                       "f_cmd", "gain_k", "delta_max", "synth_bpm"])
+                                       "f_cmd", "gain_k", "synth_bpm"])
     @pytest.mark.parametrize("value", [True, "1", [1.0]])
     def test_non_number_rejected(self, field, value):
-        # true == 1 in Python: delta_max would clamp at 1 rad/s, synth_bpm click at 1 BPM
+        # true == 1 in Python: gain_k would run at 1, synth_bpm click at 1 BPM
         with pytest.raises(InputError, match=f"{field} must be a finite number"):
             ScenarioConfig(mode="rhythm_sync", **{field: value})
 
@@ -109,7 +109,7 @@ class TestScenarioConfig:
         with pytest.raises(InputError, match=f"{field} must be a string"):
             ScenarioConfig(mode="rhythm_sync", **{field: value})
 
-    @pytest.mark.parametrize("field", ["iterations", "seed", "target_leg", "rate_plant_hz"])
+    @pytest.mark.parametrize("field", ["iterations", "seed", "rate_plant_hz"])
     @pytest.mark.parametrize("value", [10.5, 10.0, True, "10", 2**53, -(10**400)])
     def test_non_integer_count_rejected(self, field, value):
         # integers past +-(2**53 - 1) are not exact in JSON, and 10**400 has no float
@@ -117,7 +117,7 @@ class TestScenarioConfig:
             ScenarioConfig(mode="estimator_curriculum", **{field: value})
 
     @pytest.mark.parametrize("field", ["duration", "perturb_rad", "warmup_s", "v_cmd",
-                                       "f_cmd", "gain_k", "delta_max", "synth_bpm"])
+                                       "f_cmd", "gain_k", "synth_bpm"])
     @pytest.mark.parametrize("value", [10**400, -(10**309)])
     def test_integer_without_float_rejected(self, field, value):
         # finite, but past the largest float: refused before anything converts it
@@ -149,13 +149,12 @@ class TestScenarioConfig:
         with pytest.raises(InputError, match="error_mode must be one of"):
             ScenarioConfig(mode=mode, error_mode=value)
 
-    @pytest.mark.parametrize("field", ["delta_max", "gain_k"])
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("value", [-1.0, 0.0, -0.0, -5])
-    def test_delta_max_sign_checked_in_every_mode(self, mode, value, field):
-        # gain_k too, with the config: before a run makes its outdir or builds a clip
-        with pytest.raises(InputError, match=f"{field} must be positive"):
-            ScenarioConfig(mode=mode, **{field: value})
+    def test_gain_k_sign_checked_in_every_mode(self, mode, value):
+        # with the config: before a run makes its outdir or builds a clip
+        with pytest.raises(InputError, match="gain_k must be positive"):
+            ScenarioConfig(mode=mode, gain_k=value)
 
     @pytest.mark.parametrize("value", ["no", "false", 0, 1, None])
     def test_non_bool_feedforward_rejected(self, value):
@@ -169,9 +168,9 @@ class TestScenarioConfig:
                      '{"mode": "rhythm_sync", "feedforward": "no"}',
                      '{"mode": "freq_track", "seed": true}',
                      '{"mode": "estimator_curriculum", "iterations": 10.5}',
-                     '{"mode": "rhythm_sync", "delta_max": "x"}',
-                     '{"mode": "rhythm_sync", "delta_max": true}',
-                     '{"mode": "rhythm_sync", "delta_max": NaN}',
+                     '{"mode": "rhythm_sync", "gain_k": "x"}',
+                     '{"mode": "rhythm_sync", "gain_k": true}',
+                     '{"mode": "rhythm_sync", "gain_k": NaN}',
                      '{"mode": "rhythm_sync", "synth_bpm": "abc"}',
                      '{"mode": "rhythm_sync", "synth_bpm": true}',
                      '{"mode": "rhythm_sync", "synth_bpm": -Infinity}',
@@ -183,12 +182,23 @@ class TestScenarioConfig:
             with pytest.raises(InputError):
                 ScenarioConfig.from_json(p)
 
-    @pytest.mark.parametrize("field", ["target_leg", "rate_plant_hz", "seed", "iterations"])
+    @pytest.mark.parametrize("field", ["rate_plant_hz", "seed", "iterations"])
     def test_json_true_for_integer_rejected(self, field, tmp_path):
-        # true == 1 in Python: target_leg would run as leg 1, a rate as 1 Hz
+        # true == 1 in Python: a rate would run as 1 Hz, a seed as 1
         p = tmp_path / "cfg.json"
         p.write_text(f'{{"mode": "rhythm_sync", "{field}": true}}')
         with pytest.raises(InputError, match=f"{field} must be an integer, got True"):
+            ScenarioConfig.from_json(p)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("key, value", [
+        ("delta_max", None), ("delta_max", 0.1), ("target_leg", 1), ("target_leg", 3)])
+    def test_removed_knob_refused_in_every_mode(self, mode, key, value, tmp_path):
+        # an older echo names both, at their old defaults (null, 1) or not:
+        # refused whatever the value, rather than run with the fixed one
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"mode": mode, key: value}))
+        with pytest.raises(InputError, match=re.escape(f"unknown config keys: ['{key}']")):
             ScenarioConfig.from_json(p)
 
     def test_rate_ladder_must_divide(self):
@@ -205,16 +215,17 @@ class TestScenarioConfig:
             cfg = ScenarioConfig(mode="freq_track", rate_plant_hz=rate).resolve()
             assert cfg.ticks() == (5000, 1000 // rate, 50)
 
-    def test_clock_is_fixed(self):
-        # the oscillator and modulator rates are class attributes, not fields
+    def test_clock_and_leg_are_fixed(self):
+        # the oscillator and modulator rates and the tracked leg are class
+        # attributes, not fields
+        fixed = {"rate_oscillator_hz": 1000, "rate_modulator_hz": 20, "target_leg": 1}
         names = {f.name for f in fields(ScenarioConfig)}
-        assert len(names) == 18 and "reward" not in names
-        assert "rate_oscillator_hz" not in names and "rate_modulator_hz" not in names
-        assert ScenarioConfig.rate_oscillator_hz == 1000
-        assert ScenarioConfig.rate_modulator_hz == 20
+        assert len(names) == 16 and not {"reward", "delta_max"} & names
+        assert not set(fixed) & names
         cfg = ScenarioConfig(mode="rhythm_sync").resolve()
-        assert (cfg.rate_oscillator_hz, cfg.rate_modulator_hz) == (1000, 20)
-        assert not {"rate_oscillator_hz", "rate_modulator_hz"} & set(cfg.to_dict())
+        for name, value in fixed.items():
+            assert getattr(ScenarioConfig, name) == getattr(cfg, name) == value
+        assert not set(fixed) & set(cfg.to_dict())
 
     def test_run_length_capped(self):
         # MAX_SAMPLES oscillator ticks at 1 kHz at most, checked before anything is allocated
@@ -631,7 +642,7 @@ class TestRhythmSync:
         assert metrics.omega_std < 0.5
 
     def test_divergence_raises(self, monkeypatch):
-        # the clamp delta_max is finite in every valid config, so no config
+        # the clamp DELTA_MAX keeps every command finite, so no config
         # commands an infinite frequency; a runaway modulator stands in
         def runaway(*args, **kwargs):
             return ModulatorCommand(delta_omega=math.inf, omega_tilde=math.inf,
@@ -643,12 +654,18 @@ class TestRhythmSync:
                            match="rhythm_sync diverged: oscillator phases non-finite"):
             run_rhythm_sync(cfg)
 
-    def test_overflowing_command_spread_raises(self):
+    def test_overflowing_command_spread_raises(self, monkeypatch):
         # commands near the float maximum stay finite, and so do the
-        # phases, but their spread omega_std overflows
-        cfg = ScenarioConfig(mode="rhythm_sync", synth_bpm=120.0, duration=8.0,
-                             error_mode="raw", feedforward=True, gain_k=1e308,
-                             delta_max=1e308)
+        # phases, but their spread omega_std overflows; the clamp keeps
+        # every config's commands far from that, so a modulator stands in
+        signs = itertools.cycle((1.0, -1.0))
+
+        def overflowing(*args, **kwargs):
+            omega = next(signs) * 1e308
+            return ModulatorCommand(delta_omega=omega, omega_tilde=omega, phase_error=0.0)
+
+        monkeypatch.setattr(harness, "modulate", overflowing)
+        cfg = ScenarioConfig(mode="rhythm_sync", synth_bpm=120.0, duration=8.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(RunFailedError, match="graded metrics not finite"):
@@ -707,9 +724,24 @@ class TestRhythmSync:
         # left every beat after warm-up unanswered (14 here, 50 in 30 s)
         runlog, _, _ = short_run
         _, rows = runlog.streams["rewards"]
-        assert np.count_nonzero(rows[rows[:, 0] >= 5.0, 3] == -1.0) <= 4
+        assert np.count_nonzero(rows[rows[:, 0] >= 5.0, 3] == -1.0) == 0
         _, _, report = run_rhythm_sync(
             ScenarioConfig(mode="rhythm_sync", synth_bpm=120.0, duration=30.0))
+        assert report["reward_means_post_warmup"]["r2"] == 1.0
+
+    def test_r2_pairs_beats_across_tick_ends(self):
+        # the standing feedforward lock puts each footfall on a tick end
+        # and its beat 1.3 ms after it, in the next tick: paired by tick,
+        # 10 of the 14 beats after warm-up went unanswered
+        runlog, metrics, report = run_rhythm_sync(ScenarioConfig(
+            mode="rhythm_sync", synth_bpm=120.0, duration=12.0, v_cmd=0.3,
+            error_mode="raw", feedforward=True))
+        _, rows = runlog.streams["rewards"]
+        beats = analyze_clip(synth_click_track(120.0, 14.0)).grid.beat_times
+        # each beat after warm-up, by the index of the update that ends its tick
+        ticks = np.ceil(beats[(beats >= 5.0) & (beats <= rows[-1, 0])] * 20.0).astype(int)
+        assert metrics.delta_t_max < 0.002
+        assert rows[ticks, 3].tolist() == [1.0] * 14
         assert report["reward_means_post_warmup"]["r2"] == 1.0
 
     def test_rhythm_reward_on_the_loop_clock(self, short_run):
