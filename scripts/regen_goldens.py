@@ -54,8 +54,9 @@ GOLDEN_SCENARIOS = {
     # the benchmark's curriculum scenario, at the default 5 s episodes
     "estimator_curriculum_5s": {"mode": "estimator_curriculum", "estimator_mode": "learned",
                                 "iterations": 10, "seed": 0},
-    # initial-phase kicks: the C5 recovery run, and one large enough to
-    # leave feet grounded without load
+    # initial-phase kicks: the C5 recovery run, and a 3 rad kick whose feet
+    # lose and regain their load within one stance; touchdowns are read
+    # from the phases, so each leg still counts one per stride (19 or 20)
     "freq_track_kick_0.5": {**_KICKED, "perturb_rad": 0.5},
     "freq_track_kick_3": {**_KICKED, "perturb_rad": 3.0},
     "rhythm_sync_plant_200hz": {**_RHYTHM, "rate_plant_hz": 200},

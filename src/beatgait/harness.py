@@ -19,7 +19,8 @@ report); between them all three run one loop, _simulate, and differ only
 in the load map and modulator they hand it. The clock is fixed:
 oscillator at 1 kHz, modulator at 20 Hz, and a plant rate that divides
 1000 and is a multiple of 20, with zero-order holds between updates.
-Contact onsets fall on plant samples, so the plant rate sets how finely
+A leg touches down when its phase reaches pi, and a touchdown falls on
+the first plant sample at or after it, so the plant rate sets how finely
 a stepping frequency is measured. freq_track defaults to a 500 Hz plant:
 the frequency-tracking and gait-structure criteria grade its runs, and
 at 100 Hz a 0.5 rad kick leaves the trot out of band after 5 s on 16 of
@@ -27,8 +28,8 @@ at 100 Hz a 0.5 rad kick leaves the trot out of band after 5 s on 16 of
 cost follows its plant updates, and it makes 0.4 as many as at 500 Hz.
 Its rho = 1 sweep then reads a worst mean deviation of 0.0401 Hz (0.0373
 at 500 Hz) and a worst variance of 0.0012 Hz^2 (0.00025) against bounds
-of 0.05 and 0.01; at 100 Hz the 10 ms onset quantization pushes the
-deviation at 3.5 Hz to 0.0554, past the bound.
+of 0.05 and 0.01; at 100 Hz the 10 ms touchdown quantization pushes
+the deviation at 3.5 Hz to 0.0554, past the bound.
 
 Offline runs are deterministic: all randomness flows from one seeded
 generator recorded in the run log header, and a fixed config plus seed
@@ -475,8 +476,8 @@ def _simulate(cfg: ScenarioConfig, state, load=None, mod_fn=None,
     1. the phases must be finite, else RunFailedError names
        the run (label, default the mode) and the time;
     2. the plant turns them, in one grf_from_phases call, into forces
-       and the support shares it split them by; the forces and the
-       normalized loads g are logged as the next plant row;
+       and the support shares it split them by; the forces, the
+       normalized loads g and the phases are logged as the next plant row;
     3. the oscillators hold load(phases, g, shares) when a load map is
        given, else g;
     4. on a modulator tick, mod_fn(t, phases, j) returns the next
@@ -486,7 +487,9 @@ def _simulate(cfg: ScenarioConfig, state, load=None, mod_fn=None,
     Returns (final phases, osc rows, plant rows). Osc row k is (t, four
     phases, omega_tilde) at the start of tick k, before its updates and
     its step; the rows are None when log_osc is false. Plant row i is
-    (t, four forces, four normalized loads).
+    (t, four forces, four normalized loads, four phases); the plant
+    stream is its first nine columns, and touchdowns are read from the
+    last four, which hold the phases every plant update saw.
     """
     label = label or cfg.mode
     phases, om, sg, xi = state
@@ -511,6 +514,7 @@ def _simulate(cfg: ScenarioConfig, state, load=None, mod_fn=None,
              1.0 if v2 > 1.0 else v2, 1.0 if v3 > 1.0 else v3]
         plant_log.extend(forces)
         plant_log.extend(g)
+        plant_log.extend(phases)
         if load is not None:
             g = load(phases, g, shares)
         if tick % mod_every == 0:
@@ -522,9 +526,9 @@ def _simulate(cfg: ScenarioConfig, state, load=None, mod_fn=None,
     if not math.isfinite(sum(phases)):
         raise _diverged(label, n_ticks * dt)
 
-    plant_rows = np.empty((len(plant_log) // 8, 9))
+    plant_rows = np.empty((len(plant_log) // 12, 13))
     plant_rows[:, 0] = np.arange(0, n_ticks, plant_every) * dt
-    plant_rows[:, 1:] = np.reshape(plant_log, (-1, 8))
+    plant_rows[:, 1:] = np.reshape(plant_log, (-1, 12))
     if not log_osc:
         return phases, None, plant_rows
     ticks = np.arange(n_ticks)
@@ -538,11 +542,12 @@ def _simulate(cfg: ScenarioConfig, state, load=None, mod_fn=None,
 
 
 def _leg_stats(plant_rows, leg: int, f_cmd: float) -> dict:
-    onsets = contact_onsets(plant_rows[:, 0], plant_rows[:, 1 + leg])
-    freqs = stepping_frequency(onsets)
+    """One leg's stepping statistics from its touchdowns, the rising edges of phi >= pi."""
+    touchdowns = contact_onsets(plant_rows[:, 0], plant_rows[:, 9 + leg] >= math.pi)
+    freqs = stepping_frequency(touchdowns)
     mean_dev, var = frequency_deviation(freqs, f_cmd)
     return {"mean_abs_dev_hz": float(mean_dev), "variance_hz2": float(var),
-            "cycles": int(freqs.size), "contacts": int(onsets.size)}
+            "cycles": int(freqs.size), "contacts": int(touchdowns.size)}
 
 
 _OSC_COLUMNS = ["t", "phi_rf", "phi_lf", "phi_rh", "phi_lh", "omega_tilde"]
@@ -606,7 +611,7 @@ def run_frequency_tracking(config: ScenarioConfig):
 
     header = {"f_cmd": f_cmd, "rate_oscillator_hz": cfg.rate_oscillator_hz,
               "rate_plant_hz": cfg.rate_plant_hz}
-    streams = [("osc", _OSC_COLUMNS, osc_rows), ("plant", _PLANT_COLUMNS, plant_rows)]
+    streams = [("osc", _OSC_COLUMNS, osc_rows), ("plant", _PLANT_COLUMNS, plant_rows[:, :9])]
     runlog, report = _finish(cfg, header, streams, {
         "f_cmd_hz": f_cmd,
         "v_cmd": cfg.v_cmd,
@@ -735,7 +740,7 @@ def run_rhythm_sync(config: ScenarioConfig):
               "rate_oscillator_hz": cfg.rate_oscillator_hz,
               "rate_plant_hz": cfg.rate_plant_hz,
               "rate_modulator_hz": cfg.rate_modulator_hz}
-    streams = [("osc", _OSC_COLUMNS, osc_rows), ("plant", _PLANT_COLUMNS, plant_rows),
+    streams = [("osc", _OSC_COLUMNS, osc_rows), ("plant", _PLANT_COLUMNS, plant_rows[:, :9]),
                ("mod", ["t", "omega_m", "delta_omega", "omega_tilde", "phase_error"], mod_rows),
                ("music", ["t", "envelope", "beat_curve", "theta", "tempo_bpm"], music_rows),
                ("rewards", ["t", "rhythm", "r1", "r2", "phase"], reward_rows)]
@@ -756,28 +761,27 @@ def run_rhythm_sync(config: ScenarioConfig):
     return runlog, report_metrics, report
 
 
-def _curriculum_load(rho: float, model, log=None):
+def _curriculum_load(rho: float, model, share_log=None):
     """Load map of one curriculum episode: simulated and predicted loads mixed by rho.
 
-    The estimator sees each leg's contact flag and its share of the
-    supported load, the quantity the plant's load law is exactly linear
-    in (the raw sine weight is not, once double-support windows appear
-    around stance handoffs). The shares are the ones the plant update
+    The estimator sees each leg's contact flag, phi >= pi, the stance
+    a touchdown opens (see _leg_stats), and its share of the supported
+    load, the quantity the plant's load law is exactly linear in (the
+    raw sine weight is not, once double-support windows appear around
+    stance handoffs). The shares are the ones the plant update
     just split its forces by, which _simulate hands over, so no plant
-    update computes them twice. log, when given, is two array('d')
-    (indicators, shares) that each plant update extends by its four
-    values, for the next fit; its targets, the simulated loads, are the
-    plant rows' own.
+    update computes them twice. share_log, when given, is an array('d')
+    that each plant update extends by its four shares, for the next
+    fit; the fit reads the contact flags and its targets, the simulated
+    loads, from the plant rows' phases and loads.
     """
-    ind_log, share_log = (None, None) if log is None else log
     pi = math.pi
 
     def load(phases, g_sim, shares):
         p0, p1, p2, p3 = phases
         indicators = [1.0 if p0 >= pi else 0.0, 1.0 if p1 >= pi else 0.0,
                       1.0 if p2 >= pi else 0.0, 1.0 if p3 >= pi else 0.0]
-        if ind_log is not None:
-            ind_log.extend(indicators)
+        if share_log is not None:
             share_log.extend(shares)
         g_pred = g_sim if model is None else est.predict((indicators, shares), model)
         return est.mix(g_sim, g_pred, rho)
@@ -820,12 +824,12 @@ def run_estimator_curriculum(config: ScenarioConfig):
     for i in range(n + 1):
         rho = i / n
         start, end = i * per_episode, (i + 1) * per_episode
-        logs = (array("d"), array("d"))
+        shares = array("d")
         _, _, plant_rows = _simulate(
             cfg, _initial_state(cfg, f_cmd), label=f"curriculum iteration {i} (rho={rho})",
-            load=_curriculum_load(rho, model, logs), log_osc=False)
-        data[0, start:end] = np.reshape(logs[0], (-1, 4))
-        data[1, start:end] = np.reshape(logs[1], (-1, 4))
+            load=_curriculum_load(rho, model, shares), log_osc=False)
+        data[0, start:end] = plant_rows[:, 9:13] >= math.pi
+        data[1, start:end] = np.reshape(shares, (-1, 4))
         data[2, start:end] = plant_rows[:, 5:9]
         model = est.fit(est.EstimatorInput(data[0, :end], data[1, :end]), data[2, :end])
         mse_rows.append((float(i), rho, model.mse))

@@ -53,7 +53,7 @@ def frequency_deviation(freqs, f_cmd: float) -> tuple[float, float]:
     """Mean absolute deviation from the command, and population variance.
 
     freqs is the per-interval stepping frequency series (1/interval),
-    never empty: stepping_frequency refuses fewer than 3 onsets.
+    never empty: stepping_frequency refuses fewer than 3 touchdowns.
     """
     f = np.asarray(freqs, dtype=float)
     return float(np.abs(f - f_cmd).mean()), float(f.var())

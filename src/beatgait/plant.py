@@ -10,10 +10,11 @@ centre of mass. That split has a closed form: each diagonal pair
 carries load in proportion to the harmonic mean of its two stance
 weights, shared equally between its feet (see support_shares). Total
 vertical force is exactly mass*g whenever at least one leg is grounded
-and zero during flight. Also hosts the event extractors that turn a
-time column and one leg's force column into contact onsets, per-cycle
-force peaks (kinematic beats), and stepping frequencies; they take the
-loop's columns as built, unchecked.
+and zero during flight. Also hosts the event extractors: touchdowns
+(contact_onsets, the rising edges of one leg's stance flag phi >= pi),
+per-cycle force peaks (kinematic_beats, from one leg's force column)
+and stepping frequencies; they take the loop's columns as built,
+unchecked.
 """
 
 from __future__ import annotations
@@ -117,23 +118,17 @@ def grf_from_phases(phases, config: PlantConfig):
     return (forces, shares) if as_list else np.array(forces)
 
 
-def contact_onsets(t: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Timestamps where one leg's force column f switches from zero to positive.
+def contact_onsets(t: np.ndarray, stance: np.ndarray) -> np.ndarray:
+    """Touchdown times: where one leg's stance column switches from zero to positive.
 
-    t is the matching time column. A sample counts as an onset when it
-    is positive and the previous sample is zero; the first sample never
-    counts (no predecessor).
-
-    Onsets mark load, not touchdown. A grounded foot carries zero load
-    until its diagonal partner lands (see support_shares), so on a
-    perturbed trot the onset lags the phase crossing pi. Far from a
-    trot, in a walk-like pattern with three-foot supports, a foot can
-    lose and regain its load within one stance, and each regain counts
-    as another onset. Onsets time stepping frequencies (stepping_frequency);
-    a run times beats by kinematic_beats, which falls about a quarter
-    cycle later, at the stance's force peak.
+    t is the matching time column. The loop passes the leg's stance
+    flag phi >= pi at each plant sample, so a touchdown is the first
+    sample at or after the phase crosses pi, one per stride whatever
+    load the foot carries. The first sample never counts (no
+    predecessor). Touchdowns time stepping frequencies; a run times
+    beats by kinematic_beats, about a quarter cycle later.
     """
-    rising = (f[1:] > 0.0) & (f[:-1] == 0.0)
+    rising = (stance[1:] > 0.0) & (stance[:-1] == 0.0)
     return t[1:][rising]
 
 
@@ -155,9 +150,10 @@ def kinematic_beats(t: np.ndarray, f: np.ndarray) -> np.ndarray:
 
     Stance runs touching either end of the timeline are dropped: their
     peaks are artifacts of truncation rather than gait events. Stance
-    periods are runs of positive load, so the caveats of
-    contact_onsets apply: a foot that loses its load mid-stance splits
-    its stance into two runs and gets two beats.
+    periods here are runs of positive load, not of phi >= pi: a
+    grounded foot carries no load until its diagonal partner lands (see
+    support_shares), so one that loses its load mid-stance splits its
+    stance into two runs and gets two beats.
     """
     beats = []
     for start, stop in _true_runs(f > 0.0):
@@ -170,16 +166,14 @@ def kinematic_beats(t: np.ndarray, f: np.ndarray) -> np.ndarray:
     return np.asarray(beats, dtype=float)
 
 
-def stepping_frequency(onsets) -> np.ndarray:
+def stepping_frequency(touchdowns) -> np.ndarray:
     """Per-interval stepping frequencies.
 
-    Needs at least three onsets (two intervals); otherwise raises
+    Needs at least three touchdowns (two intervals); otherwise raises
     InsufficientDataError. Each frequency is 1 / (t_{k+1} - t_k); the
-    onsets come from contact_onsets, so they increase.
+    touchdowns come from contact_onsets, so they increase.
     """
-    t = np.asarray(onsets, dtype=float)
+    t = np.asarray(touchdowns, dtype=float)
     if t.size < 3:
-        raise InsufficientDataError(
-            f"need at least 3 contact onsets, got {t.size}"
-        )
+        raise InsufficientDataError(f"need at least 3 touchdowns, got {t.size}")
     return 1.0 / np.diff(t)

@@ -160,10 +160,10 @@ class TestExitCodes:
 
     def test_data_error_standing_freq_track(self, tmp_path, capsys):
         # |v_cmd| <= 0.5 selects the standing bank: every leg holds
-        # mid-stance, so no foot lifts and no contact onset comes
+        # mid-stance, so no foot lifts and no touchdown comes
         code = run_cli("freq-track", "--v-cmd", "0.3", "--out", str(tmp_path))
         assert code == 3
-        assert "need at least 3 contact onsets, got 0" in capsys.readouterr().err
+        assert "need at least 3 touchdowns, got 0" in capsys.readouterr().err
 
     def test_data_error_clip_shorter_than_run(self, tmp_path, capsys):
         wav = tmp_path / "clicks.wav"

@@ -13,7 +13,10 @@ golden cannot carry a broken row:
   music frame k at k / FRAME_RATE_HZ;
 * normalized loads lie in [0, 1];
 * in every plant row with a non-zero force the forces sum to
-  force_scale * mass * g within 1e-12 relative.
+  force_scale * mass * g within 1e-12 relative;
+* on freq_track runs, each leg's reported contacts are its touchdowns:
+  the rising edges of phi >= pi in the osc stream read at the plant
+  ticks, one more than its stepping cycles.
 """
 
 import json
@@ -25,7 +28,7 @@ import regen_goldens
 from beatgait.harness import ScenarioConfig
 from beatgait.modulator import DELTA_MAX
 from beatgait.music import FRAME_RATE_HZ
-from beatgait.oscillator import TWO_PI
+from beatgait.oscillator import LEG_ORDER, TWO_PI
 from beatgait.plant import PlantConfig
 
 SCENARIOS = sorted(regen_goldens.GOLDEN_SCENARIOS)
@@ -43,6 +46,20 @@ def run(request, golden_run):
     outdir = golden_run(regen_goldens.GOLDEN_SCENARIOS[request.param])
     config = json.loads((outdir / "config.echo.json").read_text())
     return config, _streams(outdir)
+
+
+@pytest.mark.parametrize("name", [n for n in SCENARIOS
+                                  if regen_goldens.GOLDEN_SCENARIOS[n]["mode"] == "freq_track"])
+def test_contacts_are_phase_touchdowns(name, golden_run):
+    outdir = golden_run(regen_goldens.GOLDEN_SCENARIOS[name])
+    config = json.loads((outdir / "config.echo.json").read_text())
+    per_leg = json.loads((outdir / "report.json").read_text())["per_leg"]
+    osc = _streams(outdir)["osc"]
+    stance = osc[::ScenarioConfig.rate_oscillator_hz // config["rate_plant_hz"], 1:5] >= np.pi
+    for leg, leg_name in enumerate(LEG_ORDER):
+        touchdowns = np.count_nonzero(stance[1:, leg] & ~stance[:-1, leg])
+        assert per_leg[leg_name]["contacts"] == touchdowns, leg_name
+        assert per_leg[leg_name]["cycles"] == touchdowns - 1, leg_name
 
 
 def test_phases_wrapped(run):

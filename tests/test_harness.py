@@ -485,11 +485,12 @@ class TestScheduler:
         assert len(plant_calls) == 100
         assert [j for _, j in mod_calls] == list(range(20))
         assert [t for t, _ in mod_calls] == pytest.approx([0.05 * j for j in range(20)])
-        assert osc.shape == (1000, 6) and plant.shape == (100, 9)
+        assert osc.shape == (1000, 6) and plant.shape == (100, 13)
         assert osc[-1, 0] == pytest.approx(0.999)
         assert plant[:, 0] == pytest.approx([0.01 * i for i in range(100)])
-        # plant update i saw the phases of tick 10 * i
+        # plant update i saw the phases of tick 10 * i, and its row keeps them
         assert np.array_equal(plant_calls, osc[::10, 1:5])
+        assert np.array_equal(plant[:, 9:13], osc[::10, 1:5])
 
     def test_zero_order_hold(self):
         # update i holds 0.1 * (i % 3) on every leg through its ten ticks
@@ -601,6 +602,18 @@ class TestFrequencyTracking:
         runlog, _, _ = run_frequency_tracking(cfg)
         assert runlog.streams["osc"][1].shape == (2003, 6)
         assert runlog.streams["plant"][1].shape == (1002, 9)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_kicked_legs_touch_down_once_per_stride(self, seed):
+        # after a 3 rad kick feet lose and regain their load within one
+        # stance, and each regain is a load onset; a leg's phase still
+        # crosses pi once per stride, 19 or 20 times in 10 s at 2 Hz
+        cfg = ScenarioConfig(mode="freq_track", f_cmd=2.0, duration=10.0, seed=seed,
+                             perturb_rad=3.0)
+        _, _, report = run_frequency_tracking(cfg)
+        for leg, stats in report["per_leg"].items():
+            assert stats["contacts"] in (19, 20), leg
+            assert stats["mean_abs_dev_hz"] < 0.06, leg
 
     def test_out_of_band_command(self):
         cfg = ScenarioConfig(mode="freq_track", f_cmd=0.5, duration=1.0)
@@ -719,7 +732,7 @@ class TestRhythmSync:
         assert np.all(np.isin(rows[:, 3], (-1.0, 1.0)))  # r2
 
     def test_r2_answers_beats_with_kinematic_beats(self, short_run):
-        # r2 reads the footfalls beat_alignment grades; a load onset comes
+        # r2 reads the footfalls beat_alignment grades; a touchdown comes
         # a quarter cycle before one and never shares a beat's tick, which
         # left every beat after warm-up unanswered (14 here, 50 in 30 s)
         runlog, _, _ = short_run
@@ -791,25 +804,26 @@ class TestCurriculum:
         assert (tmp_path / "runlog.plant.csv").exists()
 
     def test_logged_features_match_replayed_phases(self):
-        # each plant update logs the indicators and shares of the phases it
-        # saw; the osc rows of the same loop give those phases back. The
+        # each plant row keeps the phases its update saw, from which the fit
+        # reads the contact flags, and the load map logs the shares of those
+        # phases; the osc rows of the same loop give the phases back. The
         # kick keeps diagonal partners apart, so a mixed-up leg shows.
         cfg = ScenarioConfig(mode="estimator_curriculum", duration=1.0,
                              perturb_rad=1.0).resolve()
-        first = (array("d"), array("d"))
+        first = array("d")
         _, _, plant = _simulate(cfg, _initial_state(cfg, 2.0),
                                 load=harness._curriculum_load(0.0, None, first), log_osc=False)
         model = estimator.fit(estimator.EstimatorInput(
-            np.reshape(first[0], (-1, 4)), np.reshape(first[1], (-1, 4))), plant[:, 5:9])
-        logs = (array("d"), array("d"))
+            np.where(plant[:, 9:13] >= math.pi, 1.0, 0.0), np.reshape(first, (-1, 4))),
+            plant[:, 5:9])
+        shares_log = array("d")
         _, osc, plant = _simulate(cfg, _initial_state(cfg, 2.0),
-                                  load=harness._curriculum_load(0.5, model, logs))
+                                  load=harness._curriculum_load(0.5, model, shares_log))
         phases = osc[::cfg.rate_oscillator_hz // cfg.rate_plant_hz, 1:5]
         assert len(phases) == len(plant) == cfg.duration * cfg.rate_plant_hz
-        indicators = np.where(phases >= math.pi, 1.0, 0.0)
         shares = np.array([support_shares(stance_weight(row)) for row in phases.tolist()])
-        assert np.reshape(logs[0], (-1, 4)).tobytes() == indicators.tobytes()
-        assert np.reshape(logs[1], (-1, 4)).tobytes() == shares.tobytes()
+        assert plant[:, 9:13].tobytes() == phases.tobytes()
+        assert np.reshape(shares_log, (-1, 4)).tobytes() == shares.tobytes()
 
     def test_one_stance_pass_per_plant_update(self, monkeypatch):
         # 11 episodes and 6 evaluation runs of 2 s at 200 Hz, 400 plant
