@@ -19,17 +19,19 @@ report); between them all three run one loop, _simulate, and differ only
 in the load map and modulator they hand it. The clock is fixed:
 oscillator at 1 kHz, modulator at 20 Hz, and a plant rate that divides
 1000 and is a multiple of 20, with zero-order holds between updates.
-A leg touches down when its phase reaches pi, and a touchdown falls on
-the first plant sample at or after it, so the plant rate sets how finely
-a stepping frequency is measured. freq_track defaults to a 500 Hz plant:
-the frequency-tracking and gait-structure criteria grade its runs, and
-at 100 Hz a 0.5 rad kick leaves the trot out of band after 5 s on 16 of
+A leg touches down when its phase crosses pi and makes a footfall when
+it crosses 3*pi/2, each time interpolated between two samples
+(plant.crossings). A leg in swing holds a zero load, so its phase is a
+straight line between plant updates and a touchdown reads exactly from
+the phases each plant update saw; a footfall, in stance, is read from
+the 1 kHz oscillator rows. freq_track defaults to a 500 Hz plant: the
+frequency-tracking and gait-structure criteria grade its runs, and at
+100 Hz a 0.5 rad kick leaves the trot out of band after 5 s on 16 of
 50 seeds, against 12 at 500 Hz. The curriculum defaults to 200 Hz: its
 cost follows its plant updates, and it makes 0.4 as many as at 500 Hz.
-Its rho = 1 sweep then reads a worst mean deviation of 0.0401 Hz (0.0373
-at 500 Hz) and a worst variance of 0.0012 Hz^2 (0.00025) against bounds
-of 0.05 and 0.01; at 100 Hz the 10 ms touchdown quantization pushes
-the deviation at 3.5 Hz to 0.0554, past the bound.
+Its rho = 1 sweep then reads a worst mean deviation of 0.0397 Hz
+(0.0374 at 500 Hz, 0.0425 at 100 Hz) and a worst variance of 2e-5 Hz^2
+against bounds of 0.05 and 0.01.
 
 Offline runs are deterministic: all randomness flows from one seeded
 generator recorded in the run log header, and a fixed config plus seed
@@ -542,8 +544,8 @@ def _simulate(cfg: ScenarioConfig, state, load=None, mod_fn=None,
 
 
 def _leg_stats(plant_rows, leg: int, f_cmd: float) -> dict:
-    """One leg's stepping statistics from its touchdowns, the rising edges of phi >= pi."""
-    touchdowns = contact_onsets(plant_rows[:, 0], plant_rows[:, 9 + leg] >= math.pi)
+    """One leg's stepping statistics from its touchdowns, the pi crossings of its phases."""
+    touchdowns = contact_onsets(plant_rows[:, 0], plant_rows[:, 9 + leg])
     freqs = stepping_frequency(touchdowns)
     mean_dev, var = frequency_deviation(freqs, f_cmd)
     return {"mean_abs_dev_hz": float(mean_dev), "variance_hz2": float(var),
@@ -643,7 +645,7 @@ def run_rhythm_sync(config: ScenarioConfig):
 
     Offline pipeline: analyze the whole clip once, derive the gait
     frequency by octave folding, then run the multi-rate loop with the
-    configured modulator variant. Scores beat alignment (interior
+    configured modulator variant. Scores beat alignment (RF
     footfalls vs the beat grid after warm-up), the 20 Hz command
     spread, and all four reward traces. A clip whose envelope is shorter
     than the run raises InsufficientDataError before anything is
@@ -682,7 +684,7 @@ def run_rhythm_sync(config: ScenarioConfig):
     final_phases, osc_rows, plant_rows = _simulate(cfg, state, mod_fn=mod_fn)
 
     beats = analysis.grid.beat_times
-    kin = kinematic_beats(plant_rows[:, 0], plant_rows[:, 1 + leg])
+    kin = kinematic_beats(osc_rows[:, 0], osc_rows[:, 1 + leg])
 
     # rewards from what each modulator update saw: its tick time t, the
     # music phase, the phases and the held loads. r2 scores the music

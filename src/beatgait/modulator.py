@@ -15,8 +15,9 @@ refinements address this without touching the default law:
 * error_mode "footfall" subtracts the predicted within-cycle wobble
   from the measured phase before forming the error, so the controller
   steers the underlying phase ramp, whose 3*pi/2 crossing is the
-  stance midpoint, and centers footfalls on beats instead of chasing
-  the ripple.
+  stance midpoint, onto the beat instead of chasing the ripple. The
+  leg's own 3*pi/2 crossing, the footfall a run grades, then lands
+  early: by 10 ms at 120 BPM, where the raw law lands 4 ms early.
 * feedforward=True replaces the raw law with a one-tick solve for the
   command whose model rollout (same Euler step and force hold as the
   plant, the opposite diagonal pair rolled alongside) lands the

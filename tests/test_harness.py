@@ -29,10 +29,11 @@ from beatgait.harness import (
     run_rhythm_sync,
     scheduler_tick,
 )
+from beatgait.metrics import frequency_deviation
 from beatgait.modulator import ERROR_MODES, ModulatorCommand, reward_rhythm
 from beatgait.music import MAX_SAMPLES, analyze_clip, interpolate_phase, save_wav, \
     synth_click_track
-from beatgait.oscillator import TWO_PI
+from beatgait.oscillator import LEG_ORDER, TWO_PI
 from beatgait.plant import stance_weight, support_shares
 
 
@@ -602,6 +603,23 @@ class TestFrequencyTracking:
         runlog, _, _ = run_frequency_tracking(cfg)
         assert runlog.streams["osc"][1].shape == (2003, 6)
         assert runlog.streams["plant"][1].shape == (1002, 9)
+
+    @pytest.mark.parametrize("f_cmd,kick", [(2.0, 0.0), (3.5, 0.0), (2.0, 3.0)])
+    def test_touchdowns_exact_at_the_plant_rate(self, f_cmd, kick):
+        # a leg in swing holds a zero load, so its phase is a straight line
+        # between plant updates: the pi crossing read at the plant ticks is
+        # the one the 1 kHz rows give, and the report reads it there
+        cfg = ScenarioConfig(mode="freq_track", f_cmd=f_cmd, duration=10.0, perturb_rad=kick)
+        runlog, _, report = run_frequency_tracking(cfg)
+        _, osc = runlog.streams["osc"]
+        at_plant = osc[::cfg.rate_oscillator_hz // cfg.resolve().rate_plant_hz]
+        for leg, name in enumerate(LEG_ORDER):
+            touchdowns = plant.contact_onsets(osc[:, 0], osc[:, 1 + leg])
+            np.testing.assert_allclose(
+                plant.contact_onsets(at_plant[:, 0], at_plant[:, 1 + leg]), touchdowns,
+                rtol=0, atol=1e-12)
+            mean_dev, _ = frequency_deviation(plant.stepping_frequency(touchdowns), f_cmd)
+            assert report["per_leg"][name]["mean_abs_dev_hz"] == pytest.approx(mean_dev, abs=1e-9)
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_kicked_legs_touch_down_once_per_stride(self, seed):

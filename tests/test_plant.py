@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from beatgait.errors import InsufficientDataError
+from beatgait.harness import ScenarioConfig, run_rhythm_sync
 from beatgait.oscillator import FOOTFALL_PHASE, TWO_PI, normalize_grf
 from beatgait.plant import (
     FLIGHT_THRESHOLD,
     PlantConfig,
     contact_onsets,
+    crossings,
     grf_from_phases,
     kinematic_beats,
     stance_weight,
@@ -53,12 +55,6 @@ def grounded_diagonal_vectors(draw, diagonal_legs, other_legs):
     for leg in range(4):
         phases[leg] = draw(diagonal_legs if leg in diagonal else other_legs)
     return phases
-
-
-def timeline_from_force(force_column, rate=100.0):
-    """A single-leg force series as (t, f) columns sampled at rate."""
-    f = np.asarray(force_column, dtype=float)
-    return np.arange(f.size) / rate, f
 
 
 class TestStanceWeight:
@@ -235,51 +231,82 @@ class TestGrf:
             PlantConfig(force_scale=0.5)
 
 
+def phase_line(phi0, rate, n, fs=100.0):
+    """A phase moving at a constant rate from phi0, wrapped, as (t, phi) sampled n times at fs."""
+    t = np.arange(n) / fs
+    return t, np.mod(phi0 + rate * t, TWO_PI)
+
+
+class TestCrossings:
+    def test_exact_on_a_straight_line(self):
+        # phi = 0.3 + 5 t crosses each level once per 2*pi/5 s, between samples
+        t, phi = phase_line(0.3, 5.0, 400)
+        for level in (math.pi, FOOTFALL_PHASE):
+            expected = (level - 0.3 + TWO_PI * np.arange(3)) / 5.0
+            np.testing.assert_allclose(crossings(t, phi, level), expected, rtol=0, atol=1e-12)
+
+    def test_wrap_is_no_crossing(self):
+        t, phi = np.array([0.0, 0.01]), np.array([TWO_PI - 0.01, 0.01])
+        for level in (math.pi, FOOTFALL_PHASE):
+            assert crossings(t, phi, level).size == 0
+        assert contact_onsets(t, phi).size == 0
+        assert kinematic_beats(t, phi).size == 0
+
+    def test_no_event_at_sample_0(self):
+        for level in (math.pi, FOOTFALL_PHASE):
+            for phi0 in (level, level + 0.1):
+                assert crossings(*phase_line(phi0, 5.0, 50), level).size == 0
+
+    def test_sample_on_the_level_is_the_crossing(self):
+        t, phi = np.array([0.0, 0.01, 0.02]), np.array([3.0, math.pi, 3.3])
+        assert crossings(t, phi, math.pi).tolist() == [0.01]
+
+    def test_crossing_between_last_two_samples_counts(self):
+        t, phi = np.array([0.0, 0.01, 0.02]), np.array([2.5, 3.0, 3.5])
+        np.testing.assert_allclose(crossings(t, phi, math.pi),
+                                   [0.01 + (math.pi - 3.0) / 0.5 * 0.01], rtol=0, atol=1e-15)
+
+
 class TestContactOnsets:
     def test_example(self):
-        onsets = contact_onsets(*timeline_from_force([0, 0, 5, 8, 0, 0, 6]))
-        assert np.allclose(onsets, [0.02, 0.06])
+        # two touchdowns, the second after a wrap through 2*pi
+        t, phi = phase_line(2.0, 10.0, 100)
+        np.testing.assert_allclose(contact_onsets(t, phi),
+                                   [(math.pi - 2.0) / 10.0, (math.pi - 2.0 + TWO_PI) / 10.0],
+                                   rtol=0, atol=1e-12)
 
     def test_constant_series(self):
-        assert contact_onsets(*timeline_from_force([0, 0, 0, 0])).size == 0
-        assert contact_onsets(*timeline_from_force([3, 3, 3, 3])).size == 0
+        assert contact_onsets(*phase_line(1.0, 0.0, 10)).size == 0
+        assert contact_onsets(*phase_line(4.0, 0.0, 10)).size == 0
 
     def test_first_sample_never_counts(self):
-        assert np.allclose(contact_onsets(*timeline_from_force([5, 0, 5])), [0.02])
+        # starts in stance: the only touchdown is the one a stride later
+        t, phi = phase_line(math.pi, 10.0, 100)
+        np.testing.assert_allclose(contact_onsets(t, phi), [TWO_PI / 10.0], rtol=0, atol=1e-12)
 
 
 class TestKinematicBeats:
     def test_unique_peak(self):
-        phi = np.linspace(math.pi, TWO_PI, 21, endpoint=False)
-        force = MG * np.array(stance_weight(phi.tolist()))
-        t, f = timeline_from_force(np.concatenate([[0.0], force, [0.0]]))
-        beats = kinematic_beats(t, f)
-        # half-sine peak sits mid-stance
-        peak_index = 1 + int(np.argmax(force))
-        assert np.allclose(beats, [t[peak_index]])
+        # the beat sits where the stance weight peaks, mid-stance
+        t, phi = phase_line(math.pi, 10.0, 40)
+        (beat,) = kinematic_beats(t, phi)
+        assert stance_weight([math.pi + 10.0 * beat]) == pytest.approx([1.0], abs=1e-12)
 
     def test_two_periods_two_beats(self):
-        bump = [0, 2, 5, 2, 0]
-        assert kinematic_beats(*timeline_from_force(bump + bump[1:])).size == 2
+        t, phi = phase_line(0.0, 10.0, 130)
+        beats = kinematic_beats(t, phi)
+        assert beats.size == 2
+        assert beats[1] - beats[0] == pytest.approx(TWO_PI / 10.0, abs=1e-12)
 
-    def test_plateau_midpoint_floor(self):
-        # two-sample plateau resolves to the earlier sample
-        assert np.allclose(kinematic_beats(*timeline_from_force([0, 1, 2, 2, 1, 0])), [0.02])
-
-    def test_three_sample_plateau_center(self):
-        assert np.allclose(kinematic_beats(*timeline_from_force([0, 1, 2, 2, 2, 1, 0])), [0.03])
-
-    def test_longest_peak_run_wins(self):
-        # peak value 2 appears as a pair and as a singleton: pair wins
-        assert np.allclose(kinematic_beats(*timeline_from_force([0, 1, 2, 2, 1, 2, 0])), [0.02])
-
-    def test_truncated_runs_dropped(self):
-        # the runs cut off at the start and at the end give no beat
-        t, f = timeline_from_force([3, 1, 0, 0, 1, 2, 1, 0, 0, 2, 5])
-        assert np.allclose(kinematic_beats(t, f), [0.05])
-        assert kinematic_beats(*timeline_from_force([0, 1, 2, 1])).size == 0
-        assert kinematic_beats(*timeline_from_force([1, 2, 1, 0])).size == 0
-        assert kinematic_beats(*timeline_from_force([1, 2, 2, 1])).size == 0
+    def test_120_bpm_for_30_s_gives_60_beats(self):
+        # the last footfall falls 9 ms before the run ends, in a stance the
+        # run cuts off; the force-plateau finder dropped that stance and gave 59
+        runlog, _, _ = run_rhythm_sync(
+            ScenarioConfig(mode="rhythm_sync", synth_bpm=120.0, duration=30.0))
+        _, osc = runlog.streams["osc"]
+        beats = kinematic_beats(osc[:, 0], osc[:, 1])
+        assert beats.size == 60
+        assert np.all(np.abs(np.diff(beats) - 0.5) < 0.01)
 
 
 class TestSteppingFrequency:
