@@ -57,7 +57,7 @@ from .modulator import ERROR_MODES, modulate, reward_phase, reward_r1, reward_r2
 from .music import FRAME_RATE_HZ, MAX_SAMPLES, analyze_clip, fold_tempo, interpolate_phase, \
     load_wav, synth_click_track
 from .oscillator import LEG_ORDER, TWO_PI, make_bank, param_arrays, select_params, \
-    step_phases, wrap_phase
+    wrap_phase
 from .plant import PlantConfig, contact_onsets, grf_from_phases, kinematic_beats, \
     stepping_frequency
 
@@ -431,19 +431,32 @@ class RunLog:
 def scheduler_tick(phases, g, dt: float, om, sg, xi, n_steps: int, log):
     """Run one plant period: n_steps Euler steps under the held loads g.
 
-    Every argument but dt, n_steps and log is a list of four floats.
-    Appends each tick's phases, before its step, to log unless it is
-    None; returns the phases after the last step. Each tick is one call
-    through the module's step_phases name, which perfbench's tracer
-    counts.
+    Every argument but dt, n_steps and log is a list of four floats. Each
+    step is step_phases' expression on plain floats, with sigma * G, which
+    it groups as (sigma * G) * (cos(phi) + xi), taken once per window.
+    Extends log, unless it is None, by each tick's phases before its
+    step; returns the phases after the last step. A NaN or infinite load
+    gives NaN phases, which the loop checks for at every plant update.
     """
-    step = step_phases
+    p0, p1, p2, p3 = phases
+    o0, o1, o2, o3 = om
+    x0, x1, x2, x3 = xi
+    k0, k1, k2, k3 = sg[0] * g[0], sg[1] * g[1], sg[2] * g[2], sg[3] * g[3]
+    cos = math.cos
     extend = None if log is None else log.extend
     for _ in range(n_steps):
         if extend is not None:
-            extend(phases)
-        phases = step(phases, g, dt, om, sg, xi)
-    return phases
+            extend((p0, p1, p2, p3))
+        p0 = (p0 + dt * (o0 - k0 * (cos(p0) + x0))) % TWO_PI
+        p1 = (p1 + dt * (o1 - k1 * (cos(p1) + x1))) % TWO_PI
+        p2 = (p2 + dt * (o2 - k2 * (cos(p2) + x2))) % TWO_PI
+        p3 = (p3 + dt * (o3 - k3 * (cos(p3) + x3))) % TWO_PI
+        # % rounds up to the divisor for tiny negative sums
+        p0 = 0.0 if p0 >= TWO_PI else p0
+        p1 = 0.0 if p1 >= TWO_PI else p1
+        p2 = 0.0 if p2 >= TWO_PI else p2
+        p3 = 0.0 if p3 >= TWO_PI else p3
+    return [p0, p1, p2, p3]
 
 
 def _initial_state(cfg: ScenarioConfig, f_gait: float):

@@ -173,31 +173,15 @@ def phase_rate(phases, g_norm, om, sg, xi):
 
 
 def step_phases(phases, g_norm, dt: float, om, sg, xi):
-    """One forward Euler step per leg; returns wrapped phases.
+    """One forward Euler step per leg; returns wrapped phases as an array.
 
     phi + dt * (omega - sigma * G * (cos(phi) + xi)) mod 2*pi, computed
-    leg by leg on plain floats. Lists of four floats, the loop's form,
-    give a list, written out leg by leg; any other input is read as an
-    array and gives an array of its shape, every other argument holding
-    one value per phase (a size mismatch raises ValueError). Both paths
-    evaluate the same expression in the same order. Unvalidated: a NaN
-    phase stays NaN, and the simulation loop checks for one at every
-    plant update.
+    leg by leg on plain floats, the expression and order of the
+    simulation loop's kernel, harness.scheduler_tick. Every argument but
+    dt is read as an array holding one value per phase (a size mismatch
+    raises ValueError); the result has the shape of phases. Unvalidated:
+    a NaN phase stays NaN.
     """
-    if isinstance(phases, list):
-        p0, p1, p2, p3 = phases
-        g0, g1, g2, g3 = g_norm
-        o0, o1, o2, o3 = om
-        s0, s1, s2, s3 = sg
-        x0, x1, x2, x3 = xi
-        cos = math.cos
-        p0 = (p0 + dt * (o0 - s0 * g0 * (cos(p0) + x0))) % TWO_PI
-        p1 = (p1 + dt * (o1 - s1 * g1 * (cos(p1) + x1))) % TWO_PI
-        p2 = (p2 + dt * (o2 - s2 * g2 * (cos(p2) + x2))) % TWO_PI
-        p3 = (p3 + dt * (o3 - s3 * g3 * (cos(p3) + x3))) % TWO_PI
-        # % rounds up to the divisor for tiny negative sums
-        return [0.0 if p0 >= TWO_PI else p0, 0.0 if p1 >= TWO_PI else p1,
-                0.0 if p2 >= TWO_PI else p2, 0.0 if p3 >= TWO_PI else p3]
     out = []
     flat = (np.asarray(a, dtype=float).ravel().tolist() for a in (phases, g_norm, om, sg, xi))
     for p, g, o, s, x in zip(*flat, strict=True):
