@@ -30,14 +30,13 @@ def main() -> int:
     ap.add_argument("--gain-k", type=float, default=2.0, dest="gain_k")
     args = ap.parse_args()
 
-    error_mode = "raw" if args.feedforward else "footfall"
     print(f"{'BPM':>7} {'tempo est':>10} {'dt_max ms':>10} {'sigma(omega)':>13} "
           f"{'r_rhythm':>9} {'r_phase':>8}")
     for bpm in TEMPI:
         outdir = None if args.out is None else f"{args.out}/{bpm:g}bpm"
         cfg = ScenarioConfig(mode="rhythm_sync", synth_bpm=bpm, duration=30.0,
                              seed=args.seed, gain_k=args.gain_k,
-                             error_mode=error_mode, feedforward=args.feedforward,
+                             feedforward=args.feedforward,
                              outdir=outdir)
         _, metrics, report = run_rhythm_sync(cfg)
         rewards = report["reward_means_post_warmup"]

@@ -41,7 +41,6 @@ from .harness import (
     run_frequency_tracking,
     run_rhythm_sync,
 )
-from .modulator import ERROR_MODES
 from .music import analyze_clip, load_wav, save_wav, synth_click_track
 
 
@@ -80,10 +79,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="click track tempo when no --audio is given")
     rs.add_argument("--gain-k", type=float, dest="gain_k", metavar="K",
                     help="phase error feedback gain (default 2.0)")
-    rs.add_argument("--error-mode", choices=ERROR_MODES, dest="error_mode",
-                    help="proportional law's error (default footfall; feedforward steers raw)")
     rs.add_argument("--feedforward", action="store_true", default=None,
-                    help="enable the one-tick feedforward solve")
+                    help="steer the raw error by the one-tick feedforward solve "
+                         "(default: the footfall-corrected proportional law)")
     rs.add_argument("--perturb-rad", type=float, dest="perturb_rad", metavar="RAD",
                     help="random initial phase offset amplitude")
     rs.add_argument("--warmup", type=float, dest="warmup_s", metavar="S",

@@ -17,17 +17,17 @@ and _begin (claim the output directory; rhythm_sync reads its clip in
 between) and ends in _finish (build, then write, the run log and
 report); between them all three run one loop, _simulate, and differ only
 in the load map and modulator they hand it. The clock is fixed:
-oscillator at 1 kHz, modulator at 20 Hz, and a plant rate that divides
-1000 and is a multiple of 20, with zero-order holds between updates.
+oscillator at 1 kHz, modulator at 20 Hz, a plant rate per mode that
+divides 1000 and is a multiple of 20, and zero-order holds in between.
 A leg touches down when its phase crosses pi and makes a footfall when
 it crosses 3*pi/2, each time interpolated between two samples
 (plant.crossings). A leg in swing holds a zero load, so its phase is a
 straight line between plant updates and a touchdown reads exactly from
 the phases each plant update saw; a footfall, in stance, is read from
-the 1 kHz oscillator rows. freq_track defaults to a 500 Hz plant: the
+the 1 kHz oscillator rows. freq_track runs a 500 Hz plant: the
 frequency-tracking and gait-structure criteria grade its runs, and at
 100 Hz a 0.5 rad kick leaves the trot out of band after 5 s on 16 of
-50 seeds, against 12 at 500 Hz. The curriculum defaults to 200 Hz: its
+50 seeds, against 12 at 500 Hz. The curriculum runs at 200 Hz: its
 cost follows its plant updates, and it makes 0.4 as many as at 500 Hz.
 Its rho = 1 sweep then reads a worst mean deviation of 0.0397 Hz
 (0.0374 at 500 Hz, 0.0425 at 100 Hz) and a worst variance of 2e-5 Hz^2
@@ -71,7 +71,7 @@ FREQ_TRACK_COMMANDS = (1.5, 2.0, 2.5, 3.0, 3.5, 4.0)
 #: Largest integer a JSON number carries exactly (RFC 8259, section 6).
 MAX_JSON_INT = 2**53 - 1
 
-#: The choices of each plain str field of ScenarioConfig.
+#: The fields of ScenarioConfig that take one of a few strings, and their choices.
 _CHOICES = {"mode": MODES, "error_mode": ERROR_MODES, "estimator_mode": ESTIMATOR_MODES}
 
 #: ScenarioConfig's field annotations: the accepted types and how a message names them.
@@ -86,7 +86,7 @@ FREQ_DEV_VAR_BOUND_HZ2 = 0.01
 _PLANT = PlantConfig()
 
 _MODE_DEFAULTS = {
-    # duration_s, plant rate; the oscillator and modulator rates are fixed
+    # default duration_s, and the mode's fixed plant rate
     "freq_track": (5.0, 500),
     "rhythm_sync": (30.0, 100),
     "estimator_curriculum": (5.0, 200),
@@ -97,25 +97,26 @@ _MODE_DEFAULTS = {
 class ScenarioConfig:
     """One experiment description; JSON round-trippable.
 
-    None means "resolve the per-mode default": duration and the plant
-    rate differ across modes (see _MODE_DEFAULTS), f_cmd defaults to
-    2.0 Hz where used, and a rhythm_sync run with neither audio_path
-    nor synth_bpm synthesizes 120 BPM clicks; a config may not name
-    both. The oscillator (1 kHz) and modulator (20 Hz) rates are the
-    same in every run, and so is target_leg, the leg whose footfalls
-    the modulator locks to the beat (1, RF), so they are not fields: a
+    None means "resolve the per-mode default": duration differs across
+    modes (see _MODE_DEFAULTS), f_cmd is 2.0 Hz where used, a
+    rhythm_sync run with neither audio_path nor synth_bpm (it may not
+    name both) synthesizes 120 BPM clicks, and error_mode is the one
+    feedforward picks. The 1 kHz oscillator and 20 Hz modulator rates,
+    each mode's plant rate (rate_plant_hz) and target_leg, the leg whose
+    footfalls the modulator locks to the beat (1, RF), are not fields: a
     config cannot set them, and the echo omits them.
 
-    error_mode/feedforward/gain_k select the modulator variant for
-    rhythm_sync (error_mode picks the proportional law's error;
-    feedforward steers the raw one); perturb_rad draws a uniform
-    initial-phase kick from the run's seeded generator; iterations and
-    estimator_mode shape the curriculum.
+    feedforward and gain_k select rhythm_sync's modulator law: the
+    footfall-corrected proportional law, or the one-tick feedforward
+    solve on the raw error; error_mode may name only the error
+    feedforward picks. perturb_rad draws a uniform initial-phase kick
+    from the run's seeded generator; iterations and estimator_mode shape
+    the curriculum.
 
     Each field must match its annotation: a float field takes a finite
     number, an int field an integer within +-(2**53 - 1), neither a
-    bool; a bool field takes a bool, a str | None field a string, and
-    a plain str field one of its choices (see _CHOICES); "| None"
+    bool; a bool field takes a bool, a choice field one of its choices
+    (see _CHOICES) and any other str | None field a string; "| None"
     fields may be None. gain_k must be positive in every mode; the
     modulator reads it unchecked. A learned curriculum needs at least
     10 iterations.
@@ -131,11 +132,10 @@ class ScenarioConfig:
     synth_bpm: float | None = None
     duration: float | None = None
     seed: int = 0
-    rate_plant_hz: int | None = None
     outdir: str | None = None
     warmup_s: float = 5.0
     gain_k: float = 2.0
-    error_mode: str = "footfall"
+    error_mode: str | None = None
     feedforward: bool = False
     perturb_rad: float = 0.0
     iterations: int = 10
@@ -145,16 +145,21 @@ class ScenarioConfig:
     rate_modulator_hz = 20
     target_leg = 1
 
+    @property
+    def rate_plant_hz(self) -> int:
+        """The mode's plant rate: it divides the oscillator rate and is a multiple of 20 Hz."""
+        return _MODE_DEFAULTS[self.mode][1]
+
     def __post_init__(self):
         # JSON configs can carry any type, NaN, Infinity and integers with
         # no float; bool is an int. Each field is checked by its annotation
-        # (a string, under the __future__ import); a plain str field is a choice.
+        # (a string, under the __future__ import) or, if it has choices, by them.
         for f in fields(self):
             kind, _, optional = f.type.partition(" | ")
             value = getattr(self, f.name)
             if value is None and optional:
                 continue
-            if kind == "str" and not optional:
+            if f.name in _CHOICES:
                 if value not in _CHOICES[f.name]:
                     raise InputError(f"{f.name} must be one of {_CHOICES[f.name]}, got {value!r}")
                 continue
@@ -164,6 +169,9 @@ class ScenarioConfig:
                 raise InputError(f"{f.name} must be {what}, got {value!r}")
             if kind == "int" and abs(value) > MAX_JSON_INT:
                 raise InputError(f"{f.name} must be an integer within +-(2**53 - 1), got {value}")
+        if self.error_mode not in (None, "raw" if self.feedforward else "footfall"):
+            raise InputError(f"error_mode {self.error_mode!r} disagrees with "
+                             f"feedforward={self.feedforward}")
         if self.seed < 0:
             raise InputError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.audio_path is not None and self.synth_bpm is not None:
@@ -187,21 +195,17 @@ class ScenarioConfig:
             raise InputError(f"curriculum needs at least 10 iterations, got {self.iterations}")
 
     def resolve(self) -> "ScenarioConfig":
-        """Fill mode defaults; check the plant rate on the fixed clock and the run's length."""
-        duration_default, plant_default = _MODE_DEFAULTS[self.mode]
+        """Fill mode defaults and error_mode; check the run's length."""
+        duration_default, _ = _MODE_DEFAULTS[self.mode]
         out = replace(
             self,
             duration=self.duration if self.duration is not None else duration_default,
-            rate_plant_hz=self.rate_plant_hz if self.rate_plant_hz is not None else plant_default,
+            error_mode="raw" if self.feedforward else "footfall",
             f_cmd=self.f_cmd if self.f_cmd is not None or self.mode == "rhythm_sync" else 2.0,
             synth_bpm=(self.synth_bpm if self.synth_bpm is not None or
                        self.audio_path is not None or self.mode != "rhythm_sync" else 120.0),
         )
-        osc_hz, mod_hz = self.rate_oscillator_hz, self.rate_modulator_hz
-        plant_rates = [r for r in range(mod_hz, osc_hz + 1, mod_hz) if osc_hz % r == 0]
-        if out.rate_plant_hz not in plant_rates:  # else the zero-order holds would not line up
-            raise InputError(f"rate_plant_hz must divide {osc_hz} and be a multiple of {mod_hz}, "
-                             f"one of {plant_rates}, got {out.rate_plant_hz!r}")
+        osc_hz = self.rate_oscillator_hz
         if out.duration * osc_hz > MAX_SAMPLES:
             raise InputError(f"duration {out.duration!r} s at {osc_hz} Hz is more than the "
                              f"{MAX_SAMPLES:,} oscillator ticks a run may hold")
@@ -765,9 +769,7 @@ def run_rhythm_sync(config: ScenarioConfig):
         "tempo_confidence": float(analysis.confidence),
         "f_gait_hz": float(f_gait),
         "omega_m": float(omega_m),
-        # feedforward steers the raw error whatever error_mode asks for
-        "modulator": {"gain_k": cfg.gain_k,
-                      "error_mode": "raw" if cfg.feedforward else cfg.error_mode,
+        "modulator": {"gain_k": cfg.gain_k, "error_mode": cfg.error_mode,
                       "feedforward": cfg.feedforward, "target_leg": cfg.target_leg},
         "warmup_s": cfg.warmup_s,
         "reward_means_post_warmup": reward_means,

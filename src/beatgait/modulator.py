@@ -8,26 +8,27 @@ footfall (phase 3*pi/2) land on the beat (also anchored at 3*pi/2).
 
 The stance-load feedback that shapes the gait also wobbles phi_j
 within every cycle by up to sigma*G/omega (a quarter radian at 2 Hz),
-which the plain proportional law cannot reject: its error ripples at
-the stepping frequency, far above the loop bandwidth. Two optional
-refinements address this without touching the default law:
+which a proportional law on the raw error cannot reject: its error
+ripples at the stepping frequency, far above the loop bandwidth, and
+its command spread is 0.14-0.27 rad/s at the graded tempi, past the
+0.10 bound. feedforward picks one of two laws that deal with it:
 
-* error_mode "footfall" subtracts the predicted within-cycle wobble
+* the default, error_mode "footfall", subtracts the predicted wobble
   from the measured phase before forming the error, so the controller
-  steers the underlying phase ramp, whose 3*pi/2 crossing is the
-  stance midpoint, onto the beat instead of chasing the ripple. The
-  leg's own 3*pi/2 crossing, the footfall a run grades, then lands
-  early: by 10 ms at 120 BPM, where the raw law lands 4 ms early.
-* feedforward=True replaces the raw law with a one-tick solve for the
-  command whose model rollout (same Euler step and force hold as the
-  plant, the opposite diagonal pair rolled alongside) lands the
-  end-of-tick phase exactly where the plain law would have put it were
-  the stance feedback absent. The wobble is cancelled at its source and
-  the logged error decays by (1 - k/rate) per tick. The solve is a
-  secant search warm-started at the previous command, with Illinois
-  regula falsi as its fallback.
+  steers the underlying phase ramp, whose 3*pi/2 crossing is the stance
+  midpoint, onto the beat instead of chasing the ripple. The leg's own
+  3*pi/2 crossing, the footfall a run grades, then lands early: by
+  10 ms at 120 BPM.
+* feedforward=True, error_mode "raw", solves each tick for the command
+  whose model rollout (same Euler step and force hold as the plant, the
+  opposite diagonal pair rolled alongside) lands the end-of-tick phase
+  where the proportional law on the raw error would put it were the
+  stance feedback absent. The wobble is cancelled at its source and the
+  logged error decays by (1 - k/rate) per tick. The solve is a secant
+  search warm-started at the previous command, with Illinois regula
+  falsi as its fallback.
 
-Both refinements use only the modulator's inputs, the plant's load law,
+Both laws use only the modulator's inputs, the plant's load law,
 the stance gain sigma of the run's oscillator bank and, for the rollout,
 its feedback bias xi and one more leg of that bank (both passed in; the
 footfall law's wobble model keeps xi = 0).
@@ -287,19 +288,21 @@ def modulate(phi_obs_j, theta_obs, omega_m: float, sigma: float, xi: float,
              cfg: ScenarioConfig, pair_obs=None, guess: float = 0.0) -> ModulatorCommand:
     """One frequency command from the tracked leg's phase and the music phase.
 
-    Default law: delta_omega = clamp(-k * e, +-DELTA_MAX) with
-    e = wrap(phi_j - theta), so a leading oscillator slows down. The
-    optional error correction and feedforward modes are described in
-    the module docstring; the clamp always applies to the command.
-    cfg, the run's resolved ScenarioConfig, sets gain_k, error_mode and
-    feedforward; the feedforward rollout runs on the run's fixed clock
-    and its plant rate, with sigma and xi, the tracked leg's stance gain
-    and feedback bias in the run's bank; sigma also sets the footfall
-    law's wobble, whose model keeps xi = 0.
+    Default law: delta_omega = clamp(-k * e, +-DELTA_MAX) with the
+    footfall error e = wrap(phi_j - theta - a * max(0, -sin phi_j)),
+    a = sigma*G/omega_m, so a leading oscillator slows down; in swing,
+    phi_j in [0, pi), e is the raw wrap(phi_j - theta). feedforward
+    replaces the law by the solve the module docstring describes, on the
+    raw error; the clamp always applies. cfg, the run's resolved
+    ScenarioConfig, sets gain_k and feedforward; the feedforward rollout
+    runs on the run's fixed clock and its mode's plant rate, with sigma
+    and xi, the tracked leg's stance gain and feedback bias in the run's
+    bank; sigma also sets the footfall law's wobble, whose model keeps
+    xi = 0.
     pair_obs, a (cos, sin) observation of a leg from the opposite
-    diagonal pair, feeds the feedforward rollout model; the raw and
-    footfall laws ignore it. guess is the command the feedforward solve
-    starts from, in a run the previous one; the other laws ignore it too.
+    diagonal pair, feeds the feedforward rollout model, and guess is the
+    command its solve starts from, in a run the previous one; the
+    footfall law ignores both.
     The observations are unit (cos, sin) pairs and omega_m lies in the
     gait band, where fold_tempo puts it; none of them is checked here.
     """
@@ -307,22 +310,18 @@ def modulate(phi_obs_j, theta_obs, omega_m: float, sigma: float, xi: float,
     tc, ts = theta_obs
     phi_j = math.atan2(ps, pc) % TWO_PI
     theta = math.atan2(ts, tc) % TWO_PI
-    if cfg.error_mode == "footfall" and not cfg.feedforward:
-        # steer the underlying ramp phi - wobble: the ramp crosses
-        # 3*pi/2 at the stance midpoint, which is the footfall event
-        # the force trace reports, so locking it to theta centers
-        # footfalls on beats; the feedforward solve steers the raw error
-        a = wobble_amplitude(omega_m, sigma)
-        e = wrap_signed(phi_j - theta - a * max(0.0, -math.sin(phi_j)))
-    else:
-        e = wrap_signed(phi_j - theta)
     if cfg.feedforward:
+        e = wrap_signed(phi_j - theta)
         oc, os_ = pair_obs
         _, hold_steps, _ = cfg.ticks()
         delta = feedforward_command(phi_j, math.atan2(os_, oc) % TWO_PI, theta, omega_m, sigma,
                                     xi, cfg.gain_k, 1.0 / cfg.rate_oscillator_hz,
                                     hold_steps, cfg.rate_modulator_hz, guess=guess)
     else:
+        # steer the underlying ramp phi - wobble, which crosses 3*pi/2
+        # at the stance midpoint
+        a = wobble_amplitude(omega_m, sigma)
+        e = wrap_signed(phi_j - theta - a * max(0.0, -math.sin(phi_j)))
         delta = -cfg.gain_k * e
     delta = float(min(max(delta, -DELTA_MAX), DELTA_MAX))
     return ModulatorCommand(delta_omega=delta, omega_tilde=omega_m + delta,

@@ -181,7 +181,7 @@ class TestExitCodes:
             assert "must be a finite number" in capsys.readouterr().err
 
     def test_config_error_bool_for_integer(self, tmp_path, capsys):
-        for field in ("rate_plant_hz", "seed"):
+        for field in ("seed", "iterations"):
             p = tmp_path / "cfg.json"
             p.write_text(json.dumps({"mode": "rhythm_sync", field: True}))
             code = run_cli("rhythm-sync", "--config", str(p), "--out", str(tmp_path / "rs"))
@@ -213,10 +213,11 @@ class TestExitCodes:
         assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
         assert not (tmp_path / "report.json").exists()
 
-    @pytest.mark.parametrize("key", ["delta_max", "target_leg"])
+    @pytest.mark.parametrize("key", ["delta_max", "target_leg", "rate_plant_hz"])
     def test_config_error_removed_knob(self, key, tmp_path, capsys):
-        # the clamp is DELTA_MAX and the tracked leg RF in every run: an
-        # older config echo replays once the line naming either is deleted
+        # the clamp is DELTA_MAX, the tracked leg RF and the plant rate the
+        # mode's own in every run: an older config echo replays once the
+        # line naming any of them is deleted
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({"mode": "rhythm_sync", key: 1}))
         code = run_cli("rhythm-sync", "--config", str(p), "--out", str(tmp_path / "o"))
@@ -226,6 +227,22 @@ class TestExitCodes:
             run_cli("rhythm-sync", "--delta-max", "1", "--out", str(tmp_path / "o"))
         assert exc.value.code == 2
         assert "unrecognized arguments: --delta-max 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_config_error_error_mode_disagrees_with_feedforward(self, tmp_path, capsys):
+        # feedforward alone picks the law, so the footfall error cannot ride on it
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"mode": "rhythm_sync", "error_mode": "footfall",
+                                 "feedforward": True}))
+        code = run_cli("rhythm-sync", "--config", str(p), "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert ("error_mode 'footfall' disagrees with feedforward=True"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+        with pytest.raises(SystemExit) as exc:
+            run_cli("rhythm-sync", "--error-mode", "raw", "--out", str(tmp_path / "o"))
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --error-mode raw" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_config_error_audio_and_bpm(self, tmp_path, capsys):
@@ -446,6 +463,15 @@ class TestAudioUtilities:
 
 
 class TestRhythmSyncCommand:
+    def test_feedforward_echoes_the_raw_error(self, tmp_path):
+        out = tmp_path / "rs"
+        assert run_cli("rhythm-sync", "--feedforward", "--duration", "2", "--warmup", "1",
+                       "--out", str(out)) == 0
+        echo = json.loads((out / "config.echo.json").read_text())
+        assert echo["feedforward"] is True and echo["error_mode"] == "raw"
+        report = json.loads((out / "report.json").read_text())
+        assert report["modulator"]["error_mode"] == "raw"
+
     def test_synthetic_run(self, tmp_path, capsys):
         out = tmp_path / "rs"
         code = run_cli("rhythm-sync", "--bpm", "120", "--duration", "12",

@@ -62,11 +62,11 @@ def _valid(wav: str) -> dict:
         "synth_bpm": st.none() | st.floats(20.0, 400.0),
         "duration": st.just(1.0) | st.floats(0.05, 1.0),
         "seed": st.integers(0, 2**32),
-        "rate_plant_hz": st.sampled_from([None, 100, 200, 500]),
         "outdir": st.sampled_from([None, "run"]),
         "warmup_s": st.floats(0.0, 0.5),
         "gain_k": st.floats(0.1, 50.0),
-        "error_mode": st.sampled_from(ERROR_MODES),
+        # None, or the law feedforward picks: configs() makes the two agree
+        "error_mode": st.sampled_from([None, *ERROR_MODES]),
         "feedforward": st.booleans(),
         "perturb_rad": st.floats(0.0, 4.0),
         "iterations": st.integers(10, 11),
@@ -81,17 +81,19 @@ _WRONG = [None, True, False, "", "x", "2.0", [], [2.0], {}, {"a": 1},
           0, 0.0, -1, -0.5]
 
 #: Extra wrong values of some fields: runs too long to hold, integers too
-#: large for JSON to carry exactly, plant rates off the fixed clock.
+#: large for JSON to carry exactly, and the raw error without feedforward.
 _WRONG_FOR = {
     "duration": _WRONG + [1e12, 2e7],
-    "rate_plant_hz": _WRONG + [2**53, 10**400, 30, 50, 250, 300, 2000],
     "iterations": _WRONG + [10**15, 10**400],
+    "error_mode": _WRONG + ["raw"],
 }
 
 
 @st.composite
 def configs(draw, wav):
     cfg = {name: draw(strategy) for name, strategy in _valid(wav).items()}
+    if cfg["error_mode"] is not None:
+        cfg["error_mode"] = "raw" if cfg["feedforward"] else "footfall"
     for name in draw(st.lists(st.sampled_from(sorted(cfg)), max_size=2, unique=True)):
         cfg[name] = draw(st.sampled_from(_WRONG_FOR.get(name, _WRONG)))
     return cfg

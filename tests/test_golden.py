@@ -19,10 +19,9 @@ from beatgait.harness import ScenarioConfig
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
 #: Goldens replayed from their config echo: a kicked run, the feedforward
-#: modulator, a plant off its mode's default rate, a WAV, and both
-#: estimator modes.
-_REPLAYED = ("freq_track_kick_3", "rhythm_sync_feedforward", "rhythm_sync_plant_200hz",
-             "rhythm_sync_wav", "estimator_curriculum_kick_1", "estimator_curriculum_fallback")
+#: modulator, a WAV, and both estimator modes.
+_REPLAYED = ("freq_track_kick_3", "rhythm_sync_feedforward", "rhythm_sync_wav",
+             "estimator_curriculum_kick_1", "estimator_curriculum_fallback")
 
 _SUBCOMMANDS = {"freq_track": "freq-track", "rhythm_sync": "rhythm-sync",
                 "estimator_curriculum": "curriculum"}
@@ -49,12 +48,13 @@ def test_golden_run(path, golden_run):
 @pytest.mark.parametrize("name", _REPLAYED)
 def test_run_replays_from_config_echo(name, golden_run, tmp_path, monkeypatch):
     # config.echo.json fed back through --config reproduces the run byte
-    # for byte, though it does not name the fixed clock. A WAV is named
-    # relative to the golden's work directory, so the replay runs there.
+    # for byte, though it does not name the fixed clock or plant rate. A
+    # WAV is named relative to the golden's work directory, so the replay
+    # runs there.
     outdir = golden_run(regen_goldens.GOLDEN_SCENARIOS[name])
     echo = outdir / "config.echo.json"
     config = json.loads(echo.read_text())
-    assert "rate_oscillator_hz" not in config and "rate_modulator_hz" not in config
+    assert not {"rate_oscillator_hz", "rate_modulator_hz", "rate_plant_hz"} & set(config)
     monkeypatch.chdir(outdir.parent)
     replay = tmp_path / "replay"
     assert cli.main([_SUBCOMMANDS[config["mode"]], "--config", str(echo),
@@ -67,21 +67,25 @@ def test_run_replays_from_config_echo(name, golden_run, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(regen_goldens.GOLDEN_SCENARIOS))
 def test_older_echo_refused_until_knobs_deleted(name, tmp_path, capsys):
-    # an echo written before the clamp and the tracked leg became fixed
-    # also names delta_max (null: min(0.5*omega_m, pi), which is pi) and
-    # target_leg (1): it exits 2, and loads as the run's config once
-    # those two lines are deleted
+    # an echo written before the clamp, the tracked leg and the plant rate
+    # became fixed also names delta_max (null: min(0.5*omega_m, pi),
+    # which is pi), target_leg (1) and rate_plant_hz (the mode's rate):
+    # it exits 2, and loads as the run's config once those three lines
+    # are deleted
     config = regen_goldens.GOLDEN_SCENARIOS[name]
-    current = ScenarioConfig.from_dict(config).to_dict()
+    cfg = ScenarioConfig.from_dict(config)
+    current = cfg.to_dict()
     echo = tmp_path / "config.echo.json"
-    echo.write_text(json.dumps({**current, "delta_max": None, "target_leg": 1}, indent=2))
+    echo.write_text(json.dumps({**current, "delta_max": None, "target_leg": 1,
+                                "rate_plant_hz": cfg.rate_plant_hz}, indent=2))
     out = tmp_path / "out"
     assert cli.main([_SUBCOMMANDS[config["mode"]], "--config", str(echo),
                      "--out", str(out)]) == 2
-    assert "unknown config keys: ['delta_max', 'target_leg']" in capsys.readouterr().err
+    assert ("unknown config keys: ['delta_max', 'rate_plant_hz', 'target_leg']"
+            in capsys.readouterr().err)
     assert not out.exists()
     echo.write_text(json.dumps(current, indent=2))
-    assert ScenarioConfig.from_json(echo) == ScenarioConfig.from_dict(config)
+    assert ScenarioConfig.from_json(echo) == cfg
 
 
 def test_goldens_exist():

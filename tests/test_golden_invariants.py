@@ -55,7 +55,8 @@ def test_contacts_are_phase_touchdowns(name, golden_run):
     config = json.loads((outdir / "config.echo.json").read_text())
     per_leg = json.loads((outdir / "report.json").read_text())["per_leg"]
     osc = _streams(outdir)["osc"]
-    stance = osc[::ScenarioConfig.rate_oscillator_hz // config["rate_plant_hz"], 1:5] >= np.pi
+    plant_hz = ScenarioConfig(mode=config["mode"]).rate_plant_hz
+    stance = osc[::ScenarioConfig.rate_oscillator_hz // plant_hz, 1:5] >= np.pi
     for leg, leg_name in enumerate(LEG_ORDER):
         touchdowns = np.count_nonzero(stance[1:, leg] & ~stance[:-1, leg])
         assert per_leg[leg_name]["contacts"] == touchdowns, leg_name
@@ -93,9 +94,9 @@ def test_music_stream_in_range(run):
 
 def test_timestamps_exact(run):
     config, streams = run
-    # the clock is fixed; only the plant rate is the run's own
+    # the clock is fixed; only the plant rate is the mode's own
     osc_hz, mod_hz = ScenarioConfig.rate_oscillator_hz, ScenarioConfig.rate_modulator_hz
-    every = {"osc": 1, "plant": osc_hz // config["rate_plant_hz"],
+    every = {"osc": 1, "plant": osc_hz // ScenarioConfig(mode=config["mode"]).rate_plant_hz,
              "mod": osc_hz // mod_hz, "rewards": osc_hz // mod_hz}
     for name, rows in streams.items():
         k = np.arange(rows.shape[0])

@@ -49,10 +49,9 @@ class TestScenarioConfig:
         assert cu.duration == 5.0 and cu.rate_plant_hz == 200
 
     def test_explicit_values_survive_resolve(self):
-        cfg = ScenarioConfig(mode="freq_track", duration=2.0, f_cmd=3.5,
-                             rate_plant_hz=200).resolve()
+        cfg = ScenarioConfig(mode="freq_track", duration=2.0, f_cmd=3.5).resolve()
         assert cfg.duration == 2.0 and cfg.f_cmd == 3.5
-        assert cfg.rate_plant_hz == 200
+        assert cfg.rate_plant_hz == 500
 
     def test_audio_path_suppresses_synth_default(self):
         cfg = ScenarioConfig(mode="rhythm_sync", audio_path="x.wav").resolve()
@@ -63,8 +62,9 @@ class TestScenarioConfig:
         assert cfg.v_cmd == 0.8 and cfg.seed == 0
         assert cfg.rate_oscillator_hz == 1000 and cfg.rate_modulator_hz == 20
         assert cfg.warmup_s == 5.0 and cfg.target_leg == 1
-        assert cfg.gain_k == 2.0 and cfg.error_mode == "footfall"
+        assert cfg.gain_k == 2.0 and cfg.error_mode is None
         assert cfg.feedforward is False and cfg.estimator_mode == "learned"
+        assert cfg.resolve().error_mode == "footfall"
 
     def test_variant_tuples(self):
         assert MODES == ("freq_track", "rhythm_sync", "estimator_curriculum")
@@ -110,7 +110,7 @@ class TestScenarioConfig:
         with pytest.raises(InputError, match=f"{field} must be a string"):
             ScenarioConfig(mode="rhythm_sync", **{field: value})
 
-    @pytest.mark.parametrize("field", ["iterations", "seed", "rate_plant_hz"])
+    @pytest.mark.parametrize("field", ["iterations", "seed"])
     @pytest.mark.parametrize("value", [10.5, 10.0, True, "10", 2**53, -(10**400)])
     def test_non_integer_count_rejected(self, field, value):
         # integers past +-(2**53 - 1) are not exact in JSON, and 10**400 has no float
@@ -127,28 +127,40 @@ class TestScenarioConfig:
 
     def test_every_field_checked_by_its_annotation(self):
         # __post_init__ reads each annotation as a string (the __future__
-        # import); every kind it knows refuses a list, and every plain str
-        # field is a choice field refused with its allowed tuple
+        # import); every kind it knows refuses a list, every plain str
+        # field is a choice field, and a choice field refuses any other
+        # value with its allowed tuple
         choices = {"mode": MODES, "error_mode": ERROR_MODES, "estimator_mode": ESTIMATOR_MODES}
         for f in fields(ScenarioConfig):
             assert isinstance(f.type, str), f.name
             kind, _, optional = f.type.partition(" | ")
             assert kind in ("int", "float", "bool", "str") and optional in ("", "None"), f
-            if f.type == "str":
-                assert f.name in choices
+            if f.name in choices:
                 message = re.escape(f"{f.name} must be one of {choices[f.name]}, got 'x'")
             else:
                 message = f"{f.name} must be (an integer|a finite number|true or false|a string)"
             with pytest.raises(InputError, match=message):
-                ScenarioConfig(**{"mode": "freq_track", f.name: "x" if f.type == "str" else [1]})
-        assert {f.name for f in fields(ScenarioConfig) if f.type == "str"} == set(choices)
+                ScenarioConfig(**{"mode": "freq_track", f.name: "x" if f.name in choices else [1]})
+        assert {f.name for f in fields(ScenarioConfig) if f.type == "str"} < set(choices)
 
     @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("value", ["bogus", [1], None, 1, "RAW"])
+    @pytest.mark.parametrize("value", ["bogus", [1], 1, "RAW"])
     def test_error_mode_checked_in_every_mode(self, mode, value):
         # before any clip is built, and also where no modulator runs
         with pytest.raises(InputError, match="error_mode must be one of"):
             ScenarioConfig(mode=mode, error_mode=value)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("feedforward, error_mode", [(False, "raw"), (True, "footfall")])
+    def test_error_mode_must_agree_with_feedforward(self, mode, feedforward, error_mode):
+        # feedforward alone picks the law: the error it steers may be named, not changed
+        message = re.escape(f"error_mode {error_mode!r} disagrees with feedforward={feedforward}")
+        with pytest.raises(InputError, match=message):
+            ScenarioConfig(mode=mode, feedforward=feedforward, error_mode=error_mode)
+        law = ScenarioConfig(mode=mode, feedforward=feedforward).resolve().error_mode
+        assert law == ("raw" if feedforward else "footfall") != error_mode
+        assert ScenarioConfig(mode=mode, feedforward=feedforward, error_mode=law).resolve() \
+            == ScenarioConfig(mode=mode, feedforward=feedforward).resolve()
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("value", [-1.0, 0.0, -0.0, -5])
@@ -183,9 +195,9 @@ class TestScenarioConfig:
             with pytest.raises(InputError):
                 ScenarioConfig.from_json(p)
 
-    @pytest.mark.parametrize("field", ["rate_plant_hz", "seed", "iterations"])
+    @pytest.mark.parametrize("field", ["seed", "iterations"])
     def test_json_true_for_integer_rejected(self, field, tmp_path):
-        # true == 1 in Python: a rate would run as 1 Hz, a seed as 1
+        # true == 1 in Python: a seed would run as 1
         p = tmp_path / "cfg.json"
         p.write_text(f'{{"mode": "rhythm_sync", "{field}": true}}')
         with pytest.raises(InputError, match=f"{field} must be an integer, got True"):
@@ -193,40 +205,42 @@ class TestScenarioConfig:
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("key, value", [
-        ("delta_max", None), ("delta_max", 0.1), ("target_leg", 1), ("target_leg", 3)])
+        ("delta_max", None), ("delta_max", 0.1), ("target_leg", 1), ("target_leg", 3),
+        ("rate_plant_hz", None), ("rate_plant_hz", 100), ("rate_plant_hz", 500)])
     def test_removed_knob_refused_in_every_mode(self, mode, key, value, tmp_path):
-        # an older echo names both, at their old defaults (null, 1) or not:
-        # refused whatever the value, rather than run with the fixed one
+        # an older echo names all three, at their old defaults (null, 1,
+        # the mode's rate) or not: refused whatever the value, rather than
+        # run with the fixed one
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({"mode": mode, key: value}))
         with pytest.raises(InputError, match=re.escape(f"unknown config keys: ['{key}']")):
             ScenarioConfig.from_json(p)
 
     def test_rate_ladder_must_divide(self):
-        # the plant rate must divide the 1 kHz oscillator clock and be a
-        # multiple of the 20 Hz modulator clock, so that every modulator
-        # update falls on a plant update: 50 and 250 Hz divide 1000 but
-        # would put one every 2.5 and 12.5 plant updates
-        for rate in (0, -100, 30, 50, 250, 300, 1001, 2000):
-            message = re.escape("rate_plant_hz must divide 1000 and be a multiple of 20, one of "
-                                f"[20, 40, 100, 200, 500, 1000], got {rate}")
-            with pytest.raises(InputError, match=message):
-                ScenarioConfig(mode="freq_track", rate_plant_hz=rate).resolve()
-        for rate in (20, 200, 1000):
-            cfg = ScenarioConfig(mode="freq_track", rate_plant_hz=rate).resolve()
-            assert cfg.ticks() == (5000, 1000 // rate, 50)
+        # each mode's plant rate must divide the 1 kHz oscillator clock and
+        # be a multiple of the 20 Hz modulator clock, so that every
+        # modulator update falls on a plant update: 50 and 250 Hz divide
+        # 1000 but would put one every 2.5 and 12.5 plant updates
+        osc_hz, mod_hz = ScenarioConfig.rate_oscillator_hz, ScenarioConfig.rate_modulator_hz
+        rates = {mode: ScenarioConfig(mode=mode).rate_plant_hz for mode in MODES}
+        assert rates == {"freq_track": 500, "rhythm_sync": 100, "estimator_curriculum": 200}
+        for mode, rate in rates.items():
+            assert osc_hz % rate == 0 and rate % mod_hz == 0, mode
+            cfg = ScenarioConfig(mode=mode, duration=5.0).resolve()
+            assert cfg.ticks() == (5000, osc_hz // rate, osc_hz // mod_hz)
+            assert (osc_hz // mod_hz) % (osc_hz // rate) == 0, mode
 
     def test_clock_and_leg_are_fixed(self):
         # the oscillator and modulator rates and the tracked leg are class
         # attributes, not fields
         fixed = {"rate_oscillator_hz": 1000, "rate_modulator_hz": 20, "target_leg": 1}
         names = {f.name for f in fields(ScenarioConfig)}
-        assert len(names) == 16 and not {"reward", "delta_max"} & names
+        assert len(names) == 15 and not {"reward", "delta_max", "rate_plant_hz"} & names
         assert not set(fixed) & names
         cfg = ScenarioConfig(mode="rhythm_sync").resolve()
         for name, value in fixed.items():
             assert getattr(ScenarioConfig, name) == getattr(cfg, name) == value
-        assert not set(fixed) & set(cfg.to_dict())
+        assert not (set(fixed) | {"rate_plant_hz"}) & set(cfg.to_dict())
 
     def test_run_length_capped(self):
         # MAX_SAMPLES oscillator ticks at 1 kHz at most, checked before anything is allocated
@@ -459,9 +473,13 @@ def _assert_writes_savetxt(outdir, data):
 
 
 def _loop(load=None, mod_fn=None, duration=1.0):
-    """The shared loop at 1 kHz, a 100 Hz plant and a 20 Hz modulator, f = 2 Hz."""
-    cfg = ScenarioConfig(mode="freq_track", duration=duration, rate_plant_hz=100).resolve()
+    """The shared loop on freq_track's clock, f = 2 Hz: 1 kHz, a plant every _EVERY ticks, 20 Hz."""
+    cfg = ScenarioConfig(mode="freq_track", duration=duration).resolve()
     return _simulate(cfg, _initial_state(cfg, 2.0), load=load, mod_fn=mod_fn)
+
+
+#: Oscillator ticks per plant update in _loop's runs (2, at 500 Hz).
+_EVERY = ScenarioConfig(mode="freq_track", duration=1.0).resolve().ticks()[1]
 
 
 def _euler(osc, held, omega):
@@ -483,21 +501,22 @@ class TestScheduler:
             return 4.0 * np.pi
 
         _, osc, plant = _loop(load, mod_fn)
-        assert len(plant_calls) == 100
+        updates = 1000 // _EVERY
+        assert len(plant_calls) == updates
         assert [j for _, j in mod_calls] == list(range(20))
         assert [t for t, _ in mod_calls] == pytest.approx([0.05 * j for j in range(20)])
-        assert osc.shape == (1000, 6) and plant.shape == (100, 13)
+        assert osc.shape == (1000, 6) and plant.shape == (updates, 13)
         assert osc[-1, 0] == pytest.approx(0.999)
-        assert plant[:, 0] == pytest.approx([0.01 * i for i in range(100)])
-        # plant update i saw the phases of tick 10 * i, and its row keeps them
-        assert np.array_equal(plant_calls, osc[::10, 1:5])
-        assert np.array_equal(plant[:, 9:13], osc[::10, 1:5])
+        assert plant[:, 0] == pytest.approx([1e-3 * _EVERY * i for i in range(updates)])
+        # plant update i saw the phases of tick _EVERY * i, and its row keeps them
+        assert np.array_equal(plant_calls, osc[::_EVERY, 1:5])
+        assert np.array_equal(plant[:, 9:13], osc[::_EVERY, 1:5])
 
     def test_zero_order_hold(self):
-        # update i holds 0.1 * (i % 3) on every leg through its ten ticks
+        # update i holds 0.1 * (i % 3) on every leg through its _EVERY ticks
         update = itertools.count()
         _, osc, _ = _loop(lambda phases, g, shares: [0.1 * (next(update) % 3)] * 4)
-        update = np.arange(999) // 10
+        update = np.arange(999) // _EVERY
         held = (0.1 * (update % 3))[:, None]
         assert np.array_equal(_euler(osc, held, 4.0 * np.pi), osc[1:, 1:5])
         # the next update's loads would give other phases
@@ -519,7 +538,7 @@ class TestScheduler:
 
         _loop(load, mod_fn, duration=0.1)
         kinds = [kind for kind, _ in events]
-        assert kinds == ["plant", "mod"] + ["plant"] * 4 + ["plant", "mod"] + ["plant"] * 4
+        assert kinds == (["plant", "mod"] + ["plant"] * (50 // _EVERY - 1)) * 2
         for k, (kind, phases) in enumerate(events):
             if kind == "mod":
                 assert events[k - 1][1] == phases
@@ -527,7 +546,7 @@ class TestScheduler:
     def test_command_replaces_frequency(self):
         _, osc, plant = _loop(mod_fn=lambda t, phases, j: 3.5)
         assert osc[0, 5] == 4.0 * np.pi and np.all(osc[1:, 5] == 3.5)
-        held = plant[np.arange(999) // 10, 5:9]
+        held = plant[np.arange(999) // _EVERY, 5:9]
         assert np.array_equal(_euler(osc, held, 3.5), osc[1:, 1:5])
 
     def test_osc_row_logs_command_before_its_update(self):
@@ -630,7 +649,8 @@ class TestFrequencyTracking:
                      "runlog.plant.csv"):
             assert (outdir / name).exists()
         echo = json.loads((outdir / "config.echo.json").read_text())
-        assert echo["f_cmd"] == 2.0 and echo["rate_plant_hz"] == 500
+        assert echo["f_cmd"] == 2.0 and "rate_plant_hz" not in echo
+        assert report["rates_hz"] == {"oscillator": 1000, "plant": 500, "modulator": 20}
         loaded = json.loads((outdir / "report.json").read_text())
         assert loaded["per_leg"] == report["per_leg"]
 
@@ -748,39 +768,41 @@ class TestRhythmSync:
             with pytest.raises(RunFailedError, match="graded metrics not finite"):
                 run_rhythm_sync(cfg)
 
-    def test_feedforward_model_runs_on_the_loop_clock(self):
-        # the rollout steps and holds its loads like the configured loop;
-        # a model of the default 100 Hz hold left 0.0107 rad at a 200 Hz plant
+    def test_feedforward_model_runs_on_the_loop_clock(self, monkeypatch):
+        # the rollout steps and holds its loads like the loop, whose plant
+        # rate is the mode's entry in _MODE_DEFAULTS; a model of the 100 Hz
+        # hold left 0.0107 rad at a 200 Hz plant
+        monkeypatch.setitem(harness._MODE_DEFAULTS, "rhythm_sync", (30.0, 200))
         cfg = ScenarioConfig(mode="rhythm_sync", synth_bpm=120.0, duration=12.0,
-                             error_mode="raw", feedforward=True, gain_k=2.0,
-                             rate_plant_hz=200)
+                             feedforward=True, gain_k=2.0)
+        assert cfg.resolve().ticks()[1] == 5
         _, mod = run_rhythm_sync(cfg)[0].streams["mod"]
         assert np.abs(mod[mod[:, 0] > 5.0, 4]).max() < 1e-4
 
     def test_feedforward_logs_the_error_it_steers(self):
-        # the solve steers the raw error, so error_mode changes nothing with
-        # feedforward on; the footfall-corrected log read 0.25 rad after 5 s
+        # the solve steers the raw error, which a config may name or leave
+        # to feedforward; a footfall-corrected log read 0.25 rad after 5 s
         runs = {mode: run_rhythm_sync(ScenarioConfig(
                     mode="rhythm_sync", synth_bpm=120.0, duration=12.0,
                     error_mode=mode, feedforward=True))
-                for mode in ("footfall", "raw")}
-        (cols, footfall), (_, raw) = (runs[m][0].streams["mod"] for m in ("footfall", "raw"))
+                for mode in (None, "raw")}
+        (cols, unnamed), (_, raw) = (runs[m][0].streams["mod"] for m in (None, "raw"))
         assert cols[-1] == "phase_error"
-        assert footfall.tobytes() == raw.tobytes()
-        assert np.abs(footfall[footfall[:, 0] > 5.0, 4]).max() < 1e-4
-        assert runs["footfall"][1] == runs["raw"][1]
-        assert runs["footfall"][2] == runs["raw"][2]
+        assert unnamed.tobytes() == raw.tobytes()
+        assert np.abs(raw[raw[:, 0] > 5.0, 4]).max() < 1e-4
+        assert runs[None][1] == runs["raw"][1]
+        assert runs[None][2] == runs["raw"][2]
 
     def test_feedforward_report_records_the_raw_error(self, tmp_path):
-        # error_mode defaults to footfall; the report names the error the
-        # run steered, the echo the value the config asked for
+        # error_mode follows feedforward: the report and the echo both
+        # name the error the run steered
         cfg = ScenarioConfig(mode="rhythm_sync", synth_bpm=120.0, duration=6.0,
                              feedforward=True, outdir=str(tmp_path))
         _, _, report = run_rhythm_sync(cfg)
         assert report["modulator"]["error_mode"] == "raw"
         written = json.loads((tmp_path / "report.json").read_text())
         assert written["modulator"]["error_mode"] == "raw"
-        assert json.loads((tmp_path / "config.echo.json").read_text())["error_mode"] == "footfall"
+        assert json.loads((tmp_path / "config.echo.json").read_text())["error_mode"] == "raw"
 
     def test_clip_shorter_than_run(self, tmp_path):
         wav = tmp_path / "clicks.wav"

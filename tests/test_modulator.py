@@ -40,8 +40,9 @@ def unit(phi):
 
 
 def run_cfg(**fields):
-    """The resolved config of a rhythm_sync run on the raw error law, as modulate reads it."""
-    return ScenarioConfig(**{"mode": "rhythm_sync", "error_mode": "raw", **fields}).resolve()
+    """The resolved config of a rhythm_sync run, as modulate reads it: the footfall law unless
+    fields turn feedforward on."""
+    return ScenarioConfig(mode="rhythm_sync", **fields).resolve()
 
 
 class TestRingDistance:
@@ -105,6 +106,8 @@ class TestRewards:
 
 
 class TestModulate:
+    """The footfall law; the examples put phi_j in swing, [0, pi), where its correction is 0."""
+
     OMEGA = TWO_PI * 2.0  # 120 BPM folded
 
     # 4 Hz, the band's closed upper edge, is commandable
@@ -151,7 +154,7 @@ class TestModulate:
         assert DELTA_MAX / ScenarioConfig.rate_modulator_hz <= 0.25 * math.pi
 
     def test_footfall_correction_in_stance(self):
-        cfg = run_cfg(error_mode="footfall")
+        cfg = run_cfg()
         phi = FOOTFALL_PHASE
         theta = 0.3
         cmd = modulate(unit(phi), unit(theta), self.OMEGA, SIGMA, XI, cfg)
@@ -163,16 +166,17 @@ class TestModulate:
         # the standing bank's gain 4 and a raised one, not the module's 2*pi
         theta = 0.3
         for sigma in (4.0, 1.2 * SIGMA):
-            cmd = modulate(unit(FOOTFALL_PHASE), unit(theta), self.OMEGA, sigma, XI,
-                           run_cfg(error_mode="footfall"))
+            cmd = modulate(unit(FOOTFALL_PHASE), unit(theta), self.OMEGA, sigma, XI, run_cfg())
             expected = wrap_signed(FOOTFALL_PHASE - theta - sigma * TROT_G / self.OMEGA)
             assert cmd.phase_error == pytest.approx(expected, abs=1e-12)
 
     def test_footfall_matches_raw_in_swing(self):
-        raw = modulate(unit(0.8), unit(0.3), self.OMEGA, SIGMA, XI, run_cfg())
-        foot = modulate(unit(0.8), unit(0.3), self.OMEGA, SIGMA, XI,
-                        run_cfg(error_mode="footfall"))
-        assert foot.phase_error == pytest.approx(raw.phase_error, abs=1e-12)
+        # max(0, -sin(phi)) is 0 in swing, so the error is the raw wrap(phi - theta)
+        for phi in (0.0, 0.8, 2.0, math.pi - 1e-9):
+            foot = modulate(unit(phi), unit(0.3), self.OMEGA, SIGMA, XI, run_cfg())
+            raw = wrap_signed(math.atan2(math.sin(phi), math.cos(phi)) % TWO_PI - 0.3)
+            assert foot.phase_error == raw
+            assert foot.delta_omega == max(-DELTA_MAX, min(-2.0 * raw, DELTA_MAX))
 
     @given(angles, angles)
     @settings(max_examples=300)
@@ -485,9 +489,9 @@ class TestFeedforward:
         assert np.abs(mod[mod[:, 0] > 5.0, 4]).max() < 0.05
 
     def test_rollout_on_run_clock(self, monkeypatch):
-        # a 200 Hz plant on the 1 kHz oscillator and 20 Hz modulator
+        # rhythm_sync's plant on the 1 kHz oscillator and 20 Hz modulator
         # clock: every rollout spans one 50 ms command tick in 1 ms
-        # steps, each load held for 5 of them (10 at the default 100 Hz)
+        # steps, each load held for one plant period (10 steps at 100 Hz)
         clocks = set()
         rollout = modulator.rollout_phase
 
@@ -496,9 +500,11 @@ class TestFeedforward:
             return rollout(phi, pair, rate, sigma, xi, horizon_s, substep_s, hold_steps)
 
         monkeypatch.setattr(modulator, "rollout_phase", recorded_rollout)
-        run_rhythm_sync(ScenarioConfig(mode="rhythm_sync", synth_bpm=120.0, duration=2.0,
-                                       warmup_s=0.0, feedforward=True, rate_plant_hz=200))
-        assert clocks == {(1.0 / 20, 1.0 / 1000, 5)}
+        cfg = ScenarioConfig(mode="rhythm_sync", synth_bpm=120.0, duration=2.0, warmup_s=0.0,
+                             feedforward=True)
+        run_rhythm_sync(cfg)
+        assert clocks == {(1.0 / 20, 1.0 / 1000, cfg.resolve().ticks()[1])}
+        assert cfg.resolve().ticks()[1] == 10
 
     def test_feedforward_via_modulate(self):
         cfg = run_cfg(gain_k=2.0, feedforward=True)
