@@ -28,6 +28,12 @@ pairs, the change wins at least nine in ten of them, and the medians
 differ by more than the parent's interquartile spread. A pair counts
 only when both of its runs passed perfbench's output checks and exited
 0; the entry records how many pairs were left out (`pairs_left_out`).
+Each run also keeps two figures perfbench prints but does not report as
+metrics: `cold_s`, its first pass on a cold process on the scaled clock,
+and `host_s`, its host seconds per pass before scaling. The entry's
+`figures` give each side's median of them, with no gain rule: the
+reference-clock scaling can hide part of a gain in memory traffic,
+which `host_s` keeps.
 Running the script again for other workloads adds them to an existing
 file; a workload run again replaces its entry.
 """
@@ -39,6 +45,7 @@ import hashlib
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -50,6 +57,9 @@ ROOT = Path(__file__).resolve().parents[1]
 RUN_TIMEOUT_S = 240
 #: Fewer pairs than this never support a claimed gain.
 MIN_PAIRS_FOR_GAIN = 10
+#: The line of perfbench's output that carries the figures it prints
+#: next to its metrics.
+_FIGURES_LINE = re.compile(r"cold first pass (\S+) s; unscaled host seconds per pass (\S+) s")
 
 
 def _git_head(checkout: Path) -> str | None:
@@ -87,7 +97,17 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"exit_code": proc.returncode, "correct": result["correct"],
             "attempted": result["attempted"], "failed": result["failed"],
             "metrics": {k: m["value"] for k, m in result["metrics"].items()},
+            **host_figures(proc.stdout),
             "stderr_tail": proc.stderr.strip().splitlines()[-3:]}
+
+
+def host_figures(stdout: str) -> dict:
+    """`cold_s` and `host_s` from a perfbench run's output; None each where it has none.
+
+    A run with a failed operation prints no timings, so no such line.
+    """
+    m = _FIGURES_LINE.search(stdout)
+    return {"cold_s": float(m[1]) if m else None, "host_s": float(m[2]) if m else None}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -133,6 +153,20 @@ def summarize(pairs: list[dict], directions: dict[str, str]) -> dict:
             "gain_holds": (len(both) >= MIN_PAIRS_FOR_GAIN and wins >= 0.9 * len(both)
                            and sign * (c_med - p_med) > p_q3 - p_q1),
         }
+    return out
+
+
+def figures(pairs: list[dict]) -> dict:
+    """Per figure, each side's median over the pairs that are `pair_ok`."""
+    pairs = [p for p in pairs if pair_ok(p)]
+    out = {}
+    for name in ("cold_s", "host_s"):
+        both = [(p["parent"].get(name), p["change"].get(name)) for p in pairs]
+        both = [(a, b) for a, b in both if a is not None and b is not None]
+        if both:
+            out[name] = {"pairs": len(both),
+                         "parent": statistics.median(a for a, _ in both),
+                         "change": statistics.median(b for _, b in both)}
     return out
 
 
@@ -190,12 +224,15 @@ def main() -> int:
                 "failed_operations": {side: sum(p[side]["failed"] for p in pairs)
                                       for side in checkouts},
                 "pairs_left_out": sum(not pair_ok(p) for p in pairs),
-                "summary": summarize(pairs, directions)}
+                "summary": summarize(pairs, directions), "figures": figures(pairs)}
             out_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         for name, s in doc["workloads"][workload]["summary"].items():
             print(f"  {workload} {name}: parent {s['parent']['median']:.4g} "
                   f"change {s['change']['median']:.4g} wins {s['change_wins']}/{s['pairs']} "
                   f"gain_holds {s['gain_holds']}")
+        for name, f in doc["workloads"][workload]["figures"].items():
+            print(f"  {workload} {name} (figure): parent {f['parent']:.4g} "
+                  f"change {f['change']:.4g}")
     return 0
 
 

@@ -438,6 +438,10 @@ def scheduler_tick(phases, g, dt: float, om, sg, xi, n_steps: int, log):
     Every argument but dt, n_steps and log is a list of four floats. Each
     step is step_phases' expression on plain floats, with sigma * G, which
     it groups as (sigma * G) * (cos(phi) + xi), taken once per window.
+    A leg whose sigma * G is +-0.0 (no load: all of swing) steps by
+    dt * omega, hoisted, with no cos: the full expression's term is then
+    +-0.0, and omega less +-0.0 is omega, bit for bit. That holds only
+    for a finite xi, so such a leg must also have (sigma * G) * xi == 0.0.
     Extends log, unless it is None, by each tick's phases before its
     step; returns the phases after the last step. A NaN or infinite load
     gives NaN phases, which the loop checks for at every plant update.
@@ -446,15 +450,18 @@ def scheduler_tick(phases, g, dt: float, om, sg, xi, n_steps: int, log):
     o0, o1, o2, o3 = om
     x0, x1, x2, x3 = xi
     k0, k1, k2, k3 = sg[0] * g[0], sg[1] * g[1], sg[2] * g[2], sg[3] * g[3]
+    f0, f1, f2, f3 = (k0 == 0.0 == k0 * x0, k1 == 0.0 == k1 * x1,
+                      k2 == 0.0 == k2 * x2, k3 == 0.0 == k3 * x3)
+    c0, c1, c2, c3 = dt * o0, dt * o1, dt * o2, dt * o3
     cos = math.cos
     extend = None if log is None else log.extend
     for _ in range(n_steps):
         if extend is not None:
             extend((p0, p1, p2, p3))
-        p0 = (p0 + dt * (o0 - k0 * (cos(p0) + x0))) % TWO_PI
-        p1 = (p1 + dt * (o1 - k1 * (cos(p1) + x1))) % TWO_PI
-        p2 = (p2 + dt * (o2 - k2 * (cos(p2) + x2))) % TWO_PI
-        p3 = (p3 + dt * (o3 - k3 * (cos(p3) + x3))) % TWO_PI
+        p0 = (p0 + c0 if f0 else p0 + dt * (o0 - k0 * (cos(p0) + x0))) % TWO_PI
+        p1 = (p1 + c1 if f1 else p1 + dt * (o1 - k1 * (cos(p1) + x1))) % TWO_PI
+        p2 = (p2 + c2 if f2 else p2 + dt * (o2 - k2 * (cos(p2) + x2))) % TWO_PI
+        p3 = (p3 + c3 if f3 else p3 + dt * (o3 - k3 * (cos(p3) + x3))) % TWO_PI
         # % rounds up to the divisor for tiny negative sums
         p0 = 0.0 if p0 >= TWO_PI else p0
         p1 = 0.0 if p1 >= TWO_PI else p1

@@ -135,6 +135,10 @@ def rollout_phase(phi_j: float, phi_pair: float, rate: float, sigma: float, xi: 
     The loads are set once per hold window; the two legs do not interact
     inside one, so each is stepped through it in turn, and the bias term
     sigma * G * xi, constant over the window, is folded into its rate.
+    A leg whose sigma * G is 0.0 (no load) steps by substep_s times that
+    rate, hoisted, with no cos: rate - 0.0 * cos(phi) is the rate, bit
+    for bit. The pair leg is read only through its load at the start of
+    a window, so it is not stepped through the last one.
     """
     n = max(1, int(round(horizon_s / substep_s)))
     cos = math.cos
@@ -149,10 +153,22 @@ def rollout_phase(phi_j: float, phi_pair: float, rate: float, sigma: float, xi: 
             kb = sigma * (wb / total)
         ra, rb = rate - ka * xi, rate - kb * xi
         steps = range(min(hold_steps, n - start))
-        for _ in steps:
-            phi_j = (phi_j + substep_s * (ra - ka * cos(phi_j))) % TWO_PI
-        for _ in steps:
-            phi_pair = (phi_pair + substep_s * (rb - kb * cos(phi_pair))) % TWO_PI
+        if ka == 0.0:
+            step = substep_s * ra
+            for _ in steps:
+                phi_j = (phi_j + step) % TWO_PI
+        else:
+            for _ in steps:
+                phi_j = (phi_j + substep_s * (ra - ka * cos(phi_j))) % TWO_PI
+        if start + hold_steps >= n:
+            break
+        if kb == 0.0:
+            step = substep_s * rb
+            for _ in steps:
+                phi_pair = (phi_pair + step) % TWO_PI
+        else:
+            for _ in steps:
+                phi_pair = (phi_pair + substep_s * (rb - kb * cos(phi_pair))) % TWO_PI
     return phi_j
 
 

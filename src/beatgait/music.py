@@ -33,7 +33,8 @@ FRAME_RATE_HZ = 100.0
 ANALYSIS_WINDOW = 1024
 ANALYSIS_HOP = 512
 #: Frames per rfft block of onset_envelope; bounds its working memory.
-FLUX_BLOCK_FRAMES = 256
+#: At 32 its four buffers take about 0.8 MB, which stays within a 2 MB L2 cache.
+FLUX_BLOCK_FRAMES = 32
 
 TEMPO_RANGE_BPM = (60.0, 200.0)
 
@@ -208,8 +209,9 @@ def onset_envelope(clip: AudioClip) -> np.ndarray:
     half a window before sample k * ANALYSIS_HOP, zero beyond either end
     of the clip, so a click's flux peak lands on the frame nearest the
     click itself rather than half a window late. The frames are
-    transformed FLUX_BLOCK_FRAMES at a time, with the last magnitude row
-    of a block carried into the next. A block inside the clip takes its
+    transformed FLUX_BLOCK_FRAMES at a time into buffers allocated once,
+    small enough to stay in cache; the magnitude buffer's row 0 carries
+    the last row of the block before. A block inside the clip takes its
     frames as strided views of the samples; only a block that reaches
     past either end copies its own samples into a zero-padded piece. So
     working memory stays bounded by one block whatever the clip's length,
@@ -224,9 +226,13 @@ def onset_envelope(clip: AudioClip) -> np.ndarray:
     n_frames = (x.size + pad) // hop + 1
     window = np.hanning(size + 1)[:-1]
     flux = np.empty(n_frames)
-    prev = np.zeros((1, size // 2 + 1))
-    for i in range(0, n_frames, FLUX_BLOCK_FRAMES):
-        m = min(FLUX_BLOCK_FRAMES, n_frames - i)
+    b = min(FLUX_BLOCK_FRAMES, n_frames)
+    w = np.empty((b, size))
+    spec = np.empty((b, size // 2 + 1), complex)
+    mags = np.zeros((b + 1, size // 2 + 1))
+    rise = np.empty((b, size // 2 + 1))
+    for i in range(0, n_frames, b):
+        m = min(b, n_frames - i)
         lo = i * hop - pad
         hi = lo + (m - 1) * hop + size
         if lo >= 0 and hi <= x.size:
@@ -236,11 +242,13 @@ def onset_envelope(clip: AudioClip) -> np.ndarray:
             inside = x[max(lo, 0):hi]
             start = max(-lo, 0)
             piece[start : start + inside.size] = inside
-        frames = sliding_window_view(piece, size)[::hop]
-        mags = np.abs(np.fft.rfft(frames * window, axis=1))
-        rise = np.maximum(np.diff(mags, axis=0, prepend=prev), 0.0)
-        flux[i : i + m] = rise.sum(axis=1)
-        prev = mags[-1:]
+        np.multiply(sliding_window_view(piece, size)[::hop], window, out=w[:m])
+        np.fft.rfft(w[:m], axis=1, out=spec[:m])
+        np.abs(spec[:m], out=mags[1 : m + 1])
+        np.subtract(mags[1 : m + 1], mags[:m], out=rise[:m])
+        np.maximum(rise[:m], 0.0, out=rise[:m])
+        rise[:m].sum(axis=1, out=flux[i : i + m])
+        mags[0] = mags[m]
     native_t = np.arange(n_frames) * (hop / clip.sample_rate)
     out_n = int(math.floor(native_t[-1] * FRAME_RATE_HZ)) + 1
     out_t = np.arange(out_n) / FRAME_RATE_HZ

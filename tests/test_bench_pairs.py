@@ -1,6 +1,7 @@
-"""The summary rules of scripts/bench_pairs.py: quartiles, the gain rule, wrong runs."""
+"""The rules of scripts/bench_pairs.py: quartiles, the gain rule, wrong runs, host figures."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -95,3 +96,48 @@ def test_src_lines_counts_python_files_under_src(tmp_path):
     (tmp_path / "src" / "notes.txt").write_text("not\ncounted\n")
     (tmp_path / "setup.py").write_text("outside = src\n")
     assert bench_pairs.src_lines(tmp_path) == 4
+
+
+#: What `perfbench/run.py --workload curriculum --seed 3 --seconds 1 --trace 0` printed.
+STDOUT = """\
+workload curriculum  seed 3  trace 0  rounds 6  measured 0.9 s
+  wall_s                                           0.120343 s
+  realtime_x                                        706.314 s/s
+  setup_s                                          0.238675 s
+  peak_rss_mb                                       43.2824 MB
+  cold first pass 0.1156 s; unscaled host seconds per pass 0.1473 s
+  operations attempted 7, failed 0
+{"correct": true, "attempted": 7, "failed": 0, "metrics": {"wall_s": {"value": 0.12034306846846346, \
+"unit": "s"}, "realtime_x": {"value": 706.3140493403216, "unit": "s/s"}, "setup_s": {"value": \
+0.23867465645555913, "unit": "s"}, "peak_rss_mb": {"value": 43.282432, "unit": "MB"}}}
+"""
+
+
+def test_run_keeps_host_figures_next_to_metrics(monkeypatch, tmp_path):
+    def fake_run(cmd, **kwargs):
+        return subprocess.CompletedProcess(cmd, 0, stdout=STDOUT, stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    r = bench_pairs.run_once(tmp_path, "curriculum", 3, 1.0)
+    assert r["cold_s"] == 0.1156 and r["host_s"] == 0.1473
+    assert r["metrics"] == {"wall_s": 0.12034306846846346, "realtime_x": 706.3140493403216,
+                            "setup_s": 0.23867465645555913, "peak_rss_mb": 43.282432}
+    assert r["correct"] and r["exit_code"] == 0
+
+
+def test_run_without_timings_has_no_host_figures():
+    # a run with a failed operation prints no timing line
+    failed = "\n".join(line for line in STDOUT.splitlines() if "cold first pass" not in line)
+    assert bench_pairs.host_figures(failed) == {"cold_s": None, "host_s": None}
+
+
+def test_figures_are_medians_outside_the_summary():
+    ps = pairs(PARENT, [a - 0.5 for a in PARENT])
+    for k, p in enumerate(ps):
+        p["parent"].update(cold_s=1.0 + k, host_s=2.0 + k)
+        p["change"].update(cold_s=0.5 + k, host_s=1.0 + k)
+    ps[0]["change"] = run(0.1, correct=False)  # left out, as in the summary
+    f = bench_pairs.figures(ps)
+    assert f == {"cold_s": {"pairs": 9, "parent": 6.0, "change": 5.5},
+                 "host_s": {"pairs": 9, "parent": 7.0, "change": 6.0}}
+    assert set(bench_pairs.summarize(ps, WALL)) == {"wall_s"}

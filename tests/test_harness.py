@@ -617,6 +617,50 @@ class TestScheduler:
         assert all(math.isnan(p) for p in out[:3]) and math.isfinite(out[3])
         assert np.reshape(log, (3, 4))[0].tolist() == p0
 
+    @staticmethod
+    def numpy_window(phi, g, dt, om, sg, xi, n_steps):
+        """step_phases' formula in numpy, stepped n_steps times: (rows, phases)."""
+        phi, g, om, sg, xi = (np.array(a, dtype=float) for a in (phi, g, om, sg, xi))
+        rows = []
+        with np.errstate(invalid="ignore"):
+            for _ in range(n_steps):
+                rows.append(phi)
+                phi = np.mod(phi + dt * (om - sg * g * (np.cos(phi) + xi)), TWO_PI)
+                phi[phi >= TWO_PI] = 0.0
+        return np.array(rows), phi
+
+    @pytest.mark.parametrize("g", [[0.0] * 4, [-0.0] * 4, [0.0, -0.0, -0.0, 0.0]])
+    @pytest.mark.parametrize("regime", [(4.0 * np.pi, TWO_PI, 0.0), (1.0, 4.0, 1.0)])
+    def test_unloaded_window_matches_numpy_formula(self, g, regime):
+        # every leg steps by dt * omega with no cos, and must land on the
+        # full formula's bits; the phases start at 0.0 and -0.0 too
+        om, sg, xi = ([v] * 4 for v in regime)
+        for p0 in ([0.1, 3.3, 4.9, 6.2], [0.0, -0.0, TWO_PI - 1e-3, np.pi]):
+            log = array("d")
+            out = scheduler_tick(p0, g, 1e-3, om, sg, xi, 10, log)
+            rows, end = self.numpy_window(p0, g, 1e-3, om, sg, xi, 10)
+            # bytes, not ==, so that a zero of the other sign would show
+            assert np.frombuffer(log).tobytes() == rows.tobytes()
+            assert np.array(out).tobytes() == end.tobytes()
+
+    @pytest.mark.parametrize("bias", [math.inf, -math.inf, math.nan])
+    def test_unloaded_leg_with_non_finite_xi_takes_the_full_formula(self, bias):
+        # 0 * inf is NaN, so the full formula gives NaN; a zero load alone
+        # must not step such a leg by dt * omega
+        out = scheduler_tick([0.1, 3.3, 4.9, 6.2], [0.0, -0.0, 0.0, 0.5], 1e-3,
+                             [4.0 * np.pi] * 4, [TWO_PI] * 4, [bias, bias, 0.0, 0.0], 3, None)
+        _, end = self.numpy_window([0.1, 3.3, 4.9, 6.2], [0.0, -0.0, 0.0, 0.5], 1e-3,
+                                   [4.0 * np.pi] * 4, [TWO_PI] * 4, [bias, bias, 0.0, 0.0], 3)
+        assert math.isnan(out[0]) and math.isnan(out[1])
+        assert np.array_equal(np.array(out), end, equal_nan=True)
+
+    def test_nan_omega_under_zero_load_gives_nan(self):
+        out = scheduler_tick([0.1, 3.3, 4.9, 6.2], [0.0, -0.0, 0.0, 0.5], 1e-3,
+                             [math.nan, math.nan, 4.0 * np.pi, 4.0 * np.pi], [TWO_PI] * 4,
+                             [0.0] * 4, 3, None)
+        assert math.isnan(out[0]) and math.isnan(out[1])
+        assert math.isfinite(out[2]) and math.isfinite(out[3])
+
     def test_one_kernel_call_and_one_plant_call_per_update(self, monkeypatch):
         # perfbench's tracer counts these calls through the harness's names,
         # so inlining either one into the loop would break its call counts;

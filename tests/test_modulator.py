@@ -270,6 +270,26 @@ class TestRollout:
             args = (float(phi), float(pair), rate, SIGMA, XI, horizon_s, step_s, hold_steps)
             assert rollout_phase(*args) == self.per_substep_rollout(*args)
 
+    @pytest.mark.parametrize("extra", [0, 1])
+    @pytest.mark.parametrize("phi, pair", [(2.9, 4.5), (5.9, 3.3), (1.0, 3.2)])
+    @pytest.mark.parametrize("sigma, xi", [(SIGMA, XI), (4.0, 1.0)])
+    def test_last_window_matches_per_substep_loop(self, phi, pair, sigma, xi, extra):
+        # the horizon ends on a window boundary, or one substep into the
+        # next window; rollout_phase does not step the pair leg through
+        # the last window, where it is in stance, so its skipped steps
+        # would take the full formula were they read. The leg itself
+        # swings into stance, out of it, or swings throughout, so it
+        # steps both with and without cos
+        step, hold = CLOCK
+        n = 5 * hold + extra
+        last = (n - 1) // hold * hold
+        # the model is symmetric: the pair's phase is the rollout of it
+        pair_at = self.per_substep_rollout(pair, phi, 4.0 * math.pi, sigma, xi,
+                                           last * step, step, hold)
+        assert math.pi < pair_at < TWO_PI
+        args = (phi, pair, 4.0 * math.pi, sigma, xi, n * step, step, hold)
+        assert rollout_phase(*args) == self.per_substep_rollout(*args)
+
 
 def bisect_command(phi, pair, theta, omega_m, gain_k):
     """The feedforward solve as 40 bisection steps: (delta, saturated)."""

@@ -6,6 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from beatgait import music
 from beatgait.errors import InputError, InsufficientDataError
 from beatgait.music import (
     ANALYSIS_HOP,
@@ -260,26 +261,44 @@ def _envelope_reference(clip):
     return np.interp(np.arange(out_n) / FRAME_RATE_HZ, native_t, flux)
 
 
+def _click_clip(n_frames):
+    """A 16 kHz noise clip with clicks at 2 Hz that has n_frames frames."""
+    rng = np.random.default_rng(n_frames)
+    n = (n_frames - 2) * ANALYSIS_HOP + int(rng.integers(1, ANALYSIS_HOP))
+    x = rng.normal(0.0, 0.01, n)
+    x[:: 8000] += 0.6  # clicks at 2 Hz
+    return AudioClip(samples=x, sample_rate=16000)
+
+
+#: A span of 256 frames, a whole number of blocks; the frame counts and
+#: clip lengths below straddle it.
+_SPAN = 256
+
+
 class TestBlockwiseEnvelope:
     # a clip of n samples has 2 + n // ANALYSIS_HOP frames (the padding
     # adds two), so 2 is the fewest a non-empty clip can have
-    @pytest.mark.parametrize("n_frames", [2, FLUX_BLOCK_FRAMES - 1, FLUX_BLOCK_FRAMES,
-                                          FLUX_BLOCK_FRAMES + 1, 3 * FLUX_BLOCK_FRAMES + 5])
+    @pytest.mark.parametrize("n_frames", [2, _SPAN - 1, _SPAN, _SPAN + 1, 3 * _SPAN + 5])
     def test_matches_whole_clip_formula(self, n_frames):
-        rng = np.random.default_rng(n_frames)
-        n = (n_frames - 2) * ANALYSIS_HOP + int(rng.integers(1, ANALYSIS_HOP))
-        x = rng.normal(0.0, 0.01, n)
-        x[:: 8000] += 0.6  # clicks at 2 Hz
-        clip = AudioClip(samples=x, sample_rate=16000)
-        env = onset_envelope(clip)
-        assert np.array_equal(env, _envelope_reference(clip))
+        clip = _click_clip(n_frames)
+        assert np.array_equal(onset_envelope(clip), _envelope_reference(clip))
 
-    # clip lengths at a hop, a window and a block's span: one block that
+    # every block length gives the whole-clip formula's bits: one frame per
+    # block, three, the default, and 256, one block for all but the longest
+    # clip; the frame counts fill whole blocks of 32, or end one frame
+    # into a block or one frame short of one
+    @pytest.mark.parametrize("block", [1, 3, FLUX_BLOCK_FRAMES, 256])
+    @pytest.mark.parametrize("n_frames", [2, 3, 4, 31, 32, 33, 65, 97, 255, 256, 257])
+    def test_any_block_length_matches_whole_clip_formula(self, monkeypatch, block, n_frames):
+        monkeypatch.setattr(music, "FLUX_BLOCK_FRAMES", block)
+        clip = _click_clip(n_frames)
+        assert np.array_equal(onset_envelope(clip), _envelope_reference(clip))
+
+    # clip lengths at a hop, a window and a 256-frame span: one block that
     # reaches past both ends of the clip, or a last block of one or two frames
     @pytest.mark.parametrize("n", [1, ANALYSIS_HOP - 1, ANALYSIS_WINDOW - 1, ANALYSIS_WINDOW,
-                                   3 * ANALYSIS_HOP, FLUX_BLOCK_FRAMES * ANALYSIS_HOP - 1,
-                                   FLUX_BLOCK_FRAMES * ANALYSIS_HOP,
-                                   FLUX_BLOCK_FRAMES * ANALYSIS_HOP + 1])
+                                   3 * ANALYSIS_HOP, _SPAN * ANALYSIS_HOP - 1,
+                                   _SPAN * ANALYSIS_HOP, _SPAN * ANALYSIS_HOP + 1])
     def test_matches_padded_copy_at_clip_lengths(self, n):
         rng = np.random.default_rng(n)
         clip = AudioClip(samples=rng.uniform(-1.0, 1.0, n), sample_rate=22050)
