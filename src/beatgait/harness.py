@@ -275,17 +275,17 @@ def _two_product(a, b):
 
 
 def _digits17(a):
-    """(N, e): a = N * 10**(e - 16) to 17 significant digits, for each a in (1e-6, 1e16).
+    """(N, e): a = N * 10**(e - 16) to 17 significant digits, for each a in [1e-4, 1e16).
 
     N in [1e16, 1e17) is a * 10**(16 - e) rounded half to even, as
     CPython's dtoa rounds for %.17g. The power is exact for e in
-    [-6, 15], and the product is formed exactly as hi + lo, so exact
+    [-4, 15], and the product is formed exactly as hi + lo, so exact
     comparisons on the pair correct log10's estimate of e; hi is then an
     even integer, so rint(lo) settles ties. No double in the range is
     within a half unit of the 17th digit below a power of ten, so N
     never rounds up to 1e17.
     """
-    e = np.clip(np.floor(np.log10(a)), -6, 15).astype(np.int64)
+    e = np.clip(np.floor(np.log10(a)), -4, 15).astype(np.int64)
     hi, lo = _two_product(a, _POW10[16 - e])
     below = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
     above = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
@@ -300,18 +300,18 @@ def _cells(x):
     """Each value's %.17g text, left-aligned in a row of _CELL bytes.
 
     Returns (cells, lens, at): value i reads cells[at[i], :lens[at[i]]].
-    Values of magnitude in (1e-6, 1e16) take their digits from
-    _digits17 and are laid out with column slices, one group of cells
-    per (exponent, sign): fixed notation for exponents -4 to 15, trailing
-    zeros and a bare point dropped, else d.ddd...e-0k. Every other value
-    (zeros, subnormals, NaN, inf, and magnitudes outside the range) is
+    Values of magnitude in [1e-4, 1e16), where %.17g writes fixed
+    notation, take their digits from _digits17 and are laid out with
+    column slices, one group of cells per (exponent, sign), trailing
+    zeros and a bare point dropped. Every other value (zeros,
+    subnormals, NaN, inf, and magnitudes outside the range) is
     formatted by Python's %, once per 64-bit pattern.
     """
     a = np.abs(x)
-    fast = (a > 1e-6) & (a < 1e16)
+    fast = (a >= 1e-4) & (a < 1e16)
     idx, rest = np.flatnonzero(fast), np.flatnonzero(~fast)
     n, e = _digits17(a[idx])
-    group = ((e + 6) * 2 + np.signbit(x[idx])).astype(np.int8)  # (exponent, sign)
+    group = ((e + 4) * 2 + np.signbit(x[idx])).astype(np.int8)  # (exponent, sign)
     order = np.argsort(group, kind="stable")
     n = n[order].view(np.uint64)
     digits = np.empty((17, idx.size), np.uint8)
@@ -336,7 +336,7 @@ def _cells(x):
             continue
         start, stop = stop, stop + count
         c, d, z = cells[start:stop], digits[start:stop], zeros[start:stop]
-        x10, s = g // 2 - 6, g % 2
+        x10, s = g // 2 - 4, g % 2
         if s:
             c[:, 0] = ord("-")
         if x10 >= 0:  # d.d...d with x10 + 1 digits before the point
@@ -345,19 +345,11 @@ def _cells(x):
             c[:, s + x10 + 2:s + 18] = d[:, x10 + 1:]
             cut = np.minimum(z, 16 - x10)
             lens[start:stop] = s + 18 - cut - (cut == 16 - x10)
-        elif x10 >= -4:  # 0.00...0d...d
+        else:  # 0.00...0d...d
             lead = 1 - x10
             c[:, s:s + lead] = np.frombuffer(b"0." + b"0" * (lead - 2), np.uint8)
             c[:, s + lead:s + lead + 17] = d
             lens[start:stop] = s + lead + 17 - z
-        else:  # d.d...de-0k, the point dropped with all 16 fraction digits
-            c[:, s] = d[:, 0]
-            c[:, s + 1] = ord(".")
-            c[:, s + 2:s + 18] = d[:, 1:]
-            end = s + 18 - z - (z == 16)
-            c[np.arange(count)[:, None], end[:, None] + np.arange(4)] = \
-                np.frombuffer(b"e-0%d" % -x10, np.uint8)
-            lens[start:stop] = end + 4
     texts = ("%.17g\n" * pattern.size % tuple(pattern.view(float).tolist())).split("\n")[:-1]
     cells[idx.size:, :_CELL - 1] = np.array(texts, dtype=f"S{_CELL - 1}").view(np.uint8) \
         .reshape(-1, _CELL - 1)
@@ -405,8 +397,8 @@ class RunLog:
     runlog.<name>.csv, each value as %.17g, which reads back as the same double.
     The bytes are those np.savetxt(fmt="%.17g", delimiter=",") writes,
     built by _block_text in numpy a block of _WRITE_BLOCK_ROWS rows at a
-    time: digits from an exact product where the range allows, Python's
-    % for the rest, and a run of bit-equal values in a column, or a
+    time: digits from an exact product where %.17g writes fixed notation,
+    Python's % for the rest, and a run of bit-equal values in a column, or a
     column bit-equal to an earlier one, formatted once per block.
     """
 
@@ -684,7 +676,7 @@ def run_rhythm_sync(config: ScenarioConfig):
         raise InsufficientDataError(
             f"clip covers {analysis.envelope.size} envelope frames, the "
             f"{cfg.duration:g} s run needs {n_frames}")
-    f_gait = fold_tempo(analysis.tempo_bpm)
+    f_gait = fold_tempo(analysis.grid.tempo_bpm)
     omega_m = TWO_PI * f_gait
 
     n_ticks, plant_every, mod_every = cfg.ticks()
@@ -700,8 +692,8 @@ def run_rhythm_sync(config: ScenarioConfig):
 
     def mod_fn(_, phases, i):
         # the feedforward solve starts from the last command
-        cmd = modulate(_ring(phases[leg]), _ring(theta_mod[i]), omega_m, sigma, xi, cfg,
-                       pair_obs=_ring(phases[pair_leg]), guess=mod_rows[i - 1, 2] if i else 0.0)
+        cmd = modulate(phases[leg], float(theta_mod[i]), omega_m, sigma, xi, cfg,
+                       phi_pair=phases[pair_leg], guess=mod_rows[i - 1, 2] if i else 0.0)
         mod_rows[i] = (t[i], omega_m, cmd.delta_omega, cmd.omega_tilde, cmd.phase_error)
         return cmd.omega_tilde
 

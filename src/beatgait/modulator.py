@@ -300,8 +300,8 @@ def feedforward_command(phi_j: float, phi_pair: float, theta: float, omega_m: fl
     return _illinois(gap, lo, g_lo, hi, g_hi, width, h, 2 + SOLVE_STEPS - len(seen))
 
 
-def modulate(phi_obs_j, theta_obs, omega_m: float, sigma: float, xi: float,
-             cfg: ScenarioConfig, pair_obs=None, guess: float = 0.0) -> ModulatorCommand:
+def modulate(phi_j: float, theta: float, omega_m: float, sigma: float, xi: float,
+             cfg: ScenarioConfig, phi_pair=None, guess: float = 0.0) -> ModulatorCommand:
     """One frequency command from the tracked leg's phase and the music phase.
 
     Default law: delta_omega = clamp(-k * e, +-DELTA_MAX) with the
@@ -315,24 +315,19 @@ def modulate(phi_obs_j, theta_obs, omega_m: float, sigma: float, xi: float,
     and xi, the tracked leg's stance gain and feedback bias in the run's
     bank; sigma also sets the footfall law's wobble, whose model keeps
     xi = 0.
-    pair_obs, a (cos, sin) observation of a leg from the opposite
-    diagonal pair, feeds the feedforward rollout model, and guess is the
-    command its solve starts from, in a run the previous one; the
-    footfall law ignores both.
-    The observations are unit (cos, sin) pairs and omega_m lies in the
-    gait band, where fold_tempo puts it; none of them is checked here.
+    phi_pair, the phase of a leg from the opposite diagonal pair, feeds
+    the feedforward rollout model, and guess is the command its solve
+    starts from, in a run the previous one; the footfall law ignores both.
+    The phases lie in [0, 2*pi), as the oscillators and interpolate_phase
+    give them, and omega_m lies in the gait band, where fold_tempo puts
+    it; none of them is checked here.
     """
-    pc, ps = phi_obs_j
-    tc, ts = theta_obs
-    phi_j = math.atan2(ps, pc) % TWO_PI
-    theta = math.atan2(ts, tc) % TWO_PI
     if cfg.feedforward:
         e = wrap_signed(phi_j - theta)
-        oc, os_ = pair_obs
         _, hold_steps, _ = cfg.ticks()
-        delta = feedforward_command(phi_j, math.atan2(os_, oc) % TWO_PI, theta, omega_m, sigma,
-                                    xi, cfg.gain_k, 1.0 / cfg.rate_oscillator_hz,
-                                    hold_steps, cfg.rate_modulator_hz, guess=guess)
+        delta = feedforward_command(phi_j, phi_pair, theta, omega_m, sigma, xi, cfg.gain_k,
+                                    1.0 / cfg.rate_oscillator_hz, hold_steps,
+                                    cfg.rate_modulator_hz, guess=guess)
     else:
         # steer the underlying ramp phi - wobble, which crosses 3*pi/2
         # at the stance midpoint

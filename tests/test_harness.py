@@ -396,7 +396,7 @@ class TestRunLog:
 
     def test_block_text_matches_percent_at_range_edges(self):
         # four units in the last place on each side of the ends of the
-        # digit kernel's range and of the switch to exponent notation
+        # digit kernel's range, [1e-4, 1e16), and of 1e-6 and 1e-5 below it
         edges = []
         for edge in (1e-6, 1e-5, 1e-4, 1e16):
             down = up = edge
@@ -481,11 +481,15 @@ def _loop(load=None, mod_fn=None, duration=1.0):
 #: Oscillator ticks per plant update in _loop's runs (2, at 500 Hz).
 _EVERY = ScenarioConfig(mode="freq_track", duration=1.0).resolve().ticks()[1]
 
+#: The parameter law's omega, sigma and xi per leg in _loop's bank.
+_OMEGA, _SIGMA, _XI = map(np.array, _initial_state(
+    ScenarioConfig(mode="freq_track").resolve(), 2.0)[1:])
+
 
 def _euler(osc, held, omega):
     """Each osc row stepped once under the given loads and frequencies (numpy reference)."""
     phi = osc[:-1, 1:5]
-    return np.mod(phi + 1e-3 * (omega - TWO_PI * held * (np.cos(phi) + 0.0)), TWO_PI)
+    return np.mod(phi + 1e-3 * (omega - _SIGMA * held * (np.cos(phi) + _XI)), TWO_PI)
 
 
 class TestScheduler:
@@ -518,10 +522,10 @@ class TestScheduler:
         _, osc, _ = _loop(lambda phases, g, shares: [0.1 * (next(update) % 3)] * 4)
         update = np.arange(999) // _EVERY
         held = (0.1 * (update % 3))[:, None]
-        assert np.array_equal(_euler(osc, held, 4.0 * np.pi), osc[1:, 1:5])
+        assert np.array_equal(_euler(osc, held, _OMEGA), osc[1:, 1:5])
         # the next update's loads would give other phases
         early = (0.1 * ((update + 1) % 3))[:, None]
-        assert not np.array_equal(_euler(osc, early, 4.0 * np.pi), osc[1:, 1:5])
+        assert not np.array_equal(_euler(osc, early, _OMEGA), osc[1:, 1:5])
 
     def test_modulator_sees_fresh_plant_value(self):
         # the plant updates first on a shared tick, and the modulator
@@ -545,7 +549,7 @@ class TestScheduler:
 
     def test_command_replaces_frequency(self):
         _, osc, plant = _loop(mod_fn=lambda t, phases, j: 3.5)
-        assert osc[0, 5] == 4.0 * np.pi and np.all(osc[1:, 5] == 3.5)
+        assert osc[0, 5] == _OMEGA[0] and np.all(osc[1:, 5] == 3.5)
         held = plant[np.arange(999) // _EVERY, 5:9]
         assert np.array_equal(_euler(osc, held, 3.5), osc[1:, 1:5])
 
@@ -554,7 +558,7 @@ class TestScheduler:
         # before tick k's update, which is update ceil(k / 50) - 1
         _, osc, _ = _loop(mod_fn=lambda t, phases, j: 10.0 + j)
         k = np.arange(1, 1000)
-        assert osc[0, 5] == 4.0 * np.pi
+        assert osc[0, 5] == _OMEGA[0]
         assert np.array_equal(osc[1:, 5], 10.0 + (k - 1) // 50)
         assert osc[50, 5] == 10.0 and osc[51, 5] == 11.0
 

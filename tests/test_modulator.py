@@ -114,33 +114,33 @@ class TestModulate:
     @pytest.mark.parametrize("f_hz", [2.0, 4.0])
     def test_lock_point(self, f_hz):
         omega = TWO_PI * f_hz
-        cmd = modulate(unit(1.0), unit(1.0), omega, SIGMA, XI, run_cfg())
+        cmd = modulate(1.0, 1.0, omega, SIGMA, XI, run_cfg())
         assert cmd.delta_omega == 0.0
         assert cmd.omega_tilde == omega
 
     def test_proportional_example(self):
         cfg = run_cfg(gain_k=2.0)
-        cmd = modulate(unit(0.1), unit(0.0), self.OMEGA, SIGMA, XI, cfg)
+        cmd = modulate(0.1, 0.0, self.OMEGA, SIGMA, XI, cfg)
         assert cmd.delta_omega == pytest.approx(-0.2, abs=1e-9)
         assert cmd.phase_error == pytest.approx(0.1, abs=1e-9)
 
     def test_clamp_example(self):
         cfg = run_cfg(gain_k=10.0)
-        cmd = modulate(unit(math.pi - 1e-9), unit(0.0), self.OMEGA, SIGMA, XI, cfg)
+        cmd = modulate(math.pi - 1e-9, 0.0, self.OMEGA, SIGMA, XI, cfg)
         assert cmd.delta_omega == -DELTA_MAX
-        cmd = modulate(unit(0.0), unit(math.pi - 1e-9), self.OMEGA, SIGMA, XI, cfg)
+        cmd = modulate(0.0, math.pi - 1e-9, self.OMEGA, SIGMA, XI, cfg)
         assert cmd.delta_omega == DELTA_MAX
 
     def test_sign_correctness(self):
         cfg = run_cfg()
-        lead = modulate(unit(0.4), unit(0.1), self.OMEGA, SIGMA, XI, cfg)
-        lag = modulate(unit(0.1), unit(0.4), self.OMEGA, SIGMA, XI, cfg)
+        lead = modulate(0.4, 0.1, self.OMEGA, SIGMA, XI, cfg)
+        lag = modulate(0.1, 0.4, self.OMEGA, SIGMA, XI, cfg)
         assert lead.delta_omega < 0 < lag.delta_omega
 
     def test_clamp_keeps_omega_positive(self):
         # at the band's lowest frequency, 1 Hz, the clamp pi is half of omega_m
         cfg = run_cfg(gain_k=100.0)
-        cmd = modulate(unit(3.0), unit(0.0), TWO_PI, SIGMA, XI, cfg)
+        cmd = modulate(3.0, 0.0, TWO_PI, SIGMA, XI, cfg)
         assert cmd.delta_omega == -DELTA_MAX
         assert cmd.omega_tilde == 0.5 * TWO_PI > 0
 
@@ -157,7 +157,7 @@ class TestModulate:
         cfg = run_cfg()
         phi = FOOTFALL_PHASE
         theta = 0.3
-        cmd = modulate(unit(phi), unit(theta), self.OMEGA, SIGMA, XI, cfg)
+        cmd = modulate(phi, theta, self.OMEGA, SIGMA, XI, cfg)
         a = wobble_amplitude(self.OMEGA, SIGMA)
         expected = wrap_signed(phi - theta - a * 1.0)  # -sin(3*pi/2) = 1
         assert cmd.phase_error == pytest.approx(expected, abs=1e-9)
@@ -166,23 +166,33 @@ class TestModulate:
         # the standing bank's gain 4 and a raised one, not the module's 2*pi
         theta = 0.3
         for sigma in (4.0, 1.2 * SIGMA):
-            cmd = modulate(unit(FOOTFALL_PHASE), unit(theta), self.OMEGA, sigma, XI, run_cfg())
+            cmd = modulate(FOOTFALL_PHASE, theta, self.OMEGA, sigma, XI, run_cfg())
             expected = wrap_signed(FOOTFALL_PHASE - theta - sigma * TROT_G / self.OMEGA)
             assert cmd.phase_error == pytest.approx(expected, abs=1e-12)
 
     def test_footfall_matches_raw_in_swing(self):
         # max(0, -sin(phi)) is 0 in swing, so the error is the raw wrap(phi - theta)
         for phi in (0.0, 0.8, 2.0, math.pi - 1e-9):
-            foot = modulate(unit(phi), unit(0.3), self.OMEGA, SIGMA, XI, run_cfg())
-            raw = wrap_signed(math.atan2(math.sin(phi), math.cos(phi)) % TWO_PI - 0.3)
+            foot = modulate(phi, 0.3, self.OMEGA, SIGMA, XI, run_cfg())
+            raw = wrap_signed(phi - 0.3)
             assert foot.phase_error == raw
             assert foot.delta_omega == max(-DELTA_MAX, min(-2.0 * raw, DELTA_MAX))
+
+    @pytest.mark.parametrize("feedforward", [False, True])
+    def test_error_reads_the_phases_exactly(self, feedforward):
+        # the phases are read as given: decoding phi from its (cos, sin)
+        # pair with atan2 would move it one unit in the last place
+        phi, theta = 0.6000000000000001, 0.2
+        assert math.atan2(math.sin(phi), math.cos(phi)) % TWO_PI != phi
+        cmd = modulate(phi, theta, self.OMEGA, SIGMA, XI, run_cfg(feedforward=feedforward),
+                       phi_pair=phi + math.pi)
+        assert cmd.phase_error == wrap_signed(phi - theta)
 
     @given(angles, angles)
     @settings(max_examples=300)
     def test_anti_windup_property(self, a, b):
         cfg = run_cfg(gain_k=4.0)
-        cmd = modulate(unit(a), unit(b), self.OMEGA, SIGMA, XI, cfg)
+        cmd = modulate(a, b, self.OMEGA, SIGMA, XI, cfg)
         assert abs(cmd.delta_omega) <= DELTA_MAX
         assert cmd.omega_tilde > 0
 
@@ -529,7 +539,6 @@ class TestFeedforward:
     def test_feedforward_via_modulate(self):
         cfg = run_cfg(gain_k=2.0, feedforward=True)
         phi, theta = 2.0, 1.9
-        cmd = modulate(unit(phi), unit(theta), self.OMEGA, SIGMA, XI, cfg,
-                       pair_obs=unit(phi + math.pi))
+        cmd = modulate(phi, theta, self.OMEGA, SIGMA, XI, cfg, phi_pair=phi + math.pi)
         assert abs(cmd.delta_omega) <= DELTA_MAX
         assert cmd.phase_error == pytest.approx(wrap_signed(phi - theta), abs=1e-9)
